@@ -10,12 +10,14 @@ single exponentiation at the end. Only the coefficients are inexact.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
-from .context import QContext, as_lattice_shift, conj, im, magnitude
+from .context import QContext, as_lattice_shift, conj, magnitude
 
 LADDER_KINDS = ("arik_lower", "arik_raise", "mac_lower", "mac_raise")
 
@@ -262,15 +264,63 @@ def inner(f: GaussianChain, g: GaussianChain, kind: str = "standard"):
     ctx = f.ctx
     sign = 1 if kind == "standard" else -1
     with ctx.prec():
-        total = 0
-        for t, a in f.coeffs.items():
-            ca = conj(a)
-            for s, b in g.coeffs.items():
-                # (mu - nu)^2 / 2 = (t - s)^2 / 8 on twice-centers; the
-                # parity twist reflects f, flipping t to -t.
-                d = sign * t - s
-                total = total + ca * b * ctx.qpow(Fraction(d * d, 8))
-        return overlap_scale(ctx) * total
+        return overlap_scale(ctx) * _pair_sum(ctx, f.coeffs, g.coeffs, sign)
+
+
+def _pair_sum(ctx: QContext, left: dict, right: dict, sign: int = 1):
+    """sum conj(a_t) b_s q^{(sign t - s)^2 / 8} over two twice-center maps:
+    (mu - nu)^2 / 2 = (t - s)^2 / 8, and the parity twist flips t to -t."""
+    total = 0
+    for t, a in left.items():
+        ca = conj(a)
+        for s, b in right.items():
+            d = sign * t - s
+            total = total + ca * b * ctx.qpow(Fraction(d * d, 8))
+    return total
+
+
+def lattice_kernel(ctx: QContext, size: int, kind: str = "standard") -> list:
+    """Overlap kernel of unit Gaussians at the integer centers 0..size-1:
+    K[j][k] = q^{(j-k)^2/2}, or q^{(j+k)^2/2} under the parity twist, so
+    the pair's inner product is sqrt(pi/2c^2) K[j][k]."""
+    sign = 1 if kind == "standard" else -1
+    with ctx.prec():
+        powers = [ctx.qpow(Fraction(d * d, 2)) for d in range(2 * size)]
+    return [[powers[abs(j - sign * k)] for k in range(size)]
+            for j in range(size)]
+
+
+def gram_contract(A, K, B) -> list:
+    """The bilinear form A K B^T behind every Gram matrix of the package.
+
+    The rows of A and B are coefficient tables against the kernel K, a
+    matrix or, given as a flat sequence, a diagonal. Rows may be ragged:
+    missing trailing entries are zeros. The backend follows the kernel's
+    element type: mpmath numbers contract with mpmath.fdot at the ambient
+    precision, Fractions with exact sums, anything else with numpy matrix
+    products. Returns a list of rows.
+    """
+    diagonal = not hasattr(K[0], "__len__")
+    probe = K[0] if diagonal else K[0][0]
+    if isinstance(probe, (mpmath.mpf, mpmath.mpc)):
+        dot = mpmath.fdot
+    elif isinstance(probe, Fraction):
+        def dot(x, y):
+            return sum(map(operator.mul, x, y))
+    else:
+        K = np.asarray(K)
+        A, B = _dense(A, K.shape[0]), _dense(B, K.shape[-1])
+        return ((A * K if diagonal else A @ K) @ B.T).tolist()
+    if diagonal:
+        AK = [[a * k for a, k in zip(row, K)] for row in A]
+    else:
+        columns = list(zip(*K))
+        AK = [[dot(row, col) for col in columns] for row in A]
+    return [[dot(left, right) for right in B] for left in AK]
+
+
+def _dense(rows, width: int) -> np.ndarray:
+    return np.array([np.pad(np.asarray(r), (0, width - len(r))) for r in rows])
 
 
 def product_daughters(f: GaussianChain, g: GaussianChain) -> DaughterChain:
@@ -331,12 +381,7 @@ def trig_inner(F: TrigGaussian, G: TrigGaussian):
     with ctx.prec():
         c = ctx.c
         gauss = ctx.sqrt(c * c / (2 * ctx.pi()))
-        total = 0
-        for t, a in F.trig_coeffs.items():
-            ca = conj(a)
-            for s, b in G.trig_coeffs.items():
-                d = t - s
-                total = total + ca * b * ctx.qpow(Fraction(d * d, 8))
+        total = _pair_sum(ctx, F.trig_coeffs, G.trig_coeffs)
         return F.prefactor * G.prefactor * gauss * total
 
 

@@ -3,21 +3,27 @@ coefficients, a truncated third Jacobi theta function with an explicit
 tail bound, the Poisson-summation identity behind it, and the two circle
 orthogonality relations (the classical one and the degree-indexed one the
 second oscillator produces).
+
+Both circle Grams are computed by one equispaced trapezoid rule, written
+as the contraction F diag(w) S^T / N of the polynomial values at the N
+nodes against the theta_3 weights. It runs in the backend of its working
+context, so the degree-indexed Gram can carry the digits its cancellation
+needs, and it stays independent of the real-line overlap formulas it is
+compared with.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 import numpy as np
 
-from .context import QContext
-from .qnum import qbinomial, qpochhammer
-from .chain import inner, overlap_scale
-from .dg import build_phi, dg_norm
+from .context import QContext, re
+from .qnum import horner, qbinomial, qbinomial_triangle, qpochhammer
+from .chain import gram_contract, overlap_scale
+from .dg import dg_norm, gram_phi
 from .report import GramReport
 
 
@@ -30,10 +36,7 @@ class RSPolynomial:
     coeffs: list
 
     def __call__(self, z):
-        total = 0 * z
-        for c in reversed(self.coeffs):
-            total = total * z + c
-        return total
+        return horner(self.coeffs, z)
 
 
 @dataclass(frozen=True)
@@ -79,13 +82,9 @@ def theta_truncation(q: float, tol: float) -> int:
     return N
 
 
-def make_theta_evaluator(q: float, tol: float = 1e-14) -> ThetaEvaluator:
-    return ThetaEvaluator(q=q, truncation=theta_truncation(q, tol), tol=tol)
-
-
 def theta3(theta, q: float, tol: float = 1e-14):
     """theta_3(theta; q), real and positive on the real line for q in (0, 1)."""
-    return make_theta_evaluator(q, tol)(theta)
+    return ThetaEvaluator(q=q, truncation=theta_truncation(q, tol), tol=tol)(theta)
 
 
 def poisson_check(c: float, theta_grid=None) -> float:
@@ -124,6 +123,21 @@ def _gram_truncation(q: float, nmax: int) -> int:
     return max(theta_truncation(q, 1e-16), 2 * nmax + 1)
 
 
+def _circle_mac_bounds(q: float, nmax: int) -> tuple:
+    """(peak, amplification): the integrand bound max_n |H_n|_max^2
+    theta_3(0), and the entrywise bound over sqrt(|T_nn T_mm|)."""
+    theta0 = 1.0 + 2.0 * sum(q ** (m * m / 2.0)
+                             for m in range(1, theta_truncation(q, 1e-16) + 1))
+    bound = [sum(float(qbinomial(q, n, k)) * q ** (-(n - 0.5) * k)
+                 for k in range(n + 1)) for n in range(nmax + 1)]
+    target = [q ** (-n * (n - 1) / 2.0) * float(qpochhammer(q, n))
+              for n in range(nmax + 1)]
+    amplification = max(bound[n] * bound[m] * theta0
+                        / math.sqrt(target[n] * target[m])
+                        for n in range(nmax + 1) for m in range(nmax + 1))
+    return max(bound) ** 2 * theta0, amplification
+
+
 def circle_mac_amplification(q: float, nmax: int) -> float:
     """Worst-case roundoff amplification of the degree-indexed circle
     Gram: max over entries of |integrand|_max / sqrt(|T_nn T_mm|).
@@ -132,78 +146,49 @@ def circle_mac_amplification(q: float, nmax: int) -> float:
     sum_k C^n_k q^{-(n-1/2)k} in magnitude, while the integral collapses
     to the much smaller q^{-n(n-1)/2}(q,q)_n, so the trapezoid sum
     cancels by this ratio and loses the matching number of digits."""
-    theta0 = 1.0 + 2.0 * sum(q ** (m * m / 2.0)
-                             for m in range(1, theta_truncation(q, 1e-16) + 1))
-    bound = [sum(float(qbinomial(q, n, k)) * q ** (-(n - 0.5) * k)
-                 for k in range(n + 1)) for n in range(nmax + 1)]
-    target = [q ** (-n * (n - 1) / 2.0) * float(qpochhammer(q, n))
-              for n in range(nmax + 1)]
-    return max(bound[n] * bound[m] * theta0 / math.sqrt(target[n] * target[m])
-               for n in range(nmax + 1) for m in range(nmax + 1))
+    return _circle_mac_bounds(q, nmax)[1]
 
 
 def circle_mac_auto_digits(q: float, nmax: int) -> int | None:
     """Working precision for circle_gram_mac when the context leaves it
     unspecified: enough digits that the roundoff floor sits below 1e-12
     absolute and 1e-9 relative. None when double precision already does."""
-    theta0 = 1.0 + 2.0 * sum(q ** (m * m / 2.0)
-                             for m in range(1, theta_truncation(q, 1e-16) + 1))
-    bound = [sum(float(qbinomial(q, n, k)) * q ** (-(n - 0.5) * k)
-                 for k in range(n + 1)) for n in range(nmax + 1)]
-    peak = max(bound) ** 2 * theta0
-    digits = math.ceil(math.log10(
-        max(peak * 1e13, circle_mac_amplification(q, nmax) * 1e9))) + 1
+    peak, amplification = _circle_mac_bounds(q, nmax)
+    digits = math.ceil(math.log10(max(peak * 1e13, amplification * 1e9))) + 1
     return None if digits <= 15 else digits
 
 
-def _horner(coeffs, z):
-    total = 0 * z
-    for c in reversed(coeffs):
-        total = total * z + c
-    return total
-
-
-def _circle_gram_mac_mp(ctx: QContext, nmax: int, quad_points: int,
-                        conjugate_first: bool, digits: int):
-    """High-precision trapezoid for the degree-indexed Gram. Returns
-    (matrix, target) with backend-native high-precision entries so the
-    report's deviations resolve below double rounding."""
-    work = ctx.with_digits(digits)
+def _circle_trapezoid(work: QContext, nmax: int, points: int, args: list,
+                      conjugate_first: bool) -> list:
+    """Real parts of int_0^1 H_n(args[n] z') H_m(args[m] z) theta_3(2 pi theta;
+    q) dtheta with z = e^{i2pi theta} and z' = conj(z) if conjugate_first
+    else z: the equispaced rule F diag(w) S^T / points, in the backend of
+    work. Nodes and weights are numpy arrays, of mpmath numbers at high
+    precision, so one set of array expressions serves both backends."""
     with work.prec():
         q = work.q
-        trunc = _gram_truncation(float(ctx.q), nmax)
-        qh = [work.qpow(Fraction(m * m, 2)) for m in range(trunc + 1)]
-        points = quad_points
-        weight = []
-        for j in range(points):
-            acc = mpmath.mpf(1)
-            for m in range(1, trunc + 1):
-                acc += 2 * qh[m] * mpmath.cospi(mpmath.mpf(2 * m * j) / points)
-            weight.append(acc)
-        zs = [mpmath.expjpi(mpmath.mpf(2 * j) / points)
-              for j in range(points)]
-        coeffs = [[qbinomial(q, n, k) for k in range(n + 1)]
-                  for n in range(nmax + 1)]
-        args = [-work.qpow(Fraction(1 - 2 * n, 2)) for n in range(nmax + 1)]
-        first = [[_horner(coeffs[n],
-                          args[n] * (z.conjugate() if conjugate_first else z))
-                  for z in zs] for n in range(nmax + 1)]
-        second = [[_horner(coeffs[m], args[m] * z) for z in zs]
-                  for m in range(nmax + 1)]
-        matrix = []
-        for n in range(nmax + 1):
-            row = []
-            for m in range(nmax + 1):
-                acc = mpmath.mpc(0)
-                for j in range(points):
-                    acc += first[n][j] * second[m][j] * weight[j]
-                row.append(mpmath.re(acc) / points)
-            matrix.append(row)
-        target = [[work.qpow(Fraction(-n * (n - 1), 2))
-                   * qpochhammer(q, n) * (-1) ** n if n == m
-                   else mpmath.mpf(0) for m in range(nmax + 1)]
-                  for n in range(nmax + 1)]
-    return matrix, target
+        truncation = _gram_truncation(float(q), nmax)
+        if work.is_mp:
+            z = np.array([mpmath.expjpi(mpmath.mpf(2 * j) / points)
+                          for j in range(points)], dtype=object)
+            # cos(2 pi m j / points) is the real part of node (m j) mod
+            # points; arrays stay left of every product, since mpmath would
+            # try (and slowly fail) to convert an array on its right
+            cos = np.array([v.real for v in z])
+            index = np.arange(points)
+            weight = 1 + 2 * sum(cos[m * index % points] * q ** (m * m / 2.0)
+                                 for m in range(1, truncation + 1))
+        else:
+            thetas = np.arange(points) / points
+            z = np.exp(2j * np.pi * thetas)
+            weight = ThetaEvaluator(q=q, truncation=truncation,
+                                    tol=1e-16)(2.0 * np.pi * thetas)
+        rows = qbinomial_triangle(q, nmax)
+        second = [horner(rows[n], z * args[n]) for n in range(nmax + 1)]
+        # the coefficients and args are real, so H(a conj(z)) = conj(H(a z))
+        first = [np.conj(v) for v in second] if conjugate_first else second
+        gram = gram_contract(first, weight / points, second)
+        return [[re(v) for v in row] for row in gram]
 
 
 def circle_gram_dg(ctx: QContext, nmax: int, quad_points: int = 512) -> GramReport:
@@ -213,21 +198,15 @@ def circle_gram_dg(ctx: QContext, nmax: int, quad_points: int = 512) -> GramRepo
 
     The integrand is a trigonometric polynomial times the truncated theta
     series, so the equispaced rule is exact once quad_points clears the
-    top harmonic; 512 is far past that knee for the tested degrees.
+    top harmonic; 512 is far past that knee for the tested degrees. The
+    sum runs in double precision whatever the context's digits.
     """
     _check_points(quad_points)
-    q = float(ctx.q)
-    thetas = np.arange(quad_points) / quad_points
-    z_plus = np.exp(2j * np.pi * thetas)
-    z_minus = np.conj(z_plus)
-    weight = ThetaEvaluator(q=q, truncation=_gram_truncation(q, nmax),
-                            tol=1e-16)(2.0 * np.pi * thetas)
-    arg = -(q ** -0.5)
-    first = [rs_eval(n, q, arg * z_minus) for n in range(nmax + 1)]
-    second = [rs_eval(m, q, arg * z_plus) for m in range(nmax + 1)]
-    matrix = [[float(np.mean(first[n] * second[m] * weight).real)
-               for m in range(nmax + 1)] for n in range(nmax + 1)]
-    target = [[float(q ** -n * qpochhammer(q, n)) if n == m else 0.0
+    work = ctx.with_digits(None)
+    q = work.q
+    matrix = _circle_trapezoid(work, nmax, quad_points,
+                               [-(q ** -0.5)] * (nmax + 1), True)
+    target = [[q ** -n * qpochhammer(q, n) if n == m else 0.0
                for m in range(nmax + 1)] for n in range(nmax + 1)]
     return GramReport(labels=list(range(nmax + 1)), matrix=matrix, target=target,
                       precision_digits=None,
@@ -251,30 +230,22 @@ def circle_gram_mac(ctx: QContext, nmax: int, quad_points: int = 512,
     polynomial arguments grow like q^{-(n-1/2)} while the integral stays
     modest), so when the context does not fix a precision the working
     digits come from circle_mac_auto_digits; double is kept only while it
-    can actually deliver the entries.
+    can actually deliver the entries. Coefficients, arguments and targets
+    are all computed from q at the working precision.
     """
     _check_points(quad_points)
     q = float(ctx.q)
-    digits = ctx.digits if ctx.digits is not None \
-        else circle_mac_auto_digits(q, nmax)
-    if digits is not None:
-        matrix, target = _circle_gram_mac_mp(ctx, nmax, quad_points,
-                                             conjugate_first, digits)
-    else:
-        thetas = np.arange(quad_points) / quad_points
-        z_plus = np.exp(2j * np.pi * thetas)
-        z_first = np.conj(z_plus) if conjugate_first else z_plus
-        weight = ThetaEvaluator(q=q, truncation=_gram_truncation(q, nmax),
-                                tol=1e-16)(2.0 * np.pi * thetas)
-        first = [rs_eval(n, q, -(q ** -(n - 0.5)) * z_first)
-                 for n in range(nmax + 1)]
-        second = [rs_eval(m, q, -(q ** -(m - 0.5)) * z_plus)
-                  for m in range(nmax + 1)]
-        matrix = [[float(np.mean(first[n] * second[m] * weight).real)
-                   for m in range(nmax + 1)] for n in range(nmax + 1)]
-        target = [[float(q ** (-n * (n - 1) / 2.0) * qpochhammer(q, n)
-                         * (-1) ** n) if n == m else 0.0
-                   for m in range(nmax + 1)] for n in range(nmax + 1)]
+    digits = circle_mac_auto_digits(q, nmax) if ctx.digits is None \
+        else ctx.digits
+    work = ctx.with_digits(digits)
+    with work.prec():
+        wq = work.q
+        matrix = _circle_trapezoid(work, nmax, quad_points,
+                                   [-(wq ** -(n - 0.5)) for n in range(nmax + 1)],
+                                   conjugate_first)
+        target = [[wq ** (-n * (n - 1) // 2) * qpochhammer(wq, n) * (-1) ** n
+                   if n == m else 0 * wq for m in range(nmax + 1)]
+                  for n in range(nmax + 1)]
     notes = {"family": "circle-mac", "points": quad_points,
              "conjugate_first": conjugate_first,
              "working_digits": digits,
@@ -299,11 +270,8 @@ def parseval_bridge(ctx: QContext, nmax: int, quad_points: int = 512) -> GramRep
     scale = float(overlap_scale(ctx))
     matrix = [[scale * circle.matrix[n][m] / (norms[n] * norms[m])
                for m in range(nmax + 1)] for n in range(nmax + 1)]
-    phis = [build_phi(ctx, n) for n in range(nmax + 1)]
-    target = [[float(inner(phis[n], phis[m]).real) for m in range(nmax + 1)]
-              for n in range(nmax + 1)]
-    return GramReport(labels=list(range(nmax + 1)), matrix=matrix, target=target,
-                      precision_digits=None,
+    return GramReport(labels=list(range(nmax + 1)), matrix=matrix,
+                      target=gram_phi(ctx, nmax).matrix, precision_digits=None,
                       notes={"family": "parseval-bridge",
                              "points": quad_points})
 

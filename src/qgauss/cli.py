@@ -14,9 +14,8 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,17 +31,14 @@ from .report import GramReport
 from .verify import SUITES, run_suite
 
 SCHEMA = "qgauss/1"
-DEFAULT_C_LIST = (0.2, 0.1, 0.05)
 
 
 @dataclass
 class RunConfig:
-    """One resolved invocation: the supplied scale plus its derived twin,
-    and every knob a subcommand might read."""
+    """One resolved invocation: the double-precision context of the
+    supplied (or default) scale, and every knob a subcommand might read."""
 
-    c: float
-    q: float
-    supplied: str
+    scale: QContext
     defaulted: bool = False
     family: str | None = None
     n: int | None = None
@@ -55,13 +51,19 @@ class RunConfig:
     count: int | None = None
     nweights: int | None = None
 
+    @property
+    def c(self) -> float:
+        return self.scale.c
+
+    @property
+    def q(self) -> float:
+        return self.scale.q
+
     def context(self) -> QContext:
-        if self.supplied == "c":
-            return QContext(c=self.c, digits=self.digits)
-        return QContext(q=self.q, digits=self.digits)
+        return self.scale.with_digits(self.digits)
 
     def echo(self) -> dict:
-        return {"c": self.c, "q": self.q, "supplied": self.supplied,
+        return {"c": self.c, "q": self.q, "supplied": self.scale.supplied,
                 "defaulted": self.defaulted, "digits": self.digits,
                 "seed": self.seed}
 
@@ -70,33 +72,19 @@ def _fmt(x: float) -> str:
     return f"{float(x):.16e}"
 
 
-def _resolve_scale(args) -> tuple:
-    if getattr(args, "q", None) is not None and getattr(args, "c", None) is not None:
-        raise SystemExit("error: give exactly one of --q and --c, not both")
-    if getattr(args, "q", None) is not None:
-        q = float(args.q)
-        return math.sqrt(-math.log(q)), q, "q", False
-    if getattr(args, "c", None) is not None:
-        c = float(args.c)
-        return c, math.exp(-c * c), "c", False
-    return math.sqrt(math.log(2.0)), 0.5, "q", True
-
-
 def _config(args) -> RunConfig:
-    c, q, supplied, defaulted = _resolve_scale(args)
-    return RunConfig(
-        c=c, q=q, supplied=supplied, defaulted=defaulted,
-        family=getattr(args, "family", None),
-        n=getattr(args, "n", None),
-        nmax=getattr(args, "nmax", None),
-        digits=getattr(args, "digits", None),
-        points=getattr(args, "points", None),
-        fmt=getattr(args, "format", "json"),
-        out=getattr(args, "out", None),
-        seed=getattr(args, "seed", 12345),
-        count=getattr(args, "count", None),
-        nweights=getattr(args, "nweights", None),
-    )
+    q, c = getattr(args, "q", None), getattr(args, "c", None)
+    if q is not None and c is not None:
+        raise SystemExit("error: give exactly one of --q and --c, not both")
+    try:
+        scale = QContext(c=c) if c is not None else QContext(q=0.5 if q is None else q)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+    # every other field is the flag of the same name (fmt is --format),
+    # or the field's default where the subcommand has no such flag
+    knobs = {f.name: getattr(args, "format" if f.name == "fmt" else f.name,
+                             f.default) for f in fields(RunConfig)[2:]}
+    return RunConfig(scale=scale, defaulted=q is None and c is None, **knobs)
 
 
 def _write(text: str, out: str | None):
@@ -132,182 +120,151 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-# -- subcommands -------------------------------------------------------------
-
-def cmd_coeffs(cfg: RunConfig) -> int:
-    ctx = cfg.context()
-    n = cfg.n
-    if cfg.family == "dg":
-        table = dg_coefficients(ctx, n)
-        coeffs = [complex(float(v), 0.0) for v in table.normalized]
-        normalization = "phi-unit-norm"
-    elif cfg.family == "mac":
-        table = mac_coeffs(ctx, n)
-        coeffs = [complex(float(table.zeta * e), 0.0) for e in table.E]
-        normalization = "zeta-times-E"
-    else:
-        raise SystemExit(f"error: coeffs supports families dg and mac, "
-                         f"got {cfg.family!r}")
+def _emit(cfg: RunConfig, payload: dict, header: list, rows) -> int:
+    """The payload plus the config echo as JSON, or the header and the
+    (lazily built) rows as CSV, as --format asks."""
     if cfg.fmt == "json":
-        _emit_json({
-            "command": "coeffs", "config": cfg.echo(),
-            "family": cfg.family, "n": n, "normalization": normalization,
-            "rows": [{"k": k, "center": float(k), "re": v.real, "im": v.imag}
-                     for k, v in enumerate(coeffs)],
-        }, cfg.out)
+        _emit_json({**payload, "config": cfg.echo()}, cfg.out)
     else:
-        header = ["c", "q", "family", "n", "normalization", "k", "center",
-                  "coefficient_re", "coefficient_im"]
-        rows = [[_fmt(cfg.c), _fmt(cfg.q), cfg.family, n, normalization,
-                 k, _fmt(k), _fmt(v.real), _fmt(v.imag)]
-                for k, v in enumerate(coeffs)]
         _emit_csv(header, rows, cfg.out)
     return 0
 
 
-def _family_chain(cfg: RunConfig, ctx: QContext):
-    if cfg.family == "dg":
-        return build_phi(ctx, cfg.n)
-    if cfg.family == "mac":
-        return build_Bn(ctx, cfg.n)
-    raise SystemExit(f"error: unknown family {cfg.family!r}")
+# -- subcommands -------------------------------------------------------------
 
-
-def cmd_eval(cfg: RunConfig, grid: np.ndarray) -> int:
+def cmd_coeffs(cfg: RunConfig, args) -> int:
     ctx = cfg.context()
-    chain = _family_chain(cfg, ctx)
+    n = cfg.n
+    if cfg.family == "dg":
+        coeffs = dg_coefficients(ctx, n).normalized
+        normalization = "phi-unit-norm"
+    else:
+        table = mac_coeffs(ctx, n)
+        coeffs = [table.zeta * e for e in table.E]
+        normalization = "zeta-times-E"
+    coeffs = [complex(float(v), 0.0) for v in coeffs]
+    return _emit(cfg, {
+        "command": "coeffs", "family": cfg.family, "n": n,
+        "normalization": normalization,
+        "rows": [{"k": k, "center": float(k), "re": v.real, "im": v.imag}
+                 for k, v in enumerate(coeffs)],
+    }, ["c", "q", "family", "n", "normalization", "k", "center",
+        "coefficient_re", "coefficient_im"],
+        ([_fmt(cfg.c), _fmt(cfg.q), cfg.family, n, normalization,
+          k, _fmt(k), _fmt(v.real), _fmt(v.imag)]
+         for k, v in enumerate(coeffs)))
+
+
+def cmd_eval(cfg: RunConfig, args) -> int:
+    grid = _parse_grid(args.grid)
+    ctx = cfg.context()
+    build = build_phi if cfg.family == "dg" else build_Bn
+    chain = build(ctx, cfg.n)
     if ctx.digits is None:
         values = np.atleast_1d(np.asarray(evaluate(chain, grid), dtype=complex))
     else:
         values = np.array([complex(evaluate(chain, float(x))) for x in grid])
-    if cfg.fmt == "json":
-        _emit_json({
-            "command": "eval", "config": cfg.echo(), "family": cfg.family,
-            "n": cfg.n,
-            "rows": [{"x": float(x), "re": v.real, "im": v.imag}
-                     for x, v in zip(grid, values)],
-        }, cfg.out)
-    else:
-        header = ["c", "q", "family", "n", "x", "value_re", "value_im"]
-        rows = [[_fmt(cfg.c), _fmt(cfg.q), cfg.family, cfg.n,
-                 _fmt(x), _fmt(v.real), _fmt(v.imag)]
-                for x, v in zip(grid, values)]
-        _emit_csv(header, rows, cfg.out)
-    return 0
+    return _emit(cfg, {
+        "command": "eval", "family": cfg.family, "n": cfg.n,
+        "rows": [{"x": float(x), "re": v.real, "im": v.imag}
+                 for x, v in zip(grid, values)],
+    }, ["c", "q", "family", "n", "x", "value_re", "value_im"],
+        ([_fmt(cfg.c), _fmt(cfg.q), cfg.family, cfg.n,
+          _fmt(x), _fmt(v.real), _fmt(v.imag)] for x, v in zip(grid, values)))
 
 
 def _emit_gram(cfg: RunConfig, command: str, report: GramReport) -> int:
+    def rows():
+        for i, label_i in enumerate(report.labels):
+            for j, label_j in enumerate(report.labels):
+                v = float(report.matrix[i][j])
+                t = float(report.target[i][j])
+                yield [_fmt(cfg.c), _fmt(cfg.q), i, j, str(label_i),
+                       str(label_j), _fmt(v), _fmt(t), _fmt(v - t)]
+    payload = {"command": command}
     if cfg.fmt == "json":
-        _emit_json({"command": command, "config": cfg.echo(),
-                    "report": report.to_dict()}, cfg.out)
-        return 0
-    header = ["c", "q", "i", "j", "label_i", "label_j", "value", "target",
-              "deviation"]
-    rows = []
-    for i, label_i in enumerate(report.labels):
-        for j, label_j in enumerate(report.labels):
-            v = float(report.matrix[i][j])
-            t = float(report.target[i][j])
-            rows.append([_fmt(cfg.c), _fmt(cfg.q), i, j,
-                         str(label_i), str(label_j),
-                         _fmt(v), _fmt(t), _fmt(v - t)])
-    _emit_csv(header, rows, cfg.out)
-    return 0
+        payload["report"] = report.to_dict()
+    return _emit(cfg, payload, ["c", "q", "i", "j", "label_i", "label_j",
+                                "value", "target", "deviation"], rows())
 
 
-def cmd_gram(cfg: RunConfig) -> int:
+def cmd_gram(cfg: RunConfig, args) -> int:
     ctx = cfg.context()
     nmax = 8 if cfg.nmax is None else cfg.nmax
     if cfg.family == "dg":
         report = gram_phi(ctx, nmax)
     elif cfg.family == "mac":
         report = indefinite_gram(ctx, nmax)
-    elif cfg.family == "gamma":
+    else:
         report = gamma_family_gram(ctx, 3 if cfg.nweights is None
                                    else cfg.nweights, nmax)
-    else:
-        raise SystemExit(f"error: gram supports dg, mac, gamma; "
-                         f"got {cfg.family!r}")
     return _emit_gram(cfg, "gram", report)
 
 
-def cmd_circle(cfg: RunConfig, conjugate_first: bool) -> int:
+def cmd_circle(cfg: RunConfig, args) -> int:
     ctx = cfg.context()
     points = 512 if cfg.points is None else cfg.points
     if cfg.family == "dg":
         nmax = 8 if cfg.nmax is None else cfg.nmax
         report = circle_gram_dg(ctx, nmax, points)
-    elif cfg.family == "mac":
-        nmax = 5 if cfg.nmax is None else cfg.nmax
-        report = circle_gram_mac(ctx, nmax, points, conjugate_first)
     else:
-        raise SystemExit(f"error: circle supports dg and mac; "
-                         f"got {cfg.family!r}")
+        nmax = 5 if cfg.nmax is None else cfg.nmax
+        report = circle_gram_mac(ctx, nmax, points, args.conjugate_first)
     return _emit_gram(cfg, "circle", report)
 
 
-def cmd_weights(cfg: RunConfig) -> int:
-    ctx = cfg.context()
-    count = 3 if cfg.count is None else cfg.count
-    family = orthonormal_weight_family(ctx, count)
-    if cfg.fmt == "json":
-        _emit_json({
-            "command": "weights", "config": cfg.echo(), "count": count,
-            "weights": [{"index": i,
-                         "modes": [[m, v.real, v.imag]
-                                   for m, v in sorted(w.modes.items())]}
-                        for i, w in enumerate(family)],
-        }, cfg.out)
-    else:
-        header = ["c", "q", "weight_index", "mode", "coeff_re", "coeff_im"]
-        rows = []
-        for i, w in enumerate(family):
-            for m, v in sorted(w.modes.items()):
-                rows.append([_fmt(cfg.c), _fmt(cfg.q), i, m,
-                             _fmt(v.real), _fmt(v.imag)])
-        _emit_csv(header, rows, cfg.out)
-    return 0
+def cmd_weights(cfg: RunConfig, args) -> int:
+    family = orthonormal_weight_family(cfg.context(), cfg.count)
+    return _emit(cfg, {
+        "command": "weights", "count": cfg.count,
+        "weights": [{"index": i,
+                     "modes": [[m, v.real, v.imag]
+                               for m, v in sorted(w.modes.items())]}
+                    for i, w in enumerate(family)],
+    }, ["c", "q", "weight_index", "mode", "coeff_re", "coeff_im"],
+        ([_fmt(cfg.c), _fmt(cfg.q), i, m, _fmt(v.real), _fmt(v.imag)]
+         for i, w in enumerate(family) for m, v in sorted(w.modes.items())))
 
 
-def cmd_limit(cfg: RunConfig, c_list: list, grid: np.ndarray | None) -> int:
-    base_grid = np.arange(0.3, 3.31, 0.15) if grid is None else grid
+def cmd_limit(cfg: RunConfig, args) -> int:
+    c_list = [float(tok) for tok in args.c_list.split(",") if tok]
+    grid = np.arange(0.3, 3.31, 0.15) if args.grid is None \
+        else _parse_grid(args.grid)
     if cfg.family == "dg":
-        scan = harmonic_limit_scan(cfg.n, c_list, base_grid)
+        scan = harmonic_limit_scan(cfg.n, c_list, grid)
         curve = limit_ratio_curve
-    elif cfg.family == "mac":
-        scan = mac_harmonic_limit(cfg.n, c_list, base_grid)
-        curve = mac_limit_ratio_curve
     else:
-        raise SystemExit(f"error: limit supports dg and mac; "
-                         f"got {cfg.family!r}")
-    if cfg.fmt == "json":
-        _emit_json({"command": "limit", "config": cfg.echo(),
-                    "family": cfg.family, "n": cfg.n, "c_list": list(c_list),
-                    "rows": scan}, cfg.out)
-        return 0
-    pts = _limit_grid(cfg.n, base_grid)
-    curves = [curve(cfg.n, c, pts) for c in c_list]
-    header = ["s"] + [f"rho_c{c:g}" for c in c_list]
-    rows = [[_fmt(s)] + [_fmt(col[i]) for col in curves]
-            for i, s in enumerate(pts)]
-    _emit_csv(header, rows, cfg.out)
-    return 0
+        scan = mac_harmonic_limit(cfg.n, c_list, grid)
+        curve = mac_limit_ratio_curve
+
+    def rows():
+        pts = _limit_grid(cfg.n, grid)
+        curves = [curve(cfg.n, c, pts) for c in c_list]
+        for i, s in enumerate(pts):
+            yield [_fmt(s)] + [_fmt(col[i]) for col in curves]
+    return _emit(cfg, {"command": "limit", "family": cfg.family, "n": cfg.n,
+                       "c_list": c_list, "rows": scan},
+                 ["s"] + [f"rho_c{c:g}" for c in c_list], rows())
 
 
-def cmd_verify(cfg: RunConfig, suite: str, conjugate_first: bool) -> int:
+def cmd_verify(cfg: RunConfig, args) -> int:
     ctx = cfg.context()
     result = run_suite(
-        suite, ctx=ctx, nmax=cfg.nmax, points=cfg.points, seed=cfg.seed,
+        args.suite, ctx=ctx, nmax=cfg.nmax, points=cfg.points, seed=cfg.seed,
         count=cfg.count, nweights=cfg.nweights, c=float(ctx.c),
-        conjugate_first=conjugate_first, digits=cfg.digits)
-    out = cfg.out or f"verify_{suite}.json"
-    payload = {"command": "verify", "config": cfg.echo(),
-               "result": result.to_dict()}
-    _emit_json(payload, out)
+        conjugate_first=args.conjugate_first, digits=cfg.digits)
+    out = cfg.out or f"verify_{args.suite}.json"
+    _emit_json({"command": "verify", "config": cfg.echo(),
+                "result": result.to_dict()}, out)
     status = "PASS" if result.passed else "FAIL"
-    print(f"{suite}: {status} max_deviation={result.max_deviation:.3e} "
+    print(f"{args.suite}: {status} max_deviation={result.max_deviation:.3e} "
           f"tolerance={result.tolerance:g} report={out}")
     return 0 if result.passed else 1
+
+
+COMMANDS = {"coeffs": cmd_coeffs, "eval": cmd_eval, "gram": cmd_gram,
+            "circle": cmd_circle, "weights": cmd_weights, "limit": cmd_limit,
+            "verify": cmd_verify}
 
 
 # -- parser ------------------------------------------------------------------
@@ -422,22 +379,4 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_join_grid_values(list(argv)))
-    cfg = _config(args)
-    if args.command == "coeffs":
-        return cmd_coeffs(cfg)
-    if args.command == "eval":
-        return cmd_eval(cfg, _parse_grid(args.grid))
-    if args.command == "gram":
-        return cmd_gram(cfg)
-    if args.command == "circle":
-        return cmd_circle(cfg, bool(getattr(args, "conjugate_first", False)))
-    if args.command == "weights":
-        return cmd_weights(cfg)
-    if args.command == "limit":
-        c_list = [float(tok) for tok in args.c_list.split(",") if tok]
-        grid = _parse_grid(args.grid) if args.grid else None
-        return cmd_limit(cfg, c_list, grid)
-    if args.command == "verify":
-        return cmd_verify(cfg, args.suite,
-                          bool(getattr(args, "conjugate_first", False)))
-    raise SystemExit(f"error: unknown command {args.command!r}")
+    return COMMANDS[args.command](_config(args), args)

@@ -25,10 +25,11 @@ class QContext:
 
     Exactly one of ``c`` and ``q`` must be given; the other is derived.
     ``digits`` selects the mpmath backend with that many decimal digits;
-    ``None`` means ordinary binary doubles.
+    ``None`` means ordinary binary doubles. ``supplied`` names the given
+    parameter, and ``with_digits`` rebuilds the context from its value.
     """
 
-    __slots__ = ("c", "q", "ln_q", "digits")
+    __slots__ = ("c", "q", "ln_q", "digits", "supplied", "_given")
 
     def __init__(self, c=None, q=None, digits: int | None = None):
         if (c is None) == (q is None):
@@ -36,29 +37,22 @@ class QContext:
         if digits is not None and digits < 1:
             raise ValueError("digits must be a positive integer")
         object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "supplied", "c" if q is None else "q")
+        object.__setattr__(self, "_given", c if q is None else q)
+        number = float if digits is None else mpmath.mpf
         with self.prec():
             if c is not None:
                 if not c > 0:
                     raise ValueError(f"c must be positive, got {c}")
-                if digits is None:
-                    cval = float(c)
-                    lnq = -cval * cval
-                    qval = math.exp(lnq)
-                else:
-                    cval = mpmath.mpf(c)
-                    lnq = -cval * cval
-                    qval = mpmath.exp(lnq)
+                cval = number(c)
+                lnq = -cval * cval
+                qval = self.exp(lnq)
             else:
                 if not 0 < q < 1:
                     raise ValueError(f"q must lie in (0, 1), got {q}")
-                if digits is None:
-                    qval = float(q)
-                    lnq = math.log(qval)
-                    cval = math.sqrt(-lnq)
-                else:
-                    qval = mpmath.mpf(q)
-                    lnq = mpmath.log(qval)
-                    cval = mpmath.sqrt(-lnq)
+                qval = number(q)
+                lnq = self._lib().log(qval)
+                cval = self.sqrt(-lnq)
         object.__setattr__(self, "c", cval)
         object.__setattr__(self, "q", qval)
         object.__setattr__(self, "ln_q", lnq)
@@ -108,36 +102,33 @@ class QContext:
                 rr = mpmath.mpf(r)
             return mpmath.exp(rr * self.ln_q)
 
+    def _lib(self):
+        return math if self.digits is None else mpmath
+
     def sqrt(self, x):
-        if self.digits is None:
-            return math.sqrt(x)
         with self.prec():
-            return mpmath.sqrt(x)
+            return self._lib().sqrt(x)
 
     def exp(self, x):
-        if self.digits is None:
-            return math.exp(x)
         with self.prec():
-            return mpmath.exp(x)
+            return self._lib().exp(x)
 
     def pi(self):
-        if self.digits is None:
-            return math.pi
         with self.prec():
-            return +mpmath.pi
+            return +self._lib().pi
 
     def make(self, x):
         """Coerce a Python number into this context's scalar type."""
-        if self.digits is None:
-            return complex(x) if (isinstance(x, complex) or im(x) != 0) else float(x)
+        real, cplx = (float, complex) if self.digits is None \
+            else (mpmath.mpf, mpmath.mpc)
         with self.prec():
-            if isinstance(x, complex) or im(x) != 0:
-                return mpmath.mpc(x)
-            return mpmath.mpf(x)
+            return cplx(x) if isinstance(x, complex) or im(x) != 0 else real(x)
 
     def with_digits(self, digits: int | None) -> "QContext":
-        """Same deformation parameter, different precision backend."""
-        return QContext(c=float(self.c), digits=digits)
+        """Same deformation parameter, different precision backend. The
+        context is rebuilt from the parameter the caller supplied, as given,
+        so a context made from q keeps that exact q."""
+        return QContext(**{self.supplied: self._given}, digits=digits)
 
 
 # -- small generic helpers (work for float, complex, mpf and mpc) ---------

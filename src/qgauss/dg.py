@@ -16,11 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .context import QContext, magnitude
-from .qnum import arik_coon_eigenvalue, hermite, qbinomial, qpochhammer
+from .context import QContext
+from .qnum import arik_coon_eigenvalue, hermite, horner, qbinomial, qpochhammer
 from .chain import (GaussianChain, alpha, apply_ladder, arik_lower, arik_raise,
-                    coeff_distance, evaluate, inner, mul_qlinear, overlap_scale,
-                    scale, shift)
+                    coeff_distance, evaluate, gram_contract, inner,
+                    lattice_kernel, mul_qlinear, overlap_scale, scale, shift)
 from .report import GramReport
 
 
@@ -46,10 +46,7 @@ class SWPolynomial:
     coeffs: list
 
     def __call__(self, u):
-        total = 0 * u
-        for c in reversed(self.coeffs):
-            total = total * u + c
-        return total
+        return horner(self.coeffs, u)
 
 
 def dg_norm(ctx: QContext, n: int):
@@ -58,19 +55,19 @@ def dg_norm(ctx: QContext, n: int):
         raise ValueError("degree must be nonnegative")
     with ctx.prec():
         return (ctx.sqrt(overlap_scale(ctx)) * ctx.qpow(Fraction(-n, 2))
-                * ctx.sqrt(qpochhammer(ctx.q, n, ctx.digits)))
+                * ctx.sqrt(qpochhammer(ctx.q, n)))
 
 
 def dg_coefficients(ctx: QContext, n: int) -> DGCoefficients:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     with ctx.prec():
-        pochn = qpochhammer(ctx.q, n, ctx.digits)
+        pochn = qpochhammer(ctx.q, n)
         a = alpha(ctx)
         raw = []
         normalized = []
         for k in range(n + 1):
-            binom = qbinomial(ctx.q, n, k, ctx.digits)
+            binom = qbinomial(ctx.q, n, k)
             sign = -1 if k % 2 else 1
             raw.append(sign * binom * ctx.qpow(Fraction(-k, 2)))
             normalized.append(sign * a * binom * ctx.qpow(Fraction(n - k, 2))
@@ -105,7 +102,7 @@ def build_An_by_raising(ctx: QContext, n: int) -> GaussianChain:
         for _ in range(n):
             chain = apply_ladder(op, chain)
         q = ctx.q
-        factor = ctx.sqrt((1 - q) ** n / qpochhammer(ctx.q, n, ctx.digits))
+        factor = ctx.sqrt((1 - q) ** n / qpochhammer(ctx.q, n))
         return scale(chain, factor)
 
 
@@ -113,29 +110,42 @@ def ladder_check(ctx: QContext, n: int) -> dict:
     """Coefficient-space residuals of the two ladder relations at level n:
     lowering onto sqrt(lam_n) phi_{n-1} and raising onto
     sqrt(lam_{n+1}) phi_{n+1}."""
+    return ladder_residuals(ctx, n, build_phi, arik_lower, arik_raise,
+                            arik_coon_eigenvalue, coeff_distance)
+
+
+def ladder_residuals(ctx: QContext, n: int, build, lower, raise_, eigenvalue,
+                     distance, raise_sign: int = 1) -> dict:
+    """The ladder check shared by both families: distance(lower f_n,
+    sqrt(lam_n) f_{n-1}) and distance(raise f_n, raise_sign sqrt(lam_{n+1})
+    f_{n+1}) with f_k = build(ctx, k) and lam_k = eigenvalue(q, k)."""
     if n < 1:
         raise ValueError("ladder check needs n >= 1")
     with ctx.prec():
-        phi_prev = build_phi(ctx, n - 1)
-        phi_n = build_phi(ctx, n)
-        phi_next = build_phi(ctx, n + 1)
-        lowered = apply_ladder(arik_lower(ctx), phi_n)
-        raised = apply_ladder(arik_raise(ctx), phi_n)
-        lam_n = arik_coon_eigenvalue(ctx.q, n, ctx.digits)
-        lam_next = arik_coon_eigenvalue(ctx.q, n + 1, ctx.digits)
-        low_res = coeff_distance(lowered, scale(phi_prev, ctx.sqrt(lam_n)))
-        raise_res = coeff_distance(raised, scale(phi_next, ctx.sqrt(lam_next)))
-    return {"n": n, "lower_residual": low_res, "raise_residual": raise_res}
+        prev, here, nxt = (build(ctx, k) for k in (n - 1, n, n + 1))
+        low = distance(apply_ladder(lower(ctx), here),
+                       scale(prev, ctx.sqrt(eigenvalue(ctx.q, n))))
+        up = distance(apply_ladder(raise_(ctx), here),
+                      scale(nxt, raise_sign * ctx.sqrt(eigenvalue(ctx.q, n + 1))))
+    return {"n": n, "lower_residual": low, "raise_residual": up}
+
+
+def daughter_gram(ctx: QContext, nmax: int) -> list:
+    """D[n][m] = sum_{j,k} a^n_j a^m_k q^{(j-k)^2/2} over the normalized
+    coefficients of phi_n and phi_m: the daughter coefficient sum of
+    phi_n phi_m, alpha^2 delta_nm analytically, in the context's backend."""
+    tables = [dg_coefficients(ctx, n).normalized for n in range(nmax + 1)]
+    with ctx.prec():
+        return gram_contract(tables, lattice_kernel(ctx, nmax + 1), tables)
 
 
 def gram_phi(ctx: QContext, nmax: int) -> GramReport:
     """Gram matrix of phi_0..phi_nmax under the standard inner product,
-    reported against the identity."""
-    chains = [build_phi(ctx, n) for n in range(nmax + 1)]
-    matrix = []
+    sqrt(pi/2c^2) times the daughter Gram, reported against the identity."""
     with ctx.prec():
-        for f in chains:
-            matrix.append([float((inner(f, g)).real) for g in chains])
+        overlap = overlap_scale(ctx)
+        matrix = [[float((overlap * v).real) for v in row]
+                  for row in daughter_gram(ctx, nmax)]
     target = [[1.0 if i == j else 0.0 for j in range(nmax + 1)]
               for i in range(nmax + 1)]
     return GramReport(labels=list(range(nmax + 1)), matrix=matrix, target=target,
@@ -186,8 +196,13 @@ def limit_ratio_curve(n: int, c: float, pts: np.ndarray) -> np.ndarray:
     rho(s) = (r_c(s) + r_c(-s)) / 2 with
     r_c(s) = Phi_n(s / (sqrt(2) c)) / ((-c/sqrt(2))^n e^{-s^2/2} H_n(s)),
     evaluated on the positive points pts."""
-    ctx = QContext(c=c)
-    chain = build_Phi(ctx, n)
+    return even_limit_ratio(build_Phi(QContext(c=c), n), n, c, pts)
+
+
+def even_limit_ratio(chain: GaussianChain, n: int, c: float,
+                     pts: np.ndarray) -> np.ndarray:
+    """(r(s) + r(-s)) / 2 on the positive points pts, with
+    r(s) = chain(s / (sqrt(2) c)) / ((-c/sqrt(2))^n e^{-s^2/2} H_n(s))."""
     scale_factor = (-c / math.sqrt(2.0)) ** n
     xs = pts / (math.sqrt(2.0) * c)
     target_plus = np.exp(-pts ** 2 / 2.0) * hermite(n, pts)
@@ -208,16 +223,25 @@ def harmonic_limit_scan(n: int, c_list, grid=None) -> list:
     grid. Returns one row per c with the deviation and the median ratio
     (the limit's normalization constant, reported but not asserted).
     """
+    return limit_scan(limit_ratio_curve, n, c_list, grid)
+
+
+def limit_scan(curve, n: int, c_list, grid=None, extra=None) -> list:
+    """The limit-study protocol shared by both families: rho = curve(n, c,
+    pts) on the grid points clear of the Hermite zeros, one row per c with
+    its spread and median, plus extra(n, c) when given."""
     if grid is None:
         grid = np.arange(0.3, 3.31, 0.15)
     pts = _limit_grid(n, grid)
     rows = []
     for c in c_list:
-        rho = limit_ratio_curve(n, c, pts)
+        rho = curve(n, c, pts)
         med = statistics.median(rho.tolist())
-        dev = float((rho.max() - rho.min()) / abs(med))
-        rows.append({"c": float(c), "dev": dev, "ratio": float(med),
-                     "points": int(pts.size)})
+        row = {"c": float(c), "dev": float((rho.max() - rho.min()) / abs(med)),
+               "ratio": float(med), "points": int(pts.size)}
+        if extra is not None:
+            row.update(extra(n, c))
+        rows.append(row)
     return rows
 
 
@@ -233,7 +257,7 @@ def stieltjes_wigert(ctx: QContext, n: int, s) -> SWPolynomial:
         for k in range(n + 1):
             sign = -1 if k % 2 else 1
             exponent = (k + s) ** 2 - Fraction(k, 2)
-            coeffs.append(sign * qbinomial(ctx.q, n, k, ctx.digits)
+            coeffs.append(sign * qbinomial(ctx.q, n, k)
                           * ctx.qpow(exponent))
     return SWPolynomial(n=n, s=s, ctx=ctx, coeffs=coeffs)
 

@@ -2,26 +2,27 @@
 b'b - q b b' = 1 with b' the conjugate of b under the parity-twisted
 pairing).
 
-The family lives on the same integer-center Gaussians as the first
-oscillator but with rapidly growing coefficients and an indefinite
-normalization (B_n, B_n) = (-1)^n, so the Gram workflow carries an
-explicit precision budget.
+Same integer-center Gaussians as the first oscillator, but rapidly
+growing coefficients and an indefinite normalization (B_n, B_n) = (-1)^n:
+the double Gram sums each entry exactly in rationals, and a Gram at set
+digits carries an explicit precision budget.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .context import QContext, magnitude
-from .qnum import hermite, macfarlane_eigenvalue, qbinomial, qpochhammer
-from .chain import (GaussianChain, alpha, apply_ladder, evaluate, inner,
-                    mac_lower, mac_raise, relative_coeff_distance, scale)
-from .dg import _limit_grid
+from .qnum import (macfarlane_eigenvalue, qbinomial, qbinomial_triangle,
+                   qpochhammer)
+from .chain import (GaussianChain, alpha, apply_ladder, gram_contract, inner,
+                    lattice_kernel, mac_lower, mac_raise, overlap_scale,
+                    relative_coeff_distance, scale)
+from .dg import even_limit_ratio, ladder_residuals, limit_scan
 from .report import GramReport
 
 
@@ -45,7 +46,7 @@ def mac_zeta(ctx: QContext, n: int, alpha_w=None):
         if alpha_w is None:
             alpha_w = alpha(ctx)
         return (alpha_w * ctx.qpow(Fraction(n * (n - 1), 4))
-                / ctx.sqrt(qpochhammer(ctx.q, n, ctx.digits)))
+                / ctx.sqrt(qpochhammer(ctx.q, n)))
 
 
 def _mac_E_closed(ctx: QContext, n: int) -> list:
@@ -53,7 +54,7 @@ def _mac_E_closed(ctx: QContext, n: int) -> list:
     with ctx.prec():
         for k in range(n + 1):
             sign = -1 if k % 2 else 1
-            out.append(sign * qbinomial(ctx.q, n, k, ctx.digits)
+            out.append(sign * qbinomial(ctx.q, n, k)
                        * ctx.qpow(Fraction(-2 * n * k + k, 2)))
     return out
 
@@ -82,9 +83,8 @@ def mac_coeffs(ctx: QContext, n: int) -> MacCoefficients:
     closed = _mac_E_closed(ctx, n)
     recursed = _mac_E_recursion(ctx, n)
     with ctx.prec():
-        gap = 0.0
-        for a, b in zip(closed, recursed):
-            gap = max(gap, magnitude(a - b) / magnitude(a))
+        gap = max(magnitude(a - b) / magnitude(a)
+                  for a, b in zip(closed, recursed))
         zeta = mac_zeta(ctx, n)
     return MacCoefficients(n=n, ctx=ctx, zeta=zeta, E=closed, recursion_gap=gap)
 
@@ -105,7 +105,7 @@ def build_Bn_by_raising(ctx: QContext, n: int) -> GaussianChain:
         chain = GaussianChain(ctx, {0: alpha(ctx)})
         op = mac_raise(ctx)
         for m in range(n):
-            lam = macfarlane_eigenvalue(ctx.q, m + 1, ctx.digits)
+            lam = macfarlane_eigenvalue(ctx.q, m + 1)
             chain = scale(apply_ladder(op, chain), -1 / ctx.sqrt(-lam))
         return chain
 
@@ -114,27 +114,16 @@ def mac_ladder_check(ctx: QContext, n: int) -> dict:
     """Residuals of b B_n = sqrt(-lam_n) B_{n-1} and
     b' B_n = -sqrt(-lam_{n+1}) B_{n+1}, relative to the largest target
     coefficient (absolute residuals are meaningless at these magnitudes)."""
-    if n < 1:
-        raise ValueError("ladder check needs n >= 1")
-    with ctx.prec():
-        b_prev = build_Bn(ctx, n - 1)
-        b_n = build_Bn(ctx, n)
-        b_next = build_Bn(ctx, n + 1)
-        lam_n = macfarlane_eigenvalue(ctx.q, n, ctx.digits)
-        lam_next = macfarlane_eigenvalue(ctx.q, n + 1, ctx.digits)
-        lowered = apply_ladder(mac_lower(ctx), b_n)
-        raised = apply_ladder(mac_raise(ctx), b_n)
-        low_res = relative_coeff_distance(lowered, scale(b_prev, ctx.sqrt(-lam_n)))
-        raise_res = relative_coeff_distance(raised,
-                                            scale(b_next, -ctx.sqrt(-lam_next)))
-    return {"n": n, "lower_residual": low_res, "raise_residual": raise_res}
+    return ladder_residuals(ctx, n, build_Bn, mac_lower, mac_raise,
+                            lambda q, k: -macfarlane_eigenvalue(q, k),
+                            relative_coeff_distance, raise_sign=-1)
 
 
 def number_operator_check(ctx: QContext, n: int) -> float:
     """Relative coefficient residual of b'b B_n = lam_n B_n."""
     with ctx.prec():
         b_n = build_Bn(ctx, n)
-        lam = macfarlane_eigenvalue(ctx.q, n, ctx.digits)
+        lam = macfarlane_eigenvalue(ctx.q, n)
         applied = apply_ladder(mac_raise(ctx), apply_ladder(mac_lower(ctx), b_n))
         return relative_coeff_distance(applied, scale(b_n, lam))
 
@@ -145,30 +134,29 @@ def coefficient_dynamic_range_digits(q: float, nmax: int) -> float:
     return 0.75 * nmax * (nmax - 1) * math.log10(1.0 / float(q))
 
 
+def _summed_kernel(q, size: int) -> list:
+    """q^{s(s+1)/2} at s = j + k, in the type of q. The twisted exponent
+    (j+k)^2/2 - (n-1/2) j - (m-1/2) k is s(s+1)/2 - n j - m k, so against
+    this kernel the rows [n j]_q q^{-n j} carry only integer powers."""
+    return [[q ** ((j + k) * (j + k + 1) // 2) for k in range(size)]
+            for j in range(size)]
+
+
 def gram_term_budget(q: float, nmax: int) -> float:
     """Largest sum of absolute term magnitudes appearing in any Gram
     entry, the quantity that actually bounds roundoff in the twisted
     overlaps. Each (n, m) entry is a double sum whose (j, k) term has
     magnitude C_j C_k q^{e} with a bounded exponent, so the budget stays
-    modest even when the raw coefficients span many decades."""
+    modest even when the raw coefficients span many decades. The unsigned
+    tables carry the row scales q^{n(n-1)/4} / sqrt((q, q)_n) and the
+    factors q^{j(j+1)/2} of the kernel q^{s(s+1)/2}, which leaves q^{jk}:
+    every factor then stays within q^{+-n^2/4}, inside the double range."""
     q = float(q)
-    worst = 0.0
-    for n in range(nmax + 1):
-        for m in range(n, nmax + 1):
-            znm = (0.25 * (n * (n - 1) + m * (m - 1))
-                   * math.log10(1.0 / q))
-            total = 0.0
-            for j in range(n + 1):
-                cj = float(qbinomial(q, n, j))
-                for k in range(m + 1):
-                    ck = float(qbinomial(q, m, k))
-                    e = ((j + k) ** 2 / 2.0 - (n - 0.5) * j - (m - 0.5) * k)
-                    total += cj * ck * 10.0 ** (-e * math.log10(1.0 / q) - znm)
-            # restore the zeta scales and the sqrt(pochhammer) denominators
-            pn = float(qpochhammer(q, n))
-            pm = float(qpochhammer(q, m))
-            worst = max(worst, total / math.sqrt(pn * pm))
-    return worst
+    tables = [[b * q ** (n * (n - 1) / 4 - n * j + j * (j + 1) / 2)
+               / math.sqrt(qpochhammer(q, n)) for j, b in enumerate(row)]
+              for n, row in enumerate(qbinomial_triangle(q, nmax))]
+    kernel = [[q ** (j * k) for k in range(nmax + 1)] for j in range(nmax + 1)]
+    return max(max(row) for row in gram_contract(tables, kernel, tables))
 
 
 def mac_auto_digits(q: float, nmax: int, tol: float) -> int | None:
@@ -183,67 +171,47 @@ def mac_auto_digits(q: float, nmax: int, tol: float) -> int | None:
     return int(math.ceil(needed))
 
 
-def _twisted_entry_exact(q: float, n: int, m: int) -> float:
-    """(B_n, B_m) evaluated with exact rational bookkeeping.
-
-    Every term of the twisted double sum is +-C_j^n C_k^m q^{e} with e a
-    quarter-integer, and the double q is itself an exact rational, so the
-    terms can be grouped by the fractional part of e and each group summed
-    in Fraction arithmetic. All of the catastrophic cancellation happens
-    inside those exact group sums (off-diagonal groups collapse to the
-    rational zero, the diagonal to +-(q, q)_n), leaving a handful of
-    correctly rounded products at the end.
-    """
-    q_rat = Fraction(q)
-    poch = [Fraction(1)]
-    for k in range(1, max(n, m) + 1):
-        poch.append(poch[-1] * (1 - q_rat ** k))
-
-    def binom(nn: int, j: int) -> Fraction:
-        return poch[nn] / (poch[j] * poch[nn - j])
-
-    base = Fraction(n * (n - 1) + m * (m - 1), 4)
-    groups: dict = {}
-    for j in range(n + 1):
-        for k in range(m + 1):
-            e = (Fraction((j + k) ** 2, 2) - (n - Fraction(1, 2)) * j
-                 - (m - Fraction(1, 2)) * k + base)
-            whole = math.floor(e)
-            term = (-1) ** (j + k) * binom(n, j) * binom(m, k) * q_rat ** whole
-            frac = e - whole
-            groups[frac] = groups.get(frac, Fraction(0)) + term
-    lnq = math.log(q)
-    total = sum(float(s) * math.exp(lnq * float(frac))
-                for frac, s in groups.items())
-    return total / math.sqrt(float(poch[n]) * float(poch[m]))
-
-
 def indefinite_gram(ctx: QContext, nmax: int) -> GramReport:
     """Parity-twisted Gram of B_0..B_nmax against diag((-1)^n).
 
-    In the double backend the entries come from the exact-rational group
-    sums of _twisted_entry_exact, so the cancellation budget never touches
-    the result. A context with explicit digits instead measures the naive
-    term-by-term sum at that precision (that is the point of asking for a
-    specific precision: the deviation exposes the budget), and entries are
-    kept in the backend's own type so the deviation can be recomputed
-    below double resolution. Notes carry the alternating-sign check and
-    both precision budget figures.
+    In the double backend each entry is one exact rational sum in the
+    binary value of q, the signed tables (-1)^j [n j]_q q^{-n j} against
+    q^{s(s+1)/2} times q^{floor(e)}, e = (n(n-1) + m(m-1))/4. All of the
+    cancellation happens inside it (off-diagonal entries collapse to the
+    rational zero), leaving one rounding and the factors q^{frac(e)} and
+    1/sqrt((q, q)_n (q, q)_m) in double. At explicit digits it measures
+    the naive term-by-term sum of the B_n coefficients at that precision
+    (that is the point of asking for a specific precision: the deviation
+    exposes the budget), keeping entries in the backend's own type so the
+    deviation can be recomputed below double resolution. Notes carry the
+    alternating-sign check and both precision budget figures.
     """
+    size = nmax + 1
     if ctx.digits is None:
-        q = float(ctx.q)
-        matrix = [[_twisted_entry_exact(q, n, m) for m in range(nmax + 1)]
-                  for n in range(nmax + 1)]
+        q = Fraction(ctx.q)
+        tables = [[(-1) ** j * b * q ** (-n * j) for j, b in enumerate(row)]
+                  for n, row in enumerate(qbinomial_triangle(q, nmax))]
+        sums = gram_contract(tables, _summed_kernel(q, size), tables)
+        poch = [float(qpochhammer(q, n)) for n in range(size)]
+        lnq = math.log(ctx.q)
+
+        def entry(n, m):
+            whole, rest = divmod(n * (n - 1) + m * (m - 1), 4)
+            return (float(sums[n][m] * q ** whole) * math.exp(lnq * (rest / 4))
+                    / math.sqrt(poch[n] * poch[m]))
+        matrix = [[entry(n, m) for m in range(size)] for n in range(size)]
     else:
-        chains = [build_Bn(ctx, n) for n in range(nmax + 1)]
-        matrix = []
         with ctx.prec():
-            for f in chains:
-                matrix.append([inner(f, g, kind="parity_twisted").real
-                               for g in chains])
-    target = [[(-1) ** i if i == j else 0 for j in range(nmax + 1)]
-              for i in range(nmax + 1)]
-    signs_ok = all((matrix[i][i] > 0) == (i % 2 == 0) for i in range(nmax + 1))
+            tables = [[t.zeta * e for e in t.E]
+                      for t in (mac_coeffs(ctx, n) for n in range(size))]
+            overlap = overlap_scale(ctx)
+            sums = gram_contract(tables,
+                                 lattice_kernel(ctx, size, "parity_twisted"),
+                                 tables)
+            matrix = [[(overlap * v).real for v in row] for row in sums]
+    target = [[(-1) ** i if i == j else 0 for j in range(size)]
+              for i in range(size)]
+    signs_ok = all((matrix[i][i] > 0) == (i % 2 == 0) for i in range(size))
     notes = {
         "family": "mac",
         "sign_alternation_ok": signs_ok,
@@ -251,7 +219,7 @@ def indefinite_gram(ctx: QContext, nmax: int) -> GramReport:
             round(coefficient_dynamic_range_digits(float(ctx.q), nmax), 2),
         "gram_term_budget": float(gram_term_budget(float(ctx.q), nmax)),
     }
-    return GramReport(labels=list(range(nmax + 1)), matrix=matrix, target=target,
+    return GramReport(labels=list(range(size)), matrix=matrix, target=target,
                       precision_digits=ctx.digits, notes=notes)
 
 
@@ -262,37 +230,21 @@ def mac_limit_ratio_curve(n: int, c: float, pts: np.ndarray) -> np.ndarray:
     ctx = QContext(c=c)
     table = mac_coeffs(ctx, n)
     chain = GaussianChain(ctx, {2 * k: table.E[k] for k in range(n + 1)})
-    scale_factor = (-c / math.sqrt(2.0)) ** n
-    xs = pts / (math.sqrt(2.0) * c)
-    target_plus = np.exp(-pts ** 2 / 2.0) * hermite(n, pts)
-    target_minus = np.exp(-pts ** 2 / 2.0) * hermite(n, -pts)
-    r_plus = evaluate(chain, xs) / scale_factor / target_plus
-    r_minus = evaluate(chain, -xs) / scale_factor / target_minus
-    return np.real(r_plus + r_minus) / 2.0
+    return even_limit_ratio(chain, n, c, pts)
+
+
+def _eigenvalue_and_sign(n: int, c: float) -> dict:
+    ctx = QContext(c=c)
+    lam = macfarlane_eigenvalue(ctx.q, n)
+    norm_sign = inner(build_Bn(ctx, n), build_Bn(ctx, n),
+                      kind="parity_twisted").real
+    return {"lambda_n": float(lam), "lambda_gap": float(abs(lam + n)),
+            "sign_ok": bool((norm_sign > 0) == (n % 2 == 0))}
 
 
 def mac_harmonic_limit(n: int, c_list, grid=None) -> list:
     """Small-c limit study for B_n, same even-part ratio protocol as the
     first family. Each row also reports the eigenvalue drift |lam_n + n|
     and the indefinite-norm sign."""
-    if grid is None:
-        grid = np.arange(0.3, 3.31, 0.15)
-    pts = _limit_grid(n, grid)
-    rows = []
-    for c in c_list:
-        rho = mac_limit_ratio_curve(n, c, pts)
-        med = statistics.median(rho.tolist())
-        ctx = QContext(c=c)
-        lam = macfarlane_eigenvalue(ctx.q, n)
-        norm_sign = inner(build_Bn(ctx, n), build_Bn(ctx, n),
-                          kind="parity_twisted").real
-        rows.append({
-            "c": float(c),
-            "dev": float((rho.max() - rho.min()) / abs(med)),
-            "ratio": float(med),
-            "lambda_n": float(lam),
-            "lambda_gap": float(abs(lam + n)),
-            "sign_ok": bool((norm_sign > 0) == (n % 2 == 0)),
-            "points": int(pts.size),
-        })
-    return rows
+    return limit_scan(mac_limit_ratio_curve, n, c_list, grid,
+                      _eigenvalue_and_sign)

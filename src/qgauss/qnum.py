@@ -1,9 +1,11 @@
 """Scalar q-arithmetic: q-Pochhammer symbols, q-binomial coefficients and
 the eigenvalue sequences of the two oscillator realizations.
 
-All functions are pure. Each accepts an optional ``digits`` argument that
-switches the computation to the mpmath backend with that many decimal
-digits; the default is ordinary doubles.
+All functions are pure and compute in the type of ``q``: a float gives
+doubles, an mpmath mpf gives mpf at the ambient precision (callers install
+it with ``QContext.prec()``), and a ``Fraction`` gives exact rationals. The
+optional ``digits`` argument instead converts ``q`` to mpf and computes
+with that many decimal digits plus the guard digits.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ def _workprec(digits):
 
 
 def _as_base(q, digits):
-    return float(q) if digits is None else mpmath.mpf(q)
+    return q if digits is None else mpmath.mpf(q)
 
 
 def qpochhammer(q, n: int, digits: int | None = None):
@@ -60,7 +62,7 @@ def qbinomial(q, n: int, k: int, digits: int | None = None):
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if k < 0 or k > n:
-        return 0.0 if digits is None else mpmath.mpf(0)
+        return _as_base(q, digits) * 0
     with _workprec(digits):
         num = qpochhammer(q, n, digits)
         den = qpochhammer(q, k, digits) * qpochhammer(q, n - k, digits)
@@ -141,6 +143,15 @@ def macfarlane_eigenvalues_by_recursion(q, count: int, digits: int | None = None
             lam = (lam - 1) / qq
             out.append(lam)
         return out
+
+
+def horner(coeffs, z):
+    """sum_k coeffs[k] z^k by Horner's rule, for scalars and numpy arrays
+    (object arrays of mpmath numbers included) alike."""
+    total = 0 * z
+    for c in reversed(coeffs):
+        total = total * z + c
+    return total
 
 
 def hermite(n: int, s):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 
 @dataclass
@@ -25,38 +26,39 @@ class GramReport:
     def size(self) -> int:
         return len(self.labels)
 
+    def entry_deviations(self, relative: bool = False) -> list:
+        """(i, j, |value - target|) row by row; relative divides by
+        sqrt(|T_ii| |T_jj|), the natural size of an (i, j) entry when the
+        diagonal grows or decays, wherever that scale is nonzero."""
+        out = []
+        for i, (row, trow) in enumerate(zip(self.matrix, self.target)):
+            for j, (v, t) in enumerate(zip(row, trow)):
+                dev = abs(v - t)
+                if relative:
+                    scl = (abs(self.target[i][i]) * abs(self.target[j][j])) ** 0.5
+                    dev = dev / scl if scl > 0 else dev
+                out.append((i, j, dev))
+        return out
+
     @property
     def max_abs_deviation(self) -> float:
-        worst = 0.0
-        for row, trow in zip(self.matrix, self.target):
-            for v, t in zip(row, trow):
-                worst = max(worst, abs(v - t))
-        return worst
+        return reduce(max, (dev for _, _, dev in self.entry_deviations()), 0.0)
 
     def deviation_matrix(self) -> list:
         return [[v - t for v, t in zip(row, trow)]
                 for row, trow in zip(self.matrix, self.target)]
 
     def max_relative_deviation(self) -> float:
-        """Deviations scaled by sqrt(|T_nn| |T_mm|), the natural size of an
-        (n, m) entry when the diagonal grows or decays with the index.
-        Entries whose scale vanishes fall back to the absolute deviation.
-        """
-        worst = 0.0
-        for i, (row, trow) in enumerate(zip(self.matrix, self.target)):
-            for j, (v, t) in enumerate(zip(row, trow)):
-                scl = (abs(self.target[i][i]) * abs(self.target[j][j])) ** 0.5
-                dev = abs(v - t)
-                worst = max(worst, dev / scl if scl > 0 else dev)
-        return worst
+        """The largest relative entry deviation (see entry_deviations)."""
+        return reduce(max, (dev for _, _, dev in self.entry_deviations(True)),
+                      0.0)
 
     def worst_entries(self, count: int = 3) -> list:
         """The count largest absolute deviations as (i, j, value, target)."""
-        flat = [(abs(v - t), i, j, v, t)
-                for i, (row, trow) in enumerate(zip(self.matrix, self.target))
-                for j, (v, t) in enumerate(zip(row, trow))]
-        flat.sort(key=lambda item: (-item[0], item[1], item[2]))
-        return [(i, j, v, t) for _, i, j, v, t in flat[:count]]
+        worst = sorted(self.entry_deviations(),
+                       key=lambda item: (-item[2], item[0], item[1]))
+        return [(i, j, self.matrix[i][j], self.target[i][j])
+                for i, j, _ in worst[:count]]
 
     def to_dict(self) -> dict:
         return {

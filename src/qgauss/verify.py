@@ -24,11 +24,6 @@ from . import weights as weights_mod
 from .quad import integrate_real_line
 from .report import GramReport
 
-SUITES = ("dg-gram", "mac-gram", "ladders", "commutators", "circle-dg",
-          "circle-mac", "poisson", "limits", "degeneracy", "gamma",
-          "sumrule", "sw")
-
-
 @dataclass
 class SuiteResult:
     suite: str
@@ -52,27 +47,23 @@ class SuiteResult:
 
 
 def _gram_failures(report: GramReport, tol: float, relative: bool) -> list:
-    out = []
-    for i, (row, trow) in enumerate(zip(report.matrix, report.target)):
-        for j, (v, t) in enumerate(zip(row, trow)):
-            dev = abs(v - t)
-            if relative:
-                scl = (abs(report.target[i][i]) * abs(report.target[j][j])) ** 0.5
-                dev = dev / scl if scl > 0 else dev
-            if dev > tol:
-                out.append([i, j, float(dev)])
-    return out
+    return [[i, j, float(dev)]
+            for i, j, dev in report.entry_deviations(relative) if dev > tol]
+
+
+def _gram_suite(name: str, report: GramReport, tol: float, params: dict,
+                relative: bool = False, notes: dict | None = None) -> SuiteResult:
+    dev = float(report.max_relative_deviation() if relative
+                else report.max_abs_deviation)
+    return SuiteResult(name, dev <= tol, tol, dev, params=params,
+                       failures=_gram_failures(report, tol, relative),
+                       notes=report.notes if notes is None else notes)
 
 
 def suite_dg_gram(ctx: QContext, nmax: int = 12) -> SuiteResult:
     tol = 1e-10 if nmax <= 12 else 1e-6
-    report = dg_mod.gram_phi(ctx, nmax)
-    dev = float(report.max_abs_deviation)
-    return SuiteResult("dg-gram", dev <= tol, tol, dev,
-                       params={"q": float(ctx.q), "nmax": nmax,
-                               "digits": ctx.digits},
-                       failures=_gram_failures(report, tol, relative=False),
-                       notes=report.notes)
+    return _gram_suite("dg-gram", dg_mod.gram_phi(ctx, nmax), tol,
+                       {"q": float(ctx.q), "nmax": nmax, "digits": ctx.digits})
 
 
 def suite_mac_gram(ctx: QContext, nmax: int = 5) -> SuiteResult:
@@ -83,11 +74,12 @@ def suite_mac_gram(ctx: QContext, nmax: int = 5) -> SuiteResult:
         if auto is not None:
             ctx = ctx.with_digits(auto)
     report = mac_mod.indefinite_gram(ctx, nmax)
-    dev = float(report.max_abs_deviation)
     notes = dict(report.notes)
     notes["auto_digits"] = auto
-    passed = dev <= tol
-    if not passed:
+    result = _gram_suite("mac-gram", report, tol,
+                         {"q": float(ctx.q), "nmax": nmax, "digits": ctx.digits},
+                         notes=notes)
+    if not result.passed:
         budget = notes["gram_term_budget"]
         working = 15 if ctx.digits is None else ctx.digits + 10
         achievable = budget * 10.0 ** (1 - working)
@@ -98,11 +90,7 @@ def suite_mac_gram(ctx: QContext, nmax: int = 5) -> SuiteResult:
             f"until that floor clears the tolerance (the raw coefficient "
             f"span is {notes['coefficient_dynamic_range_digits']} decimal "
             f"digits, but only the term mass limits the overlap sums).")
-    return SuiteResult("mac-gram", passed, tol, dev,
-                       params={"q": float(ctx.q), "nmax": nmax,
-                               "digits": ctx.digits},
-                       failures=_gram_failures(report, tol, relative=False),
-                       notes=notes)
+    return result
 
 
 def suite_ladders(ctx: QContext, nmax: int = 10) -> SuiteResult:
@@ -174,30 +162,20 @@ def suite_commutators(ctx: QContext, count: int = 20,
 
 def suite_circle_dg(ctx: QContext, nmax: int = 8,
                     points: int = 512) -> SuiteResult:
-    tol = 1e-9
-    report = circle_mod.circle_gram_dg(ctx, nmax, points)
-    dev = float(report.max_relative_deviation())
-    return SuiteResult("circle-dg", dev <= tol, tol, dev,
-                       params={"q": float(ctx.q), "nmax": nmax,
-                               "points": points},
-                       failures=_gram_failures(report, tol, relative=True),
-                       notes=report.notes)
+    return _gram_suite("circle-dg", circle_mod.circle_gram_dg(ctx, nmax, points),
+                       1e-9, {"q": float(ctx.q), "nmax": nmax, "points": points},
+                       relative=True)
 
 
 def suite_circle_mac(ctx: QContext, nmax: int = 5, points: int = 512,
                      conjugate_first: bool = False) -> SuiteResult:
-    tol = 1e-8
     report = circle_mod.circle_gram_mac(ctx, nmax, points, conjugate_first)
-    dev = float(report.max_relative_deviation())
-    return SuiteResult("circle-mac", dev <= tol, tol, dev,
-                       params={"q": float(ctx.q), "nmax": nmax,
-                               "points": points,
-                               "conjugate_first": conjugate_first},
-                       failures=_gram_failures(report, tol, relative=True),
-                       notes=report.notes)
+    return _gram_suite("circle-mac", report, 1e-8,
+                       {"q": float(ctx.q), "nmax": nmax, "points": points,
+                        "conjugate_first": conjugate_first}, relative=True)
 
 
-def suite_poisson(c: float, grid_points: int = 17) -> SuiteResult:
+def suite_poisson(c: float = 1.0, grid_points: int = 17) -> SuiteResult:
     tol = 1e-12
     grid = np.linspace(0.0, 1.0, grid_points)
     dev = circle_mod.poisson_check(c, grid)
@@ -287,14 +265,9 @@ def suite_degeneracy(ctx: QContext, nmax: int = 8,
 
 
 def suite_gamma(ctx: QContext, nweights: int = 3, nmax: int = 6) -> SuiteResult:
-    tol = 1e-8
-    report = weights_mod.gamma_family_gram(ctx, nweights, nmax)
-    dev = float(report.max_abs_deviation)
-    return SuiteResult("gamma", dev <= tol, tol, dev,
-                       params={"q": float(ctx.q), "nweights": nweights,
-                               "nmax": nmax},
-                       failures=_gram_failures(report, tol, relative=False),
-                       notes=report.notes)
+    return _gram_suite("gamma", weights_mod.gamma_family_gram(ctx, nweights, nmax),
+                       1e-8, {"q": float(ctx.q), "nweights": nweights,
+                              "nmax": nmax})
 
 
 def suite_sumrule(ctx: QContext, nmax: int = 10) -> SuiteResult:
@@ -351,43 +324,29 @@ def suite_sw(ctx: QContext, nmax: int = 6, s=0.5) -> SuiteResult:
                               "quadrature_dev": quad_worst})
 
 
-def _or(value, default):
-    return default if value is None else value
+_REGISTRY = {"dg-gram": suite_dg_gram, "mac-gram": suite_mac_gram,
+             "ladders": suite_ladders, "commutators": suite_commutators,
+             "circle-dg": suite_circle_dg, "circle-mac": suite_circle_mac,
+             "poisson": suite_poisson, "limits": suite_limits,
+             "degeneracy": suite_degeneracy, "gamma": suite_gamma,
+             "sumrule": suite_sumrule, "sw": suite_sw}
+SUITES = tuple(_REGISTRY)
 
 
 def run_suite(name: str, ctx: QContext | None = None, **kwargs) -> SuiteResult:
-    """Dispatch a suite by name with its documented defaults."""
-    if name not in SUITES:
+    """Dispatch a suite by name with its documented defaults.
+
+    A suite receives the keyword arguments that its signature names and
+    that are not None, so one set of flags can drive every suite. ctx
+    defaults to QContext(q=0.5) at kwargs["digits"]; poisson's c to ctx.c.
+    """
+    if name not in _REGISTRY:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    nmax = kwargs.get("nmax")
-    if name == "poisson":
-        c = kwargs.get("c")
-        if c is None and ctx is not None:
-            c = float(ctx.c)
-        return suite_poisson(_or(c, 1.0), _or(kwargs.get("grid_points"), 17))
-    if name == "limits":
-        return suite_limits(_or(nmax, 4))
-    if ctx is None:
-        ctx = QContext(q=0.5, digits=kwargs.get("digits"))
-    if name == "dg-gram":
-        return suite_dg_gram(ctx, _or(nmax, 12))
-    if name == "mac-gram":
-        return suite_mac_gram(ctx, _or(nmax, 5))
-    if name == "ladders":
-        return suite_ladders(ctx, _or(nmax, 10))
-    if name == "commutators":
-        return suite_commutators(ctx, _or(kwargs.get("count"), 20),
-                                 _or(kwargs.get("seed"), 12345))
-    if name == "circle-dg":
-        return suite_circle_dg(ctx, _or(nmax, 8), _or(kwargs.get("points"), 512))
-    if name == "circle-mac":
-        return suite_circle_mac(ctx, _or(nmax, 5), _or(kwargs.get("points"), 512),
-                                bool(kwargs.get("conjugate_first", False)))
-    if name == "degeneracy":
-        return suite_degeneracy(ctx, _or(nmax, 8),
-                                seed=_or(kwargs.get("seed"), 12345))
-    if name == "gamma":
-        return suite_gamma(ctx, _or(kwargs.get("nweights"), 3), _or(nmax, 6))
-    if name == "sumrule":
-        return suite_sumrule(ctx, _or(nmax, 10))
-    return suite_sw(ctx, _or(nmax, 6), _or(kwargs.get("s"), 0.5))
+    suite = _REGISTRY[name]
+    params = suite.__code__.co_varnames[:suite.__code__.co_argcount]
+    args = {k: v for k, v in kwargs.items() if k in params and v is not None}
+    if "ctx" in params:
+        args["ctx"] = ctx or QContext(q=0.5, digits=kwargs.get("digits"))
+    elif "c" in params and "c" not in args and ctx is not None:
+        args["c"] = float(ctx.c)
+    return suite(**args)

@@ -17,8 +17,9 @@ import numpy as np
 
 from .context import QContext, conj, im, magnitude, re
 from .chain import (GaussianChain, LadderOperator, alpha, apply_ladder,
-                    evaluate, overlap_scale, product_daughters, scale)
-from .dg import build_phi
+                    evaluate, gram_contract, overlap_scale, product_daughters,
+                    scale)
+from .dg import build_phi, daughter_gram
 from .report import GramReport
 
 
@@ -151,14 +152,29 @@ def apply_ladder_weighted(op: LadderOperator, f: WeightedChain) -> WeightedChain
     return WeightedChain(f.weight, apply_ladder(op, f.chain))
 
 
+def weights_gram(ctx: QContext, weights: list) -> list:
+    """W[a][b] = integral conj(w_a) w_b q^{2x^2} dx for a list of weights:
+    their mode coefficients contracted against the mode kernel."""
+    lo = min(min(w.modes) for w in weights)
+    hi = max(max(w.modes) for w in weights)
+    rows = [[w.modes.get(m, 0j) for m in range(lo, hi + 1)] for w in weights]
+    with ctx.prec():
+        return gram_contract([[conj(v) for v in row] for row in rows],
+                             weight_mode_kernel(ctx, hi - lo + 1), rows)
+
+
 def an_gram(ctx: QContext, weight: PeriodicWeight, nmax: int) -> GramReport:
     """Gram of A_0..A_nmax under the weighted inner product; the identity
-    target is the degeneracy statement (same orthonormality as w = 1)."""
-    family = [build_An(ctx, weight, n) for n in range(nmax + 1)]
-    matrix = []
+    target is the degeneracy statement (same orthonormality as w = 1).
+    Entries factor as in mixed_weighted_inner: (alpha_w/alpha)^2 times the
+    weight Gram times the daughter Gram entry of phi_n, phi_m."""
+    [[wgram]] = weights_gram(ctx, [weight])
+    daughters = daughter_gram(ctx, nmax)
     with ctx.prec():
-        for f in family:
-            matrix.append([re(weighted_inner(f, g)) for g in family])
+        # (alpha_w / alpha)^2 times the weight Gram, with alpha_w^{-2} the
+        # real part of that same Gram integral
+        factor = wgram / (re(wgram) * alpha(ctx) ** 2)
+        matrix = [[re(factor * d) for d in row] for row in daughters]
     target = [[1.0 if i == j else 0.0 for j in range(nmax + 1)]
               for i in range(nmax + 1)]
     return GramReport(labels=list(range(nmax + 1)), matrix=matrix, target=target,
@@ -168,15 +184,12 @@ def an_gram(ctx: QContext, weight: PeriodicWeight, nmax: int) -> GramReport:
 
 # -- the orthonormal weight family and the doubly indexed Gram ---------------
 
-def weight_mode_kernel(ctx: QContext, count: int) -> np.ndarray:
+def weight_mode_kernel(ctx: QContext, count: int) -> list:
     """Gram matrix of the raw Fourier modes e^{i 4 pi m x}, m = 0..count-1,
-    under the q^{2x^2} kernel. Symmetric positive definite; entries decay
-    like a Gaussian in the harmonic separation."""
-    K = np.empty((count, count), dtype=float)
-    for i in range(count):
-        for j in range(count):
-            K[i, j] = float(mode_overlap(ctx, j - i))
-    return K
+    under the q^{2x^2} kernel, in the context's backend. Symmetric positive
+    definite; entries decay like a Gaussian in the harmonic separation."""
+    overlaps = [mode_overlap(ctx, d) for d in range(count)]
+    return [[overlaps[abs(j - i)] for j in range(count)] for i in range(count)]
 
 
 def orthonormal_weight_family(ctx: QContext, count: int) -> list:
@@ -191,7 +204,7 @@ def orthonormal_weight_family(ctx: QContext, count: int) -> list:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    K = weight_mode_kernel(ctx, count)
+    K = np.array(weight_mode_kernel(ctx, count), dtype=float)
     cond = float(np.linalg.cond(K))
     if cond > 1e13:
         raise RuntimeError(
@@ -214,7 +227,8 @@ def orthonormal_weight_family(ctx: QContext, count: int) -> list:
 
 
 def weight_family_condition(ctx: QContext, count: int) -> float:
-    return float(np.linalg.cond(weight_mode_kernel(ctx, count)))
+    return float(np.linalg.cond(np.array(weight_mode_kernel(ctx, count),
+                                         dtype=float)))
 
 
 def gamma_family_gram(ctx: QContext, nweights: int, nmax: int) -> GramReport:
@@ -223,23 +237,18 @@ def gamma_family_gram(ctx: QContext, nweights: int, nmax: int) -> GramReport:
 
     The w_n are the orthonormalized weights (their individual alpha_w is 1
     by construction, collapsing the usual alpha_w/alpha prefactor to
-    1/alpha); every entry is computed through the mixed weighted inner
-    product, not assumed from the factorized structure.
+    1/alpha). Entries factor as in mixed_weighted_inner, the weight Gram
+    entry times 1/alpha^2 times the daughter Gram entry; every entry is
+    computed, none assumed from orthonormality.
     """
-    weights_list = orthonormal_weight_family(ctx, nweights)
-    phis = [build_phi(ctx, m) for m in range(nmax + 1)]
+    wgram = weights_gram(ctx, orthonormal_weight_family(ctx, nweights))
+    daughters = daughter_gram(ctx, nmax)
     labels = [(n, m) for n in range(nweights) for m in range(nmax + 1)]
     with ctx.prec():
         inv_alpha = 1 / alpha(ctx)
-        chains = [scale(phis[m], inv_alpha) for _, m in labels]
-        matrix = []
-        for (n1, _), f in zip(labels, chains):
-            row = []
-            for (n2, _), g in zip(labels, chains):
-                val = mixed_weighted_inner(ctx, weights_list[n1], f,
-                                           weights_list[n2], g)
-                row.append(re(val))
-            matrix.append(row)
+        inv_alpha2 = inv_alpha * inv_alpha
+        matrix = [[re(wgram[n1][n2] * inv_alpha2 * daughters[m1][m2])
+                   for n2, m2 in labels] for n1, m1 in labels]
     target = [[1.0 if i == j else 0.0 for j in range(len(labels))]
               for i in range(len(labels))]
     return GramReport(labels=labels, matrix=matrix, target=target,

@@ -3,19 +3,25 @@ contracts: schema tag, 17-significant-digit CSV floats, CRLF line endings,
 byte determinism and the exit-code conventions."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 ALPHA = 0.8150352570704902
 FLOAT17 = re.compile(r"^-?\d\.\d{16}e[+-]\d{2}$")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, cwd=None):
+    """Run the CLI from the source tree, whatever the working directory."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "qgauss", *args],
-                          capture_output=True, cwd=cwd)
+                          capture_output=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def run_json(*args):
@@ -130,8 +136,8 @@ def test_verify_pass_and_report(tmp_path):
     assert data["result"]["passed"] is True
 
 
-def test_verify_poisson():
-    proc = run_cli("verify", "--suite", "poisson", "--c", "1")
+def test_verify_poisson(tmp_path):
+    proc = run_cli("verify", "--suite", "poisson", "--c", "1", cwd=tmp_path)
     assert proc.returncode == 0
 
 

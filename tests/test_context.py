@@ -57,6 +57,24 @@ def test_with_digits_round_trip():
     assert hi.with_digits(None) == ctx
 
 
+def test_with_digits_keeps_the_supplied_parameter():
+    ctx = QContext(q=0.5)
+    assert ctx.supplied == "q"
+    hi = ctx.with_digits(30)
+    assert hi.q == mpmath.mpf(0.5)  # exactly, not rebuilt from c
+    assert hi.with_digits(None).q == 0.5
+    wide = QContext(c=1.1)
+    assert wide.supplied == "c"
+    assert wide.with_digits(40).c == mpmath.mpf(1.1)
+
+
+def test_auto_raised_precision_echoes_the_given_q():
+    import qgauss as qg
+    result = qg.run_suite("mac-gram", QContext(q=0.5), nmax=8)
+    assert result.notes["auto_digits"] is not None
+    assert result.params["q"] == 0.5
+
+
 def test_make_keeps_real_real():
     ctx = QContext(q=0.5)
     assert isinstance(ctx.make(2), float)

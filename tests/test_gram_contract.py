@@ -1,0 +1,132 @@
+"""The contracted Grams against their pairwise references.
+
+Every Gram builder contracts coefficient tables against a lattice kernel
+through gram_contract; the references here take the long way, one
+chain.inner or product_daughters call per entry."""
+
+import math
+from fractions import Fraction
+
+import mpmath
+import numpy as np
+import pytest
+
+import qgauss as qg
+from qgauss import QContext
+from qgauss.chain import gram_contract
+from qgauss.context import re
+from qgauss.macfarlane import gram_term_budget
+from qgauss.weights import random_weight
+
+QS = (0.3, 0.5, 0.7)
+NMAX = 6
+
+
+def pairwise(chains, kind="standard"):
+    return [[qg.inner(f, g, kind).real for g in chains] for f in chains]
+
+
+# Both routes carry the roundoff of the same cancelling sums; at q = 0.7
+# that reaches 1e-13 on either side.
+DOUBLE_GAP = 1e-12
+
+
+def max_gap(a, b) -> float:
+    return max(float(abs(x - y)) for ra, rb in zip(a, b)
+               for x, y in zip(ra, rb))
+
+
+def test_backends_agree_on_ragged_tables():
+    A = [[1, 2, 3], [4, 5]]
+    B = [[7], [1, 1, 1], [2, 0, 5]]
+    K = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    dense = np.array([[1, 2, 3], [4, 5, 0]]) @ np.array(K) \
+        @ np.array([[7, 0, 0], [1, 1, 1], [2, 0, 5]]).T
+    as_float = gram_contract([[float(v) for v in r] for r in A],
+                             [[float(v) for v in r] for r in K], B)
+    exact = gram_contract(A, [[Fraction(v) for v in r] for r in K], B)
+    with mpmath.workdps(30):
+        mp = gram_contract(A, [[mpmath.mpf(v) for v in r] for r in K], B)
+    assert as_float == dense.tolist()
+    assert exact == dense.tolist() and isinstance(exact[0][0], Fraction)
+    assert mp == dense.tolist() and isinstance(mp[0][0], mpmath.mpf)
+
+
+def test_flat_kernel_is_a_diagonal():
+    A = [[1.0, 2.0j], [3.0]]
+    w = [0.5, 0.25]
+    assert gram_contract(A, w, A) == [[0.5 - 1.0, 1.5], [1.5, 4.5]]
+    with mpmath.workdps(20):
+        mp = gram_contract(A, [mpmath.mpf(v) for v in w], A)
+    assert mp == [[-0.5, 1.5], [1.5, 4.5]]
+
+
+@pytest.mark.parametrize("q", QS)
+def test_dg_gram_and_parseval_target(q):
+    ctx = QContext(q=q)
+    ref = pairwise([qg.build_phi(ctx, n) for n in range(NMAX + 1)])
+    assert max_gap(qg.gram_phi(ctx, NMAX).matrix, ref) <= DOUBLE_GAP
+    assert max_gap(qg.parseval_bridge(ctx, NMAX).target, ref) <= DOUBLE_GAP
+
+
+@pytest.mark.parametrize("q", QS)
+def test_twisted_gram_in_double(q):
+    hi = QContext(q=q, digits=50)
+    ref = pairwise([qg.build_Bn(hi, n) for n in range(NMAX + 1)],
+                   "parity_twisted")
+    report = qg.indefinite_gram(QContext(q=q), NMAX)
+    assert max_gap(report.matrix, ref) <= 1e-14
+
+
+@pytest.mark.parametrize("q", QS)
+def test_twisted_gram_at_30_digits(q):
+    ctx = QContext(q=q, digits=30)
+    ref = pairwise([qg.build_Bn(ctx, n) for n in range(NMAX + 1)],
+                   "parity_twisted")
+    report = qg.indefinite_gram(ctx, NMAX)
+    assert isinstance(report.matrix[0][0], mpmath.mpf)
+    assert max_gap(report.matrix, ref) <= 1e-25
+
+
+@pytest.mark.parametrize("q", QS)
+def test_term_budget_is_the_unsigned_twisted_gram(q):
+    # with every coefficient replaced by its magnitude, the twisted Gram
+    # entries are the absolute term sums the budget maximizes over
+    ctx = QContext(q=q)
+    chains = [qg.GaussianChain(ctx, {t: abs(a) for t, a in
+                                     qg.build_Bn(ctx, n).coeffs.items()})
+              for n in range(NMAX + 1)]
+    ref = max(max(row) for row in pairwise(chains, "parity_twisted"))
+    assert gram_term_budget(q, NMAX) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_an_gram(q):
+    ctx = QContext(q=q)
+    for weight in (qg.cosine_weight(0.3),
+                   random_weight(np.random.default_rng(7))):
+        family = [qg.build_An(ctx, weight, n) for n in range(NMAX + 1)]
+        ref = [[re(qg.weighted_inner(f, g)) for g in family] for f in family]
+        assert max_gap(qg.an_gram(ctx, weight, NMAX).matrix, ref) <= DOUBLE_GAP
+
+
+@pytest.mark.parametrize("q", QS)
+def test_gamma_family_gram(q):
+    ctx = QContext(q=q)
+    weights = qg.orthonormal_weight_family(ctx, 3)
+    inv_alpha = 1 / qg.alpha(ctx)
+    members = [(weights[n], qg.scale(qg.build_phi(ctx, m), inv_alpha))
+               for n in range(3) for m in range(NMAX + 1)]
+    ref = [[re(qg.mixed_weighted_inner(ctx, wa, f, wb, g)) for wb, g in members]
+           for wa, f in members]
+    report = qg.gamma_family_gram(ctx, 3, NMAX)
+    assert max_gap(report.matrix, ref) <= DOUBLE_GAP
+
+
+def test_circle_mac_passes_at_nmax_12():
+    # the working precision reaches the q-binomials, targets and nodes, so
+    # the degree-indexed relation holds past nmax 10 at q = 1/2
+    result = qg.run_suite("circle-mac", QContext(q=0.5), nmax=12, points=128)
+    assert result.passed, result.failures[:3]
+    assert result.max_deviation <= 1e-30
+    assert math.isfinite(result.notes["amplification"])

@@ -8,7 +8,6 @@ import pytest
 import qgauss as qg
 from qgauss import QContext
 from qgauss.macfarlane import (
-    _twisted_entry_exact,
     coefficient_dynamic_range_digits,
     gram_term_budget,
     mac_auto_digits,
@@ -93,10 +92,11 @@ class TestIndefiniteGram:
 def test_exact_entry_agrees_with_mp_inner():
     ctx = QContext(q=0.5, digits=50)
     chains = [qg.build_Bn(ctx, n) for n in range(5)]
+    exact = qg.indefinite_gram(QContext(q=0.5), 4).matrix
     for n in range(5):
         for m in range(5):
             ref = float(qg.inner(chains[n], chains[m], kind="parity_twisted").real)
-            assert _twisted_entry_exact(0.5, n, m) == pytest.approx(ref, abs=1e-14)
+            assert exact[n][m] == pytest.approx(ref, abs=1e-14)
 
 
 def test_budget_figures():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -91,6 +92,28 @@ def test_qbinomial_mp_backend_agrees():
     b = qbinomial(0.5, 8, 3, digits=40)
     assert isinstance(b, mpmath.mpf)
     assert float(b) == pytest.approx(a, rel=1e-15)
+
+
+def test_mpf_q_computes_at_the_ambient_precision():
+    with mpmath.workdps(40):
+        q = mpmath.mpf(1) / 3
+        val = qbinomial(q, 8, 3)
+        assert isinstance(val, mpmath.mpf)
+        assert isinstance(qpochhammer(q, 5), mpmath.mpf)
+        ref = qbinomial(q, 8, 3, digits=60)
+        assert abs(val - ref) <= mpmath.mpf(10) ** -38 * ref
+        # far beyond what a double q could deliver
+        assert abs(val - qbinomial(float(q), 8, 3)) > mpmath.mpf(10) ** -30
+
+
+def test_fraction_q_is_exact():
+    q = Fraction(1, 2)
+    assert qpochhammer(q, 3) == Fraction(21, 64)
+    assert qbinomial(q, 4, 2) == Fraction(35, 16)
+    assert qbinomial_triangle(q, 4)[4][2] == Fraction(35, 16)
+    assert macfarlane_eigenvalue(q, 3) == -14
+    zero = qbinomial(q, 3, 4)
+    assert zero == 0 and isinstance(zero, Fraction)
 
 
 def test_arik_coon_eigenvalues():
