@@ -4,23 +4,22 @@ tail bound, the Poisson-summation identity behind it, and the two circle
 orthogonality relations (the classical one and the degree-indexed one the
 second oscillator produces).
 
-Both circle Grams are computed by one equispaced trapezoid rule, written
-as the contraction F diag(w) S^T / N of the polynomial values at the N
-nodes against the theta_3 weights. It runs in the backend of its working
-context, so the degree-indexed Gram can carry the digits its cancellation
-needs, and it stays independent of the real-line overlap formulas it is
-compared with.
+Both circle Grams apply the N-node equispaced rule: the classical one on
+the nodes in double, F diag(theta_3) S^T / N, independent of the real-line
+overlaps it is compared with; the degree-indexed one exactly in coefficient
+space, one Hankel-kernel contraction at the working precision its
+cancellation needs, with N still setting the rule's aliasing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-import mpmath
 import numpy as np
 
-from .context import QContext, re
+from .context import GUARD_DIGITS, QContext
 from .qnum import horner, qbinomial, qbinomial_triangle, qpochhammer
 from .chain import gram_contract, overlap_scale
 from .dg import dg_norm, gram_phi
@@ -116,16 +115,16 @@ def _check_points(quad_points: int):
 
 
 def _gram_truncation(q: float, nmax: int) -> int:
-    """Theta truncation for the circle Grams. The product of two
-    polynomial factors carries harmonics up to 2 nmax, and the trapezoid
-    integral pairs each one against the matching theta harmonic, so every
-    term up to there is load-bearing; past it the tail bound takes over."""
+    """Theta truncation for the circle Grams: the rule pairs every harmonic
+    of a product of two factors, up to 2 nmax, with the matching theta
+    harmonic, so all of those stay; past them the tail bound takes over."""
     return max(theta_truncation(q, 1e-16), 2 * nmax + 1)
 
 
-def _circle_mac_bounds(q: float, nmax: int) -> tuple:
-    """(peak, amplification): the integrand bound max_n |H_n|_max^2
-    theta_3(0), and the entrywise bound over sqrt(|T_nn T_mm|)."""
+def _circle_mac_budget(q: float, nmax: int) -> tuple:
+    """(digits, amplification): the digits (None for double) that put the
+    integrand bound max_n |H_n|_max^2 theta_3(0) below 1e-12 and the entry
+    bound amplification over sqrt(|T_nn T_mm|) below 1e-9."""
     theta0 = 1.0 + 2.0 * sum(q ** (m * m / 2.0)
                              for m in range(1, theta_truncation(q, 1e-16) + 1))
     bound = [sum(float(qbinomial(q, n, k)) * q ** (-(n - 0.5) * k)
@@ -135,7 +134,9 @@ def _circle_mac_bounds(q: float, nmax: int) -> tuple:
     amplification = max(bound[n] * bound[m] * theta0
                         / math.sqrt(target[n] * target[m])
                         for n in range(nmax + 1) for m in range(nmax + 1))
-    return max(bound) ** 2 * theta0, amplification
+    digits = math.ceil(math.log10(max(max(bound) ** 2 * theta0 * 1e13,
+                                      amplification * 1e9))) + 1
+    return (None if digits <= 15 else digits), amplification
 
 
 def circle_mac_amplification(q: float, nmax: int) -> float:
@@ -144,51 +145,48 @@ def circle_mac_amplification(q: float, nmax: int) -> float:
 
     The factor H_n(-q^{-(n-1/2)} e^{i2pi theta}) reaches
     sum_k C^n_k q^{-(n-1/2)k} in magnitude, while the integral collapses
-    to the much smaller q^{-n(n-1)/2}(q,q)_n, so the trapezoid sum
-    cancels by this ratio and loses the matching number of digits."""
-    return _circle_mac_bounds(q, nmax)[1]
+    to the much smaller q^{-n(n-1)/2}(q,q)_n, so the sum (nodes or
+    coefficients, every kernel entry being at most theta_3(0)) cancels by
+    up to this ratio and loses the matching number of digits."""
+    return _circle_mac_budget(q, nmax)[1]
 
 
 def circle_mac_auto_digits(q: float, nmax: int) -> int | None:
     """Working precision for circle_gram_mac when the context leaves it
     unspecified: enough digits that the roundoff floor sits below 1e-12
     absolute and 1e-9 relative. None when double precision already does."""
-    peak, amplification = _circle_mac_bounds(q, nmax)
-    digits = math.ceil(math.log10(max(peak * 1e13, amplification * 1e9))) + 1
-    return None if digits <= 15 else digits
+    return _circle_mac_budget(q, nmax)[0]
 
 
-def _circle_trapezoid(work: QContext, nmax: int, points: int, args: list,
+def _aliased_theta_kernel(work: QContext, size: int, points: int,
+                          truncation: int, sign: int) -> list:
+    """The points-node rule on z^j z^{sign k} theta_3, |m| <= truncation:
+    K[j][k] sums q^{m^2/2} over m = -(j + sign k) mod points. A rounding
+    recurs along a diagonal that the cancellation amplifies, so at high
+    precision K carries its own guard digits (fdot reads inputs exactly)."""
+    fine = work.with_digits(work.digits + GUARD_DIGITS) if work.is_mp else work
+    with fine.prec():
+        fold = [0 * fine.q] * points
+        for m in range(-truncation, truncation + 1):
+            fold[m % points] += fine.qpow(Fraction(m * m, 2))
+    return [[fold[-(j + sign * k) % points] for k in range(size)]
+            for j in range(size)]
+
+
+def _circle_trapezoid(q: float, nmax: int, points: int, args: list,
                       conjugate_first: bool) -> list:
     """Real parts of int_0^1 H_n(args[n] z') H_m(args[m] z) theta_3(2 pi theta;
-    q) dtheta with z = e^{i2pi theta} and z' = conj(z) if conjugate_first
-    else z: the equispaced rule F diag(w) S^T / points, in the backend of
-    work. Nodes and weights are numpy arrays, of mpmath numbers at high
-    precision, so one set of array expressions serves both backends."""
-    with work.prec():
-        q = work.q
-        truncation = _gram_truncation(float(q), nmax)
-        if work.is_mp:
-            z = np.array([mpmath.expjpi(mpmath.mpf(2 * j) / points)
-                          for j in range(points)], dtype=object)
-            # cos(2 pi m j / points) is the real part of node (m j) mod
-            # points; arrays stay left of every product, since mpmath would
-            # try (and slowly fail) to convert an array on its right
-            cos = np.array([v.real for v in z])
-            index = np.arange(points)
-            weight = 1 + 2 * sum(cos[m * index % points] * q ** (m * m / 2.0)
-                                 for m in range(1, truncation + 1))
-        else:
-            thetas = np.arange(points) / points
-            z = np.exp(2j * np.pi * thetas)
-            weight = ThetaEvaluator(q=q, truncation=truncation,
-                                    tol=1e-16)(2.0 * np.pi * thetas)
-        rows = qbinomial_triangle(q, nmax)
-        second = [horner(rows[n], z * args[n]) for n in range(nmax + 1)]
-        # the coefficients and args are real, so H(a conj(z)) = conj(H(a z))
-        first = [np.conj(v) for v in second] if conjugate_first else second
-        gram = gram_contract(first, weight / points, second)
-        return [[re(v) for v in row] for row in gram]
+    q) dtheta, z = e^{i2pi theta} and z' = conj(z) if conjugate_first else z,
+    by the node rule F diag(theta_3) S^T / points in double."""
+    thetas = np.arange(points) / points
+    z = np.exp(2j * np.pi * thetas)
+    weight = ThetaEvaluator(q=q, truncation=_gram_truncation(q, nmax),
+                            tol=1e-16)(2.0 * np.pi * thetas)
+    rows = qbinomial_triangle(q, nmax)
+    second = [horner(rows[n], z * args[n]) for n in range(nmax + 1)]
+    # the coefficients and args are real, so H(a conj(z)) = conj(H(a z))
+    first = [np.conj(v) for v in second] if conjugate_first else second
+    return np.real(gram_contract(first, weight / points, second)).tolist()
 
 
 def circle_gram_dg(ctx: QContext, nmax: int, quad_points: int = 512) -> GramReport:
@@ -202,9 +200,8 @@ def circle_gram_dg(ctx: QContext, nmax: int, quad_points: int = 512) -> GramRepo
     sum runs in double precision whatever the context's digits.
     """
     _check_points(quad_points)
-    work = ctx.with_digits(None)
-    q = work.q
-    matrix = _circle_trapezoid(work, nmax, quad_points,
+    q = ctx.with_digits(None).q
+    matrix = _circle_trapezoid(q, nmax, quad_points,
                                [-(q ** -0.5)] * (nmax + 1), True)
     target = [[q ** -n * qpochhammer(q, n) if n == m else 0.0
                for m in range(nmax + 1)] for n in range(nmax + 1)]
@@ -226,30 +223,32 @@ def circle_gram_mac(ctx: QContext, nmax: int, quad_points: int = 512,
     variant is not diagonal, and the report keeps the stated target so
     the difference is visible rather than hidden.
 
-    The trapezoid sum cancels by the circle_mac_amplification factor (the
-    polynomial arguments grow like q^{-(n-1/2)} while the integral stays
-    modest), so when the context does not fix a precision the working
-    digits come from circle_mac_auto_digits; double is kept only while it
-    can actually deliver the entries. Coefficients, arguments and targets
-    are all computed from q at the working precision.
+    The quad_points-node rule is evaluated exactly in coefficient space as
+    A K A^T, A[n][k] = C^n_k (-q^{-(n-1/2)})^k, K the Hankel kernel
+    q^{(j+k)^2/2} (Toeplitz with conjugate_first) aliased as the rule is.
+    It cancels by up to circle_mac_amplification, so a context without
+    digits runs at circle_mac_auto_digits; all inputs carry those digits.
     """
     _check_points(quad_points)
     q = float(ctx.q)
-    digits = circle_mac_auto_digits(q, nmax) if ctx.digits is None \
-        else ctx.digits
+    auto, amplification = _circle_mac_budget(q, nmax)
+    digits = auto if ctx.digits is None else ctx.digits
     work = ctx.with_digits(digits)
     with work.prec():
         wq = work.q
-        matrix = _circle_trapezoid(work, nmax, quad_points,
-                                   [-(wq ** -(n - 0.5)) for n in range(nmax + 1)],
-                                   conjugate_first)
+        args = [-(wq ** (0.5 - n)) for n in range(nmax + 1)]
+        A = [[c * args[n] ** k for k, c in enumerate(row)]
+             for n, row in enumerate(qbinomial_triangle(wq, nmax))]
+        K = _aliased_theta_kernel(work, nmax + 1, quad_points,
+                                  _gram_truncation(q, nmax),
+                                  -1 if conjugate_first else 1)
+        matrix = gram_contract(A, K, A)
         target = [[wq ** (-n * (n - 1) // 2) * qpochhammer(wq, n) * (-1) ** n
                    if n == m else 0 * wq for m in range(nmax + 1)]
                   for n in range(nmax + 1)]
     notes = {"family": "circle-mac", "points": quad_points,
              "conjugate_first": conjugate_first,
-             "working_digits": digits,
-             "amplification": circle_mac_amplification(q, nmax)}
+             "working_digits": digits, "amplification": amplification}
     return GramReport(labels=list(range(nmax + 1)), matrix=matrix, target=target,
                       precision_digits=digits, notes=notes)
 

@@ -319,8 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("circle", help="unit-circle Gram report")
     sp.add_argument("--family", choices=("dg", "mac"), default="dg")
     sp.add_argument("--nmax", type=int, default=None)
-    sp.add_argument("--points", type=int, default=None,
-                    help="quadrature points, power of two >= 64 (default 512)")
+    sp.add_argument("--points", type=int, default=None, help=(
+        "nodes N of the equispaced rule, a power of two >= 64 (default 512); "
+        "mac runs the N-node rule in coefficient space, aliasing included"))
     sp.add_argument("--conjugate-first", action="store_true",
                     help="flip the first factor's phase in the mac relation "
                          "(comparison variant)")

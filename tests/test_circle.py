@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 
 import qgauss as qg
 from qgauss import QContext
+from qgauss import circle
 from qgauss.circle import (
+    _circle_trapezoid,
+    _gram_truncation,
     circle_mac_amplification,
     circle_mac_auto_digits,
     theta_tail_probe,
@@ -123,6 +126,79 @@ class TestCircleGramMac:
                   for n in range(4) for m in range(4) if n != m)
         assert off > 1e-3
         assert rep.notes["conjugate_first"]
+
+    def test_budget_is_evaluated_once(self, monkeypatch):
+        calls = []
+        budget = circle._circle_mac_budget
+
+        def counted(q, nmax):
+            calls.append((q, nmax))
+            return budget(q, nmax)
+
+        monkeypatch.setattr(circle, "_circle_mac_budget", counted)
+        rep = qg.circle_gram_mac(QContext(q=0.6), 6)
+        assert calls == [(0.6, 6)]
+        monkeypatch.undo()
+        assert rep.notes["working_digits"] == circle_mac_auto_digits(0.6, 6)
+        assert rep.notes["amplification"] == circle_mac_amplification(0.6, 6)
+
+    @pytest.mark.parametrize("conjugate_first", [False, True])
+    def test_kernel_matches_double_node_rule(self, conjugate_first):
+        # at q = 0.9, nmax = 3 the amplification is ~1e5, so the double
+        # node rule still carries about 11 digits of every entry
+        q, nmax = 0.9, 3
+        rep = qg.circle_gram_mac(QContext(q=q), nmax,
+                                 conjugate_first=conjugate_first)
+        args = [-(q ** -(n - 0.5)) for n in range(nmax + 1)]
+        nodes = _circle_trapezoid(q, nmax, 512, args, conjugate_first)
+        for n in range(nmax + 1):
+            for m in range(nmax + 1):
+                scale = math.sqrt(abs(float(rep.target[n][n])
+                                      * float(rep.target[m][m])))
+                gap = abs(float(rep.matrix[n][m]) - nodes[n][m])
+                assert gap <= 1e-12 * scale
+
+    def test_few_points_reproduce_the_rule_aliasing(self):
+        # at q = 0.97 the theta_3 truncation reaches |m| = 51, so 64 nodes
+        # fold harmonics 64 - s back onto s = j + k >= 13
+        q, nmax, points = 0.97, 8, 64
+        ctx = QContext(q=q, digits=40)
+        rep = qg.circle_gram_mac(ctx, nmax, points)
+        assert rep.max_relative_deviation() > 1e-8
+        truncation = _gram_truncation(q, nmax)
+        with mpmath.workdps(60):
+            mq = mpmath.mpf(q)
+            nodes = [mpmath.expjpi(mpmath.mpf(2 * t) / points)
+                     for t in range(points)]
+            weights = [sum(mq ** (mpmath.mpf(s * s) / 2) * z ** s
+                           for s in range(-truncation, truncation + 1))
+                       for z in nodes]
+
+            def values(n):
+                coeffs = [qg.qbinomial(mq, n, k) * (-(mq ** -(n - 0.5))) ** k
+                          for k in range(n + 1)]
+                return [mpmath.polyval(coeffs[::-1], z) for z in nodes]
+
+            for n, m in ((0, 0), (6, 8), (8, 8)):
+                ref = mpmath.fsum(a * b * w for a, b, w
+                                  in zip(values(n), values(m), weights)).real
+                scale = mpmath.sqrt(abs(rep.target[n][n] * rep.target[m][m]))
+                assert abs(rep.matrix[n][m] - ref / points) <= 1e-25 * scale
+        full = qg.circle_gram_mac(ctx, nmax, 512)
+        assert full.max_relative_deviation() <= 1e-30
+
+    def test_more_points_change_nothing_without_aliasing(self):
+        a = qg.circle_gram_mac(QContext(q=0.5), 5, quad_points=512)
+        b = qg.circle_gram_mac(QContext(q=0.5), 5, quad_points=4096)
+        assert a.matrix == b.matrix
+        assert a.notes["points"] == 512 and b.notes["points"] == 4096
+
+    def test_user_digits_carry_the_cancellation(self):
+        # the amplification, ~5e48, is more than 40 digits carry on the
+        # nodes; the coefficient-space sum cancels far less
+        res = qg.run_suite("circle-mac", QContext(q=0.3, digits=40), nmax=8)
+        assert res.passed
+        assert res.max_deviation <= 1e-30
 
 
 def test_amplification_monotone_in_degree():
