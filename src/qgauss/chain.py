@@ -4,8 +4,11 @@ lattice, closed under both ladder algebras.
 Centers are stored as exact integers t = 2*mu (twice-centers), never as
 floats. The two primitive moves, translation by a half-integer and
 multiplication by q^{a x + b} with integer a, map the lattice to itself,
-and their exponent bookkeeping is done in exact rational arithmetic with a
-single exponentiation at the end. Only the coefficients are inexact.
+and their exponent bookkeeping is exact: every exponent the ladders,
+overlaps and products produce is an integer multiple of 1/8, tracked as
+that integer and read from the context's memo of q^{m/8}
+(``QContext.qpow8``); mul_qlinear, whose b may be any rational, raises q
+to an exact Fraction. Only the coefficients are inexact.
 """
 
 from __future__ import annotations
@@ -197,39 +200,64 @@ def mac_raise(ctx: QContext) -> LadderOperator:
     return LadderOperator("mac_raise", ctx)
 
 
+# Each ladder operator in one pass over the chain: c_t q^{(a1 t + b1)/8}
+# lands on center t + s1, then c_t q^{(a2 t + b2)/8} (c_t alone where a2 is
+# None: a pure shift) is subtracted at t + s2; the prefactor comes last.
+_LADDER_TERMS = {
+    "arik_lower": ((-2, 4, 0), (-2, None, None)),
+    "arik_raise": ((0, 4, 4), (2, None, None)),
+    "mac_lower": ((-2, 8, -4), (-2, 4, -4)),
+    "mac_raise": ((2, -8, -4), (0, -4, 0)),
+}
+
+
 def apply_ladder(op: LadderOperator, f: GaussianChain,
                  prune_threshold: float = 0.0) -> GaussianChain:
-    """Apply one ladder operator as an exact composition of shifts and
-    q-linear multipliers, then the scalar prefactor.
+    """Apply one ladder operator, then its scalar prefactor.
 
-    Terms landing on the same center are combined before any pruning, so
-    symbolic cancellations (lowering a ground state, commutator identities)
-    produce exact zeros. The default threshold prunes nothing beyond them.
+    Each operator is an exact composition of half-step shifts T^s and
+    multipliers q^{a x + b}:
+
+        arik_lower = T^{1/2} (q^{x + 1/4} - T^{1/2}),   1/sqrt(1 - q)
+        arik_raise = (q^{x + 1/4} - T^{-1/2}) T^{-1/2}, 1/sqrt(1 - q)
+        mac_lower  = q^{2x + 1/2} - q^{x + 1/4} T^{1/2}, 1/sqrt(q (1 - q))
+        mac_raise  = q^{-2x + 1/2} - T^{1/2} q^{-x + 1/4}, 1/sqrt(q (1 - q))
+
+    Composed on a Gaussian at twice-center t, each is two terms: the first
+    moves it to t + s1 with the factor q^{(a1 t + b1)/8}, the second,
+    subtracted, to t + s2 with q^{(a2 t + b2)/8}, or with no factor for a
+    pure shift (T^s moves t to t - 2s; q^{a x + b} moves it to t - a with
+    q^{a t/2 - a^2/4 + b}):
+
+        operator     first (s1, a1, b1)   second (s2, a2, b2)
+        arik_lower   (-2, 4, 0)           (-2, shift only)
+        arik_raise   (0, 4, 4)            (+2, shift only)
+        mac_lower    (-2, 8, -4)          (-2, 4, -4)
+        mac_raise    (+2, -8, -4)         (0, -4, 0)
+
+    All first terms are placed before the second terms are subtracted,
+    and terms landing on the same center are combined before any pruning,
+    so symbolic cancellations (lowering a ground state, commutator
+    identities) produce exact zeros, which are dropped. The default
+    threshold prunes nothing beyond them.
     """
     ctx = op.ctx
     if f.ctx != ctx:
         raise ValueError("operator and chain carry different contexts")
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
+    (s1, a1, b1), (s2, a2, b2) = _LADDER_TERMS[op.kind]
+    pow8 = ctx.qpow8
     with ctx.prec():
         q = ctx.q
-        if op.kind == "arik_lower":
-            inner_part = subtract(mul_qlinear(f, 1, quarter), shift(f, half))
-            result = shift(inner_part, half)
+        if op.kind.startswith("arik"):
             pref = 1 / ctx.sqrt(1 - q)
-        elif op.kind == "arik_raise":
-            moved = shift(f, -half)
-            result = subtract(mul_qlinear(moved, 1, quarter), shift(moved, -half))
-            pref = 1 / ctx.sqrt(1 - q)
-        elif op.kind == "mac_lower":
-            result = subtract(mul_qlinear(f, 2, half),
-                              mul_qlinear(shift(f, half), 1, quarter))
+        else:
             pref = 1 / ctx.sqrt(q * (1 - q))
-        else:  # mac_raise
-            result = subtract(mul_qlinear(f, -2, half),
-                              shift(mul_qlinear(f, -1, quarter), half))
-            pref = 1 / ctx.sqrt(q * (1 - q))
-        return prune(scale(result, pref), prune_threshold)
+        out = {t + s1: c * pow8(a1 * t + b1) for t, c in f.coeffs.items()}
+        for t, c in f.coeffs.items():
+            term = c if a2 is None else c * pow8(a2 * t + b2)
+            out[t + s2] = out.get(t + s2, 0) + term * -1
+        return prune(GaussianChain(ctx, {t: a * pref for t, a in out.items()}),
+                     prune_threshold)
 
 
 # -- inner products, products, transforms ----------------------------------
@@ -270,12 +298,13 @@ def inner(f: GaussianChain, g: GaussianChain, kind: str = "standard"):
 def _pair_sum(ctx: QContext, left: dict, right: dict, sign: int = 1):
     """sum conj(a_t) b_s q^{(sign t - s)^2 / 8} over two twice-center maps:
     (mu - nu)^2 / 2 = (t - s)^2 / 8, and the parity twist flips t to -t."""
+    pow8 = ctx.qpow8
     total = 0
     for t, a in left.items():
         ca = conj(a)
         for s, b in right.items():
             d = sign * t - s
-            total = total + ca * b * ctx.qpow(Fraction(d * d, 8))
+            total = total + ca * b * pow8(d * d)
     return total
 
 
@@ -285,7 +314,7 @@ def lattice_kernel(ctx: QContext, size: int, kind: str = "standard") -> list:
     the pair's inner product is sqrt(pi/2c^2) K[j][k]."""
     sign = 1 if kind == "standard" else -1
     with ctx.prec():
-        powers = [ctx.qpow(Fraction(d * d, 2)) for d in range(2 * size)]
+        powers = [ctx.qpow8(4 * d * d) for d in range(2 * size)]
     return [[powers[abs(j - sign * k)] for k in range(size)]
             for j in range(size)]
 
@@ -335,6 +364,7 @@ def product_daughters(f: GaussianChain, g: GaussianChain) -> DaughterChain:
     """
     _require_same_ctx(f, g)
     ctx = f.ctx
+    pow8 = ctx.qpow8
     out: dict = {}
     with ctx.prec():
         for t, a in f.coeffs.items():
@@ -345,7 +375,7 @@ def product_daughters(f: GaussianChain, g: GaussianChain) -> DaughterChain:
                         "chains must live on one parity class")
                 key = (t + s) // 2
                 d = t - s
-                out[key] = out.get(key, 0) + a * b * ctx.qpow(Fraction(d * d, 8))
+                out[key] = out.get(key, 0) + a * b * pow8(d * d)
     return DaughterChain(ctx, out)
 
 

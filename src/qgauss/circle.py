@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .context import GUARD_DIGITS, QContext
-from .qnum import horner, qbinomial, qbinomial_triangle, qpochhammer
+from .qnum import horner, qbinomial_row, qbinomial_triangle, qpochhammer
 from .chain import gram_contract, overlap_scale
 from .dg import dg_norm, gram_phi
 from .report import GramReport
@@ -59,8 +58,8 @@ class ThetaEvaluator:
 def rs_polynomial(n: int, q: float) -> RSPolynomial:
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return RSPolynomial(n=n, q=q, coeffs=[float(qbinomial(q, n, k))
-                                          for k in range(n + 1)])
+    return RSPolynomial(n=n, q=q,
+                        coeffs=[float(b) for b in qbinomial_row(q, n)])
 
 
 def rs_eval(n: int, q: float, z):
@@ -124,19 +123,30 @@ def _gram_truncation(q: float, nmax: int) -> int:
 def _circle_mac_budget(q: float, nmax: int) -> tuple:
     """(digits, amplification): the digits (None for double) that put the
     integrand bound max_n |H_n|_max^2 theta_3(0) below 1e-12 and the entry
-    bound amplification over sqrt(|T_nn T_mm|) below 1e-9."""
-    theta0 = 1.0 + 2.0 * sum(q ** (m * m / 2.0)
-                             for m in range(1, theta_truncation(q, 1e-16) + 1))
-    bound = [sum(float(qbinomial(q, n, k)) * q ** (-(n - 0.5) * k)
-                 for k in range(n + 1)) for n in range(nmax + 1)]
-    target = [q ** (-n * (n - 1) / 2.0) * float(qpochhammer(q, n))
-              for n in range(nmax + 1)]
-    amplification = max(bound[n] * bound[m] * theta0
-                        / math.sqrt(target[n] * target[m])
-                        for n in range(nmax + 1) for m in range(nmax + 1))
-    digits = math.ceil(math.log10(max(max(bound) ** 2 * theta0 * 1e13,
-                                      amplification * 1e9))) + 1
+    bound amplification over sqrt(|T_nn T_mm|) below 1e-9. The bounds are
+    taken in log10, where they stay finite for every degree; an
+    amplification past the double range is reported as inf."""
+    lq = math.log10(q)
+    log_theta0 = math.log10(
+        1.0 + 2.0 * sum(q ** (m * m / 2.0)
+                        for m in range(1, theta_truncation(q, 1e-16) + 1)))
+    log_bound = [_log10_sum([math.log10(b) - (n - 0.5) * k * lq
+                             for k, b in enumerate(qbinomial_row(q, n))])
+                 for n in range(nmax + 1)]
+    # log10 of the amplification's per-degree factor |H_n|_max / sqrt(|T_nn|)
+    log_ratio = [log_bound[n] + (n * (n - 1) / 4.0) * lq
+                 - 0.5 * math.log10(qpochhammer(q, n)) for n in range(nmax + 1)]
+    log_amp = 2.0 * max(log_ratio) + log_theta0
+    digits = math.ceil(max(2.0 * max(log_bound) + log_theta0 + 13.0,
+                           log_amp + 9.0)) + 1
+    amplification = 10.0 ** log_amp if log_amp < 308.0 else math.inf
     return (None if digits <= 15 else digits), amplification
+
+
+def _log10_sum(logs: list) -> float:
+    """log10 of sum 10^x over logs, scaled by the largest term."""
+    top = max(logs)
+    return top + math.log10(sum(10.0 ** (x - top) for x in logs))
 
 
 def circle_mac_amplification(q: float, nmax: int) -> float:
@@ -168,7 +178,7 @@ def _aliased_theta_kernel(work: QContext, size: int, points: int,
     with fine.prec():
         fold = [0 * fine.q] * points
         for m in range(-truncation, truncation + 1):
-            fold[m % points] += fine.qpow(Fraction(m * m, 2))
+            fold[m % points] += fine.qpow8(4 * m * m)
     return [[fold[-(j + sign * k) % points] for k in range(size)]
             for j in range(size)]
 
@@ -246,9 +256,11 @@ def circle_gram_mac(ctx: QContext, nmax: int, quad_points: int = 512,
         target = [[wq ** (-n * (n - 1) // 2) * qpochhammer(wq, n) * (-1) ** n
                    if n == m else 0 * wq for m in range(nmax + 1)]
                   for n in range(nmax + 1)]
+    # an amplification past the double range is noted as None (JSON null)
     notes = {"family": "circle-mac", "points": quad_points,
-             "conjugate_first": conjugate_first,
-             "working_digits": digits, "amplification": amplification}
+             "conjugate_first": conjugate_first, "working_digits": digits,
+             "amplification": (amplification if math.isfinite(amplification)
+                               else None)}
     return GramReport(labels=list(range(nmax + 1)), matrix=matrix, target=target,
                       precision_digits=digits, notes=notes)
 

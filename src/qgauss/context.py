@@ -4,7 +4,9 @@ Every quantity in this package is built from powers of a single base
 q in (0, 1). The context pins down that base, remembers whether the
 computation runs in ordinary doubles or in a configurable-precision
 mpmath backend, and centralizes the exact-exponent power q**r that the
-lattice algebra relies on.
+lattice algebra relies on. Every exponent the ladder and overlap algebra
+raises q to is a multiple of 1/8, so each context keeps those powers in
+a memo of its own (``qpow8``) and computes each one once.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ class QContext:
     Exactly one of ``c`` and ``q`` must be given; the other is derived.
     ``digits`` selects the mpmath backend with that many decimal digits;
     ``None`` means ordinary binary doubles. ``supplied`` names the given
-    parameter, and ``with_digits`` rebuilds the context from its value.
+    parameter, and ``with_digits`` rebuilds the context from its value,
+    with a fresh ``qpow8`` memo.
     """
 
-    __slots__ = ("c", "q", "ln_q", "digits", "supplied", "_given")
+    __slots__ = ("c", "q", "ln_q", "digits", "supplied", "_given", "_pow8")
 
     def __init__(self, c=None, q=None, digits: int | None = None):
         if (c is None) == (q is None):
@@ -39,6 +42,7 @@ class QContext:
         object.__setattr__(self, "digits", digits)
         object.__setattr__(self, "supplied", "c" if q is None else "q")
         object.__setattr__(self, "_given", c if q is None else q)
+        object.__setattr__(self, "_pow8", {})
         number = float if digits is None else mpmath.mpf
         with self.prec():
             if c is not None:
@@ -92,6 +96,8 @@ class QContext:
         The exponent is kept as an integer or Fraction right up to this
         single exponentiation, so equal exponents always produce equal
         values and symbolic cancellations survive in coefficient space.
+        Exponents on the 1/8 lattice are better taken from ``qpow8``, which
+        returns this same value from the context's memo.
         """
         if self.digits is None:
             return math.exp(float(r) * self.ln_q)
@@ -101,6 +107,15 @@ class QContext:
             else:
                 rr = mpmath.mpf(r)
             return mpmath.exp(rr * self.ln_q)
+
+    def qpow8(self, m: int):
+        """q**(m/8) for an integer m: qpow(Fraction(m, 8)), bit for bit,
+        computed on the first request and memoized in this context."""
+        try:
+            return self._pow8[m]
+        except KeyError:
+            value = self._pow8[m] = self.qpow(Fraction(m, 8))
+            return value
 
     def _lib(self):
         return math if self.digits is None else mpmath

@@ -17,10 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from .context import QContext
-from .qnum import arik_coon_eigenvalue, hermite, horner, qbinomial, qpochhammer
+from .qnum import (arik_coon_eigenvalue, hermite, horner, qbinomial_row,
+                   qpochhammer)
 from .chain import (GaussianChain, alpha, apply_ladder, arik_lower, arik_raise,
                     coeff_distance, evaluate, gram_contract, inner,
-                    lattice_kernel, mul_qlinear, overlap_scale, scale, shift)
+                    lattice_kernel, mul_qlinear, overlap_scale,
+                    product_daughters, scale, shift)
 from .report import GramReport
 
 
@@ -54,7 +56,7 @@ def dg_norm(ctx: QContext, n: int):
     if n < 0:
         raise ValueError("degree must be nonnegative")
     with ctx.prec():
-        return (ctx.sqrt(overlap_scale(ctx)) * ctx.qpow(Fraction(-n, 2))
+        return (ctx.sqrt(overlap_scale(ctx)) * ctx.qpow8(-4 * n)
                 * ctx.sqrt(qpochhammer(ctx.q, n)))
 
 
@@ -62,16 +64,14 @@ def dg_coefficients(ctx: QContext, n: int) -> DGCoefficients:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     with ctx.prec():
-        pochn = qpochhammer(ctx.q, n)
         a = alpha(ctx)
+        root = ctx.sqrt(qpochhammer(ctx.q, n))
         raw = []
         normalized = []
-        for k in range(n + 1):
-            binom = qbinomial(ctx.q, n, k)
+        for k, binom in enumerate(qbinomial_row(ctx.q, n)):
             sign = -1 if k % 2 else 1
-            raw.append(sign * binom * ctx.qpow(Fraction(-k, 2)))
-            normalized.append(sign * a * binom * ctx.qpow(Fraction(n - k, 2))
-                              / ctx.sqrt(pochn))
+            raw.append(sign * binom * ctx.qpow8(-4 * k))
+            normalized.append(sign * a * binom * ctx.qpow8(4 * (n - k)) / root)
     return DGCoefficients(n=n, ctx=ctx, raw=raw, normalized=normalized)
 
 
@@ -110,24 +110,38 @@ def ladder_check(ctx: QContext, n: int) -> dict:
     """Coefficient-space residuals of the two ladder relations at level n:
     lowering onto sqrt(lam_n) phi_{n-1} and raising onto
     sqrt(lam_{n+1}) phi_{n+1}."""
-    return ladder_residuals(ctx, n, build_phi, arik_lower, arik_raise,
+    return ladder_checks(ctx, [n])[0]
+
+
+def ladder_checks(ctx: QContext, levels) -> list:
+    """ladder_check at each level in levels, with every phi_k built once."""
+    return ladder_residuals(ctx, levels, build_phi, arik_lower, arik_raise,
                             arik_coon_eigenvalue, coeff_distance)
 
 
-def ladder_residuals(ctx: QContext, n: int, build, lower, raise_, eigenvalue,
-                     distance, raise_sign: int = 1) -> dict:
-    """The ladder check shared by both families: distance(lower f_n,
-    sqrt(lam_n) f_{n-1}) and distance(raise f_n, raise_sign sqrt(lam_{n+1})
-    f_{n+1}) with f_k = build(ctx, k) and lam_k = eigenvalue(q, k)."""
-    if n < 1:
+def ladder_residuals(ctx: QContext, levels, build, lower, raise_, eigenvalue,
+                     distance, raise_sign: int = 1) -> list:
+    """The ladder check shared by both families, one dict per level n in
+    levels: distance(lower f_n, sqrt(lam_n) f_{n-1}) and distance(raise f_n,
+    raise_sign sqrt(lam_{n+1}) f_{n+1}) with f_k = build(ctx, k), each
+    built once, and lam_k = eigenvalue(q, k)."""
+    levels = list(levels)
+    if any(n < 1 for n in levels):
         raise ValueError("ladder check needs n >= 1")
+    needed = sorted({k for n in levels for k in (n - 1, n, n + 1)})
+    rows = []
     with ctx.prec():
-        prev, here, nxt = (build(ctx, k) for k in (n - 1, n, n + 1))
-        low = distance(apply_ladder(lower(ctx), here),
-                       scale(prev, ctx.sqrt(eigenvalue(ctx.q, n))))
-        up = distance(apply_ladder(raise_(ctx), here),
-                      scale(nxt, raise_sign * ctx.sqrt(eigenvalue(ctx.q, n + 1))))
-    return {"n": n, "lower_residual": low, "raise_residual": up}
+        family = {k: build(ctx, k) for k in needed}
+        lo, hi = lower(ctx), raise_(ctx)
+        for n in levels:
+            root_n, root_up = (ctx.sqrt(eigenvalue(ctx.q, k))
+                               for k in (n, n + 1))
+            low = distance(apply_ladder(lo, family[n]),
+                           scale(family[n - 1], root_n))
+            up = distance(apply_ladder(hi, family[n]),
+                          scale(family[n + 1], raise_sign * root_up))
+            rows.append({"n": n, "lower_residual": low, "raise_residual": up})
+    return rows
 
 
 def daughter_gram(ctx: QContext, nmax: int) -> list:
@@ -160,12 +174,21 @@ def daughter_sum_rule(ctx: QContext, n: int, m: int):
     one common factor, which is why the whole orthogonality survives
     arbitrary periodic weights. Returns sum_k d_k.
     """
-    from .chain import product_daughters
+    return _daughter_sums(ctx, [build_phi(ctx, n)], [build_phi(ctx, m)])[0][0]
+
+
+def daughter_sum_rules(ctx: QContext, nmax: int) -> list:
+    """daughter_sum_rule(ctx, n, m) for all n, m <= nmax, as rows indexed
+    by n, with every phi_k built once."""
+    phis = [build_phi(ctx, k) for k in range(nmax + 1)]
+    return _daughter_sums(ctx, phis, phis)
+
+
+def _daughter_sums(ctx: QContext, left: list, right: list) -> list:
     with ctx.prec():
-        fn = build_phi(ctx, n).conjugate()
-        fm = build_phi(ctx, m)
-        total = product_daughters(fn, fm).coefficient_sum()
-        return total / (alpha(ctx) ** 2)
+        norm = alpha(ctx) ** 2
+        return [[product_daughters(fn, fm).coefficient_sum() / norm
+                 for fm in right] for fn in (f.conjugate() for f in left)]
 
 
 # -- harmonic-oscillator limit ----------------------------------------------
@@ -254,11 +277,10 @@ def stieltjes_wigert(ctx: QContext, n: int, s) -> SWPolynomial:
     s = Fraction(s)
     coeffs = []
     with ctx.prec():
-        for k in range(n + 1):
+        for k, binom in enumerate(qbinomial_row(ctx.q, n)):
             sign = -1 if k % 2 else 1
-            exponent = (k + s) ** 2 - Fraction(k, 2)
-            coeffs.append(sign * qbinomial(ctx.q, n, k)
-                          * ctx.qpow(exponent))
+            coeffs.append(sign * binom
+                          * ctx.qpow((k + s) ** 2 - Fraction(k, 2)))
     return SWPolynomial(n=n, s=s, ctx=ctx, coeffs=coeffs)
 
 

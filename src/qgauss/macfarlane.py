@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .context import QContext, magnitude
-from .qnum import (macfarlane_eigenvalue, qbinomial, qbinomial_triangle,
+from .qnum import (macfarlane_eigenvalue, qbinomial_row, qbinomial_triangle,
                    qpochhammer)
 from .chain import (GaussianChain, alpha, apply_ladder, gram_contract, inner,
                     lattice_kernel, mac_lower, mac_raise, overlap_scale,
@@ -45,18 +45,15 @@ def mac_zeta(ctx: QContext, n: int, alpha_w=None):
     with ctx.prec():
         if alpha_w is None:
             alpha_w = alpha(ctx)
-        return (alpha_w * ctx.qpow(Fraction(n * (n - 1), 4))
+        return (alpha_w * ctx.qpow8(2 * n * (n - 1))
                 / ctx.sqrt(qpochhammer(ctx.q, n)))
 
 
 def _mac_E_closed(ctx: QContext, n: int) -> list:
-    out = []
+    """E^n_k = (-1)^k [n k]_q q^{(k - 2nk)/2}."""
     with ctx.prec():
-        for k in range(n + 1):
-            sign = -1 if k % 2 else 1
-            out.append(sign * qbinomial(ctx.q, n, k)
-                       * ctx.qpow(Fraction(-2 * n * k + k, 2)))
-    return out
+        return [(-1 if k % 2 else 1) * binom * ctx.qpow8(4 * (k - 2 * n * k))
+                for k, binom in enumerate(qbinomial_row(ctx.q, n))]
 
 
 def _mac_E_recursion(ctx: QContext, n: int) -> list:
@@ -64,13 +61,13 @@ def _mac_E_recursion(ctx: QContext, n: int) -> list:
     q^{-n-k+3/2}, anchored at E^n_0 = 1."""
     with ctx.prec():
         q = ctx.q
+        gaps = [1 - q ** k for k in range(n + 1)]
         row = [q / q]  # backend-typed 1
         for m in range(1, n + 1):
             nxt = [q / q]
             for k in range(1, m + 1):
-                factor = (1 - q ** m) / (1 - q ** k)
-                nxt.append(-row[k - 1] * factor
-                           * ctx.qpow(Fraction(-2 * m - 2 * k + 3, 2)))
+                nxt.append(-row[k - 1] * (gaps[m] / gaps[k])
+                           * ctx.qpow8(12 - 8 * m - 8 * k))
             row = nxt
     return row
 
@@ -114,7 +111,12 @@ def mac_ladder_check(ctx: QContext, n: int) -> dict:
     """Residuals of b B_n = sqrt(-lam_n) B_{n-1} and
     b' B_n = -sqrt(-lam_{n+1}) B_{n+1}, relative to the largest target
     coefficient (absolute residuals are meaningless at these magnitudes)."""
-    return ladder_residuals(ctx, n, build_Bn, mac_lower, mac_raise,
+    return mac_ladder_checks(ctx, [n])[0]
+
+
+def mac_ladder_checks(ctx: QContext, levels) -> list:
+    """mac_ladder_check at each level in levels, with every B_k built once."""
+    return ladder_residuals(ctx, levels, build_Bn, mac_lower, mac_raise,
                             lambda q, k: -macfarlane_eigenvalue(q, k),
                             relative_coeff_distance, raise_sign=-1)
 

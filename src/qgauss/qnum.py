@@ -11,6 +11,7 @@ with that many decimal digits plus the guard digits.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 
 import mpmath
 
@@ -24,13 +25,22 @@ def _check_q(q):
 
 def _workprec(digits):
     if digits is None:
-        from contextlib import nullcontext
         return nullcontext()
     return mpmath.workdps(digits + GUARD_DIGITS)
 
 
 def _as_base(q, digits):
     return q if digits is None else mpmath.mpf(q)
+
+
+def _pochhammer_prefix(qq, n: int) -> list:
+    """[(q, q)_0, ..., (q, q)_n] in the type of qq, one running product."""
+    out = [qq / qq]  # one, in the backend type
+    power = out[0]
+    for _ in range(n):
+        power = power * qq
+        out.append(out[-1] * (1 - power))
+    return out
 
 
 def qpochhammer(q, n: int, digits: int | None = None):
@@ -42,13 +52,7 @@ def qpochhammer(q, n: int, digits: int | None = None):
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     with _workprec(digits):
-        qq = _as_base(q, digits)
-        out = qq / qq  # one, in the backend type
-        power = out
-        for _ in range(n):
-            power = power * qq
-            out = out * (1 - power)
-        return out
+        return _pochhammer_prefix(_as_base(q, digits), n)[n]
 
 
 def qbinomial(q, n: int, k: int, digits: int | None = None):
@@ -63,10 +67,18 @@ def qbinomial(q, n: int, k: int, digits: int | None = None):
         raise ValueError(f"n must be nonnegative, got {n}")
     if k < 0 or k > n:
         return _as_base(q, digits) * 0
+    return qbinomial_row(q, n, digits)[k]
+
+
+def qbinomial_row(q, n: int, digits: int | None = None) -> list:
+    """[qbinomial(q, n, k) for k = 0..n], bit for bit, from one run of
+    Pochhammer partial products instead of three products per entry."""
+    _check_q(q)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     with _workprec(digits):
-        num = qpochhammer(q, n, digits)
-        den = qpochhammer(q, k, digits) * qpochhammer(q, n - k, digits)
-        return num / den
+        poch = _pochhammer_prefix(_as_base(q, digits), n)
+        return [poch[n] / (poch[k] * poch[n - k]) for k in range(n + 1)]
 
 
 def qbinomial_triangle(q, nmax: int, digits: int | None = None):

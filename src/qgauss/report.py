@@ -30,19 +30,28 @@ class GramReport:
         """(i, j, |value - target|) row by row; relative divides by
         sqrt(|T_ii| |T_jj|), the natural size of an (i, j) entry when the
         diagonal grows or decays, wherever that scale is nonzero."""
+        out = [(i, j, abs(v - t))
+               for i, (row, trow) in enumerate(zip(self.matrix, self.target))
+               for j, (v, t) in enumerate(zip(row, trow))]
+        return self._relative(out) if relative else out
+
+    def _relative(self, entries: list) -> list:
+        """Absolute entry deviations rescaled as entry_deviations(True)."""
+        diag = [abs(row[i]) for i, row in enumerate(self.target)]
         out = []
-        for i, (row, trow) in enumerate(zip(self.matrix, self.target)):
-            for j, (v, t) in enumerate(zip(row, trow)):
-                dev = abs(v - t)
-                if relative:
-                    scl = (abs(self.target[i][i]) * abs(self.target[j][j])) ** 0.5
-                    dev = dev / scl if scl > 0 else dev
-                out.append((i, j, dev))
+        for i, j, dev in entries:
+            scl = (diag[i] * diag[j]) ** 0.5
+            out.append((i, j, dev / scl if scl > 0 else dev))
         return out
+
+    def deviations(self, relative: bool = False) -> tuple:
+        """(largest deviation, entry_deviations(relative)) from one walk."""
+        entries = self.entry_deviations(relative)
+        return _largest(entries), entries
 
     @property
     def max_abs_deviation(self) -> float:
-        return reduce(max, (dev for _, _, dev in self.entry_deviations()), 0.0)
+        return self.deviations()[0]
 
     def deviation_matrix(self) -> list:
         return [[v - t for v, t in zip(row, trow)]
@@ -50,8 +59,7 @@ class GramReport:
 
     def max_relative_deviation(self) -> float:
         """The largest relative entry deviation (see entry_deviations)."""
-        return reduce(max, (dev for _, _, dev in self.entry_deviations(True)),
-                      0.0)
+        return self.deviations(True)[0]
 
     def worst_entries(self, count: int = 3) -> list:
         """The count largest absolute deviations as (i, j, value, target)."""
@@ -61,12 +69,18 @@ class GramReport:
                 for i, j, _ in worst[:count]]
 
     def to_dict(self) -> dict:
+        worst, entries = self.deviations()
         return {
             "labels": list(self.labels),
             "matrix": [[float(v) for v in row] for row in self.matrix],
             "target": [[float(v) for v in row] for row in self.target],
-            "max_abs_deviation": float(self.max_abs_deviation),
-            "max_relative_deviation": float(self.max_relative_deviation()),
+            "max_abs_deviation": float(worst),
+            "max_relative_deviation": float(_largest(self._relative(entries))),
             "precision_digits": self.precision_digits,
             "notes": dict(self.notes),
         }
+
+
+def _largest(entries: list) -> float:
+    """The largest deviation of (i, j, deviation) entries; 0.0 when empty."""
+    return reduce(max, (dev for _, _, dev in entries), 0.0)

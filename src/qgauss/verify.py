@@ -46,17 +46,16 @@ class SuiteResult:
         }
 
 
-def _gram_failures(report: GramReport, tol: float, relative: bool) -> list:
-    return [[i, j, float(dev)]
-            for i, j, dev in report.entry_deviations(relative) if dev > tol]
+def _gram_failures(entries: list, tol: float) -> list:
+    return [[i, j, float(dev)] for i, j, dev in entries if dev > tol]
 
 
 def _gram_suite(name: str, report: GramReport, tol: float, params: dict,
                 relative: bool = False, notes: dict | None = None) -> SuiteResult:
-    dev = float(report.max_relative_deviation() if relative
-                else report.max_abs_deviation)
+    dev, entries = report.deviations(relative)
+    dev = float(dev)
     return SuiteResult(name, dev <= tol, tol, dev, params=params,
-                       failures=_gram_failures(report, tol, relative),
+                       failures=_gram_failures(entries, tol),
                        notes=report.notes if notes is None else notes)
 
 
@@ -97,9 +96,10 @@ def suite_ladders(ctx: QContext, nmax: int = 10) -> SuiteResult:
     tol = 1e-11
     failures = []
     worst = 0.0
-    for n in range(1, nmax + 1):
-        dgres = dg_mod.ladder_check(ctx, n)
-        macres = mac_mod.mac_ladder_check(ctx, n)
+    levels = range(1, nmax + 1)
+    for dgres, macres in zip(dg_mod.ladder_checks(ctx, levels),
+                             mac_mod.mac_ladder_checks(ctx, levels)):
+        n = dgres["n"]
         for family, res in (("dg", dgres), ("mac", macres)):
             for key in ("lower_residual", "raise_residual"):
                 worst = max(worst, res[key])
@@ -234,8 +234,9 @@ def suite_degeneracy(ctx: QContext, nmax: int = 8,
     tol = 1e-9
     weight = weights_mod.cosine_weight(0.3)
     report = weights_mod.an_gram(ctx, weight, nmax)
-    dev = float(report.max_abs_deviation)
-    failures = _gram_failures(report, tol, relative=False)
+    dev, entries = report.deviations()
+    dev = float(dev)
+    failures = _gram_failures(entries, tol)
     rng = np.random.default_rng(seed)
     pairs = [(int(rng.integers(0, nmax + 1)), int(rng.integers(0, nmax + 1)))
              for _ in range(quad_pairs)]
@@ -274,9 +275,8 @@ def suite_sumrule(ctx: QContext, nmax: int = 10) -> SuiteResult:
     tol = 1e-12
     failures = []
     worst = 0.0
-    for n in range(nmax + 1):
-        for m in range(nmax + 1):
-            val = dg_mod.daughter_sum_rule(ctx, n, m)
+    for n, row in enumerate(dg_mod.daughter_sum_rules(ctx, nmax)):
+        for m, val in enumerate(row):
             gap = abs(float(val.real) - (1.0 if n == m else 0.0))
             gap = max(gap, abs(float(val.imag)))
             worst = max(worst, gap)

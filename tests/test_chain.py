@@ -219,3 +219,63 @@ def test_reflect_and_conjugate():
 def test_mismatched_context_raises():
     with pytest.raises(ValueError):
         qg.add(qg.make_gaussian(CTX, 0), qg.make_gaussian(QContext(q=0.4), 0))
+
+
+def composed_ladder(op, f):
+    """The ladder operators as compositions of shifts, q-linear multipliers,
+    a subtraction and the prefactor, one intermediate chain per move."""
+    ctx, q = op.ctx, op.ctx.q
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    with ctx.prec():
+        if op.kind == "arik_lower":
+            result = qg.shift(qg.subtract(qg.mul_qlinear(f, 1, quarter),
+                                          qg.shift(f, half)), half)
+            pref = 1 / ctx.sqrt(1 - q)
+        elif op.kind == "arik_raise":
+            moved = qg.shift(f, -half)
+            result = qg.subtract(qg.mul_qlinear(moved, 1, quarter),
+                                 qg.shift(moved, -half))
+            pref = 1 / ctx.sqrt(1 - q)
+        elif op.kind == "mac_lower":
+            result = qg.subtract(qg.mul_qlinear(f, 2, half),
+                                 qg.mul_qlinear(qg.shift(f, half), 1, quarter))
+            pref = 1 / ctx.sqrt(q * (1 - q))
+        else:
+            result = qg.subtract(qg.mul_qlinear(f, -2, half),
+                                 qg.shift(qg.mul_qlinear(f, -1, quarter), half))
+            pref = 1 / ctx.sqrt(q * (1 - q))
+        return qg.scale(result, pref)
+
+
+@pytest.mark.parametrize("digits", [None, 30])
+@pytest.mark.parametrize("kind", qg.chain.LADDER_KINDS)
+def test_apply_ladder_equals_the_composition_exactly(kind, digits):
+    from qgauss.verify import random_chain as seeded_chain
+    rng = np.random.default_rng(2024)
+    for q in (0.23, 0.5, 0.81):
+        ctx = QContext(q=q, digits=digits)
+        op = qg.LadderOperator(kind, ctx)
+        # seeded chains carry Python complex coefficients, also at 30 digits
+        chains = [seeded_chain(ctx, rng) for _ in range(4)]
+        chains += [qg.build_phi(ctx, 5), qg.build_Bn(ctx, 4),
+                   qg.make_gaussian(ctx, 0), qg.make_gaussian(ctx, 3)]
+        for f in chains:
+            once = qg.apply_ladder(op, f)
+            assert once.coeffs == composed_ladder(op, f).coeffs
+            assert list(once.coeffs) == sorted(once.coeffs)
+            twice = qg.apply_ladder(op, once)
+            assert twice.coeffs == composed_ladder(op, once).coeffs
+
+
+@pytest.mark.parametrize("digits", [None, 30])
+def test_mul_qlinear_any_rational_offset(digits):
+    ctx = QContext(q=0.37, digits=digits)
+    f = qg.GaussianChain(ctx, {-3: ctx.make(0.5), 2: ctx.make(-1.25)})
+    for a, b in ((1, Fraction(1, 4)), (-2, Fraction(3, 8)), (3, Fraction(1, 3)),
+                 (2, Fraction(-5, 7)), (0, 2)):
+        g = qg.mul_qlinear(f, a, b)
+        with ctx.prec():
+            expected = {t - a: c * ctx.qpow(Fraction(a * t, 2)
+                                            - Fraction(a * a, 4) + b)
+                        for t, c in f.coeffs.items()}
+        assert g.coeffs == expected

@@ -205,6 +205,31 @@ def test_amplification_monotone_in_degree():
     assert circle_mac_amplification(0.5, 8) > circle_mac_amplification(0.5, 4)
 
 
+@pytest.mark.parametrize("q, nmax, digits", [
+    (0.21, 4, 34), (0.21, 8, 96), (0.5, 4, 24), (0.5, 8, 51),
+    (0.73, 4, 20), (0.73, 8, 32)])
+def test_budget_digits_are_pinned(q, nmax, digits):
+    # the working digits of the budget as first taken in linear scale
+    assert circle_mac_auto_digits(q, nmax) == digits
+    assert qg.circle_gram_mac(QContext(q=q), nmax).notes["working_digits"] \
+        == digits
+
+
+def test_budget_survives_bounds_past_the_double_range():
+    # |H_16|_max^2 at q = 0.21 is ~1e336, beyond a double
+    assert math.isfinite(circle_mac_amplification(0.21, 16))
+    assert circle_mac_amplification(0.21, 16) > 1e250
+    assert circle_mac_auto_digits(0.21, 16) > 300
+    assert circle_mac_amplification(0.05, 16) == math.inf
+    # the note is serialized, so an infinite amplification is noted as None
+    assert qg.circle_gram_mac(QContext(q=0.05, digits=20),
+                              16).notes["amplification"] is None
+    rep = qg.circle_gram_mac(QContext(q=0.21, digits=30), 16)
+    assert rep.notes["working_digits"] == 30
+    assert rep.notes["amplification"] == circle_mac_amplification(0.21, 16)
+    assert qg.run_suite("circle-mac", QContext(q=0.21), nmax=16).passed
+
+
 def test_parseval_bridge():
     rep = qg.parseval_bridge(QContext(q=0.5), 6)
     assert rep.max_abs_deviation <= 1e-9

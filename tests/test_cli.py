@@ -30,6 +30,19 @@ def run_json(*args):
     return json.loads(proc.stdout.decode())
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_circle_amplification_past_double_range_is_strict_json():
+    # the amplification at q = 0.05, nmax = 16 exceeds 1e308
+    proc = run_cli("circle", "--family", "mac", "--q", "0.05", "--nmax", "16",
+                   "--format", "json")
+    assert proc.returncode == 0, proc.stderr.decode()
+    data = json.loads(proc.stdout.decode(), parse_constant=reject_constant)
+    assert data["report"]["notes"]["amplification"] is None
+
+
 def test_coeffs_ground_state():
     data = run_json("coeffs", "--family", "dg", "--n", "0", "--q", "0.5")
     assert data["schema"] == "qgauss/1"

@@ -90,3 +90,23 @@ def test_lattice_shift_validation():
     assert as_lattice_shift(0.5) == 1
     with pytest.raises(ValueError):
         as_lattice_shift(0.4)
+
+
+@pytest.mark.parametrize("digits", [None, 30])
+def test_qpow8_is_qpow_on_the_eighth_lattice(digits):
+    ctx = QContext(q=0.4321, digits=digits)
+    for m in range(-60, 61):
+        assert ctx.qpow8(m) == ctx.qpow(Fraction(m, 8))
+        assert ctx.qpow8(m) == ctx.qpow8(m)
+
+
+def test_qpow8_memo_lives_with_its_context():
+    ctx = QContext(q=0.5)
+    first = ctx.qpow8(5)
+    assert ctx.qpow8(5) is first
+    # a rebuilt context, same parameter or new digits, starts a memo of its own
+    assert QContext(q=0.5).qpow8(5) is not first
+    wide = ctx.with_digits(30)
+    assert isinstance(wide.qpow8(5), mpmath.mpf)
+    assert wide.qpow8(5) == wide.qpow(Fraction(5, 8))
+    assert ctx.qpow8(5) is first

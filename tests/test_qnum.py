@@ -15,6 +15,7 @@ from qgauss.qnum import (
     macfarlane_eigenvalue,
     macfarlane_eigenvalues_by_recursion,
     qbinomial,
+    qbinomial_row,
     qbinomial_triangle,
     qpochhammer,
 )
@@ -104,6 +105,37 @@ def test_mpf_q_computes_at_the_ambient_precision():
         assert abs(val - ref) <= mpmath.mpf(10) ** -38 * ref
         # far beyond what a double q could deliver
         assert abs(val - qbinomial(float(q), 8, 3)) > mpmath.mpf(10) ** -30
+
+
+def _pochhammer_by_loop(q, n):
+    # (q, q)_n by the running product power = power * q, written out
+    out = q / q
+    power = out
+    for _ in range(n):
+        power = power * q
+        out = out * (1 - power)
+    return out
+
+
+@pytest.mark.parametrize("make", [float, lambda q: mpmath.mpf(q),
+                                  Fraction], ids=["float", "mpf", "Fraction"])
+def test_qbinomial_row_is_the_three_product_quotient_exactly(make):
+    with mpmath.workdps(35):
+        for q in (make(0.2), make(0.5), make(0.7361)):
+            for n in range(13):
+                row = qbinomial_row(q, n)
+                assert row == [qbinomial(q, n, k) for k in range(n + 1)]
+                assert row == [_pochhammer_by_loop(q, n)
+                               / (_pochhammer_by_loop(q, k)
+                                  * _pochhammer_by_loop(q, n - k))
+                               for k in range(n + 1)]
+                assert type(row[-1]) is type(q)
+
+
+def test_qbinomial_row_at_set_digits():
+    row = qbinomial_row(0.5, 9, digits=40)
+    assert row == [qbinomial(0.5, 9, k, digits=40) for k in range(10)]
+    assert all(isinstance(b, mpmath.mpf) for b in row)
 
 
 def test_fraction_q_is_exact():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import qgauss as qg
 from qgauss import GramReport
 
 
@@ -38,3 +39,38 @@ def test_to_dict_is_json_ready(report):
     assert back["max_abs_deviation"] == pytest.approx(0.002)
     assert back["precision_digits"] is None
     assert back["notes"] == {"family": "demo"}
+
+
+def test_deviations_pairs_the_largest_with_the_entries(report):
+    for relative in (False, True):
+        worst, entries = report.deviations(relative)
+        assert entries == report.entry_deviations(relative)
+        assert worst == max(dev for _, _, dev in entries)
+
+
+@pytest.mark.parametrize("build, digits", [("circle_gram_dg", None),
+                                           ("indefinite_gram", 30)])
+def test_to_dict_walks_the_deviations_once(monkeypatch, build, digits):
+    rep = getattr(qg, build)(qg.QContext(q=0.43, digits=digits), 6)
+    # the relative measure as first defined, entry by entry
+    expected_rel = max(
+        abs(v - t) / (abs(rep.target[i][i]) * abs(rep.target[j][j])) ** 0.5
+        if (abs(rep.target[i][i]) * abs(rep.target[j][j])) ** 0.5 > 0
+        else abs(v - t)
+        for i, (row, trow) in enumerate(zip(rep.matrix, rep.target))
+        for j, (v, t) in enumerate(zip(row, trow)))
+    expected_abs = max(abs(v - t) for row, trow in zip(rep.matrix, rep.target)
+                       for v, t in zip(row, trow))
+    walks = []
+    original = GramReport.entry_deviations
+
+    def counted(self, relative=False):
+        walks.append(relative)
+        return original(self, relative)
+
+    monkeypatch.setattr(GramReport, "entry_deviations", counted)
+    data = rep.to_dict()
+    assert walks == [False]
+    assert data["max_abs_deviation"] == float(expected_abs)
+    assert data["max_relative_deviation"] == float(expected_rel)
+    assert data["max_relative_deviation"] > 0

@@ -4,6 +4,8 @@ import pytest
 
 import qgauss as qg
 from qgauss import QContext
+from qgauss import dg, macfarlane
+from qgauss.report import GramReport
 from qgauss.verify import commutator_residual, random_chain
 
 
@@ -57,3 +59,83 @@ def test_circle_mac_conjugated_variant_fails():
     result = qg.run_suite("circle-mac", ctx=QContext(q=0.5), nmax=3,
                           conjugate_first=True)
     assert not result.passed
+
+
+@pytest.mark.parametrize("suite, kwargs, relative", [
+    ("circle-dg", {"nmax": 6}, True), ("dg-gram", {"nmax": 14}, False),
+    ("mac-gram", {"nmax": 6, "digits": 12}, False)])
+def test_gram_suite_walks_the_deviations_once(monkeypatch, suite, kwargs,
+                                              relative):
+    walks = []
+    original = GramReport.entry_deviations
+
+    def counted(self, relative=False):
+        walks.append(relative)
+        return original(self, relative)
+
+    ctx = QContext(q=0.43, digits=kwargs.pop("digits", None))
+    monkeypatch.setattr(GramReport, "entry_deviations", counted)
+    result = qg.run_suite(suite, ctx, **kwargs)
+    assert walks == [relative]
+    monkeypatch.undo()
+    # the verdict is that of the report's own deviation measures
+    if suite == "circle-dg":
+        report = qg.circle_gram_dg(ctx, 6)
+    elif suite == "dg-gram":
+        report = qg.gram_phi(ctx, 14)
+    else:
+        report = qg.indefinite_gram(ctx, 6)
+    expected = (report.max_relative_deviation() if relative
+                else report.max_abs_deviation)
+    assert result.max_deviation == float(expected)
+    assert result.failures == [
+        [i, j, float(dev)] for i, j, dev in report.entry_deviations(relative)
+        if dev > result.tolerance]
+
+
+def test_failures_list_every_entry_above_tolerance():
+    result = qg.run_suite("mac-gram", ctx=QContext(q=0.5, digits=8), nmax=12)
+    assert result.failures
+    assert max(dev for _, _, dev in result.failures) == result.max_deviation
+    assert all(dev > result.tolerance for _, _, dev in result.failures)
+
+
+@pytest.mark.parametrize("digits", [None, 25])
+def test_family_tables_are_built_once_per_suite(monkeypatch, digits):
+    ctx = QContext(q=0.61, digits=digits)
+    built = []
+    for module, name in ((dg, "build_phi"), (macfarlane, "build_Bn")):
+        original = getattr(module, name)
+
+        def counted(ctx, n, original=original, name=name):
+            built.append((name, n))
+            return original(ctx, n)
+        monkeypatch.setattr(module, name, counted)
+    sumrule = qg.run_suite("sumrule", ctx, nmax=6)
+    assert sorted(built) == [("build_phi", n) for n in range(7)]
+    built.clear()
+    ladders = qg.run_suite("ladders", ctx, nmax=6)
+    assert sorted(built) == sorted([("build_Bn", n) for n in range(8)]
+                                   + [("build_phi", n) for n in range(8)])
+    monkeypatch.undo()
+    assert sumrule.passed and ladders.passed
+    # the same numbers as the one-pair and one-level checks
+    assert sumrule.max_deviation == max(
+        max(abs(float(v.real) - (n == m)), abs(float(v.imag)))
+        for n in range(7) for m in range(7)
+        for v in [qg.daughter_sum_rule(ctx, n, m)])
+    assert ladders.max_deviation == max(
+        res[key] for n in range(1, 7)
+        for res in (qg.ladder_check(ctx, n), qg.mac_ladder_check(ctx, n))
+        for key in ("lower_residual", "raise_residual"))
+
+
+def test_ladder_checks_match_single_levels():
+    ctx = QContext(q=0.5)
+    assert dg.ladder_checks(ctx, [2, 5]) == [qg.ladder_check(ctx, 2),
+                                             qg.ladder_check(ctx, 5)]
+    assert macfarlane.mac_ladder_checks(ctx, range(1, 4)) == [
+        qg.mac_ladder_check(ctx, n) for n in range(1, 4)]
+    assert dg.ladder_checks(ctx, []) == []
+    with pytest.raises(ValueError):
+        dg.ladder_checks(ctx, [0, 1])
