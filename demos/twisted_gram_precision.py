@@ -4,9 +4,10 @@ The second oscillator's eigenfunctions B_n have coefficients that grow
 like q^{-n(n-1)/2}, and the twisted overlaps (B_n, B_m) cancel those
 huge terms down to numbers of size one. A naive floating-point sum
 therefore loses a digit for every digit of coefficient growth. The
-library sidesteps this in double precision by summing the overlap in
-exact rational arithmetic, and offers an explicit-precision backend
-whose working digits you can budget in advance.
+library sidesteps this in double precision by taking each overlap as an
+exact integer sum over the binary value q = M/2^e, rounded once, and
+offers an explicit-precision backend whose working digits you can budget
+in advance.
 """
 
 import qgauss as qg
@@ -25,7 +26,8 @@ print()
 
 # The same in a regime where naive summation visibly fails: at q = 0.9
 # the largest intermediate term is ~4e7, so a float sum floors near
-# 2e-7. The exact-rational path still returns zero deviation.
+# 2e-7. The exact integer sum over the binary value q = M/2^e still
+# returns zero deviation.
 wide = qg.indefinite_gram(qg.QContext(q=0.9), nmax=10)
 print(f"q = 0.9, n <= 10 deviation (exact-rational path): "
       f"{float(wide.max_abs_deviation):.3e}")

@@ -326,14 +326,14 @@ def gram_contract(A, K, B) -> list:
     matrix or, given as a flat sequence, a diagonal. Rows may be ragged:
     missing trailing entries are zeros. The backend follows the kernel's
     element type: mpmath numbers contract with mpmath.fdot at the ambient
-    precision, Fractions with exact sums, anything else with numpy matrix
-    products. Returns a list of rows.
+    precision, Python ints and Fractions with exact sums, anything else
+    with numpy matrix products. Returns a list of rows.
     """
     diagonal = not hasattr(K[0], "__len__")
     probe = K[0] if diagonal else K[0][0]
     if isinstance(probe, (mpmath.mpf, mpmath.mpc)):
         dot = mpmath.fdot
-    elif isinstance(probe, Fraction):
+    elif isinstance(probe, (int, Fraction)):
         def dot(x, y):
             return sum(map(operator.mul, x, y))
     else:

@@ -318,7 +318,10 @@ def sw_bridge_residual(ctx: QContext, n: int, s, xs=None,
     xs = np.asarray(xs, dtype=float)
     poly = stieltjes_wigert(ctx, n, s)
     chain = shift(build_Phi(ctx, n), -Fraction(s))
-    reference = np.real(evaluate(chain, xs))
+    if ctx.is_mp:  # the mpmath evaluate takes one scalar point
+        reference = np.array([float(evaluate(chain, x).real) for x in xs])
+    else:
+        reference = np.real(evaluate(chain, xs))
     u_side = np.asarray(sw_u_form(poly, xs), dtype=float)
     keep = np.abs(reference) >= rel_floor * np.abs(reference).max()
     return float(np.max(np.abs(u_side[keep] - reference[keep])

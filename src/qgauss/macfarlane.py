@@ -4,21 +4,21 @@ pairing).
 
 Same integer-center Gaussians as the first oscillator, but rapidly
 growing coefficients and an indefinite normalization (B_n, B_n) = (-1)^n:
-the double Gram sums each entry exactly in rationals, and a Gram at set
-digits carries an explicit precision budget.
+the double Gram takes each entry as one exact integer sum over the binary
+value q = M/2^e, and a Gram at set digits carries an explicit precision
+budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .context import QContext, magnitude
-from .qnum import (macfarlane_eigenvalue, qbinomial_row, qbinomial_triangle,
-                   qpochhammer)
+from .qnum import (_pochhammer_prefix, macfarlane_eigenvalue, qbinomial_row,
+                   qbinomial_triangle, qpochhammer)
 from .chain import (GaussianChain, alpha, apply_ladder, gram_contract, inner,
                     lattice_kernel, mac_lower, mac_raise, overlap_scale,
                     relative_coeff_distance, scale)
@@ -136,14 +136,6 @@ def coefficient_dynamic_range_digits(q: float, nmax: int) -> float:
     return 0.75 * nmax * (nmax - 1) * math.log10(1.0 / float(q))
 
 
-def _summed_kernel(q, size: int) -> list:
-    """q^{s(s+1)/2} at s = j + k, in the type of q. The twisted exponent
-    (j+k)^2/2 - (n-1/2) j - (m-1/2) k is s(s+1)/2 - n j - m k, so against
-    this kernel the rows [n j]_q q^{-n j} carry only integer powers."""
-    return [[q ** ((j + k) * (j + k + 1) // 2) for k in range(size)]
-            for j in range(size)]
-
-
 def gram_term_budget(q: float, nmax: int) -> float:
     """Largest sum of absolute term magnitudes appearing in any Gram
     entry, the quantity that actually bounds roundoff in the twisted
@@ -173,14 +165,58 @@ def mac_auto_digits(q: float, nmax: int, tol: float) -> int | None:
     return int(math.ceil(needed))
 
 
+def _binary_twisted_gram(q: float, nmax: int) -> list:
+    """The double twisted Gram, each entry one exact integer sum over the
+    binary value q = M/D, D = 2^e, rounded once.
+
+    With T[n][k] = [n k]_q D^{k(n-k)}, the (j, k) term of entry (n, m),
+    s = j + k, carries D^{((j-k)^2 - j - k)/2} and M^{s(s+1)/2 - n j - m k}.
+    The rows A[n][j] = (-1)^j T[n][j] M^{n(n-j)} against the kernel
+    M^{s(s+1)/2} D^{((j-k)^2 - j - k)/2 + nmax} therefore sum to the entry
+    times M^{n^2 + m^2} D^{nmax}; q^{floor(r)}, r = (n(n-1) + m(m-1))/4,
+    and (q, q)_n join the integer numerator and denominator, and one
+    correctly rounded int / int gives the double Fraction.__float__ would.
+    """
+    M, D = q.as_integer_ratio()
+    e = D.bit_length() - 1
+    size = nmax + 1
+    T = [[1]]  # T[n][k] = M^k T[n-1][k] + D^{n-k} T[n-1][k-1]
+    for n in range(1, size):
+        prev = T[-1] + [0]
+        T.append([M ** k * prev[k] + (prev[k - 1] << e * (n - k) if k else 0)
+                  for k in range(n + 1)])
+    A = [[(-1) ** j * t * M ** (n * (n - j)) for j, t in enumerate(row)]
+         for n, row in enumerate(T)]
+    K = [[M ** ((j + k) * (j + k + 1) // 2)
+          << e * (((j - k) ** 2 - j - k) // 2 + nmax)
+          for k in range(size)] for j in range(size)]
+    sums = gram_contract(A, K, A)
+    scaled = [1]  # (q, q)_n D^{n(n+1)/2}
+    for i in range(1, size):
+        scaled.append(scaled[-1] * ((1 << e * i) - M ** i))
+    poch = [p / (1 << e * n * (n + 1) // 2) for n, p in enumerate(scaled)]
+    lnq = math.log(q)
+
+    def entry(n, m):
+        total = sums[n][m]
+        if not total:
+            return 0.0
+        whole, rest = divmod(n * (n - 1) + m * (m - 1), 4)
+        denominator = M ** (n * n + m * m - whole) << e * (nmax + whole)
+        return (total / denominator * math.exp(lnq * (rest / 4))
+                / math.sqrt(poch[n] * poch[m]))
+    return [[entry(n, m) for m in range(size)] for n in range(size)]
+
+
 def indefinite_gram(ctx: QContext, nmax: int) -> GramReport:
     """Parity-twisted Gram of B_0..B_nmax against diag((-1)^n).
 
-    In the double backend each entry is one exact rational sum in the
-    binary value of q, the signed tables (-1)^j [n j]_q q^{-n j} against
-    q^{s(s+1)/2} times q^{floor(e)}, e = (n(n-1) + m(m-1))/4. All of the
-    cancellation happens inside it (off-diagonal entries collapse to the
-    rational zero), leaving one rounding and the factors q^{frac(e)} and
+    In the double backend each entry is one exact integer sum over the
+    binary value q = M/2^e, the signed tables (-1)^j [n j]_q q^{-n j}
+    against q^{s(s+1)/2} times q^{floor(r)}, r = (n(n-1) + m(m-1))/4,
+    all scaled to integers by known powers of M and 2^e. All of the
+    cancellation happens inside it (off-diagonal entries collapse to an
+    exact zero), leaving one rounding and the factors q^{frac(r)} and
     1/sqrt((q, q)_n (q, q)_m) in double. At explicit digits it measures
     the naive term-by-term sum of the B_n coefficients at that precision
     (that is the point of asking for a specific precision: the deviation
@@ -190,22 +226,16 @@ def indefinite_gram(ctx: QContext, nmax: int) -> GramReport:
     """
     size = nmax + 1
     if ctx.digits is None:
-        q = Fraction(ctx.q)
-        tables = [[(-1) ** j * b * q ** (-n * j) for j, b in enumerate(row)]
-                  for n, row in enumerate(qbinomial_triangle(q, nmax))]
-        sums = gram_contract(tables, _summed_kernel(q, size), tables)
-        poch = [float(qpochhammer(q, n)) for n in range(size)]
-        lnq = math.log(ctx.q)
-
-        def entry(n, m):
-            whole, rest = divmod(n * (n - 1) + m * (m - 1), 4)
-            return (float(sums[n][m] * q ** whole) * math.exp(lnq * (rest / 4))
-                    / math.sqrt(poch[n] * poch[m]))
-        matrix = [[entry(n, m) for m in range(size)] for n in range(size)]
+        matrix = _binary_twisted_gram(float(ctx.q), nmax)
     else:
         with ctx.prec():
-            tables = [[t.zeta * e for e in t.E]
-                      for t in (mac_coeffs(ctx, n) for n in range(size))]
+            ground = alpha(ctx)
+            poch = _pochhammer_prefix(ctx.q, nmax)
+            tables = []
+            for n in range(size):
+                zeta = (ground * ctx.qpow8(2 * n * (n - 1))
+                        / ctx.sqrt(poch[n]))
+                tables.append([zeta * e for e in _mac_E_closed(ctx, n)])
             overlap = overlap_scale(ctx)
             sums = gram_contract(tables,
                                  lattice_kernel(ctx, size, "parity_twisted"),

@@ -149,6 +149,15 @@ def test_verify_pass_and_report(tmp_path):
     assert data["result"]["passed"] is True
 
 
+def test_verify_sw_at_set_digits(tmp_path):
+    report = tmp_path / "sw.json"
+    proc = run_cli("verify", "--suite", "sw", "--digits", "20",
+                   "--out", str(report))
+    assert proc.returncode == 0, proc.stderr.decode()
+    data = json.loads(report.read_text())
+    assert data["result"]["passed"] is True
+
+
 def test_verify_poisson(tmp_path):
     proc = run_cli("verify", "--suite", "poisson", "--c", "1", cwd=tmp_path)
     assert proc.returncode == 0

@@ -45,10 +45,16 @@ def test_backends_agree_on_ragged_tables():
     as_float = gram_contract([[float(v) for v in r] for r in A],
                              [[float(v) for v in r] for r in K], B)
     exact = gram_contract(A, [[Fraction(v) for v in r] for r in K], B)
+    # products past 2^63, where a fixed-width integer product would wrap
+    big = 2 ** 40
+    as_int = gram_contract([[big * v for v in r] for r in A],
+                           [[big * v for v in r] for r in K], B)
     with mpmath.workdps(30):
         mp = gram_contract(A, [[mpmath.mpf(v) for v in r] for r in K], B)
     assert as_float == dense.tolist()
     assert exact == dense.tolist() and isinstance(exact[0][0], Fraction)
+    assert as_int == [[big * big * v for v in r] for r in dense.tolist()]
+    assert type(as_int[0][0]) is int
     assert mp == dense.tolist() and isinstance(mp[0][0], mpmath.mpf)
 
 

@@ -2,16 +2,20 @@
 and the indefinite Gram with its precision budget."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import qgauss as qg
 from qgauss import QContext
+from qgauss.chain import gram_contract, lattice_kernel, overlap_scale
 from qgauss.macfarlane import (
     coefficient_dynamic_range_digits,
     gram_term_budget,
     mac_auto_digits,
 )
+from qgauss.qnum import qbinomial_triangle, qpochhammer
 
 CTX = QContext(q=0.5)
 
@@ -87,6 +91,55 @@ class TestIndefiniteGram:
         # at 40 digits it must drop below double resolution
         report = qg.indefinite_gram(QContext(q=0.5, digits=40), 12)
         assert report.max_abs_deviation <= 1e-20
+
+
+def rational_twisted_gram(q: float, nmax: int) -> list:
+    """The double twisted Gram by exact rationals: the signed tables
+    (-1)^j [n j]_q q^{-n j} against q^{s(s+1)/2}, times q^{floor(e)},
+    rounded once by Fraction.__float__. No entry depends on nmax."""
+    x = Fraction(q)
+    size = nmax + 1
+    tables = [[(-1) ** j * b * x ** (-n * j) for j, b in enumerate(row)]
+              for n, row in enumerate(qbinomial_triangle(x, nmax))]
+    kernel = [[x ** ((j + k) * (j + k + 1) // 2) for k in range(size)]
+              for j in range(size)]
+    sums = gram_contract(tables, kernel, tables)
+    poch = [float(qpochhammer(x, n)) for n in range(size)]
+    lnq = math.log(q)
+
+    def entry(n, m):
+        whole, rest = divmod(n * (n - 1) + m * (m - 1), 4)
+        return (float(sums[n][m] * x ** whole) * math.exp(lnq * (rest / 4))
+                / math.sqrt(poch[n] * poch[m]))
+    return [[entry(n, m) for m in range(size)] for n in range(size)]
+
+
+@pytest.mark.parametrize("ctx", [
+    *(QContext(q=float(q))
+      for q in np.random.default_rng(5).uniform(0.05, 0.95, 3)),
+    QContext(q=0.5), QContext(q=0.9), QContext(c=0.7)], ids=repr)
+def test_double_gram_is_bit_identical_to_rational_sum(ctx):
+    nmax = 14
+    ref = rational_twisted_gram(float(ctx.q), nmax)
+    for size in range(1, nmax + 2):
+        matrix = qg.indefinite_gram(ctx, size - 1).matrix
+        assert matrix == [row[:size] for row in ref[:size]]
+        assert all(matrix[n][m] == 0.0 for n in range(size)
+                   for m in range(size) if n != m)
+
+
+@pytest.mark.parametrize("digits", [20, 40])
+def test_set_digits_gram_contracts_the_mac_coeffs_rows(digits):
+    ctx = QContext(q=0.37, digits=digits)
+    nmax = 8
+    with ctx.prec():
+        tables = [[t.zeta * e for e in t.E]
+                  for t in (qg.mac_coeffs(ctx, n) for n in range(nmax + 1))]
+        sums = gram_contract(tables,
+                             lattice_kernel(ctx, nmax + 1, "parity_twisted"),
+                             tables)
+        ref = [[(overlap_scale(ctx) * v).real for v in row] for row in sums]
+    assert qg.indefinite_gram(ctx, nmax).matrix == ref
 
 
 def test_exact_entry_agrees_with_mp_inner():

@@ -16,6 +16,14 @@ def test_every_suite_passes_at_defaults(suite):
     assert result.max_deviation <= result.tolerance
 
 
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
+def test_sw_suite_passes_at_set_digits(q):
+    # the bridge reference is evaluated point by point in the mp backend
+    result = qg.run_suite("sw", QContext(q=q, digits=20))
+    assert result.passed, result.failures[:3]
+    assert result.notes["bridge_dev"] <= 1e-11
+
+
 def test_unknown_suite():
     with pytest.raises(ValueError):
         qg.run_suite("fourier-gram")
