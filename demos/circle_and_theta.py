@@ -11,7 +11,8 @@ first, exactly in coefficient space for the second.
 import numpy as np
 
 import qgauss as qg
-from qgauss.circle import circle_mac_amplification, theta_truncation
+from qgauss.chain import gram_budget
+from qgauss.circle import MAC_TOL, circle_mac_magnitudes, theta_truncation
 
 # The resummation identity, checked pointwise on a theta grid for three
 # widths. Wide real-space Gaussians need few dual terms and vice versa.
@@ -41,15 +42,17 @@ print(f"largest relative deviation, n <= 5: "
 print()
 
 # Second circle relation: the parity-twisted analogue. Its integrand
-# oscillates with huge amplitude; the report notes say how many working
-# digits the evaluation chose once the roundoff amplification exceeds
-# what double can absorb.
+# oscillates with huge amplitude, so its sums cancel; the budget reads the
+# condition off the term mass and picks the working digits, and the notes
+# set the predicted floor next to the deviation reached.
 mac = qg.circle_gram_mac(ctx, nmax=5, quad_points=512)
 print("twisted circle Gram diagonal (target q^{-n(n-1)/2} (q,q)_n (-1)^n):")
 for n in range(6):
     print(f"  n = {n}: {float(mac.matrix[n][n]):+.6f}  "
           f"(target {float(mac.target[n][n]):+.6f})")
-print(f"roundoff amplification at n = 5: "
-      f"{circle_mac_amplification(0.5, 5):.3e}")
-print(f"working digits chosen: {mac.notes['working_digits']}")
+log_condition, digits, floor = gram_budget(
+    *circle_mac_magnitudes(0.5, 5), MAC_TOL)
+print(f"condition of the sums at n <= 5: 1e{log_condition:.1f}")
+print(f"working digits chosen: {digits} (report: "
+      f"{mac.notes['working_digits']}), predicted floor {floor:.1e}")
 print(f"largest relative deviation: {float(mac.max_relative_deviation()):.3e}")

@@ -6,13 +6,13 @@ huge terms down to numbers of size one. A naive floating-point sum
 therefore loses a digit for every digit of coefficient growth. The
 library sidesteps this in double precision by taking each overlap as an
 exact integer sum over the binary value q = M/2^e, rounded once, and
-offers an explicit-precision backend whose working digits you can budget
-in advance.
+offers an explicit-precision backend whose working digits one budget,
+read off the contraction's own term mass, picks in advance.
 """
 
 import qgauss as qg
-from qgauss.macfarlane import (coefficient_dynamic_range_digits,
-                               gram_term_budget, mac_auto_digits)
+from qgauss.chain import gram_budget
+from qgauss.macfarlane import twisted_gram_magnitudes
 
 ctx = qg.QContext(q=0.5)
 
@@ -25,27 +25,31 @@ print(f"deviation from the alternating identity: "
 print()
 
 # The same in a regime where naive summation visibly fails: at q = 0.9
-# the largest intermediate term is ~4e7, so a float sum floors near
-# 2e-7. The exact integer sum over the binary value q = M/2^e still
+# the entries cancel a term mass of ~2e9, so a float sum floors near
+# 3e-7. The exact integer sum over the binary value q = M/2^e still
 # returns zero deviation.
 wide = qg.indefinite_gram(qg.QContext(q=0.9), nmax=10)
 print(f"q = 0.9, n <= 10 deviation (exact-rational path): "
       f"{float(wide.max_abs_deviation):.3e}")
+log_condition, _, _ = gram_budget(*twisted_gram_magnitudes(0.9, 10), 1e-8)
 print(f"term mass a naive sum would have to cancel: "
-      f"{gram_term_budget(0.9, 10):.3e}")
+      f"{10 ** log_condition:.3e}")
 print()
 
 # With an explicit digit count the library uses a plain multiprecision
-# sum instead, so the budget arithmetic becomes visible: 8 digits are
-# hopeless at n <= 12, 40 digits are plenty.
+# sum instead, so the budget becomes visible: the condition (largest term
+# mass over the entry's size) times the roundoff per operation and the
+# term count predicts the floor each digit count reaches.
+magnitudes = twisted_gram_magnitudes(0.5, 12)
+log_condition, suggested, _ = gram_budget(*magnitudes, 1e-20)
 print("explicit-precision backend at q = 0.5, n <= 12:")
-print(f"  coefficient dynamic range: "
-      f"{coefficient_dynamic_range_digits(0.5, 12):.1f} digits")
+print(f"  condition of the Gram sums: 1e{log_condition:.1f}")
 for digits in (8, 40):
     rep = qg.indefinite_gram(qg.QContext(q=0.5, digits=digits), nmax=12)
-    print(f"  digits = {digits:2d}: deviation {float(rep.max_abs_deviation):.3e}")
-suggested = mac_auto_digits(0.5, 12, 1e-20)
-print(f"  digits needed for 1e-20 by the budget model: {suggested}")
+    floor = gram_budget(*magnitudes, 1e-20, digits)[2]
+    print(f"  digits = {digits:2d}: deviation "
+          f"{float(rep.max_abs_deviation):.3e}, predicted floor {floor:.1e}")
+print(f"  digits the budget picks for 1e-20 with 12 to spare: {suggested}")
 print()
 
 # The verification suite wires the same logic behind one call.

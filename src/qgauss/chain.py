@@ -13,6 +13,7 @@ to an exact Fraction. Only the coefficients are inexact.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .context import QContext, as_lattice_shift, conj, magnitude
+from .context import (GUARD_DIGITS, QContext, as_lattice_shift, conj,
+                      magnitude)
 
 LADDER_KINDS = ("arik_lower", "arik_raise", "mac_lower", "mac_raise")
 
@@ -350,6 +352,49 @@ def gram_contract(A, K, B) -> list:
 
 def _dense(rows, width: int) -> np.ndarray:
     return np.array([np.pad(np.asarray(r), (0, width - len(r))) for r in rows])
+
+
+# Digits between gram_budget's predicted floor and the tolerance, the
+# GUARD_DIGITS that QContext.prec() adds among them.
+BUDGET_GUARD_DIGITS = 12
+
+
+def gram_budget(log_rows, log_kernel, log_scale, tol: float,
+                digits: int | None = None) -> tuple:
+    """The precision a Gram A K A^T needs, read off its own term mass.
+
+    Takes log10 |A[n][j]| (ragged rows end in zeros), log10 |K[j][k]| and
+    log10 of each row's scale; entry (n, m) has condition (|A||K||A|^T)[n][m]
+    over scale[n] scale[m], and roundoff u on its t = size^2 terms floors
+    its deviation near gamma_t = t u times that (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 4). Logs keep it finite
+    far past the double range. Returns (log10 condition, digits, floor):
+    digits as given or, when None, the fewest whose floor at u =
+    10^-(digits + GUARD_DIGITS) sits BUDGET_GUARD_DIGITS under tol; floor
+    at those digits and mpmath's own u, None past the double range.
+    """
+    K = np.asarray(log_kernel, dtype=float)
+    A = np.full((len(log_rows), K.shape[0]), -np.inf)
+    for n, row in enumerate(log_rows):
+        A[n, :len(row)] = row
+    scale = np.asarray(log_scale, dtype=float)
+    mass = _log10_product(_log10_product(A, K), A.T)
+    log_condition = float((mass - scale[:, None] - scale).max())
+    log_terms = 2 * math.log10(K.shape[0])
+    if digits is None:
+        digits = math.ceil(log_condition + log_terms - math.log10(tol)
+                           + BUDGET_GUARD_DIGITS) - GUARD_DIGITS
+    log_floor = log_condition + log_terms - math.log10(2) * \
+        mpmath.libmp.dps_to_prec(digits + GUARD_DIGITS)
+    return log_condition, digits, 10.0 ** log_floor if log_floor < 308 else None
+
+
+def _log10_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """log10(10^X @ 10^Y), each sum scaled by its largest term."""
+    terms = X[:, :, None] + Y[None, :, :]
+    top = terms.max(axis=1)
+    scaled = np.exp((terms - top[:, None, :]) * math.log(10.0))
+    return top + np.log10(scaled.sum(axis=1))
 
 
 def product_daughters(f: GaussianChain, g: GaussianChain) -> DaughterChain:

@@ -7,8 +7,9 @@ second oscillator produces).
 Both circle Grams apply the N-node equispaced rule: the classical one on
 the nodes in double, F diag(theta_3) S^T / N, independent of the real-line
 overlaps it is compared with; the degree-indexed one exactly in coefficient
-space, one Hankel-kernel contraction at the working precision its
-cancellation needs, with N still setting the rule's aliasing.
+space, one Hankel-kernel contraction at the working precision that
+chain.gram_budget reads off its term mass, with N still setting the
+rule's aliasing.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import numpy as np
 
 from .context import GUARD_DIGITS, QContext
 from .qnum import horner, qbinomial_row, qbinomial_triangle, qpochhammer
-from .chain import gram_contract, overlap_scale
+from .chain import gram_budget, gram_contract, overlap_scale
 from .dg import dg_norm, gram_phi
+from .macfarlane import twisted_gram_magnitudes
 from .report import GramReport
 
 
@@ -120,52 +122,26 @@ def _gram_truncation(q: float, nmax: int) -> int:
     return max(theta_truncation(q, 1e-16), 2 * nmax + 1)
 
 
-def _circle_mac_budget(q: float, nmax: int) -> tuple:
-    """(digits, amplification): the digits (None for double) that put the
-    integrand bound max_n |H_n|_max^2 theta_3(0) below 1e-12 and the entry
-    bound amplification over sqrt(|T_nn T_mm|) below 1e-9. The bounds are
-    taken in log10, where they stay finite for every degree; an
-    amplification past the double range is reported as inf."""
-    lq = math.log10(q)
-    log_theta0 = math.log10(
-        1.0 + 2.0 * sum(q ** (m * m / 2.0)
-                        for m in range(1, theta_truncation(q, 1e-16) + 1)))
-    log_bound = [_log10_sum([math.log10(b) - (n - 0.5) * k * lq
-                             for k, b in enumerate(qbinomial_row(q, n))])
-                 for n in range(nmax + 1)]
-    # log10 of the amplification's per-degree factor |H_n|_max / sqrt(|T_nn|)
-    log_ratio = [log_bound[n] + (n * (n - 1) / 4.0) * lq
-                 - 0.5 * math.log10(qpochhammer(q, n)) for n in range(nmax + 1)]
-    log_amp = 2.0 * max(log_ratio) + log_theta0
-    digits = math.ceil(max(2.0 * max(log_bound) + log_theta0 + 13.0,
-                           log_amp + 9.0)) + 1
-    amplification = 10.0 ** log_amp if log_amp < 308.0 else math.inf
-    return (None if digits <= 15 else digits), amplification
+# Relative tolerance of the degree-indexed relation; circle_gram_mac
+# budgets its working precision against it.
+MAC_TOL = 1e-8
 
 
-def _log10_sum(logs: list) -> float:
-    """log10 of sum 10^x over logs, scaled by the largest term."""
-    top = max(logs)
-    return top + math.log10(sum(10.0 ** (x - top) for x in logs))
-
-
-def circle_mac_amplification(q: float, nmax: int) -> float:
-    """Worst-case roundoff amplification of the degree-indexed circle
-    Gram: max over entries of |integrand|_max / sqrt(|T_nn T_mm|).
-
-    The factor H_n(-q^{-(n-1/2)} e^{i2pi theta}) reaches
-    sum_k C^n_k q^{-(n-1/2)k} in magnitude, while the integral collapses
-    to the much smaller q^{-n(n-1)/2}(q,q)_n, so the sum (nodes or
-    coefficients, every kernel entry being at most theta_3(0)) cancels by
-    up to this ratio and loses the matching number of digits."""
-    return _circle_mac_budget(q, nmax)[1]
-
-
-def circle_mac_auto_digits(q: float, nmax: int) -> int | None:
-    """Working precision for circle_gram_mac when the context leaves it
-    unspecified: enough digits that the roundoff floor sits below 1e-12
-    absolute and 1e-9 relative. None when double precision already does."""
-    return _circle_mac_budget(q, nmax)[0]
+def circle_mac_magnitudes(q: float, nmax: int, points: int = 512,
+                          conjugate_first: bool = False) -> tuple:
+    """The degree-indexed Gram's magnitudes for chain.gram_budget. Its rows
+    C^n_k q^{-(n-1/2)k} over the scale sqrt(q^{-n(n-1)/2} (q, q)_n) are the
+    twisted Gram's rows, so only the kernel differs: log10 of the aliased
+    theta kernel, each residue class of q^{m^2/2} summed in logs."""
+    rows, _, scale = twisted_gram_magnitudes(q, nmax)
+    truncation = _gram_truncation(q, nmax)
+    m = np.arange(-truncation, truncation + 1)
+    fold = np.full(points, -np.inf)
+    np.logaddexp.at(fold, m % points, m * m / 2.0 * math.log(q))
+    fold = (fold / math.log(10.0)).tolist()
+    sign = -1 if conjugate_first else 1
+    return rows, [[fold[-(j + sign * k) % points] for k in range(nmax + 1)]
+                  for j in range(nmax + 1)], scale
 
 
 def _aliased_theta_kernel(work: QContext, size: int, points: int,
@@ -236,13 +212,16 @@ def circle_gram_mac(ctx: QContext, nmax: int, quad_points: int = 512,
     The quad_points-node rule is evaluated exactly in coefficient space as
     A K A^T, A[n][k] = C^n_k (-q^{-(n-1/2)})^k, K the Hankel kernel
     q^{(j+k)^2/2} (Toeplitz with conjugate_first) aliased as the rule is.
-    It cancels by up to circle_mac_amplification, so a context without
-    digits runs at circle_mac_auto_digits; all inputs carry those digits.
+    It cancels by the condition chain.gram_budget reads off
+    circle_mac_magnitudes, so a context without digits runs at the digits
+    that budget picks for MAC_TOL; all inputs carry those digits. The notes
+    give the log10 condition and the predicted relative deviation floor.
     """
     _check_points(quad_points)
     q = float(ctx.q)
-    auto, amplification = _circle_mac_budget(q, nmax)
-    digits = auto if ctx.digits is None else ctx.digits
+    log_condition, digits, floor = gram_budget(
+        *circle_mac_magnitudes(q, nmax, quad_points, conjugate_first),
+        MAC_TOL, ctx.digits)
     work = ctx.with_digits(digits)
     with work.prec():
         wq = work.q
@@ -256,11 +235,9 @@ def circle_gram_mac(ctx: QContext, nmax: int, quad_points: int = 512,
         target = [[wq ** (-n * (n - 1) // 2) * qpochhammer(wq, n) * (-1) ** n
                    if n == m else 0 * wq for m in range(nmax + 1)]
                   for n in range(nmax + 1)]
-    # an amplification past the double range is noted as None (JSON null)
     notes = {"family": "circle-mac", "points": quad_points,
              "conjugate_first": conjugate_first, "working_digits": digits,
-             "amplification": (amplification if math.isfinite(amplification)
-                               else None)}
+             "log10_condition": round(log_condition, 2), "floor": floor}
     return GramReport(labels=list(range(nmax + 1)), matrix=matrix, target=target,
                       precision_digits=digits, notes=notes)
 

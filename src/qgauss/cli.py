@@ -253,12 +253,12 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         args.suite, ctx=ctx, nmax=cfg.nmax, points=cfg.points, seed=cfg.seed,
         count=cfg.count, nweights=cfg.nweights, c=float(ctx.c),
         conjugate_first=args.conjugate_first, digits=cfg.digits)
-    out = cfg.out or f"verify_{args.suite}.json"
     _emit_json({"command": "verify", "config": cfg.echo(),
-                "result": result.to_dict()}, out)
+                "result": result.to_dict()}, cfg.out)
     status = "PASS" if result.passed else "FAIL"
     print(f"{args.suite}: {status} max_deviation={result.max_deviation:.3e} "
-          f"tolerance={result.tolerance:g} report={out}")
+          f"tolerance={result.tolerance:g} report={cfg.out or 'stdout'}",
+          file=sys.stdout if cfg.out else sys.stderr)
     return 0 if result.passed else 1
 
 
@@ -354,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--conjugate-first", action="store_true")
     _add_scale(sp)
     sp.add_argument("--out", default=None,
-                    help="report path (default verify_<suite>.json)")
+                    help="report path; the summary line then goes to "
+                         "stdout (default: report to stdout, summary to "
+                         "stderr)")
 
     return p
 

@@ -285,13 +285,23 @@ def stieltjes_wigert(ctx: QContext, n: int, s) -> SWPolynomial:
 
 
 def sw_u_of_x(ctx: QContext, x):
-    """The substitution u = q^{-2x}."""
+    """The substitution u = q^{-2x}, in double on a numpy grid (the
+    quadrature stage)."""
     return np.exp(-2.0 * float(ctx.ln_q) * np.asarray(x, dtype=float))
 
 
 def sw_u_form(poly: SWPolynomial, x):
-    """q^{x^2} u^s P_n(u; s) at u = q^{-2x}; equals Phi_n(x - s) pointwise."""
+    """q^{x^2} u^s P_n(u; s) at u = q^{-2x}; equals Phi_n(x - s) pointwise.
+
+    In double x may be a numpy grid; in a high-precision backend it is one
+    scalar point, evaluated in the context's type."""
     ctx = poly.ctx
+    if ctx.is_mp:
+        with ctx.prec():
+            x = ctx.make(x)
+            s = ctx.make(poly.s.numerator) / poly.s.denominator
+            u = ctx.exp(-2 * ctx.ln_q * x)
+            return ctx.exp(ctx.ln_q * (x * x - 2 * s * x)) * poly(u)
     xs = np.asarray(x, dtype=float)
     lnq = float(ctx.ln_q)
     u = np.exp(-2.0 * lnq * xs)
@@ -301,7 +311,8 @@ def sw_u_form(poly: SWPolynomial, x):
 
 
 def sw_weight(ctx: QContext, s, x):
-    """W(u(x)) = e^{-(ln u)^2 / (-2 ln q)} u^{2s-1} = q^{2x^2} q^{-2x(2s-1)}."""
+    """W(u(x)) = e^{-(ln u)^2 / (-2 ln q)} u^{2s-1} = q^{2x^2} q^{-2x(2s-1)},
+    in double on a numpy grid (the quadrature stage)."""
     xs = np.asarray(x, dtype=float)
     lnq = float(ctx.ln_q)
     vals = np.exp(lnq * (2.0 * xs * xs - 2.0 * (2.0 * float(s) - 1.0) * xs))
@@ -312,16 +323,22 @@ def sw_bridge_residual(ctx: QContext, n: int, s, xs=None,
                        rel_floor: float = 0.01) -> float:
     """Largest relative pointwise gap between the u-form and Phi_n(x - s)
     over xs, skipping points where Phi_n(x - s) is below rel_floor times
-    its largest sampled magnitude (the ratio is meaningless at a zero)."""
+    its largest sampled magnitude (the ratio is meaningless at a zero).
+    In a high-precision backend both sides are evaluated point by point
+    in the context's type."""
     if xs is None:
         xs = np.linspace(-2.0, n + 2.0, 81)
     xs = np.asarray(xs, dtype=float)
     poly = stieltjes_wigert(ctx, n, s)
     chain = shift(build_Phi(ctx, n), -Fraction(s))
-    if ctx.is_mp:  # the mpmath evaluate takes one scalar point
-        reference = np.array([float(evaluate(chain, x).real) for x in xs])
-    else:
-        reference = np.real(evaluate(chain, xs))
+    if ctx.is_mp:
+        with ctx.prec():
+            pairs = [(sw_u_form(poly, x), evaluate(chain, ctx.make(x)).real)
+                     for x in xs]
+            top = max(abs(ref) for _, ref in pairs)
+            return float(max(abs(u - ref) / abs(ref) for u, ref in pairs
+                             if abs(ref) >= rel_floor * top))
+    reference = np.real(evaluate(chain, xs))
     u_side = np.asarray(sw_u_form(poly, xs), dtype=float)
     keep = np.abs(reference) >= rel_floor * np.abs(reference).max()
     return float(np.max(np.abs(u_side[keep] - reference[keep])

@@ -5,8 +5,8 @@ pairing).
 Same integer-center Gaussians as the first oscillator, but rapidly
 growing coefficients and an indefinite normalization (B_n, B_n) = (-1)^n:
 the double Gram takes each entry as one exact integer sum over the binary
-value q = M/2^e, and a Gram at set digits carries an explicit precision
-budget.
+value q = M/2^e, and a Gram at set digits runs at the precision that
+chain.gram_budget reads off its term mass.
 """
 
 from __future__ import annotations
@@ -130,39 +130,19 @@ def number_operator_check(ctx: QContext, n: int) -> float:
         return relative_coeff_distance(applied, scale(b_n, lam))
 
 
-def coefficient_dynamic_range_digits(q: float, nmax: int) -> float:
-    """Decimal digits spanned by the B_n coefficient table up to nmax,
-    log10 of q^{-3 n(n-1)/4}. The crude worst-case budget."""
-    return 0.75 * nmax * (nmax - 1) * math.log10(1.0 / float(q))
-
-
-def gram_term_budget(q: float, nmax: int) -> float:
-    """Largest sum of absolute term magnitudes appearing in any Gram
-    entry, the quantity that actually bounds roundoff in the twisted
-    overlaps. Each (n, m) entry is a double sum whose (j, k) term has
-    magnitude C_j C_k q^{e} with a bounded exponent, so the budget stays
-    modest even when the raw coefficients span many decades. The unsigned
-    tables carry the row scales q^{n(n-1)/4} / sqrt((q, q)_n) and the
-    factors q^{j(j+1)/2} of the kernel q^{s(s+1)/2}, which leaves q^{jk}:
-    every factor then stays within q^{+-n^2/4}, inside the double range."""
-    q = float(q)
-    tables = [[b * q ** (n * (n - 1) / 4 - n * j + j * (j + 1) / 2)
-               / math.sqrt(qpochhammer(q, n)) for j, b in enumerate(row)]
-              for n, row in enumerate(qbinomial_triangle(q, nmax))]
-    kernel = [[q ** (j * k) for k in range(nmax + 1)] for j in range(nmax + 1)]
-    return max(max(row) for row in gram_contract(tables, kernel, tables))
-
-
-def mac_auto_digits(q: float, nmax: int, tol: float) -> int | None:
-    """Pick a working precision for the indefinite Gram at tolerance tol
-    from the dynamic-range budget: enough digits that (coefficient span)
-    times unit roundoff sits under tol. Returns None when double
-    precision already suffices."""
-    span = coefficient_dynamic_range_digits(q, nmax)
-    needed = span + math.log10(1.0 / tol) + 2.0
-    if needed <= 15.0:
-        return None
-    return int(math.ceil(needed))
+def twisted_gram_magnitudes(q: float, nmax: int) -> tuple:
+    """The twisted Gram's magnitudes for chain.gram_budget: log10 of the
+    tables |zeta_n E^n_j| = [n j]_q q^{n(n-1)/4 + j/2 - n j} / sqrt((q, q)_n)
+    and of the kernel q^{(j+k)^2/2} (the overlap sqrt(pi/2c^2) cancels the
+    alpha^2 in zeta_n zeta_m), each entry against the unit target."""
+    lq = math.log10(q)
+    poch = _pochhammer_prefix(q, nmax)
+    rows = [[math.log10(b) + (n * (n - 1) / 4 + j / 2 - n * j) * lq
+             - 0.5 * math.log10(poch[n]) for j, b in enumerate(row)]
+            for n, row in enumerate(qbinomial_triangle(q, nmax))]
+    kernel = [[(j + k) ** 2 / 2 * lq for k in range(nmax + 1)]
+              for j in range(nmax + 1)]
+    return rows, kernel, [0.0] * (nmax + 1)
 
 
 def _binary_twisted_gram(q: float, nmax: int) -> list:
@@ -222,7 +202,8 @@ def indefinite_gram(ctx: QContext, nmax: int) -> GramReport:
     (that is the point of asking for a specific precision: the deviation
     exposes the budget), keeping entries in the backend's own type so the
     deviation can be recomputed below double resolution. Notes carry the
-    alternating-sign check and both precision budget figures.
+    alternating-sign check; the mac-gram suite adds the precision budget
+    (twisted_gram_magnitudes through chain.gram_budget).
     """
     size = nmax + 1
     if ctx.digits is None:
@@ -244,15 +225,9 @@ def indefinite_gram(ctx: QContext, nmax: int) -> GramReport:
     target = [[(-1) ** i if i == j else 0 for j in range(size)]
               for i in range(size)]
     signs_ok = all((matrix[i][i] > 0) == (i % 2 == 0) for i in range(size))
-    notes = {
-        "family": "mac",
-        "sign_alternation_ok": signs_ok,
-        "coefficient_dynamic_range_digits":
-            round(coefficient_dynamic_range_digits(float(ctx.q), nmax), 2),
-        "gram_term_budget": float(gram_term_budget(float(ctx.q), nmax)),
-    }
     return GramReport(labels=list(range(size)), matrix=matrix, target=target,
-                      precision_digits=ctx.digits, notes=notes)
+                      precision_digits=ctx.digits,
+                      notes={"family": "mac", "sign_alternation_ok": signs_ok})
 
 
 def mac_limit_ratio_curve(n: int, c: float, pts: np.ndarray) -> np.ndarray:

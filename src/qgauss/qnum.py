@@ -3,34 +3,17 @@ the eigenvalue sequences of the two oscillator realizations.
 
 All functions are pure and compute in the type of ``q``: a float gives
 doubles, an mpmath mpf gives mpf at the ambient precision (callers install
-it with ``QContext.prec()``), and a ``Fraction`` gives exact rationals. The
-optional ``digits`` argument instead converts ``q`` to mpf and computes
-with that many decimal digits plus the guard digits.
+it with ``QContext.prec()``), and a ``Fraction`` gives exact rationals.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
-
-import mpmath
-
-from .context import GUARD_DIGITS
 
 
 def _check_q(q):
     if not 0 < q < 1:
         raise ValueError(f"q must lie in (0, 1), got {q}")
-
-
-def _workprec(digits):
-    if digits is None:
-        return nullcontext()
-    return mpmath.workdps(digits + GUARD_DIGITS)
-
-
-def _as_base(q, digits):
-    return q if digits is None else mpmath.mpf(q)
 
 
 def _pochhammer_prefix(qq, n: int) -> list:
@@ -43,7 +26,7 @@ def _pochhammer_prefix(qq, n: int) -> list:
     return out
 
 
-def qpochhammer(q, n: int, digits: int | None = None):
+def qpochhammer(q, n: int):
     """The finite product (q, q)_n = (1-q)(1-q^2)...(1-q^n).
 
     Returns 1 for n = 0. Strictly positive for q in (0, 1).
@@ -51,11 +34,10 @@ def qpochhammer(q, n: int, digits: int | None = None):
     _check_q(q)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    with _workprec(digits):
-        return _pochhammer_prefix(_as_base(q, digits), n)[n]
+    return _pochhammer_prefix(q, n)[n]
 
 
-def qbinomial(q, n: int, k: int, digits: int | None = None):
+def qbinomial(q, n: int, k: int):
     """Gaussian binomial coefficient (q,q)_n / ((q,q)_k (q,q)_{n-k}).
 
     Out-of-range k (k < 0 or k > n) returns 0, matching the boundary
@@ -66,22 +48,21 @@ def qbinomial(q, n: int, k: int, digits: int | None = None):
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if k < 0 or k > n:
-        return _as_base(q, digits) * 0
-    return qbinomial_row(q, n, digits)[k]
+        return q * 0
+    return qbinomial_row(q, n)[k]
 
 
-def qbinomial_row(q, n: int, digits: int | None = None) -> list:
+def qbinomial_row(q, n: int) -> list:
     """[qbinomial(q, n, k) for k = 0..n], bit for bit, from one run of
     Pochhammer partial products instead of three products per entry."""
     _check_q(q)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    with _workprec(digits):
-        poch = _pochhammer_prefix(_as_base(q, digits), n)
-        return [poch[n] / (poch[k] * poch[n - k]) for k in range(n + 1)]
+    poch = _pochhammer_prefix(q, n)
+    return [poch[n] / (poch[k] * poch[n - k]) for k in range(n + 1)]
 
 
-def qbinomial_triangle(q, nmax: int, digits: int | None = None):
+def qbinomial_triangle(q, nmax: int):
     """All rows D_k^n for n = 0..nmax via D_k^{n+1} = q^k D_k^n + D_{k-1}^n.
 
     Returns a list of lists, row n having n+1 entries. Every term in the
@@ -91,47 +72,41 @@ def qbinomial_triangle(q, nmax: int, digits: int | None = None):
     _check_q(q)
     if nmax < 0:
         raise ValueError(f"nmax must be nonnegative, got {nmax}")
-    with _workprec(digits):
-        qq = _as_base(q, digits)
-        one = qq / qq
-        rows = [[one]]
-        qpowers = [one]
-        for n in range(nmax):
-            prev = rows[-1]
-            qpowers.append(qpowers[-1] * qq)
-            nxt = []
-            for k in range(n + 2):
-                left = qpowers[k] * prev[k] if k <= n else 0
-                up = prev[k - 1] if k >= 1 else 0
-                nxt.append(left + up)
-            rows.append(nxt)
-        return rows
+    one = q / q
+    rows = [[one]]
+    qpowers = [one]
+    for n in range(nmax):
+        prev = rows[-1]
+        qpowers.append(qpowers[-1] * q)
+        nxt = []
+        for k in range(n + 2):
+            left = qpowers[k] * prev[k] if k <= n else 0
+            up = prev[k - 1] if k >= 1 else 0
+            nxt.append(left + up)
+        rows.append(nxt)
+    return rows
 
 
-def arik_coon_eigenvalue(q, n: int, digits: int | None = None):
+def arik_coon_eigenvalue(q, n: int):
     """Number-operator eigenvalue (1 - q^n)/(1 - q); zero at n = 0."""
     _check_q(q)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    with _workprec(digits):
-        qq = _as_base(q, digits)
-        return (1 - qq ** n) / (1 - qq)
+    return (1 - q ** n) / (1 - q)
 
 
-def arik_coon_eigenvalues_by_recursion(q, count: int, digits: int | None = None):
+def arik_coon_eigenvalues_by_recursion(q, count: int):
     """First ``count`` eigenvalues from lambda_{n+1} = q lambda_n + 1."""
     _check_q(q)
-    with _workprec(digits):
-        qq = _as_base(q, digits)
-        lam = qq * 0
-        out = [lam]
-        for _ in range(count - 1):
-            lam = qq * lam + 1
-            out.append(lam)
-        return out
+    lam = q * 0
+    out = [lam]
+    for _ in range(count - 1):
+        lam = q * lam + 1
+        out.append(lam)
+    return out
 
 
-def macfarlane_eigenvalue(q, n: int, digits: int | None = None):
+def macfarlane_eigenvalue(q, n: int):
     """Number-operator eigenvalue -q^{-n} (1 - q^n)/(1 - q).
 
     Nonpositive for every n, strictly decreasing in n.
@@ -139,22 +114,18 @@ def macfarlane_eigenvalue(q, n: int, digits: int | None = None):
     _check_q(q)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    with _workprec(digits):
-        qq = _as_base(q, digits)
-        return -(qq ** (-n)) * (1 - qq ** n) / (1 - qq)
+    return -(q ** (-n)) * (1 - q ** n) / (1 - q)
 
 
-def macfarlane_eigenvalues_by_recursion(q, count: int, digits: int | None = None):
+def macfarlane_eigenvalues_by_recursion(q, count: int):
     """First ``count`` eigenvalues from q lambda_{n+1} = lambda_n - 1."""
     _check_q(q)
-    with _workprec(digits):
-        qq = _as_base(q, digits)
-        lam = qq * 0
-        out = [lam]
-        for _ in range(count - 1):
-            lam = (lam - 1) / qq
-            out.append(lam)
-        return out
+    lam = q * 0
+    out = [lam]
+    for _ in range(count - 1):
+        lam = (lam - 1) / q
+        out.append(lam)
+    return out
 
 
 def horner(coeffs, z):

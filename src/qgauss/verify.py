@@ -16,7 +16,8 @@ import numpy as np
 from .context import QContext
 from .qnum import macfarlane_eigenvalue
 from .chain import (GaussianChain, apply_ladder, arik_lower, arik_raise,
-                    evaluate, mac_lower, mac_raise, scale, subtract)
+                    evaluate, gram_budget, mac_lower, mac_raise, scale,
+                    subtract)
 from . import circle as circle_mod
 from . import dg as dg_mod
 from . import macfarlane as mac_mod
@@ -66,29 +67,27 @@ def suite_dg_gram(ctx: QContext, nmax: int = 12) -> SuiteResult:
 
 
 def suite_mac_gram(ctx: QContext, nmax: int = 5) -> SuiteResult:
+    """The twisted Gram at the digits chain.gram_budget picks for tol, or
+    at the context's own; the notes set the predicted floor at those
+    digits next to the deviation reached, and explain a failure."""
     tol = 1e-8 if nmax <= 10 else 1e-20
-    auto = None
-    if ctx.digits is None:
-        auto = mac_mod.mac_auto_digits(float(ctx.q), nmax, tol)
-        if auto is not None:
-            ctx = ctx.with_digits(auto)
+    log_condition, digits, floor = gram_budget(
+        *mac_mod.twisted_gram_magnitudes(float(ctx.q), nmax), tol, ctx.digits)
+    auto = digits if ctx.digits is None else None
+    ctx = ctx.with_digits(auto) if auto else ctx
     report = mac_mod.indefinite_gram(ctx, nmax)
-    notes = dict(report.notes)
-    notes["auto_digits"] = auto
+    notes = {**report.notes, "auto_digits": auto,
+             "log10_condition": round(log_condition, 2), "floor": floor}
     result = _gram_suite("mac-gram", report, tol,
-                         {"q": float(ctx.q), "nmax": nmax, "digits": ctx.digits},
+                         {"q": float(ctx.q), "nmax": nmax, "digits": digits},
                          notes=notes)
     if not result.passed:
-        budget = notes["gram_term_budget"]
-        working = 15 if ctx.digits is None else ctx.digits + 10
-        achievable = budget * 10.0 ** (1 - working)
+        near = "past the double range" if floor is None else f"near {floor:.1e}"
         notes["precision_analysis"] = (
-            f"Gram sums carry absolute term mass ~{budget:.2e}; at "
-            f"{working} working digits roundoff floors the deviation near "
-            f"{achievable:.1e}, above the {tol:g} tolerance. Raise --digits "
-            f"until that floor clears the tolerance (the raw coefficient "
-            f"span is {notes['coefficient_dynamic_range_digits']} decimal "
-            f"digits, but only the term mass limits the overlap sums).")
+            f"The Gram sums cancel terms up to 1e{log_condition:.1f} times "
+            f"their result; at {digits} digits roundoff floors the deviation "
+            f"{near}, and it reached {result.max_deviation:.1e} against the "
+            f"{tol:g} tolerance. Leave --digits unset for the budget's choice.")
     return result
 
 
@@ -170,7 +169,7 @@ def suite_circle_dg(ctx: QContext, nmax: int = 8,
 def suite_circle_mac(ctx: QContext, nmax: int = 5, points: int = 512,
                      conjugate_first: bool = False) -> SuiteResult:
     report = circle_mod.circle_gram_mac(ctx, nmax, points, conjugate_first)
-    return _gram_suite("circle-mac", report, 1e-8,
+    return _gram_suite("circle-mac", report, circle_mod.MAC_TOL,
                        {"q": float(ctx.q), "nmax": nmax, "points": points,
                         "conjugate_first": conjugate_first}, relative=True)
 
@@ -277,8 +276,9 @@ def suite_sumrule(ctx: QContext, nmax: int = 10) -> SuiteResult:
     worst = 0.0
     for n, row in enumerate(dg_mod.daughter_sum_rules(ctx, nmax)):
         for m, val in enumerate(row):
-            gap = abs(float(val.real) - (1.0 if n == m else 0.0))
-            gap = max(gap, abs(float(val.imag)))
+            with ctx.prec():  # the gap in the backend's own type
+                gap = float(max(abs(val.real - (1 if n == m else 0)),
+                                abs(val.imag)))
             worst = max(worst, gap)
             if gap > tol:
                 failures.append([n, m, float(gap)])
@@ -315,13 +315,14 @@ def suite_sw(ctx: QContext, nmax: int = 6, s=0.5) -> SuiteResult:
         quad_worst = max(quad_worst, gap)
         if gap > 1e-9:
             failures.append(["quadrature", n, m, gap])
+    notes = {"bridge_dev": worst_bridge, "orthogonality_dev": float(orth),
+             "quadrature_dev": quad_worst}
+    if ctx.is_mp:  # the quadrature cross-check runs on a double grid
+        notes["double_stages"] = ["quadrature"]
     return SuiteResult("sw", not failures, orth_tol, max(orth, quad_worst),
                        params={"q": float(ctx.q), "nmax": nmax,
                                "s": float(s)},
-                       failures=failures,
-                       notes={"bridge_dev": worst_bridge,
-                              "orthogonality_dev": float(orth),
-                              "quadrature_dev": quad_worst})
+                       failures=failures, notes=notes)
 
 
 _REGISTRY = {"dg-gram": suite_dg_gram, "mac-gram": suite_mac_gram,

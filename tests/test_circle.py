@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 import qgauss as qg
 from qgauss import QContext
 from qgauss import circle
+from qgauss.chain import gram_budget
 from qgauss.circle import (
+    MAC_TOL,
     _circle_trapezoid,
     _gram_truncation,
-    circle_mac_amplification,
-    circle_mac_auto_digits,
+    circle_mac_magnitudes,
     theta_tail_probe,
     theta_truncation,
 )
@@ -110,8 +112,8 @@ class TestCircleGramMac:
 
     def test_precision_is_raised_automatically(self):
         rep = qg.circle_gram_mac(QContext(q=0.5), 5)
-        assert rep.precision_digits == circle_mac_auto_digits(0.5, 5)
-        assert rep.notes["amplification"] > 1e6
+        assert rep.precision_digits == budget(0.5, 5)[1]
+        assert rep.notes["log10_condition"] > 2
         worst = max(abs(float(rep.matrix[n][m]) - float(rep.target[n][m]))
                     for n in range(6) for m in range(6))
         assert worst <= 1e-10
@@ -129,23 +131,24 @@ class TestCircleGramMac:
 
     def test_budget_is_evaluated_once(self, monkeypatch):
         calls = []
-        budget = circle._circle_mac_budget
 
-        def counted(q, nmax):
-            calls.append((q, nmax))
-            return budget(q, nmax)
+        def counted(*args):
+            calls.append(args[-2:])
+            return gram_budget(*args)
 
-        monkeypatch.setattr(circle, "_circle_mac_budget", counted)
+        monkeypatch.setattr(circle, "gram_budget", counted)
         rep = qg.circle_gram_mac(QContext(q=0.6), 6)
-        assert calls == [(0.6, 6)]
+        assert calls == [(MAC_TOL, None)]
         monkeypatch.undo()
-        assert rep.notes["working_digits"] == circle_mac_auto_digits(0.6, 6)
-        assert rep.notes["amplification"] == circle_mac_amplification(0.6, 6)
+        log_condition, digits, floor = budget(0.6, 6)
+        assert rep.notes["working_digits"] == digits
+        assert rep.notes["log10_condition"] == round(log_condition, 2)
+        assert rep.notes["floor"] == floor
 
     @pytest.mark.parametrize("conjugate_first", [False, True])
     def test_kernel_matches_double_node_rule(self, conjugate_first):
-        # at q = 0.9, nmax = 3 the amplification is ~1e5, so the double
-        # node rule still carries about 11 digits of every entry
+        # at q = 0.9, nmax = 3 the node sums cancel by about 1e5, so the
+        # double node rule still carries about 11 digits of every entry
         q, nmax = 0.9, 3
         rep = qg.circle_gram_mac(QContext(q=q), nmax,
                                  conjugate_first=conjugate_first)
@@ -194,39 +197,70 @@ class TestCircleGramMac:
         assert a.notes["points"] == 512 and b.notes["points"] == 4096
 
     def test_user_digits_carry_the_cancellation(self):
-        # the amplification, ~5e48, is more than 40 digits carry on the
-        # nodes; the coefficient-space sum cancels far less
+        # the node sums cancel by ~5e48, more than 40 digits carry; the
+        # coefficient-space sum cancels by its condition, ~1e8
         res = qg.run_suite("circle-mac", QContext(q=0.3, digits=40), nmax=8)
         assert res.passed
         assert res.max_deviation <= 1e-30
 
 
+def budget(q, nmax, points=512, digits=None):
+    return gram_budget(*circle_mac_magnitudes(q, nmax, points), MAC_TOL, digits)
+
+
 def test_amplification_monotone_in_degree():
-    assert circle_mac_amplification(0.5, 8) > circle_mac_amplification(0.5, 4)
+    # the condition is the factor by which roundoff is amplified
+    assert budget(0.5, 8)[0] > budget(0.5, 4)[0] > 0
 
 
 @pytest.mark.parametrize("q, nmax, digits", [
     (0.21, 4, 34), (0.21, 8, 96), (0.5, 4, 24), (0.5, 8, 51),
     (0.73, 4, 20), (0.73, 8, 32)])
 def test_budget_digits_are_pinned(q, nmax, digits):
-    # the working digits of the budget as first taken in linear scale
-    assert circle_mac_auto_digits(q, nmax) == digits
+    # digits are what the retired amplification budget picked; the
+    # term-mass budget needs fewer, and the report runs at its choice
+    chosen = budget(q, nmax)[1]
+    assert chosen < digits
     assert qg.circle_gram_mac(QContext(q=q), nmax).notes["working_digits"] \
-        == digits
+        == chosen
+
+
+@pytest.mark.parametrize("q, nmax, digits", [
+    (0.21, 4, 14), (0.21, 8, 22), (0.5, 4, 14), (0.5, 8, 18),
+    (0.73, 4, 15), (0.73, 8, 17), (0.25, 16, 50)])
+def test_term_mass_digits_are_pinned(q, nmax, digits):
+    assert budget(q, nmax)[1] == digits
+
+
+def test_condition_is_the_unsigned_node_free_gram():
+    # with every coefficient and kernel entry replaced by its magnitude,
+    # and no aliasing, the largest entry over its scale is the condition
+    q, nmax = 0.4, 6
+    with mpmath.workdps(30):
+        mq = mpmath.mpf(q)
+        A = [[qg.qbinomial(mq, n, k) * mq ** (-(n - 0.5) * k)
+              for k in range(n + 1)] for n in range(nmax + 1)]
+        scale = [mpmath.sqrt(mq ** (-n * (n - 1) / 2) * qg.qpochhammer(mq, n))
+                 for n in range(nmax + 1)]
+        mass = max(mpmath.fsum(A[n][j] * mq ** ((j + k) ** 2 / 2) * A[m][k]
+                               for j in range(n + 1) for k in range(m + 1))
+                   / (scale[n] * scale[m])
+                   for n in range(nmax + 1) for m in range(nmax + 1))
+        expected = float(mpmath.log10(mass))
+    assert budget(q, nmax)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_budget_survives_bounds_past_the_double_range():
-    # |H_16|_max^2 at q = 0.21 is ~1e336, beyond a double
-    assert math.isfinite(circle_mac_amplification(0.21, 16))
-    assert circle_mac_amplification(0.21, 16) > 1e250
-    assert circle_mac_auto_digits(0.21, 16) > 300
-    assert circle_mac_amplification(0.05, 16) == math.inf
-    # the note is serialized, so an infinite amplification is noted as None
-    assert qg.circle_gram_mac(QContext(q=0.05, digits=20),
-                              16).notes["amplification"] is None
+    # the terms at q = 0.05, nmax = 16 reach ~1e400, beyond a double
+    log_condition, digits, floor = budget(0.05, 16)
+    assert 70 < log_condition < 90 and digits > log_condition
+    assert floor <= MAC_TOL * 1e-12
+    # the notes are serialized, so they must be finite at any digits
+    for ctx in (QContext(q=0.05), QContext(q=0.05, digits=20)):
+        json.dumps(qg.circle_gram_mac(ctx, 16).notes, allow_nan=False)
     rep = qg.circle_gram_mac(QContext(q=0.21, digits=30), 16)
     assert rep.notes["working_digits"] == 30
-    assert rep.notes["amplification"] == circle_mac_amplification(0.21, 16)
+    assert rep.notes["floor"] == budget(0.21, 16, digits=30)[2] > 1e-8
     assert qg.run_suite("circle-mac", QContext(q=0.21), nmax=16).passed
 
 

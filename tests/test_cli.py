@@ -35,12 +35,15 @@ def reject_constant(name):
 
 
 def test_circle_amplification_past_double_range_is_strict_json():
-    # the amplification at q = 0.05, nmax = 16 exceeds 1e308
+    # the node-sum amplification at q = 0.05, nmax = 16 exceeds 1e308; the
+    # term-mass condition that replaced it stays finite
     proc = run_cli("circle", "--family", "mac", "--q", "0.05", "--nmax", "16",
                    "--format", "json")
     assert proc.returncode == 0, proc.stderr.decode()
     data = json.loads(proc.stdout.decode(), parse_constant=reject_constant)
-    assert data["report"]["notes"]["amplification"] is None
+    notes = data["report"]["notes"]
+    assert 70 < notes["log10_condition"] < 90
+    assert 0 < notes["floor"] <= 1e-20
 
 
 def test_coeffs_ground_state():
@@ -175,10 +178,14 @@ def test_verify_failure_exit_code(tmp_path):
     assert "digits" in data["result"]["notes"]["precision_analysis"]
 
 
-def test_verify_report_written_even_without_out(tmp_path):
+def test_verify_without_out_prints_the_report(tmp_path):
     proc = run_cli("verify", "--suite", "poisson", "--c", "1", cwd=tmp_path)
     assert proc.returncode == 0
-    assert (tmp_path / "verify_poisson.json").exists()
+    assert list(tmp_path.iterdir()) == []
+    data = json.loads(proc.stdout.decode(), parse_constant=reject_constant)
+    assert data["schema"] == "qgauss/1"
+    assert data["result"]["suite"] == "poisson"
+    assert proc.stderr.decode().startswith("poisson: PASS ")
 
 
 def test_weights_family_dump():

@@ -13,9 +13,9 @@ import pytest
 
 import qgauss as qg
 from qgauss import QContext
-from qgauss.chain import gram_contract
+from qgauss.chain import gram_budget, gram_contract
 from qgauss.context import re
-from qgauss.macfarlane import gram_term_budget
+from qgauss.macfarlane import twisted_gram_magnitudes
 from qgauss.weights import random_weight
 
 QS = (0.3, 0.5, 0.7)
@@ -97,13 +97,14 @@ def test_twisted_gram_at_30_digits(q):
 @pytest.mark.parametrize("q", QS)
 def test_term_budget_is_the_unsigned_twisted_gram(q):
     # with every coefficient replaced by its magnitude, the twisted Gram
-    # entries are the absolute term sums the budget maximizes over
+    # entries are the absolute term sums whose largest is the condition
     ctx = QContext(q=q)
     chains = [qg.GaussianChain(ctx, {t: abs(a) for t, a in
                                      qg.build_Bn(ctx, n).coeffs.items()})
               for n in range(NMAX + 1)]
     ref = max(max(row) for row in pairwise(chains, "parity_twisted"))
-    assert gram_term_budget(q, NMAX) == pytest.approx(ref, rel=1e-12)
+    log_condition = gram_budget(*twisted_gram_magnitudes(q, NMAX), 1e-8)[0]
+    assert 10 ** log_condition == pytest.approx(ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("q", QS)
@@ -134,5 +135,6 @@ def test_circle_mac_passes_at_nmax_12():
     # the degree-indexed relation holds past nmax 10 at q = 1/2
     result = qg.run_suite("circle-mac", QContext(q=0.5), nmax=12, points=128)
     assert result.passed, result.failures[:3]
-    assert result.max_deviation <= 1e-30
-    assert math.isfinite(result.notes["amplification"])
+    assert result.max_deviation <= result.tolerance * 1e-12
+    assert math.isfinite(result.notes["log10_condition"])
+    assert result.max_deviation <= result.notes["floor"]

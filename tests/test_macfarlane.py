@@ -9,12 +9,9 @@ import pytest
 
 import qgauss as qg
 from qgauss import QContext
-from qgauss.chain import gram_contract, lattice_kernel, overlap_scale
-from qgauss.macfarlane import (
-    coefficient_dynamic_range_digits,
-    gram_term_budget,
-    mac_auto_digits,
-)
+from qgauss.chain import (gram_budget, gram_contract, lattice_kernel,
+                          overlap_scale)
+from qgauss.macfarlane import twisted_gram_magnitudes
 from qgauss.qnum import qbinomial_triangle, qpochhammer
 
 CTX = QContext(q=0.5)
@@ -153,11 +150,18 @@ def test_exact_entry_agrees_with_mp_inner():
 
 
 def test_budget_figures():
-    assert coefficient_dynamic_range_digits(0.5, 12) == pytest.approx(
-        0.75 * 12 * 11 * math.log10(2.0), rel=1e-12)
-    assert gram_term_budget(0.5, 8) > gram_term_budget(0.5, 4) > 0
-    assert mac_auto_digits(0.5, 4, 1e-8) is None
-    assert mac_auto_digits(0.5, 12, 1e-20) >= 50
+    def budget(nmax, tol, digits=None):
+        return gram_budget(*twisted_gram_magnitudes(0.5, nmax), tol, digits)
+
+    assert budget(8, 1e-8)[0] > budget(4, 1e-8)[0] > 0
+    # a tighter tolerance costs its digits one for one
+    assert budget(12, 1e-20)[1] == budget(12, 1e-8)[1] + 12
+    log_condition, digits, floor = budget(12, 1e-20)
+    assert floor <= 1e-20 * 1e-12
+    # explicit digits win, and the floor follows them
+    starved = budget(12, 1e-20, 8)
+    assert starved[:2] == (log_condition, 8)
+    assert math.log10(starved[2] / floor) == pytest.approx(digits - 8, abs=1)
 
 
 def test_mac_limit_eigenvalue_drift():

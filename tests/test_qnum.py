@@ -90,7 +90,8 @@ def test_classical_limit():
 
 def test_qbinomial_mp_backend_agrees():
     a = qbinomial(0.5, 8, 3)
-    b = qbinomial(0.5, 8, 3, digits=40)
+    with mpmath.workdps(50):  # 40 digits and the 10 guard digits
+        b = qbinomial(mpmath.mpf(0.5), 8, 3)
     assert isinstance(b, mpmath.mpf)
     assert float(b) == pytest.approx(a, rel=1e-15)
 
@@ -101,7 +102,8 @@ def test_mpf_q_computes_at_the_ambient_precision():
         val = qbinomial(q, 8, 3)
         assert isinstance(val, mpmath.mpf)
         assert isinstance(qpochhammer(q, 5), mpmath.mpf)
-        ref = qbinomial(q, 8, 3, digits=60)
+        with mpmath.workdps(70):  # 60 digits and the 10 guard digits
+            ref = qbinomial(q, 8, 3)
         assert abs(val - ref) <= mpmath.mpf(10) ** -38 * ref
         # far beyond what a double q could deliver
         assert abs(val - qbinomial(float(q), 8, 3)) > mpmath.mpf(10) ** -30
@@ -133,8 +135,10 @@ def test_qbinomial_row_is_the_three_product_quotient_exactly(make):
 
 
 def test_qbinomial_row_at_set_digits():
-    row = qbinomial_row(0.5, 9, digits=40)
-    assert row == [qbinomial(0.5, 9, k, digits=40) for k in range(10)]
+    with mpmath.workdps(50):  # 40 digits and the 10 guard digits
+        q = mpmath.mpf(0.5)
+        row = qbinomial_row(q, 9)
+        assert row == [qbinomial(q, 9, k) for k in range(10)]
     assert all(isinstance(b, mpmath.mpf) for b in row)
 
 

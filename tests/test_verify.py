@@ -1,4 +1,6 @@
 import json
+import math
+import statistics
 
 import pytest
 
@@ -127,11 +129,13 @@ def test_family_tables_are_built_once_per_suite(monkeypatch, digits):
                                    + [("build_phi", n) for n in range(8)])
     monkeypatch.undo()
     assert sumrule.passed and ladders.passed
-    # the same numbers as the one-pair and one-level checks
-    assert sumrule.max_deviation == max(
-        max(abs(float(v.real) - (n == m)), abs(float(v.imag)))
-        for n in range(7) for m in range(7)
-        for v in [qg.daughter_sum_rule(ctx, n, m)])
+    # the same numbers as the one-pair and one-level checks, the sum-rule
+    # gaps taken in the backend's own type
+    with ctx.prec():
+        assert sumrule.max_deviation == max(
+            float(max(abs(v.real - int(n == m)), abs(v.imag)))
+            for n in range(7) for m in range(7)
+            for v in [qg.daughter_sum_rule(ctx, n, m)])
     assert ladders.max_deviation == max(
         res[key] for n in range(1, 7)
         for res in (qg.ladder_check(ctx, n), qg.mac_ladder_check(ctx, n))
@@ -147,3 +151,75 @@ def test_ladder_checks_match_single_levels():
     assert dg.ladder_checks(ctx, []) == []
     with pytest.raises(ValueError):
         dg.ladder_checks(ctx, [0, 1])
+
+
+@pytest.mark.parametrize("digits", [20, 40])
+def test_sw_bridge_follows_the_digits(digits):
+    plain = qg.run_suite("sw", QContext(q=0.5)).notes
+    result = qg.run_suite("sw", QContext(q=0.5, digits=digits))
+    assert result.notes["bridge_dev"] <= plain["bridge_dev"] * 1e-15
+    # the quadrature cross-check stays double, and the notes say so
+    assert result.notes["double_stages"] == ["quadrature"]
+    assert "double_stages" not in plain
+
+
+def test_sumrule_gap_is_taken_below_double_resolution():
+    result = qg.run_suite("sumrule", QContext(q=0.5, digits=40))
+    assert result.passed
+    assert result.max_deviation <= 1e-40
+
+
+def test_mac_gram_budget_is_evaluated_once(monkeypatch):
+    from qgauss import verify
+    calls = []
+    budget = verify.gram_budget
+
+    def counted(*args):
+        calls.append(args[-2:])
+        return budget(*args)
+
+    monkeypatch.setattr(verify, "gram_budget", counted)
+    result = qg.run_suite("mac-gram", QContext(q=0.4), nmax=12)
+    monkeypatch.undo()
+    assert calls == [(1e-20, None)]
+    assert result.params["digits"] == result.notes["auto_digits"]
+
+
+def test_mac_gram_explicit_digits_win():
+    result = qg.run_suite("mac-gram", QContext(q=0.5, digits=40), nmax=12)
+    assert result.passed
+    assert result.params["digits"] == 40
+    assert result.notes["auto_digits"] is None
+    assert result.max_deviation <= result.notes["floor"]
+
+
+def test_mac_gram_notes_are_strict_json_past_the_double_range():
+    # the terms at q = 0.05, nmax = 16 reach ~1e400, beyond a double
+    for digits in (None, 20):
+        result = qg.run_suite("mac-gram", QContext(q=0.05, digits=digits),
+                              nmax=16)
+        json.dumps(result.to_dict(), allow_nan=False)
+    assert result.notes["floor"] > 1 and "precision_analysis" in result.notes
+    assert qg.run_suite("mac-gram", QContext(q=0.21), nmax=16).passed
+
+
+def test_budgeted_grams_reach_their_predicted_floor():
+    # at the digits the budget picks, every mac-gram and circle-mac case
+    # keeps 12 digits under its tolerance, and the predicted floor bounds
+    # the deviation reached without overstating it by much
+    gaps = []
+    for q in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+        for nmax in (4, 8, 12, 16):
+            for suite, kwargs in (("mac-gram", {}),
+                                  ("circle-mac", {"points": 128}),
+                                  ("circle-mac", {"points": 512})):
+                result = qg.run_suite(suite, QContext(q=q), nmax=nmax,
+                                      **kwargs)
+                case = (suite, q, nmax, kwargs)
+                assert result.passed, case
+                assert result.max_deviation <= result.tolerance * 1e-12, case
+                if result.max_deviation:
+                    assert result.max_deviation <= result.notes["floor"], case
+                    gaps.append(math.log10(result.notes["floor"]
+                                           / result.max_deviation))
+    assert statistics.median(gaps) <= 3
