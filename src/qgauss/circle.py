@@ -150,7 +150,7 @@ def _aliased_theta_kernel(work: QContext, size: int, points: int,
     K[j][k] sums q^{m^2/2} over m = -(j + sign k) mod points. A rounding
     recurs along a diagonal that the cancellation amplifies, so at high
     precision K carries its own guard digits (fdot reads inputs exactly)."""
-    fine = work.with_digits(work.digits + GUARD_DIGITS) if work.is_mp else work
+    fine = work.with_digits(work.digits + GUARD_DIGITS)
     with fine.prec():
         fold = [0 * fine.q] * points
         for m in range(-truncation, truncation + 1):

@@ -145,9 +145,18 @@ def twisted_gram_magnitudes(q: float, nmax: int) -> tuple:
     return rows, kernel, [0.0] * (nmax + 1)
 
 
+# Largest nmax the mac-gram suite runs in exact double sums at unset digits;
+# past nmax ~8 their widening integers cost more than the budgeted mp Gram.
+EXACT_NMAX = 7
+
+
 def _binary_twisted_gram(q: float, nmax: int) -> list:
     """The double twisted Gram, each entry one exact integer sum over the
     binary value q = M/D, D = 2^e, rounded once.
+
+    Where the identity holds, an off-diagonal sum is an exact zero and a
+    diagonal entry fl(P) / sqrt(fl(P)^2), P = (q, q)_n, is +-1 exactly, as
+    sqrt(fl(x^2)) = |x| in binary round-to-nearest: there is no floor.
 
     With T[n][k] = [n k]_q D^{k(n-k)}, the (j, k) term of entry (n, m),
     s = j + k, carries D^{((j-k)^2 - j - k)/2} and M^{s(s+1)/2 - n j - m k}.

@@ -67,21 +67,23 @@ def suite_dg_gram(ctx: QContext, nmax: int = 12) -> SuiteResult:
 
 
 def suite_mac_gram(ctx: QContext, nmax: int = 5) -> SuiteResult:
-    """The twisted Gram at the digits chain.gram_budget picks for tol, or
-    at the context's own; the notes set the predicted floor at those
-    digits next to the deviation reached, and explain a failure."""
+    """The twisted Gram at the context's digits or, unset, in exact double
+    sums up to mac_mod.EXACT_NMAX and past it at chain.gram_budget's digits
+    for tol; the notes set the predicted floor next to the deviation."""
     tol = 1e-8 if nmax <= 10 else 1e-20
     log_condition, digits, floor = gram_budget(
         *mac_mod.twisted_gram_magnitudes(float(ctx.q), nmax), tol, ctx.digits)
-    auto = digits if ctx.digits is None else None
-    ctx = ctx.with_digits(auto) if auto else ctx
+    if ctx.digits is None and nmax <= mac_mod.EXACT_NMAX:
+        digits, floor = None, 0.0
+    auto = None if ctx.digits is not None else digits
+    ctx = ctx.with_digits(digits)
     report = mac_mod.indefinite_gram(ctx, nmax)
     notes = {**report.notes, "auto_digits": auto,
              "log10_condition": round(log_condition, 2), "floor": floor}
     result = _gram_suite("mac-gram", report, tol,
                          {"q": float(ctx.q), "nmax": nmax, "digits": digits},
                          notes=notes)
-    if not result.passed:
+    if not result.passed and digits is not None:  # exact sums have no floor
         near = "past the double range" if floor is None else f"near {floor:.1e}"
         notes["precision_analysis"] = (
             f"The Gram sums cancel terms up to 1e{log_condition:.1f} times "

@@ -185,6 +185,21 @@ def test_mac_gram_budget_is_evaluated_once(monkeypatch):
     assert result.params["digits"] == result.notes["auto_digits"]
 
 
+def test_mac_gram_keeps_the_exact_double_gram_at_small_sizes():
+    # up to EXACT_NMAX the double Gram's exact integer sums need no
+    # budget: every entry is exact, so the deviation is zero at any q
+    for q in (0.05, 0.2, 0.46, 0.6, 0.95):
+        result = qg.run_suite("mac-gram", QContext(q=q),
+                              nmax=macfarlane.EXACT_NMAX)
+        assert result.params["digits"] is None
+        assert result.notes["auto_digits"] is None
+        assert result.max_deviation == 0.0 == result.notes["floor"]
+    past = qg.run_suite("mac-gram", QContext(q=0.6),
+                        nmax=macfarlane.EXACT_NMAX + 1)
+    assert past.passed
+    assert past.notes["auto_digits"] == past.params["digits"] > 0
+
+
 def test_mac_gram_explicit_digits_win():
     result = qg.run_suite("mac-gram", QContext(q=0.5, digits=40), nmax=12)
     assert result.passed
