@@ -213,8 +213,7 @@ _LADDER_TERMS = {
 }
 
 
-def apply_ladder(op: LadderOperator, f: GaussianChain,
-                 prune_threshold: float = 0.0) -> GaussianChain:
+def apply_ladder(op: LadderOperator, f: GaussianChain) -> GaussianChain:
     """Apply one ladder operator, then its scalar prefactor.
 
     Each operator is an exact composition of half-step shifts T^s and
@@ -238,10 +237,9 @@ def apply_ladder(op: LadderOperator, f: GaussianChain,
         mac_raise    (+2, -8, -4)         (0, -4, 0)
 
     All first terms are placed before the second terms are subtracted,
-    and terms landing on the same center are combined before any pruning,
-    so symbolic cancellations (lowering a ground state, commutator
-    identities) produce exact zeros, which are dropped. The default
-    threshold prunes nothing beyond them.
+    and terms landing on the same center are combined, so symbolic
+    cancellations (lowering a ground state, commutator identities) produce
+    exact zeros, which are dropped.
     """
     ctx = op.ctx
     if f.ctx != ctx:
@@ -258,8 +256,7 @@ def apply_ladder(op: LadderOperator, f: GaussianChain,
         for t, c in f.coeffs.items():
             term = c if a2 is None else c * pow8(a2 * t + b2)
             out[t + s2] = out.get(t + s2, 0) + term * -1
-        return prune(GaussianChain(ctx, {t: a * pref for t, a in out.items()}),
-                     prune_threshold)
+        return GaussianChain(ctx, {t: a * pref for t, a in out.items()})
 
 
 # -- inner products, products, transforms ----------------------------------
@@ -351,7 +348,11 @@ def gram_contract(A, K, B) -> list:
 
 
 def _dense(rows, width: int) -> np.ndarray:
-    return np.array([np.pad(np.asarray(r), (0, width - len(r))) for r in rows])
+    rows = [np.asarray(r) for r in rows]
+    out = np.zeros((len(rows), width), np.result_type(*rows))
+    for i, r in enumerate(rows):
+        out[i, :len(r)] = r
+    return out
 
 
 # Digits between gram_budget's predicted floor and the tolerance, the

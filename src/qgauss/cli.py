@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .chain import evaluate
 from .circle import circle_gram_dg, circle_gram_mac
 from .dg import (_limit_grid, build_phi, dg_coefficients, gram_phi,
                  harmonic_limit_scan, limit_ratio_curve)
-from .macfarlane import (build_Bn, indefinite_gram, mac_coeffs,
-                         mac_harmonic_limit, mac_limit_ratio_curve)
+from .macfarlane import (_mac_E_closed, build_Bn, indefinite_gram,
+                         mac_harmonic_limit, mac_limit_ratio_curve, mac_zeta)
 from .weights import gamma_family_gram, orthonormal_weight_family
 from .report import GramReport
 from .verify import SUITES, run_suite
@@ -33,58 +33,25 @@ from .verify import SUITES, run_suite
 SCHEMA = "qgauss/1"
 
 
-@dataclass
-class RunConfig:
-    """One resolved invocation: the double-precision context of the
-    supplied (or default) scale, and every knob a subcommand might read."""
-
-    scale: QContext
-    defaulted: bool = False
-    family: str | None = None
-    n: int | None = None
-    nmax: int | None = None
-    digits: int | None = None
-    points: int | None = None
-    fmt: str = "json"
-    out: str | None = None
-    seed: int = 12345
-    count: int | None = None
-    nweights: int | None = None
-
-    @property
-    def c(self) -> float:
-        return self.scale.c
-
-    @property
-    def q(self) -> float:
-        return self.scale.q
-
-    def context(self) -> QContext:
-        return self.scale.with_digits(self.digits)
-
-    def echo(self) -> dict:
-        return {"c": self.c, "q": self.q, "supplied": self.scale.supplied,
-                "defaulted": self.defaulted, "digits": self.digits,
-                "seed": self.seed}
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.16e}"
 
 
-def _config(args) -> RunConfig:
-    q, c = getattr(args, "q", None), getattr(args, "c", None)
-    if q is not None and c is not None:
+def _scale(args) -> tuple[QContext, dict]:
+    """The double-precision context of --q or --c (default q = 0.5) and the
+    config block that JSON output echoes; seed is 12345 where the
+    subcommand has no --seed."""
+    if args.q is not None and args.c is not None:
         raise SystemExit("error: give exactly one of --q and --c, not both")
     try:
-        scale = QContext(c=c) if c is not None else QContext(q=0.5 if q is None else q)
+        scale = QContext(c=args.c) if args.c is not None \
+            else QContext(q=0.5 if args.q is None else args.q)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    # every other field is the flag of the same name (fmt is --format),
-    # or the field's default where the subcommand has no such flag
-    knobs = {f.name: getattr(args, "format" if f.name == "fmt" else f.name,
-                             f.default) for f in fields(RunConfig)[2:]}
-    return RunConfig(scale=scale, defaulted=q is None and c is None, **knobs)
+    return scale, {"c": scale.c, "q": scale.q, "supplied": scale.supplied,
+                   "defaulted": args.q is None and args.c is None,
+                   "digits": args.digits,
+                   "seed": getattr(args, "seed", 12345)}
 
 
 def _write(text: str, out: str | None):
@@ -104,8 +71,7 @@ def _emit_csv(header: list, rows: list, out: str | None):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     _write(buf.getvalue(), out)
 
 
@@ -120,145 +86,144 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _emit(cfg: RunConfig, payload: dict, header: list, rows) -> int:
-    """The payload plus the config echo as JSON, or the header and the
-    (lazily built) rows as CSV, as --format asks."""
-    if cfg.fmt == "json":
-        _emit_json({**payload, "config": cfg.echo()}, cfg.out)
+def _emit(args, echo: dict, payload: dict, header: list, rows) -> int:
+    """The payload plus the command name and the config echo as JSON, or
+    the header and the (lazily built) rows as CSV, as --format asks."""
+    if args.format == "json":
+        _emit_json({**payload, "command": args.command, "config": echo},
+                   args.out)
     else:
-        _emit_csv(header, rows, cfg.out)
+        _emit_csv(header, rows, args.out)
     return 0
 
 
 # -- subcommands -------------------------------------------------------------
 
-def cmd_coeffs(cfg: RunConfig, args) -> int:
-    ctx = cfg.context()
-    n = cfg.n
-    if cfg.family == "dg":
-        coeffs = dg_coefficients(ctx, n).normalized
+def cmd_coeffs(args, scale: QContext, echo: dict) -> int:
+    ctx = scale.with_digits(args.digits)
+    if args.family == "dg":
+        coeffs = dg_coefficients(ctx, args.n).normalized
         normalization = "phi-unit-norm"
     else:
-        table = mac_coeffs(ctx, n)
-        coeffs = [table.zeta * e for e in table.E]
+        E = _mac_E_closed(ctx, args.n)
+        zeta = mac_zeta(ctx, args.n)
+        coeffs = [zeta * e for e in E]
         normalization = "zeta-times-E"
     coeffs = [complex(float(v), 0.0) for v in coeffs]
-    return _emit(cfg, {
-        "command": "coeffs", "family": cfg.family, "n": n,
-        "normalization": normalization,
+    return _emit(args, echo, {
+        "family": args.family, "n": args.n, "normalization": normalization,
         "rows": [{"k": k, "center": float(k), "re": v.real, "im": v.imag}
                  for k, v in enumerate(coeffs)],
     }, ["c", "q", "family", "n", "normalization", "k", "center",
         "coefficient_re", "coefficient_im"],
-        ([_fmt(cfg.c), _fmt(cfg.q), cfg.family, n, normalization,
+        ([_fmt(scale.c), _fmt(scale.q), args.family, args.n, normalization,
           k, _fmt(k), _fmt(v.real), _fmt(v.imag)]
          for k, v in enumerate(coeffs)))
 
 
-def cmd_eval(cfg: RunConfig, args) -> int:
+def cmd_eval(args, scale: QContext, echo: dict) -> int:
     grid = _parse_grid(args.grid)
-    ctx = cfg.context()
-    build = build_phi if cfg.family == "dg" else build_Bn
-    chain = build(ctx, cfg.n)
+    ctx = scale.with_digits(args.digits)
+    build = build_phi if args.family == "dg" else build_Bn
+    chain = build(ctx, args.n)
     if ctx.digits is None:
         values = np.atleast_1d(np.asarray(evaluate(chain, grid), dtype=complex))
     else:
         values = np.array([complex(evaluate(chain, float(x))) for x in grid])
-    return _emit(cfg, {
-        "command": "eval", "family": cfg.family, "n": cfg.n,
+    return _emit(args, echo, {
+        "family": args.family, "n": args.n,
         "rows": [{"x": float(x), "re": v.real, "im": v.imag}
                  for x, v in zip(grid, values)],
     }, ["c", "q", "family", "n", "x", "value_re", "value_im"],
-        ([_fmt(cfg.c), _fmt(cfg.q), cfg.family, cfg.n,
+        ([_fmt(scale.c), _fmt(scale.q), args.family, args.n,
           _fmt(x), _fmt(v.real), _fmt(v.imag)] for x, v in zip(grid, values)))
 
 
-def _emit_gram(cfg: RunConfig, command: str, report: GramReport) -> int:
+def _emit_gram(args, scale: QContext, echo: dict, report: GramReport) -> int:
     def rows():
         for i, label_i in enumerate(report.labels):
             for j, label_j in enumerate(report.labels):
                 v = float(report.matrix[i][j])
                 t = float(report.target[i][j])
-                yield [_fmt(cfg.c), _fmt(cfg.q), i, j, str(label_i),
+                yield [_fmt(scale.c), _fmt(scale.q), i, j, str(label_i),
                        str(label_j), _fmt(v), _fmt(t), _fmt(v - t)]
-    payload = {"command": command}
-    if cfg.fmt == "json":
-        payload["report"] = report.to_dict()
-    return _emit(cfg, payload, ["c", "q", "i", "j", "label_i", "label_j",
-                                "value", "target", "deviation"], rows())
+    payload = {"report": report.to_dict()} if args.format == "json" else {}
+    return _emit(args, echo, payload, ["c", "q", "i", "j", "label_i",
+                                       "label_j", "value", "target",
+                                       "deviation"], rows())
 
 
-def cmd_gram(cfg: RunConfig, args) -> int:
-    ctx = cfg.context()
-    nmax = 8 if cfg.nmax is None else cfg.nmax
-    if cfg.family == "dg":
+def cmd_gram(args, scale: QContext, echo: dict) -> int:
+    ctx = scale.with_digits(args.digits)
+    nmax = 8 if args.nmax is None else args.nmax
+    if args.family == "dg":
         report = gram_phi(ctx, nmax)
-    elif cfg.family == "mac":
+    elif args.family == "mac":
         report = indefinite_gram(ctx, nmax)
     else:
-        report = gamma_family_gram(ctx, 3 if cfg.nweights is None
-                                   else cfg.nweights, nmax)
-    return _emit_gram(cfg, "gram", report)
+        report = gamma_family_gram(ctx, 3 if args.nweights is None
+                                   else args.nweights, nmax)
+    return _emit_gram(args, scale, echo, report)
 
 
-def cmd_circle(cfg: RunConfig, args) -> int:
-    ctx = cfg.context()
-    points = 512 if cfg.points is None else cfg.points
-    if cfg.family == "dg":
-        nmax = 8 if cfg.nmax is None else cfg.nmax
+def cmd_circle(args, scale: QContext, echo: dict) -> int:
+    ctx = scale.with_digits(args.digits)
+    points = 512 if args.points is None else args.points
+    if args.family == "dg":
+        nmax = 8 if args.nmax is None else args.nmax
         report = circle_gram_dg(ctx, nmax, points)
     else:
-        nmax = 5 if cfg.nmax is None else cfg.nmax
+        nmax = 5 if args.nmax is None else args.nmax
         report = circle_gram_mac(ctx, nmax, points, args.conjugate_first)
-    return _emit_gram(cfg, "circle", report)
+    return _emit_gram(args, scale, echo, report)
 
 
-def cmd_weights(cfg: RunConfig, args) -> int:
-    family = orthonormal_weight_family(cfg.context(), cfg.count)
-    return _emit(cfg, {
-        "command": "weights", "count": cfg.count,
+def cmd_weights(args, scale: QContext, echo: dict) -> int:
+    family = orthonormal_weight_family(scale.with_digits(args.digits),
+                                       args.count)
+    return _emit(args, echo, {
+        "count": args.count,
         "weights": [{"index": i,
                      "modes": [[m, v.real, v.imag]
                                for m, v in sorted(w.modes.items())]}
                     for i, w in enumerate(family)],
     }, ["c", "q", "weight_index", "mode", "coeff_re", "coeff_im"],
-        ([_fmt(cfg.c), _fmt(cfg.q), i, m, _fmt(v.real), _fmt(v.imag)]
+        ([_fmt(scale.c), _fmt(scale.q), i, m, _fmt(v.real), _fmt(v.imag)]
          for i, w in enumerate(family) for m, v in sorted(w.modes.items())))
 
 
-def cmd_limit(cfg: RunConfig, args) -> int:
+def cmd_limit(args, scale: QContext, echo: dict) -> int:
     c_list = [float(tok) for tok in args.c_list.split(",") if tok]
     grid = np.arange(0.3, 3.31, 0.15) if args.grid is None \
         else _parse_grid(args.grid)
-    if cfg.family == "dg":
-        scan = harmonic_limit_scan(cfg.n, c_list, grid)
+    if args.family == "dg":
+        scan = harmonic_limit_scan(args.n, c_list, grid)
         curve = limit_ratio_curve
     else:
-        scan = mac_harmonic_limit(cfg.n, c_list, grid)
+        scan = mac_harmonic_limit(args.n, c_list, grid)
         curve = mac_limit_ratio_curve
 
     def rows():
-        pts = _limit_grid(cfg.n, grid)
-        curves = [curve(cfg.n, c, pts) for c in c_list]
+        pts = _limit_grid(args.n, grid)
+        curves = [curve(args.n, c, pts) for c in c_list]
         for i, s in enumerate(pts):
             yield [_fmt(s)] + [_fmt(col[i]) for col in curves]
-    return _emit(cfg, {"command": "limit", "family": cfg.family, "n": cfg.n,
-                       "c_list": c_list, "rows": scan},
+    return _emit(args, echo, {"family": args.family, "n": args.n,
+                              "c_list": c_list, "rows": scan},
                  ["s"] + [f"rho_c{c:g}" for c in c_list], rows())
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
-    ctx = cfg.context()
+def cmd_verify(args, scale: QContext, echo: dict) -> int:
     result = run_suite(
-        args.suite, ctx=ctx, nmax=cfg.nmax, points=cfg.points, seed=cfg.seed,
-        count=cfg.count, nweights=cfg.nweights, c=float(ctx.c),
-        conjugate_first=args.conjugate_first, digits=cfg.digits)
-    _emit_json({"command": "verify", "config": cfg.echo(),
-                "result": result.to_dict()}, cfg.out)
+        args.suite, scale.with_digits(args.digits), nmax=args.nmax,
+        points=args.points, seed=args.seed, count=args.count,
+        nweights=args.nweights, conjugate_first=args.conjugate_first)
+    _emit_json({"command": "verify", "config": echo,
+                "result": result.to_dict()}, args.out)
     status = "PASS" if result.passed else "FAIL"
     print(f"{args.suite}: {status} max_deviation={result.max_deviation:.3e} "
-          f"tolerance={result.tolerance:g} report={cfg.out or 'stdout'}",
-          file=sys.stdout if cfg.out else sys.stderr)
+          f"tolerance={result.tolerance:g} report={args.out or 'stdout'}",
+          file=sys.stdout if args.out else sys.stderr)
     return 0 if result.passed else 1
 
 
@@ -378,8 +343,16 @@ def _join_grid_values(argv: list) -> list:
     return out
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built by the first main call and shared by
+    every later one in the process: argparse sets no state on it while
+    parsing, and building it costs more than most commands."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_join_grid_values(list(argv)))
-    return COMMANDS[args.command](_config(args), args)
+    args = _parser().parse_args(_join_grid_values(list(argv)))
+    return COMMANDS[args.command](args, *_scale(args))

@@ -51,6 +51,8 @@ def mac_zeta(ctx: QContext, n: int, alpha_w=None):
 
 def _mac_E_closed(ctx: QContext, n: int) -> list:
     """E^n_k = (-1)^k [n k]_q q^{(k - 2nk)/2}."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     with ctx.prec():
         return [(-1 if k % 2 else 1) * binom * ctx.qpow8(4 * (k - 2 * n * k))
                 for k, binom in enumerate(qbinomial_row(ctx.q, n))]
@@ -75,8 +77,6 @@ def _mac_E_recursion(ctx: QContext, n: int) -> list:
 def mac_coeffs(ctx: QContext, n: int) -> MacCoefficients:
     """Closed-form coefficients, cross-checked against the independent
     recursion construction (relative gap stored, expected < 1e-12)."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
     closed = _mac_E_closed(ctx, n)
     recursed = _mac_E_recursion(ctx, n)
     with ctx.prec():
@@ -87,10 +87,10 @@ def mac_coeffs(ctx: QContext, n: int) -> MacCoefficients:
 
 
 def build_Bn(ctx: QContext, n: int) -> GaussianChain:
-    table = mac_coeffs(ctx, n)
+    E = _mac_E_closed(ctx, n)
+    zeta = mac_zeta(ctx, n)
     with ctx.prec():
-        return GaussianChain(ctx, {2 * k: table.zeta * table.E[k]
-                                   for k in range(n + 1)})
+        return GaussianChain(ctx, {2 * k: zeta * e for k, e in enumerate(E)})
 
 
 def build_Bn_by_raising(ctx: QContext, n: int) -> GaussianChain:
@@ -244,8 +244,8 @@ def mac_limit_ratio_curve(n: int, c: float, pts: np.ndarray) -> np.ndarray:
     over e^{-s^2/2} H_n(s), on the positive points pts. The zeta_n scale is
     divided out by building the chain from the bare E coefficients."""
     ctx = QContext(c=c)
-    table = mac_coeffs(ctx, n)
-    chain = GaussianChain(ctx, {2 * k: table.E[k] for k in range(n + 1)})
+    chain = GaussianChain(ctx, {2 * k: e for k, e in
+                                enumerate(_mac_E_closed(ctx, n))})
     return even_limit_ratio(chain, n, c, pts)
 
 

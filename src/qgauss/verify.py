@@ -47,17 +47,26 @@ class SuiteResult:
         }
 
 
-def _gram_failures(entries: list, tol: float) -> list:
-    return [[i, j, float(dev)] for i, j, dev in entries if dev > tol]
+def _judge(name: str, tol: float, rows, params: dict,
+           notes: dict | None = None) -> SuiteResult:
+    """Hold every (label, deviation) row to the one tolerance tol: the
+    result carries the largest deviation and lists each row above tol as
+    [*label, deviation], in row order."""
+    worst, failures = 0.0, []
+    for label, dev in rows:
+        dev = float(dev)
+        worst = max(worst, dev)
+        if dev > tol:
+            failures.append([*label, dev])
+    return SuiteResult(name, worst <= tol, tol, worst, params=params,
+                       failures=failures, notes={} if notes is None else notes)
 
 
 def _gram_suite(name: str, report: GramReport, tol: float, params: dict,
                 relative: bool = False, notes: dict | None = None) -> SuiteResult:
-    dev, entries = report.deviations(relative)
-    dev = float(dev)
-    return SuiteResult(name, dev <= tol, tol, dev, params=params,
-                       failures=_gram_failures(entries, tol),
-                       notes=report.notes if notes is None else notes)
+    return _judge(name, tol, (((i, j), dev) for i, j, dev
+                              in report.entry_deviations(relative)),
+                  params, report.notes if notes is None else notes)
 
 
 def suite_dg_gram(ctx: QContext, nmax: int = 12) -> SuiteResult:
@@ -94,22 +103,14 @@ def suite_mac_gram(ctx: QContext, nmax: int = 5) -> SuiteResult:
 
 
 def suite_ladders(ctx: QContext, nmax: int = 10) -> SuiteResult:
-    tol = 1e-11
-    failures = []
-    worst = 0.0
     levels = range(1, nmax + 1)
-    for dgres, macres in zip(dg_mod.ladder_checks(ctx, levels),
-                             mac_mod.mac_ladder_checks(ctx, levels)):
-        n = dgres["n"]
-        for family, res in (("dg", dgres), ("mac", macres)):
-            for key in ("lower_residual", "raise_residual"):
-                worst = max(worst, res[key])
-                if res[key] > tol:
-                    failures.append([family, n, key, float(res[key])])
-    return SuiteResult("ladders", worst <= tol, tol, worst,
-                       params={"q": float(ctx.q), "nmax": nmax,
-                               "digits": ctx.digits},
-                       failures=failures)
+    rows = (((family, dgres["n"], key), res[key])
+            for dgres, macres in zip(dg_mod.ladder_checks(ctx, levels),
+                                     mac_mod.mac_ladder_checks(ctx, levels))
+            for family, res in (("dg", dgres), ("mac", macres))
+            for key in ("lower_residual", "raise_residual"))
+    return _judge("ladders", 1e-11, rows, {"q": float(ctx.q), "nmax": nmax,
+                                           "digits": ctx.digits})
 
 
 def random_chain(ctx: QContext, rng: np.random.Generator,
@@ -144,21 +145,15 @@ def commutator_residual(ctx: QContext, f: GaussianChain, family: str) -> float:
 
 def suite_commutators(ctx: QContext, count: int = 20,
                       seed: int = 12345) -> SuiteResult:
-    tol = 1e-13
     rng = np.random.default_rng(seed)
-    failures = []
-    worst = 0.0
+    rows = []
     for i in range(count):
         f = random_chain(ctx, rng)
-        for family in ("dg", "mac"):
-            res = commutator_residual(ctx, f, family)
-            worst = max(worst, res)
-            if res > tol:
-                failures.append([family, i, float(res)])
-    return SuiteResult("commutators", worst <= tol, tol, worst,
-                       params={"q": float(ctx.q), "count": count,
-                               "seed": seed, "digits": ctx.digits},
-                       failures=failures)
+        rows += [((family, i), commutator_residual(ctx, f, family))
+                 for family in ("dg", "mac")]
+    return _judge("commutators", 1e-13, rows,
+                  {"q": float(ctx.q), "count": count, "seed": seed,
+                   "digits": ctx.digits})
 
 
 def suite_circle_dg(ctx: QContext, nmax: int = 8,
@@ -232,38 +227,27 @@ def suite_degeneracy(ctx: QContext, nmax: int = 8,
     """Weighted orthonormality for w = 1 + 0.3 cos(4 pi x): the analytic
     Gram must be the identity, a sample of entries must agree with direct
     quadrature, and the same holds for a few random weights."""
-    tol = 1e-9
     weight = weights_mod.cosine_weight(0.3)
-    report = weights_mod.an_gram(ctx, weight, nmax)
-    dev, entries = report.deviations()
-    dev = float(dev)
-    failures = _gram_failures(entries, tol)
+    analytic = [((i, j), dev) for i, j, dev
+                in weights_mod.an_gram(ctx, weight, nmax).entry_deviations()]
     rng = np.random.default_rng(seed)
     pairs = [(int(rng.integers(0, nmax + 1)), int(rng.integers(0, nmax + 1)))
              for _ in range(quad_pairs)]
     family = [weights_mod.build_An(ctx, weight, n) for n in range(nmax + 1)]
-    quad_dev = 0.0
-    for n, m in pairs:
-        target = 1.0 if n == m else 0.0
-        val = _weighted_quadrature_entry(ctx, weight, family[n].chain,
-                                         family[m].chain)
-        gap = abs(val - target)
-        quad_dev = max(quad_dev, gap)
-        if gap > tol:
-            failures.append(["quadrature", n, m, float(gap)])
-    rand_dev = 0.0
-    for i in range(3):
-        w = weights_mod.random_weight(rng)
-        rep = weights_mod.an_gram(ctx, w, min(nmax, 6))
-        rand_dev = max(rand_dev, float(rep.max_abs_deviation))
-        if rep.max_abs_deviation > tol:
-            failures.append(["random-weight", i, float(rep.max_abs_deviation)])
-    return SuiteResult("degeneracy", not failures, tol,
-                       max(dev, quad_dev, rand_dev),
-                       params={"q": float(ctx.q), "nmax": nmax, "seed": seed},
-                       failures=failures,
-                       notes={"analytic_dev": dev, "quadrature_dev": quad_dev,
-                              "random_weight_dev": rand_dev})
+    quadrature = [(("quadrature", n, m), abs(_weighted_quadrature_entry(
+        ctx, weight, family[n].chain, family[m].chain)
+        - (1.0 if n == m else 0.0))) for n, m in pairs]
+    random_weight = [(("random-weight", i), weights_mod.an_gram(
+        ctx, weights_mod.random_weight(rng), min(nmax, 6)).max_abs_deviation)
+        for i in range(3)]
+
+    def worst(rows):
+        return max((float(dev) for _, dev in rows), default=0.0)
+    notes = {"analytic_dev": worst(analytic),
+             "quadrature_dev": worst(quadrature),
+             "random_weight_dev": worst(random_weight)}
+    return _judge("degeneracy", 1e-9, analytic + quadrature + random_weight,
+                  {"q": float(ctx.q), "nmax": nmax, "seed": seed}, notes)
 
 
 def suite_gamma(ctx: QContext, nweights: int = 3, nmax: int = 6) -> SuiteResult:
@@ -273,20 +257,13 @@ def suite_gamma(ctx: QContext, nweights: int = 3, nmax: int = 6) -> SuiteResult:
 
 
 def suite_sumrule(ctx: QContext, nmax: int = 10) -> SuiteResult:
-    tol = 1e-12
-    failures = []
-    worst = 0.0
+    rows = []
     for n, row in enumerate(dg_mod.daughter_sum_rules(ctx, nmax)):
-        for m, val in enumerate(row):
-            with ctx.prec():  # the gap in the backend's own type
-                gap = float(max(abs(val.real - (1 if n == m else 0)),
-                                abs(val.imag)))
-            worst = max(worst, gap)
-            if gap > tol:
-                failures.append([n, m, float(gap)])
-    return SuiteResult("sumrule", worst <= tol, tol, worst,
-                       params={"q": float(ctx.q), "nmax": nmax},
-                       failures=failures)
+        with ctx.prec():  # the gap in the backend's own type
+            rows += [((n, m), max(abs(val.real - (1 if n == m else 0)),
+                                  abs(val.imag)))
+                     for m, val in enumerate(row)]
+    return _judge("sumrule", 1e-12, rows, {"q": float(ctx.q), "nmax": nmax})
 
 
 def suite_sw(ctx: QContext, nmax: int = 6, s=0.5) -> SuiteResult:

@@ -205,3 +205,57 @@ def test_bad_grid_rejected():
     proc = run_cli("eval", "--family", "dg", "--n", "0", "--q", "0.5",
                    "--grid", "0:1")
     assert proc.returncode == 1
+
+
+def test_in_process_calls_keep_the_bytes_of_fresh_runs(tmp_path, capsys):
+    # one process shares a parser across main calls; run the set forwards,
+    # then backwards, with a usage error between calls, and hold every
+    # stdout (and report file) to a fresh interpreter's
+    from qgauss import cli
+    report = str(tmp_path / "report.json")
+    argvs = [
+        ("coeffs", "--family", "mac", "--n", "3"),
+        ("eval", "--family", "dg", "--n", "2", "--grid", "-3:3:7",
+         "--format", "json"),
+        ("gram", "--family", "mac", "--nmax", "4", "--q", "0.45"),
+        ("circle", "--family", "dg", "--nmax", "3", "--points", "64",
+         "--format", "csv"),
+        ("limit", "--family", "dg", "--n", "1", "--c-list", "0.2,0.1"),
+        ("verify", "--suite", "ladders", "--nmax", "4", "--c", "0.9"),
+        ("verify", "--suite", "poisson", "--out", report),
+    ]
+    fresh = {}
+    for argv in argvs:
+        proc = run_cli(*argv)
+        fresh[argv] = (proc.returncode, proc.stdout.decode(),
+                       Path(report).read_bytes() if report in argv else None)
+    for argv in argvs + argvs[::-1]:
+        with pytest.raises(SystemExit, match="exactly one"):
+            cli.main(["coeffs", "--family", "dg", "--n", "0",
+                      "--q", "0.5", "--c", "1.0"])
+        capsys.readouterr()
+        code = cli.main(list(argv))
+        written = Path(report).read_bytes() if report in argv else None
+        assert (code, capsys.readouterr().out, written) == fresh[argv], argv
+
+
+def test_parser_is_built_once_per_process_and_not_at_import():
+    probe = (
+        "import argparse, contextlib, io\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "from qgauss import cli\n"
+        "assert built == [], built\n"
+        "for _ in range(3):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.main(['coeffs', '--family', 'dg', '--n', '1'])\n"
+        "print(built.count('qgauss'))\n")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode() == "1\n"
