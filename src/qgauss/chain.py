@@ -9,6 +9,17 @@ overlaps and products produce is an integer multiple of 1/8, tracked as
 that integer and read from the context's memo of q^{m/8}
 (``QContext.qpow8``); mul_qlinear, whose b may be any rational, raises q
 to an exact Fraction. Only the coefficients are inexact.
+
+A chain is a dense window: its first twice-center ``start`` and a row of
+coefficients for start, start + 1, ..., zero at both ends trimmed: a
+float64 or complex128 array in double, at set digits an object array of
+the context's mpf or mpc values (converted once, at construction) with
+the integer 0 in its holes. ``coeffs`` reads it back as the sorted {t: a}
+of nonzero entries. A table (start, rows) holds one chain per row on a
+common window; a ladder acts on a table as one two-tap stencil, and the
+products of two tables' rows expand into daughters as one weighted
+convolution. Complex products are taken part by part, as Python takes
+them: numpy's complex multiply rounds differently.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import mpmath
 import numpy as np
@@ -27,29 +39,47 @@ from .context import (GUARD_DIGITS, QContext, as_lattice_shift, conj,
 LADDER_KINDS = ("arik_lower", "arik_raise", "mac_lower", "mac_raise")
 
 
-def _normalized(coeffs: dict) -> dict:
-    """Drop exact zeros and order keys for deterministic iteration."""
-    return {t: a for t, a in sorted(coeffs.items()) if a != 0}
+class _Window:
+    """Coefficients on one context, from a mapping {t: a} or from a table
+    row whose entry j belongs to the twice-center start + j; the zero ends
+    of the row are trimmed."""
 
+    def __init__(self, ctx: QContext, coeffs=None, start: int = 0, row=None):
+        if row is None:
+            start, (row,) = _table_of(ctx, [coeffs])
+        live = np.flatnonzero(row.astype(bool))
+        lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+        self.ctx, self.start, self.row = ctx, start + lo, row[lo:hi]
+        self._view = None
 
-@dataclass(frozen=True)
-class GaussianChain:
-    """f(x) = sum_mu a_mu q^{(x-mu)^2} with mu = t/2 over integer keys t."""
-
-    ctx: QContext
-    coeffs: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _normalized(self.coeffs))
+    @property
+    def coeffs(self):
+        """Read-only {t: a} of the nonzero entries in increasing t: float
+        or complex in double, mpf or mpc at set digits."""
+        if self._view is None:
+            self._view = MappingProxyType(
+                {t: a for t, a in enumerate(self.row.tolist(), self.start) if a})
+        return self._view
 
     def __len__(self):
         return len(self.coeffs)
+
+    def __eq__(self, other):
+        return (type(self) is type(other) and self.ctx == other.ctx
+                and self.coeffs == other.coeffs)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(ctx={self.ctx!r}, coeffs={dict(self.coeffs)!r})"
+
+
+class GaussianChain(_Window):
+    """f(x) = sum_mu a_mu q^{(x-mu)^2} with mu = t/2 over integer keys t."""
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def max_abs_coeff(self) -> float:
-        return max((magnitude(a) for a in self.coeffs.values()), default=0.0)
+        return float(_row_max_abs(self.row))
 
     def conjugate(self) -> "GaussianChain":
         return GaussianChain(self.ctx, {t: conj(a) for t, a in self.coeffs.items()})
@@ -59,16 +89,9 @@ class GaussianChain:
         return GaussianChain(self.ctx, {-t: a for t, a in self.coeffs.items()})
 
 
-@dataclass(frozen=True)
-class DaughterChain:
+class DaughterChain(_Window):
     """sum_t b_t q^{2(x-t/2)^2}: the squared-exponent family produced by
     pointwise products of two chains."""
-
-    ctx: QContext
-    coeffs: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _normalized(self.coeffs))
 
     def coefficient_sum(self):
         with self.ctx.prec():
@@ -92,15 +115,13 @@ class TrigGaussian:
     """prefactor * e^{-(pi/c)^2 theta^2} * sum_t gamma_t e^{i 2 pi (t/2) theta}.
 
     Exact Fourier transform of a GaussianChain; harmonic indices are stored
-    doubled (key t for harmonic t/2) so half-integer centers stay integers.
+    doubled (key t for harmonic t/2) so half-integer centers stay integers,
+    in increasing order.
     """
 
     ctx: QContext
     prefactor: object
     trig_coeffs: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "trig_coeffs", _normalized(self.trig_coeffs))
 
     def evaluate(self, theta):
         thetas = np.asarray(theta, dtype=float)
@@ -110,6 +131,85 @@ class TrigGaussian:
             total = total + complex(g) * np.exp(1j * np.pi * t * thetas)
         out = float(self.prefactor) * envelope * total
         return out if out.shape else out.item()
+
+
+# -- coefficient tables ------------------------------------------------------
+
+def _table_of(ctx: QContext, maps: list) -> tuple:
+    """Mappings {t: a}, one per row, as a table on their common window; at
+    set digits Python numbers take the context's type."""
+    rows = [[(operator.index(t), a) for t, a in m.items() if a] for m in maps]
+    centers = [t for row in rows for t, _ in row]
+    start = min(centers, default=0)
+    width = max(centers, default=start - 1) - start + 1
+    dense = [[0] * width for _ in rows]
+    for line, row in zip(dense, rows):
+        for t, a in row:
+            line[t - start] = a if not ctx.is_mp or isinstance(
+                a, (mpmath.mpf, mpmath.mpc)) else ctx.make(a)
+    table = np.array(dense, object if ctx.is_mp else None)
+    if table.dtype.kind not in "cO":
+        table = table.astype(float)
+    return start, table.reshape(len(rows), width)
+
+
+def _aligned(tables: list) -> tuple:
+    """Tables (start, rows) on their common window: (start, [rows])."""
+    start = min(s for s, _ in tables)
+    width = max(s + rows.shape[-1] for s, rows in tables) - start
+    out = []
+    for s, rows in tables:
+        out.append(np.zeros(rows.shape[:-1] + (width,), rows.dtype))
+        out[-1][..., s - start:s - start + rows.shape[-1]] = rows
+    return start, out
+
+
+def _stack(chains: list) -> tuple:
+    start, rows = _aligned([(f.start, f.row) for f in chains])
+    return start, np.array(rows)
+
+
+def _difference(x: tuple, y: tuple) -> tuple:
+    start, (a, b) = _aligned([x, y])
+    return start, a - b
+
+
+def _times(x: np.ndarray, y) -> np.ndarray:
+    """x * y elementwise, broadcast. A complex product is taken part by
+    part as Python takes it; at set digits (object arrays) a product with a
+    zero factor is left the integer 0, so holes cost no mpmath call."""
+    y = np.asarray(y, dtype=x.dtype if x.dtype == object else None)
+    if x.dtype == object:
+        live = x.astype(bool) & y.astype(bool)
+        x, y = np.broadcast_arrays(x, y)
+        out = np.zeros(x.shape, object)
+        out[live] = x[live] * y[live]
+        return out
+    if x.dtype != complex and y.dtype != complex:
+        return x * y
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _row_max_abs(rows: np.ndarray) -> np.ndarray:
+    """max |a| over each row, |a| as magnitude() takes it; 0.0 if empty."""
+    if rows.dtype == object:
+        mags = np.array([magnitude(a) for a in rows.flat]).reshape(rows.shape)
+    else:
+        mags = np.hypot(rows.real, rows.imag)
+    return mags.max(axis=-1, initial=0.0)
+
+
+def _distance(x: tuple, y: tuple, relative: bool = False) -> list:
+    """coeff_distance, or relative_coeff_distance, of each row pair."""
+    gap = _row_max_abs(_difference(x, y)[1])
+    if not relative:
+        return gap.tolist()
+    ref = _row_max_abs(y[1])
+    ref = np.where(ref != 0, ref, _row_max_abs(x[1]))
+    return np.divide(gap, ref, out=np.zeros_like(gap), where=ref != 0).tolist()
 
 
 # -- construction and elementary algebra ----------------------------------
@@ -202,15 +302,37 @@ def mac_raise(ctx: QContext) -> LadderOperator:
     return LadderOperator("mac_raise", ctx)
 
 
-# Each ladder operator in one pass over the chain: c_t q^{(a1 t + b1)/8}
-# lands on center t + s1, then c_t q^{(a2 t + b2)/8} (c_t alone where a2 is
-# None: a pure shift) is subtracted at t + s2; the prefactor comes last.
+# (s1, a1, b1), (s2, a2, b2) of each ladder; see apply_ladder.
 _LADDER_TERMS = {
     "arik_lower": ((-2, 4, 0), (-2, None, None)),
     "arik_raise": ((0, 4, 4), (2, None, None)),
     "mac_lower": ((-2, 8, -4), (-2, 4, -4)),
     "mac_raise": ((2, -8, -4), (0, -4, 0)),
 }
+
+
+def _ladder_table(op: LadderOperator, start: int, rows: np.ndarray) -> tuple:
+    """apply_ladder on every row of the table (start, rows) at once: one
+    multiplier row per tap over the common window, the taps placed in the
+    output window from start + min(s1, s2), and the prefactor last."""
+    ctx = op.ctx
+    (s1, a1, b1), (s2, a2, b2) = _LADDER_TERMS[op.kind]
+    width = rows.shape[-1]
+    low = min(s1, s2)
+    with ctx.prec():
+        q = ctx.q
+        if op.kind.startswith("arik"):
+            pref = 1 / ctx.sqrt(1 - q)
+        else:
+            pref = 1 / ctx.sqrt(q * (1 - q))
+        first, second = (None if a is None else np.array(
+            [ctx.qpow8(a * t + b) for t in range(start, start + width)],
+            object if ctx.is_mp else float) for a, b in ((a1, b1), (a2, b2)))
+        image = np.zeros(rows.shape[:-1] + (width + abs(s1 - s2),), rows.dtype)
+        image[..., s1 - low:s1 - low + width] = _times(rows, first)
+        moved = image[..., s2 - low:s2 - low + width]
+        moved -= rows if second is None else _times(rows, second)
+        return start + low, _times(image, pref)
 
 
 def apply_ladder(op: LadderOperator, f: GaussianChain) -> GaussianChain:
@@ -236,27 +358,19 @@ def apply_ladder(op: LadderOperator, f: GaussianChain) -> GaussianChain:
         mac_lower    (-2, 8, -4)          (-2, 4, -4)
         mac_raise    (+2, -8, -4)         (0, -4, 0)
 
-    All first terms are placed before the second terms are subtracted,
-    and terms landing on the same center are combined, so symbolic
-    cancellations (lowering a ground state, commutator identities) produce
-    exact zeros, which are dropped.
+    On the window layout this is a two-tap stencil: the window's row
+    times the row of first factors q^{(a1 t + b1)/8} is placed s1 columns
+    over, the second tap is subtracted s2 columns over, in a window
+    |s1 - s2| wider, and the result is scaled by the prefactor. Terms
+    landing on one center combine before the prefactor, so symbolic
+    cancellations (lowering a ground state, commutator identities) give
+    exact zeros, which the trimmed window and ``coeffs`` leave out. This
+    is the one-row case of the table stencil the suites apply.
     """
-    ctx = op.ctx
-    if f.ctx != ctx:
+    if f.ctx != op.ctx:
         raise ValueError("operator and chain carry different contexts")
-    (s1, a1, b1), (s2, a2, b2) = _LADDER_TERMS[op.kind]
-    pow8 = ctx.qpow8
-    with ctx.prec():
-        q = ctx.q
-        if op.kind.startswith("arik"):
-            pref = 1 / ctx.sqrt(1 - q)
-        else:
-            pref = 1 / ctx.sqrt(q * (1 - q))
-        out = {t + s1: c * pow8(a1 * t + b1) for t, c in f.coeffs.items()}
-        for t, c in f.coeffs.items():
-            term = c if a2 is None else c * pow8(a2 * t + b2)
-            out[t + s2] = out.get(t + s2, 0) + term * -1
-        return GaussianChain(ctx, {t: a * pref for t, a in out.items()})
+    start, row = _ladder_table(op, f.start, f.row)
+    return GaussianChain(op.ctx, start=start, row=row)
 
 
 # -- inner products, products, transforms ----------------------------------
@@ -398,6 +512,35 @@ def _log10_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return top + np.log10(scaled.sum(axis=1))
 
 
+def _daughter_table(ctx: QContext, left: tuple, right: tuple) -> tuple:
+    """The daughters of each product of a left row by a right row, shape
+    (left rows, right rows, width), from the first daughter center. On
+    the centers t = ta + 2j and s = tb + 2i of one parity class, entry
+    j + i gathers a_j b_i q^{(t-s)^2/8} in increasing left center j."""
+    parities, tables = set(), []
+    for start, rows in (left, right):
+        live = np.flatnonzero(rows.astype(bool).any(axis=0))
+        parities |= set(((start + live) % 2).tolist())
+        first = int(live[0]) if live.size else 0
+        tables.append((start + first, rows[:, first::2]))
+    if len(parities) > 1:
+        raise ValueError("product centers leave the half-integer lattice; "
+                         "chains must live on one parity class")
+    (ta, A), (tb, B) = tables
+    wa, wb = A.shape[-1], B.shape[-1]
+    with ctx.prec():
+        weights = np.array([ctx.qpow8(d * d) for d in range(
+            ta - tb - 2 * (wb - 1), ta - tb + 2 * wa - 1, 2)],
+            object if ctx.is_mp else float)
+        out = np.zeros((len(A), len(B), max(wa + wb - 1, 0)),
+                       np.result_type(A, B))
+        for j in range(wa):
+            term = _times(_times(A[:, j, None, None], B[None]),
+                          weights[j:j + wb][::-1])
+            out[..., j:j + wb] += term
+    return (ta + tb) // 2, out
+
+
 def product_daughters(f: GaussianChain, g: GaussianChain) -> DaughterChain:
     """Expand the pointwise product f(x) g(x) in the daughter family,
 
@@ -406,23 +549,12 @@ def product_daughters(f: GaussianChain, g: GaussianChain) -> DaughterChain:
     All centers of f and g must share one parity class (twice-center sums
     even), otherwise the daughters would leave the half-integer lattice.
     No conjugation is applied; integrating the result therefore equals
-    inner(conj(f), g, standard).
+    inner(conj(f), g, standard). The one-row case of _daughter_table.
     """
     _require_same_ctx(f, g)
-    ctx = f.ctx
-    pow8 = ctx.qpow8
-    out: dict = {}
-    with ctx.prec():
-        for t, a in f.coeffs.items():
-            for s, b in g.coeffs.items():
-                if (t + s) % 2:
-                    raise ValueError(
-                        "product centers leave the half-integer lattice; "
-                        "chains must live on one parity class")
-                key = (t + s) // 2
-                d = t - s
-                out[key] = out.get(key, 0) + a * b * pow8(d * d)
-    return DaughterChain(ctx, out)
+    start, rows = _daughter_table(f.ctx, (f.start, f.row[None]),
+                                  (g.start, g.row[None]))
+    return DaughterChain(f.ctx, start=start, row=rows[0, 0])
 
 
 def integrate_daughters(d: DaughterChain):
@@ -489,19 +621,15 @@ def evaluate(f: GaussianChain, x):
 
 def coeff_distance(f: GaussianChain, g: GaussianChain) -> float:
     """max |f_t - g_t| over the union of centers, as a plain float."""
-    keys = set(f.coeffs) | set(g.coeffs)
     with f.ctx.prec():
-        return max((magnitude(f.coeffs.get(t, 0) - g.coeffs.get(t, 0)) for t in keys),
-                   default=0.0)
+        return _distance((f.start, f.row), (g.start, g.row))
 
 
 def relative_coeff_distance(f: GaussianChain, g: GaussianChain) -> float:
     """coeff_distance normalized by the largest reference coefficient of g
     (falls back to f when g is the zero chain)."""
-    ref = g.max_abs_coeff() or f.max_abs_coeff()
-    if ref == 0.0:
-        return 0.0
-    return coeff_distance(f, g) / ref
+    with f.ctx.prec():
+        return _distance((f.start, f.row), (g.start, g.row), relative=True)
 
 
 # -- serialization ----------------------------------------------------------
@@ -513,11 +641,9 @@ def chain_to_dict(f: GaussianChain) -> dict:
 
 
 def chain_from_dict(data: dict, digits: int | None = None) -> GaussianChain:
-    ctx = QContext(c=data["c"], digits=digits)
-    coeffs = {}
-    for t, re_part, im_part in data["entries"]:
-        coeffs[int(t)] = ctx.make(complex(re_part, im_part))
-    return GaussianChain(ctx, coeffs)
+    return GaussianChain(QContext(c=data["c"], digits=digits),
+                         {int(t): complex(re_part, im_part)
+                          for t, re_part, im_part in data["entries"]})
 
 
 def _require_same_ctx(f: GaussianChain, g: GaussianChain):

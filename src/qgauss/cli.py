@@ -43,6 +43,10 @@ def _scale(args) -> tuple[QContext, dict]:
     subcommand has no --seed."""
     if args.q is not None and args.c is not None:
         raise SystemExit("error: give exactly one of --q and --c, not both")
+    for flag in ("n", "nmax"):
+        if (getattr(args, flag, None) or 0) < 0:
+            raise SystemExit(f"error: --{flag} must be nonnegative, got "
+                             f"{getattr(args, flag)}")
     try:
         scale = QContext(c=args.c) if args.c is not None \
             else QContext(q=0.5 if args.q is None else args.q)

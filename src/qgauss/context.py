@@ -97,10 +97,15 @@ class QContext:
         single exponentiation, so equal exponents always produce equal
         values and symbolic cancellations survive in coefficient space.
         Exponents on the 1/8 lattice are better taken from ``qpow8``, which
-        returns this same value from the context's memo.
+        returns this same value from the context's memo. A double power
+        past the float range is inf, so the checks built on it fail rather
+        than raise.
         """
         if self.digits is None:
-            return math.exp(float(r) * self.ln_q)
+            try:
+                return math.exp(float(r) * self.ln_q)
+            except OverflowError:
+                return math.inf
         with self.prec():
             if isinstance(r, Fraction):
                 rr = mpmath.mpf(r.numerator) / r.denominator

@@ -19,10 +19,10 @@ import numpy as np
 from .context import QContext
 from .qnum import (arik_coon_eigenvalue, hermite, horner, qbinomial_row,
                    qpochhammer)
-from .chain import (GaussianChain, alpha, apply_ladder, arik_lower, arik_raise,
-                    coeff_distance, evaluate, gram_contract, inner,
-                    lattice_kernel, mul_qlinear, overlap_scale,
-                    product_daughters, scale, shift)
+from .chain import (GaussianChain, _daughter_table, _distance, _ladder_table,
+                    _stack, _times, alpha, apply_ladder, arik_lower,
+                    arik_raise, evaluate, gram_contract, inner,
+                    lattice_kernel, mul_qlinear, overlap_scale, scale, shift)
 from .report import GramReport
 
 
@@ -116,32 +116,42 @@ def ladder_check(ctx: QContext, n: int) -> dict:
 def ladder_checks(ctx: QContext, levels) -> list:
     """ladder_check at each level in levels, with every phi_k built once."""
     return ladder_residuals(ctx, levels, build_phi, arik_lower, arik_raise,
-                            arik_coon_eigenvalue, coeff_distance)
+                            arik_coon_eigenvalue)
 
 
 def ladder_residuals(ctx: QContext, levels, build, lower, raise_, eigenvalue,
-                     distance, raise_sign: int = 1) -> list:
+                     relative: bool = False, raise_sign: int = 1) -> list:
     """The ladder check shared by both families, one dict per level n in
-    levels: distance(lower f_n, sqrt(lam_n) f_{n-1}) and distance(raise f_n,
-    raise_sign sqrt(lam_{n+1}) f_{n+1}) with f_k = build(ctx, k), each
-    built once, and lam_k = eigenvalue(q, k)."""
+    levels: the coefficient distance (coeff_distance, or with relative
+    relative_coeff_distance) from lower f_n to sqrt(lam_n) f_{n-1} and
+    from raise f_n to raise_sign sqrt(lam_{n+1}) f_{n+1}, with
+    lam_k = eigenvalue(q, k). The f_k = build(ctx, k) are built once into
+    one table, and each ladder acts on all levels at once."""
     levels = list(levels)
     if any(n < 1 for n in levels):
         raise ValueError("ladder check needs n >= 1")
+    if not levels:
+        return []
     needed = sorted({k for n in levels for k in (n - 1, n, n + 1)})
-    rows = []
-    with ctx.prec():
-        family = {k: build(ctx, k) for k in needed}
-        lo, hi = lower(ctx), raise_(ctx)
-        for n in levels:
-            root_n, root_up = (ctx.sqrt(eigenvalue(ctx.q, k))
-                               for k in (n, n + 1))
-            low = distance(apply_ladder(lo, family[n]),
-                           scale(family[n - 1], root_n))
-            up = distance(apply_ladder(hi, family[n]),
-                          scale(family[n + 1], raise_sign * root_up))
-            rows.append({"n": n, "lower_residual": low, "raise_residual": up})
-    return rows
+    row = {k: i for i, k in enumerate(needed)}
+    # past the double range (inf powers) the gaps turn NaN quietly; the
+    # suite's judge reports them as failures
+    with ctx.prec(), np.errstate(invalid="ignore", over="ignore"):
+        start, family = _stack([build(ctx, k) for k in needed])
+        roots = {k: ctx.sqrt(eigenvalue(ctx.q, k)) for k in needed if k}
+
+        def rows(step, factors=None):
+            picked = family[[row[n + step] for n in levels]]
+            if factors is not None:
+                picked = _times(picked, np.array(factors, picked.dtype)[:, None])
+            return start, picked
+        low = _distance(_ladder_table(lower(ctx), *rows(0)),
+                        rows(-1, [roots[n] for n in levels]), relative)
+        up = _distance(_ladder_table(raise_(ctx), *rows(0)),
+                       rows(1, [raise_sign * roots[n + 1] for n in levels]),
+                       relative)
+    return [{"n": n, "lower_residual": lo, "raise_residual": hi}
+            for n, lo, hi in zip(levels, low, up)]
 
 
 def daughter_gram(ctx: QContext, nmax: int) -> list:
@@ -185,10 +195,15 @@ def daughter_sum_rules(ctx: QContext, nmax: int) -> list:
 
 
 def _daughter_sums(ctx: QContext, left: list, right: list) -> list:
+    """The daughter sums of conj(f) g over f in left, g in right: one
+    convolution of the two tables, then each daughter row summed in
+    increasing center, as DaughterChain.coefficient_sum sums it."""
+    _, daughters = _daughter_table(ctx, _stack([f.conjugate() for f in left]),
+                                   _stack(right))
     with ctx.prec():
         norm = alpha(ctx) ** 2
-        return [[product_daughters(fn, fm).coefficient_sum() / norm
-                 for fm in right] for fn in (f.conjugate() for f in left)]
+        return [[sum(filter(None, row)) / norm for row in rows]
+                for rows in daughters.tolist()]
 
 
 # -- harmonic-oscillator limit ----------------------------------------------

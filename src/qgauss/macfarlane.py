@@ -118,7 +118,7 @@ def mac_ladder_checks(ctx: QContext, levels) -> list:
     """mac_ladder_check at each level in levels, with every B_k built once."""
     return ladder_residuals(ctx, levels, build_Bn, mac_lower, mac_raise,
                             lambda q, k: -macfarlane_eigenvalue(q, k),
-                            relative_coeff_distance, raise_sign=-1)
+                            relative=True, raise_sign=-1)
 
 
 def number_operator_check(ctx: QContext, n: int) -> float:

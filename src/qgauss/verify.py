@@ -15,9 +15,9 @@ import numpy as np
 
 from .context import QContext
 from .qnum import macfarlane_eigenvalue
-from .chain import (GaussianChain, apply_ladder, arik_lower, arik_raise,
-                    evaluate, gram_budget, mac_lower, mac_raise, scale,
-                    subtract)
+from .chain import (GaussianChain, _difference, _ladder_table, _row_max_abs,
+                    _table_of, _times, arik_lower, arik_raise, evaluate,
+                    gram_budget, mac_lower, mac_raise)
 from . import circle as circle_mod
 from . import dg as dg_mod
 from . import macfarlane as mac_mod
@@ -36,29 +36,37 @@ class SuiteResult:
     notes: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        """The JSON-ready result; a non-finite deviation, here or in a
+        failure row, is written as null so the report stays strict JSON."""
         return {
             "suite": self.suite,
             "passed": bool(self.passed),
             "tolerance": float(self.tolerance),
-            "max_deviation": float(self.max_deviation),
+            "max_deviation": _finite(float(self.max_deviation)),
             "params": dict(self.params),
-            "failures": list(self.failures),
+            "failures": [[_finite(x) for x in row] for row in self.failures],
             "notes": dict(self.notes),
         }
+
+
+def _finite(x):
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def _judge(name: str, tol: float, rows, params: dict,
            notes: dict | None = None) -> SuiteResult:
     """Hold every (label, deviation) row to the one tolerance tol: the
-    result carries the largest deviation and lists each row above tol as
-    [*label, deviation], in row order."""
+    result lists each row whose deviation is not <= tol, NaN included, as
+    [*label, deviation], in row order, and carries the largest deviation,
+    or NaN once one is seen."""
     worst, failures = 0.0, []
     for label, dev in rows:
         dev = float(dev)
-        worst = max(worst, dev)
-        if dev > tol:
+        if not dev <= worst and worst == worst:
+            worst = dev
+        if not dev <= tol:
             failures.append([*label, dev])
-    return SuiteResult(name, worst <= tol, tol, worst, params=params,
+    return SuiteResult(name, not failures, tol, worst, params=params,
                        failures=failures, notes={} if notes is None else notes)
 
 
@@ -113,44 +121,52 @@ def suite_ladders(ctx: QContext, nmax: int = 10) -> SuiteResult:
                                            "digits": ctx.digits})
 
 
+def _random_coeffs(rng: np.random.Generator, max_terms: int = 8,
+                   span: int = 4) -> dict:
+    nterms = int(rng.integers(1, max_terms + 1))
+    centers = rng.choice(np.arange(-span, span + 1), size=nterms,
+                         replace=False)
+    normals = rng.standard_normal(2 * nterms)  # (re, im) center by center
+    return {int(t): complex(normals[2 * k], normals[2 * k + 1])
+            for k, t in enumerate(centers)}
+
+
 def random_chain(ctx: QContext, rng: np.random.Generator,
                  max_terms: int = 8, span: int = 4) -> GaussianChain:
     """A random complex chain on twice-centers in [-span, span]; sizes are
     kept modest so commutator residuals stay meaningful in double."""
-    nterms = int(rng.integers(1, max_terms + 1))
-    centers = rng.choice(np.arange(-span, span + 1), size=nterms,
-                         replace=False)
-    coeffs = {}
-    for t in centers:
-        coeffs[int(t)] = complex(rng.standard_normal(), rng.standard_normal())
-    return GaussianChain(ctx, coeffs)
+    return GaussianChain(ctx, _random_coeffs(rng, max_terms, span))
+
+
+def _commutator_residuals(ctx: QContext, table: tuple, family: str) -> list:
+    """commutator_residual of every row of the table (start, rows), each
+    ladder applied once to the whole table; of the chain, for one row."""
+    with ctx.prec():
+        a, b = ((arik_lower(ctx), arik_raise(ctx)) if family == "dg"
+                else (mac_raise(ctx), mac_lower(ctx)))
+        first = _ladder_table(a, *_ladder_table(b, *table))
+        second = _ladder_table(b, *_ladder_table(a, *table))
+        second = second[0], _times(second[1], ctx.q)
+        return _row_max_abs(_difference(_difference(first, second),
+                                        table)[1]).tolist()
 
 
 def commutator_residual(ctx: QContext, f: GaussianChain, family: str) -> float:
     """Largest coefficient of (lower raise - q raise lower - 1) f for the
     first family, (raise lower - q lower raise - 1) f for the second."""
-    with ctx.prec():
-        q = ctx.q
-        if family == "dg":
-            lo, hi = arik_lower(ctx), arik_raise(ctx)
-            first = apply_ladder(lo, apply_ladder(hi, f))
-            second = apply_ladder(hi, apply_ladder(lo, f))
-        else:
-            lo, hi = mac_lower(ctx), mac_raise(ctx)
-            first = apply_ladder(hi, apply_ladder(lo, f))
-            second = apply_ladder(lo, apply_ladder(hi, f))
-        residual = subtract(subtract(first, scale(second, q)), f)
-        return residual.max_abs_coeff()
+    return _commutator_residuals(ctx, (f.start, f.row), family)
 
 
 def suite_commutators(ctx: QContext, count: int = 20,
                       seed: int = 12345) -> SuiteResult:
+    """The commutator residuals of count chains drawn as random_chain
+    draws them, checked as one table."""
     rng = np.random.default_rng(seed)
-    rows = []
-    for i in range(count):
-        f = random_chain(ctx, rng)
-        rows += [((family, i), commutator_residual(ctx, f, family))
-                 for family in ("dg", "mac")]
+    table = _table_of(ctx, [_random_coeffs(rng) for _ in range(count)])
+    residuals = zip(*(_commutator_residuals(ctx, table, family)
+                      for family in ("dg", "mac")))
+    rows = [((family, i), dev) for i, pair in enumerate(residuals)
+            for family, dev in zip(("dg", "mac"), pair)]
     return _judge("commutators", 1e-13, rows,
                   {"q": float(ctx.q), "count": count, "seed": seed,
                    "digits": ctx.digits})

@@ -255,7 +255,7 @@ def test_apply_ladder_equals_the_composition_exactly(kind, digits):
     for q in (0.23, 0.5, 0.81):
         ctx = QContext(q=q, digits=digits)
         op = qg.LadderOperator(kind, ctx)
-        # seeded chains carry Python complex coefficients, also at 30 digits
+        # seeded chains carry complex coefficients, mpc at 30 digits
         chains = [seeded_chain(ctx, rng) for _ in range(4)]
         chains += [qg.build_phi(ctx, 5), qg.build_Bn(ctx, 4),
                    qg.make_gaussian(ctx, 0), qg.make_gaussian(ctx, 3)]

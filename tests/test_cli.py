@@ -259,3 +259,31 @@ def test_parser_is_built_once_per_process_and_not_at_import():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode() == "1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--family", "dg", "--n", "-1"),
+    ("coeffs", "--family", "mac", "--n", "-2"),
+    ("limit", "--n", "-1"),
+    ("gram", "--family", "dg", "--nmax", "-1"),
+    ("verify", "--suite", "dg-gram", "--nmax", "-1"),
+    ("verify", "--suite", "ladders", "--nmax", "-1"),
+])
+def test_negative_degree_is_one_error_line(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode != 0 and proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+def test_overflowing_ladder_check_reports_a_failure():
+    # q^{-n k} passes the double range at q = 0.01, nmax = 15: the report
+    # says FAIL, with the non-finite deviation written as null
+    proc = run_cli("verify", "--suite", "ladders", "--q", "0.01",
+                   "--nmax", "15")
+    err = proc.stderr.decode()
+    assert proc.returncode == 1 and "Traceback" not in err, err
+    assert err.startswith("ladders: FAIL")
+    result = json.loads(proc.stdout.decode(),
+                        parse_constant=reject_constant)["result"]
+    assert result["passed"] is False and result["max_deviation"] is None

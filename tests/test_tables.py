@@ -1,0 +1,258 @@
+"""The chain tables against the per-chain dict loops they replace.
+
+Chains are dense coefficient windows, and the commutator, ladder and
+sum-rule suites act on whole tables of them. The references below are
+the dict-loop algorithms the package used before: one ladder application
+or one pointwise product per chain pair, each written over plain {t: a}
+mappings. Every comparison is exact (==), in double and at set digits.
+"""
+
+import json
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+import qgauss as qg
+from qgauss import QContext, verify
+from qgauss.qnum import arik_coon_eigenvalue, macfarlane_eigenvalue
+
+JUDGE = verify._judge
+
+# (s1, a1, b1), (s2, a2, b2): the first term lands on t + s1 with the factor
+# q^{(a1 t + b1)/8}, the second is subtracted at t + s2 (a pure shift where
+# a2 is None)
+LADDER_TERMS = {
+    "arik_lower": ((-2, 4, 0), (-2, None, None)),
+    "arik_raise": ((0, 4, 4), (2, None, None)),
+    "mac_lower": ((-2, 8, -4), (-2, 4, -4)),
+    "mac_raise": ((2, -8, -4), (0, -4, 0)),
+}
+
+
+def normalized(coeffs):
+    return {t: a for t, a in sorted(coeffs.items()) if a != 0}
+
+
+def dict_ladder(ctx, kind, coeffs):
+    (s1, a1, b1), (s2, a2, b2) = LADDER_TERMS[kind]
+    pow8 = ctx.qpow8
+    with ctx.prec():
+        q = ctx.q
+        if kind.startswith("arik"):
+            pref = 1 / ctx.sqrt(1 - q)
+        else:
+            pref = 1 / ctx.sqrt(q * (1 - q))
+        out = {t + s1: c * pow8(a1 * t + b1) for t, c in coeffs.items()}
+        for t, c in coeffs.items():
+            term = c if a2 is None else c * pow8(a2 * t + b2)
+            out[t + s2] = out.get(t + s2, 0) + term * -1
+        return normalized({t: a * pref for t, a in out.items()})
+
+
+def dict_scale(coeffs, s):
+    return normalized({t: a * s for t, a in coeffs.items()})
+
+
+def dict_subtract(f, g):
+    out = dict(f)
+    for t, a in dict_scale(g, -1).items():
+        out[t] = out.get(t, 0) + a
+    return normalized(out)
+
+
+def dict_max_abs(coeffs):
+    return max((float(abs(a)) for a in coeffs.values()), default=0.0)
+
+
+def dict_distance(ctx, f, g, relative=False):
+    ref = (dict_max_abs(g) or dict_max_abs(f)) if relative else 1.0
+    if ref == 0.0:
+        return 0.0
+    with ctx.prec():
+        gap = max((float(abs(f.get(t, 0) - g.get(t, 0)))
+                   for t in set(f) | set(g)), default=0.0)
+    return gap / ref if relative else gap
+
+
+def dict_commutator(ctx, coeffs, family):
+    with ctx.prec():
+        lo, hi = ("arik_lower", "arik_raise") if family == "dg" \
+            else ("mac_lower", "mac_raise")
+        if family == "dg":
+            first = dict_ladder(ctx, lo, dict_ladder(ctx, hi, coeffs))
+            second = dict_ladder(ctx, hi, dict_ladder(ctx, lo, coeffs))
+        else:
+            first = dict_ladder(ctx, hi, dict_ladder(ctx, lo, coeffs))
+            second = dict_ladder(ctx, lo, dict_ladder(ctx, hi, coeffs))
+        residual = dict_subtract(dict_subtract(first, dict_scale(second, ctx.q)),
+                                 coeffs)
+        return dict_max_abs(residual)
+
+
+def dict_daughters(ctx, f, g):
+    pow8 = ctx.qpow8
+    out = {}
+    with ctx.prec():
+        for t, a in f.items():
+            for s, b in g.items():
+                d = t - s
+                out[(t + s) // 2] = out.get((t + s) // 2, 0) + a * b * pow8(d * d)
+    return normalized(out)
+
+
+def dict_ladder_rows(ctx, nmax, build, kinds, eigenvalue, relative, sign):
+    rows = []
+    with ctx.prec():
+        family = {k: dict(build(ctx, k).coeffs) for k in range(nmax + 2)}
+        for n in range(1, nmax + 1):
+            root_n, root_up = (ctx.sqrt(eigenvalue(ctx.q, k)) for k in (n, n + 1))
+            low = dict_distance(ctx, dict_ladder(ctx, kinds[0], family[n]),
+                                dict_scale(family[n - 1], root_n), relative)
+            up = dict_distance(ctx, dict_ladder(ctx, kinds[1], family[n]),
+                               dict_scale(family[n + 1], sign * root_up),
+                               relative)
+            rows.append((n, low, up))
+    return rows
+
+
+def reference_ladders(ctx, nmax):
+    dg_rows = dict_ladder_rows(ctx, nmax, qg.build_phi,
+                               ("arik_lower", "arik_raise"),
+                               arik_coon_eigenvalue, False, 1)
+    mac_rows = dict_ladder_rows(ctx, nmax, qg.build_Bn,
+                                ("mac_lower", "mac_raise"),
+                                lambda q, k: -macfarlane_eigenvalue(q, k),
+                                True, -1)
+    rows = [((family, n, key), dev)
+            for a, b in zip(dg_rows, mac_rows)
+            for family, (n, low, up) in (("dg", a), ("mac", b))
+            for key, dev in (("lower_residual", low), ("raise_residual", up))]
+    return rows, JUDGE("ladders", 1e-11, rows, {
+        "q": float(ctx.q), "nmax": nmax, "digits": ctx.digits})
+
+
+def reference_sumrule(ctx, nmax):
+    phis = [dict(qg.build_phi(ctx, k).coeffs) for k in range(nmax + 1)]
+    rows = []
+    with ctx.prec():
+        norm = qg.alpha(ctx) ** 2
+        for n, fn in enumerate(phis):
+            fn = {t: a.conjugate() for t, a in fn.items()}
+            for m, fm in enumerate(phis):
+                val = sum(dict_daughters(ctx, fn, fm).values()) / norm
+                rows.append(((n, m), max(abs(val.real - (1 if n == m else 0)),
+                                         abs(val.imag))))
+    return rows, JUDGE("sumrule", 1e-12, rows, {"q": float(ctx.q),
+                                               "nmax": nmax})
+
+
+@pytest.fixture
+def judged(monkeypatch):
+    """Every row list a suite hands to verify._judge, in order."""
+    seen = []
+
+    def spy(name, tol, rows, params, notes=None):
+        seen.append(list(rows))
+        return JUDGE(name, tol, seen[-1], params, notes)
+    monkeypatch.setattr(verify, "_judge", spy)
+    return seen
+
+
+@pytest.mark.parametrize("digits", [None, 20, 40])
+def test_suite_commutators_rows_equal_per_chain_residuals(digits, judged):
+    count = 60 if digits is None else 6
+    for q, seed in ((0.23, 5), (0.618034, 12345), (0.89, 77)):
+        ctx = QContext(q=q, digits=digits)
+        verify.suite_commutators(ctx, count=count, seed=seed)
+        rng = np.random.default_rng(seed)
+        expected = []
+        for i in range(count):
+            f = verify.random_chain(ctx, rng)
+            for family in ("dg", "mac"):
+                one = verify.commutator_residual(ctx, f, family)
+                assert one == dict_commutator(ctx, dict(f.coeffs), family)
+                expected.append(((family, i), one))
+        assert judged[-1] == expected
+
+
+@pytest.mark.parametrize("digits", [None, 20, 40, 60])
+def test_ladder_and_sumrule_suites_equal_the_dict_loops(digits, judged):
+    for q in (0.37, 0.5512, 0.83):
+        ctx = QContext(q=q, digits=digits)
+        nmax = 12 if digits is None else 5
+        for suite, reference in (("ladders", reference_ladders),
+                                 ("sumrule", reference_sumrule)):
+            result = qg.run_suite(suite, ctx, nmax=nmax)
+            rows, expected = reference(ctx, nmax)
+            assert judged[-1] == rows
+            assert result.to_dict() == expected.to_dict()
+
+
+@pytest.mark.parametrize("digits", [None, 30])
+def test_one_row_cases_equal_the_dict_loops(digits):
+    ctx = QContext(q=0.47, digits=digits)
+    rng = np.random.default_rng(3)
+    chains = [verify.random_chain(ctx, rng) for _ in range(6)]
+    chains += [qg.build_phi(ctx, 4), qg.build_Bn(ctx, 3), qg.zero_chain(ctx)]
+    for f in chains:
+        for kind in LADDER_TERMS:
+            once = qg.apply_ladder(qg.LadderOperator(kind, ctx), f)
+            assert dict(once.coeffs) == dict_ladder(ctx, kind, dict(f.coeffs))
+    even = [qg.GaussianChain(ctx, {t: a for t, a in f.coeffs.items() if t % 2 == 0})
+            for f in chains]
+    for f in even:
+        for g in even:
+            assert (dict(qg.product_daughters(f, g).coeffs)
+                    == dict_daughters(ctx, dict(f.coeffs), dict(g.coeffs)))
+
+
+def test_coeffs_view_keeps_the_value_types():
+    for digits, real, cplx in ((None, float, complex),
+                               (40, mpmath.mpf, mpmath.mpc)):
+        ctx = QContext(q=0.5, digits=digits)
+        phi = qg.build_phi(ctx, 3)
+        assert list(phi.coeffs) == [0, 2, 4, 6]
+        assert all(type(a) is real for a in phi.coeffs.values())
+        assert all(type(a) is real for a in
+                   qg.apply_ladder(qg.arik_raise(ctx), phi).coeffs.values())
+        f = verify.random_chain(ctx, np.random.default_rng(1))
+        assert f.coeffs and all(type(a) is cplx for a in f.coeffs.values())
+        with pytest.raises(TypeError):
+            f.coeffs[0] = 1.0
+
+
+def test_chain_window_trims_zero_ends_and_keeps_holes():
+    f = qg.GaussianChain(QContext(q=0.5), {-3: 0.0, -1: 2.0, 2: -1.0, 5: 0.0})
+    assert (f.start, f.row.tolist()) == (-1, [2.0, 0.0, 0.0, -1.0])
+    assert dict(f.coeffs) == {-1: 2.0, 2: -1.0} and len(f) == 2
+
+
+def test_parity_mixing_still_raises():
+    ctx = QContext(q=0.5)
+    mixed = qg.GaussianChain(ctx, {0: 1.0, 1: 0.5})
+    for f, g in ((mixed, qg.make_gaussian(ctx, 0)),
+                 (qg.make_gaussian(ctx, 2), mixed),
+                 (qg.make_gaussian(ctx, 2), qg.make_gaussian(ctx, 3))):
+        with pytest.raises(ValueError, match="parity class"):
+            qg.product_daughters(f, g)
+
+
+def test_a_nan_deviation_fails_its_suite_and_is_written_as_null():
+    result = verify._judge("x", 1e-9, [(("a",), math.nan), (("b",), 1e-12)], {})
+    assert not result.passed
+    assert math.isnan(result.max_deviation)
+    assert [row[0] for row in result.failures] == ["a"]
+    data = result.to_dict()
+    assert data["max_deviation"] is None and data["failures"] == [["a", None]]
+    json.dumps(data, allow_nan=False)
+    # an infinite deviation fails too, after a finite worst
+    result = verify._judge("x", 1e-9, [(("a",), 1e-12), (("b",), math.inf)], {})
+    assert not result.passed and result.max_deviation == math.inf
+
+
+def test_double_power_past_the_float_range_is_inf():
+    ctx = QContext(q=0.01)
+    assert ctx.qpow(-1000) == math.inf and ctx.qpow8(-8000) == math.inf
+    assert ctx.qpow(1000) == 0.0
