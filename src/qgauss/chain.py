@@ -14,12 +14,12 @@ A chain is a dense window: its first twice-center ``start`` and a row of
 coefficients for start, start + 1, ..., zero at both ends trimmed: a
 float64 or complex128 array in double, at set digits an object array of
 the context's mpf or mpc values (converted once, at construction) with
-the integer 0 in its holes. ``coeffs`` reads it back as the sorted {t: a}
-of nonzero entries. A table (start, rows) holds one chain per row on a
-common window; a ladder acts on a table as one two-tap stencil, and the
-products of two tables' rows expand into daughters as one weighted
-convolution. Complex products are taken part by part, as Python takes
-them: numpy's complex multiply rounds differently.
+zeros in its holes. Every operation computes on windows at the context's
+precision; ``coeffs`` is only a read-only {t: a} view of the nonzero
+entries. A table (start, rows) holds one chain per row on a common window:
+ladders act on it as two-tap stencils, products of rows expand into
+daughters as one weighted convolution. Complex products are taken part by
+part, as Python takes them: numpy's complex multiply rounds differently.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 
 import mpmath
@@ -47,19 +48,18 @@ class _Window:
     def __init__(self, ctx: QContext, coeffs=None, start: int = 0, row=None):
         if row is None:
             start, (row,) = _table_of(ctx, [coeffs])
-        live = np.flatnonzero(row.astype(bool))
-        lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
-        self.ctx, self.start, self.row = ctx, start + lo, row[lo:hi]
-        self._view = None
+        if not (row.size and row[0] and row[-1]):  # trim the zero ends
+            live = np.flatnonzero(row.astype(bool))
+            lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+            start, row = start + lo, row[lo:hi]
+        self.ctx, self.start, self.row = ctx, start, row
 
-    @property
+    @cached_property
     def coeffs(self):
         """Read-only {t: a} of the nonzero entries in increasing t: float
         or complex in double, mpf or mpc at set digits."""
-        if self._view is None:
-            self._view = MappingProxyType(
-                {t: a for t, a in enumerate(self.row.tolist(), self.start) if a})
-        return self._view
+        return MappingProxyType(
+            {t: a for t, a in enumerate(self.row.tolist(), self.start) if a})
 
     def __len__(self):
         return len(self.coeffs)
@@ -76,17 +76,18 @@ class GaussianChain(_Window):
     """f(x) = sum_mu a_mu q^{(x-mu)^2} with mu = t/2 over integer keys t."""
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.row.size
 
     def max_abs_coeff(self) -> float:
         return float(_row_max_abs(self.row))
 
     def conjugate(self) -> "GaussianChain":
-        return GaussianChain(self.ctx, {t: conj(a) for t, a in self.coeffs.items()})
+        return GaussianChain(self.ctx, start=self.start, row=self.row.conjugate())
 
     def reflect(self) -> "GaussianChain":
         """f(-x): centers negated, coefficients unchanged."""
-        return GaussianChain(self.ctx, {-t: a for t, a in self.coeffs.items()})
+        return GaussianChain(self.ctx, start=1 - self.start - self.row.size,
+                             row=self.row[::-1])
 
 
 class DaughterChain(_Window):
@@ -193,13 +194,16 @@ def _times(x: np.ndarray, y) -> np.ndarray:
     return out
 
 
+def _magnitudes(rows: np.ndarray) -> np.ndarray:
+    """|a| of every entry as magnitude() takes it, as floats."""
+    if rows.dtype == object:
+        return np.array([magnitude(a) for a in rows.flat]).reshape(rows.shape)
+    return np.hypot(rows.real, rows.imag)
+
+
 def _row_max_abs(rows: np.ndarray) -> np.ndarray:
     """max |a| over each row, |a| as magnitude() takes it; 0.0 if empty."""
-    if rows.dtype == object:
-        mags = np.array([magnitude(a) for a in rows.flat]).reshape(rows.shape)
-    else:
-        mags = np.hypot(rows.real, rows.imag)
-    return mags.max(axis=-1, initial=0.0)
+    return _magnitudes(rows).max(axis=-1, initial=0.0)
 
 
 def _distance(x: tuple, y: tuple, relative: bool = False) -> list:
@@ -227,14 +231,14 @@ def zero_chain(ctx: QContext) -> GaussianChain:
 
 def add(f: GaussianChain, g: GaussianChain) -> GaussianChain:
     _require_same_ctx(f, g)
-    coeffs = dict(f.coeffs)
-    for t, a in g.coeffs.items():
-        coeffs[t] = coeffs.get(t, 0) + a
-    return GaussianChain(f.ctx, coeffs)
+    with f.ctx.prec():
+        start, (a, b) = _aligned([(f.start, f.row), (g.start, g.row)])
+        return GaussianChain(f.ctx, start=start, row=a + b)
 
 
 def scale(f: GaussianChain, s) -> GaussianChain:
-    return GaussianChain(f.ctx, {t: a * s for t, a in f.coeffs.items()})
+    with f.ctx.prec():
+        return GaussianChain(f.ctx, start=f.start, row=_times(f.row, s))
 
 
 def subtract(f: GaussianChain, g: GaussianChain) -> GaussianChain:
@@ -247,8 +251,7 @@ def shift(f: GaussianChain, s) -> GaussianChain:
     s must be a half-integer (multiple of 1/2); anything else is rejected
     because it would leave the lattice.
     """
-    twice = as_lattice_shift(s)
-    return GaussianChain(f.ctx, {t - twice: a for t, a in f.coeffs.items()})
+    return GaussianChain(f.ctx, start=f.start - as_lattice_shift(s), row=f.row)
 
 
 def mul_qlinear(f: GaussianChain, a: int, b) -> GaussianChain:
@@ -257,31 +260,24 @@ def mul_qlinear(f: GaussianChain, a: int, b) -> GaussianChain:
         q^{a x + b} q^{(x-mu)^2} = q^{a mu - a^2/4 + b} q^{(x-(mu-a/2))^2}.
 
     a must be an integer so image centers stay on the half-integer lattice;
-    b may be any rational. The exponent is accumulated as a Fraction and
-    exponentiated once.
+    b may be any rational. Each live center's exponent a t/2 - a^2/4 + b
+    is one exact Fraction, exponentiated once; the window starts a lower.
     """
     if a != int(a):
         raise ValueError(f"linear coefficient must be an integer, got {a}")
-    a = int(a)
-    b = Fraction(b)
-    ctx = f.ctx
-    out: dict = {}
+    a, b, ctx = int(a), Fraction(b), f.ctx
     with ctx.prec():
-        for t, coeff in f.coeffs.items():
-            exponent = Fraction(a * t, 2) - Fraction(a * a, 4) + b
-            key = t - a
-            term = coeff * ctx.qpow(exponent)
-            out[key] = out.get(key, 0) + term
-    return GaussianChain(ctx, out)
+        factors = [ctx.qpow(Fraction(a * (2 * t - a), 4) + b) if live else 0
+                   for t, live in enumerate(f.row.astype(bool), f.start)]
+        return GaussianChain(ctx, start=f.start - a, row=_times(f.row, factors))
 
 
 def prune(f: GaussianChain, rel_threshold: float) -> GaussianChain:
     """Drop coefficients below rel_threshold times the largest magnitude."""
     if rel_threshold <= 0:
         return f
-    top = f.max_abs_coeff()
-    cut = rel_threshold * top
-    return GaussianChain(f.ctx, {t: a for t, a in f.coeffs.items() if magnitude(a) > cut})
+    keep = _magnitudes(f.row) > rel_threshold * f.max_abs_coeff()
+    return GaussianChain(f.ctx, start=f.start, row=np.where(keep, f.row, 0))
 
 
 # -- ladder operators ------------------------------------------------------
@@ -371,6 +367,49 @@ def apply_ladder(op: LadderOperator, f: GaussianChain) -> GaussianChain:
         raise ValueError("operator and chain carry different contexts")
     start, row = _ladder_table(op, f.start, f.row)
     return GaussianChain(op.ctx, start=start, row=row)
+
+
+def ladder_residuals(ctx: QContext, levels, build, lower, raise_, eigenvalue,
+                     relative: bool = False, raise_sign: int = 1) -> list:
+    """The ladder check of both families, one dict per level n in levels:
+    the coeff_distance (relative_coeff_distance with relative) from lower
+    f_n to sqrt(lam_n) f_{n-1} and from raise f_n to raise_sign
+    sqrt(lam_{n+1}) f_{n+1}, lam_k = eigenvalue(q, k), f_k = build(ctx, k)
+    built once; each ladder acts on the table of all levels at once."""
+    levels = list(levels)
+    if any(n < 1 for n in levels):
+        raise ValueError("ladder check needs n >= 1")
+    if not levels:
+        return []
+    # past the double range (inf powers) the gaps turn NaN quietly; the
+    # suite's judge reports them as failures
+    with ctx.prec(), np.errstate(invalid="ignore", over="ignore"):
+        family = {k: build(ctx, k) for k in
+                  sorted({k for n in levels for k in (n - 1, n, n + 1)})}
+        root = {k: ctx.sqrt(eigenvalue(ctx.q, k)) for k in family if k}
+        table = _stack([family[n] for n in levels])
+        low = _distance(_ladder_table(lower(ctx), *table), _stack(
+            [scale(family[n - 1], root[n]) for n in levels]), relative)
+        up = _distance(_ladder_table(raise_(ctx), *table), _stack(
+            [scale(family[n + 1], raise_sign * root[n + 1]) for n in levels]),
+            relative)
+    return [{"n": n, "lower_residual": lo, "raise_residual": hi}
+            for n, lo, hi in zip(levels, low, up)]
+
+
+def commutator_residuals(a: LadderOperator, b: LadderOperator,
+                         maps: list) -> list:
+    """The largest coefficient of (a b - q b a - 1) f for each mapping
+    f = {t: a_t} in maps, on a's context: the mappings form one table,
+    and each ladder product acts on all of it at once."""
+    ctx = a.ctx
+    with ctx.prec():
+        table = _table_of(ctx, maps)
+        first = _ladder_table(a, *_ladder_table(b, *table))
+        second = _ladder_table(b, *_ladder_table(a, *table))
+        second = second[0], _times(second[1], ctx.q)
+        return _row_max_abs(_difference(_difference(first, second),
+                                        table)[1]).tolist()
 
 
 # -- inner products, products, transforms ----------------------------------
@@ -555,6 +594,18 @@ def product_daughters(f: GaussianChain, g: GaussianChain) -> DaughterChain:
     start, rows = _daughter_table(f.ctx, (f.start, f.row[None]),
                                   (g.start, g.row[None]))
     return DaughterChain(f.ctx, start=start, row=rows[0, 0])
+
+
+def daughter_sums(left: list, right: list) -> list:
+    """The daughter coefficient sum of f g for every f in left (rows) and
+    g in right (columns): one convolution of the two tables, then each
+    daughter row summed in increasing center, as
+    DaughterChain.coefficient_sum sums it."""
+    ctx = left[0].ctx
+    _, daughters = _daughter_table(ctx, _stack(left), _stack(right))
+    with ctx.prec():
+        return [[sum(filter(None, row)) for row in rows]
+                for rows in daughters.tolist()]
 
 
 def integrate_daughters(d: DaughterChain):

@@ -22,9 +22,9 @@ import numpy as np
 from .context import QContext
 from .chain import evaluate
 from .circle import circle_gram_dg, circle_gram_mac
-from .dg import (_limit_grid, build_phi, dg_coefficients, gram_phi,
-                 harmonic_limit_scan, limit_ratio_curve)
-from .macfarlane import (_mac_E_closed, build_Bn, indefinite_gram,
+from .dg import (build_phi, dg_coefficients, gram_phi, harmonic_limit_scan,
+                 limit_grid, limit_ratio_curve)
+from .macfarlane import (build_Bn, indefinite_gram, mac_E_closed,
                          mac_harmonic_limit, mac_limit_ratio_curve, mac_zeta)
 from .weights import gamma_family_gram, orthonormal_weight_family
 from .report import GramReport
@@ -109,7 +109,7 @@ def cmd_coeffs(args, scale: QContext, echo: dict) -> int:
         coeffs = dg_coefficients(ctx, args.n).normalized
         normalization = "phi-unit-norm"
     else:
-        E = _mac_E_closed(ctx, args.n)
+        E = mac_E_closed(ctx, args.n)
         zeta = mac_zeta(ctx, args.n)
         coeffs = [zeta * e for e in E]
         normalization = "zeta-times-E"
@@ -208,7 +208,7 @@ def cmd_limit(args, scale: QContext, echo: dict) -> int:
         curve = mac_limit_ratio_curve
 
     def rows():
-        pts = _limit_grid(args.n, grid)
+        pts = limit_grid(args.n, grid)
         curves = [curve(args.n, c, pts) for c in c_list]
         for i, s in enumerate(pts):
             yield [_fmt(s)] + [_fmt(col[i]) for col in curves]

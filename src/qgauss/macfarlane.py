@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import QContext, magnitude
-from .qnum import (_pochhammer_prefix, macfarlane_eigenvalue, qbinomial_row,
+from .qnum import (macfarlane_eigenvalue, pochhammer_prefix, qbinomial_row,
                    qbinomial_triangle, qpochhammer)
 from .chain import (GaussianChain, alpha, apply_ladder, gram_contract, inner,
-                    lattice_kernel, mac_lower, mac_raise, overlap_scale,
-                    relative_coeff_distance, scale)
-from .dg import even_limit_ratio, ladder_residuals, limit_scan
+                    ladder_residuals, lattice_kernel, mac_lower, mac_raise,
+                    overlap_scale, relative_coeff_distance, scale)
+from .dg import even_limit_ratio, limit_scan
 from .report import GramReport
 
 
@@ -49,7 +49,7 @@ def mac_zeta(ctx: QContext, n: int, alpha_w=None):
                 / ctx.sqrt(qpochhammer(ctx.q, n)))
 
 
-def _mac_E_closed(ctx: QContext, n: int) -> list:
+def mac_E_closed(ctx: QContext, n: int) -> list:
     """E^n_k = (-1)^k [n k]_q q^{(k - 2nk)/2}."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -77,7 +77,7 @@ def _mac_E_recursion(ctx: QContext, n: int) -> list:
 def mac_coeffs(ctx: QContext, n: int) -> MacCoefficients:
     """Closed-form coefficients, cross-checked against the independent
     recursion construction (relative gap stored, expected < 1e-12)."""
-    closed = _mac_E_closed(ctx, n)
+    closed = mac_E_closed(ctx, n)
     recursed = _mac_E_recursion(ctx, n)
     with ctx.prec():
         gap = max(magnitude(a - b) / magnitude(a)
@@ -87,7 +87,7 @@ def mac_coeffs(ctx: QContext, n: int) -> MacCoefficients:
 
 
 def build_Bn(ctx: QContext, n: int) -> GaussianChain:
-    E = _mac_E_closed(ctx, n)
+    E = mac_E_closed(ctx, n)
     zeta = mac_zeta(ctx, n)
     with ctx.prec():
         return GaussianChain(ctx, {2 * k: zeta * e for k, e in enumerate(E)})
@@ -136,7 +136,7 @@ def twisted_gram_magnitudes(q: float, nmax: int) -> tuple:
     and of the kernel q^{(j+k)^2/2} (the overlap sqrt(pi/2c^2) cancels the
     alpha^2 in zeta_n zeta_m), each entry against the unit target."""
     lq = math.log10(q)
-    poch = _pochhammer_prefix(q, nmax)
+    poch = pochhammer_prefix(q, nmax)
     rows = [[math.log10(b) + (n * (n - 1) / 4 + j / 2 - n * j) * lq
              - 0.5 * math.log10(poch[n]) for j, b in enumerate(row)]
             for n, row in enumerate(qbinomial_triangle(q, nmax))]
@@ -220,12 +220,12 @@ def indefinite_gram(ctx: QContext, nmax: int) -> GramReport:
     else:
         with ctx.prec():
             ground = alpha(ctx)
-            poch = _pochhammer_prefix(ctx.q, nmax)
+            poch = pochhammer_prefix(ctx.q, nmax)
             tables = []
             for n in range(size):
                 zeta = (ground * ctx.qpow8(2 * n * (n - 1))
                         / ctx.sqrt(poch[n]))
-                tables.append([zeta * e for e in _mac_E_closed(ctx, n)])
+                tables.append([zeta * e for e in mac_E_closed(ctx, n)])
             overlap = overlap_scale(ctx)
             sums = gram_contract(tables,
                                  lattice_kernel(ctx, size, "parity_twisted"),
@@ -245,7 +245,7 @@ def mac_limit_ratio_curve(n: int, c: float, pts: np.ndarray) -> np.ndarray:
     divided out by building the chain from the bare E coefficients."""
     ctx = QContext(c=c)
     chain = GaussianChain(ctx, {2 * k: e for k, e in
-                                enumerate(_mac_E_closed(ctx, n))})
+                                enumerate(mac_E_closed(ctx, n))})
     return even_limit_ratio(chain, n, c, pts)
 
 

@@ -16,7 +16,7 @@ def _check_q(q):
         raise ValueError(f"q must lie in (0, 1), got {q}")
 
 
-def _pochhammer_prefix(qq, n: int) -> list:
+def pochhammer_prefix(qq, n: int) -> list:
     """[(q, q)_0, ..., (q, q)_n] in the type of qq, one running product."""
     out = [qq / qq]  # one, in the backend type
     power = out[0]
@@ -34,7 +34,7 @@ def qpochhammer(q, n: int):
     _check_q(q)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _pochhammer_prefix(q, n)[n]
+    return pochhammer_prefix(q, n)[n]
 
 
 def qbinomial(q, n: int, k: int):
@@ -58,7 +58,7 @@ def qbinomial_row(q, n: int) -> list:
     _check_q(q)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    poch = _pochhammer_prefix(q, n)
+    poch = pochhammer_prefix(q, n)
     return [poch[n] / (poch[k] * poch[n - k]) for k in range(n + 1)]
 
 

@@ -38,11 +38,11 @@ class GramReport:
     def _relative(self, entries: list) -> list:
         """Absolute entry deviations rescaled as entry_deviations(True)."""
         diag = [abs(row[i]) for i, row in enumerate(self.target)]
-        out = []
-        for i, j, dev in entries:
-            scl = (diag[i] * diag[j]) ** 0.5
-            out.append((i, j, dev / scl if scl > 0 else dev))
-        return out
+        root = [[(a * b) ** 0.5 for b in diag[:i + 1]]  # one per pair
+                for i, a in enumerate(diag)]
+        scales = (root[max(i, j)][min(i, j)] for i, j, _ in entries)
+        return [(i, j, dev / s if s > 0 else dev)
+                for (i, j, dev), s in zip(entries, scales)]
 
     def deviations(self, relative: bool = False) -> tuple:
         """(largest deviation, entry_deviations(relative)) from one walk."""

@@ -15,9 +15,9 @@ import numpy as np
 
 from .context import QContext
 from .qnum import macfarlane_eigenvalue
-from .chain import (GaussianChain, _difference, _ladder_table, _row_max_abs,
-                    _table_of, _times, arik_lower, arik_raise, evaluate,
-                    gram_budget, mac_lower, mac_raise)
+from .chain import (GaussianChain, arik_lower, arik_raise,
+                    commutator_residuals, evaluate, gram_budget, mac_lower,
+                    mac_raise)
 from . import circle as circle_mod
 from . import dg as dg_mod
 from . import macfarlane as mac_mod
@@ -138,23 +138,15 @@ def random_chain(ctx: QContext, rng: np.random.Generator,
     return GaussianChain(ctx, _random_coeffs(rng, max_terms, span))
 
 
-def _commutator_residuals(ctx: QContext, table: tuple, family: str) -> list:
-    """commutator_residual of every row of the table (start, rows), each
-    ladder applied once to the whole table; of the chain, for one row."""
-    with ctx.prec():
-        a, b = ((arik_lower(ctx), arik_raise(ctx)) if family == "dg"
-                else (mac_raise(ctx), mac_lower(ctx)))
-        first = _ladder_table(a, *_ladder_table(b, *table))
-        second = _ladder_table(b, *_ladder_table(a, *table))
-        second = second[0], _times(second[1], ctx.q)
-        return _row_max_abs(_difference(_difference(first, second),
-                                        table)[1]).tolist()
+# the ladders (a, b) of each family's relation a b - q b a = 1
+_LADDERS = {"dg": (arik_lower, arik_raise), "mac": (mac_raise, mac_lower)}
 
 
 def commutator_residual(ctx: QContext, f: GaussianChain, family: str) -> float:
     """Largest coefficient of (lower raise - q raise lower - 1) f for the
     first family, (raise lower - q lower raise - 1) f for the second."""
-    return _commutator_residuals(ctx, (f.start, f.row), family)
+    a, b = (ladder(ctx) for ladder in _LADDERS[family])
+    return commutator_residuals(a, b, [f.coeffs])[0]
 
 
 def suite_commutators(ctx: QContext, count: int = 20,
@@ -162,11 +154,11 @@ def suite_commutators(ctx: QContext, count: int = 20,
     """The commutator residuals of count chains drawn as random_chain
     draws them, checked as one table."""
     rng = np.random.default_rng(seed)
-    table = _table_of(ctx, [_random_coeffs(rng) for _ in range(count)])
-    residuals = zip(*(_commutator_residuals(ctx, table, family)
-                      for family in ("dg", "mac")))
+    maps = [_random_coeffs(rng) for _ in range(count)]
+    residuals = zip(*(commutator_residuals(a(ctx), b(ctx), maps)
+                      for a, b in _LADDERS.values()))
     rows = [((family, i), dev) for i, pair in enumerate(residuals)
-            for family, dev in zip(("dg", "mac"), pair)]
+            for family, dev in zip(_LADDERS, pair)]
     return _judge("commutators", 1e-13, rows,
                   {"q": float(ctx.q), "count": count, "seed": seed,
                    "digits": ctx.digits})
@@ -188,11 +180,9 @@ def suite_circle_mac(ctx: QContext, nmax: int = 5, points: int = 512,
 
 
 def suite_poisson(c: float = 1.0, grid_points: int = 17) -> SuiteResult:
-    tol = 1e-12
-    grid = np.linspace(0.0, 1.0, grid_points)
-    dev = circle_mod.poisson_check(c, grid)
-    return SuiteResult("poisson", dev <= tol, tol, dev,
-                       params={"c": float(c), "grid_points": grid_points})
+    dev = circle_mod.poisson_check(c, np.linspace(0.0, 1.0, grid_points))
+    return _judge("poisson", 1e-12, [(("theta-sum",), dev)],
+                  {"c": float(c), "grid_points": grid_points})
 
 
 def suite_limits(nmax: int = 4) -> SuiteResult:

@@ -7,8 +7,8 @@ import pytest
 import qgauss as qg
 from qgauss import QContext
 from qgauss.dg import (
-    _limit_grid,
     hermite_zeros,
+    limit_grid,
     limit_ratio_curve,
     sw_orthogonality_residual,
     sw_u_form,
@@ -101,16 +101,16 @@ def test_hermite_zero_table():
 
 
 def test_limit_grid_avoids_zeros():
-    pts = _limit_grid(3, np.arange(0.3, 3.31, 0.15))
+    pts = limit_grid(3, np.arange(0.3, 3.31, 0.15))
     zeros = hermite_zeros(3)
     assert all(np.min(np.abs(zeros - p)) >= 0.2 for p in pts)
     with pytest.raises(ValueError):
-        _limit_grid(3, [1.2, 1.25])  # everything too close to the zero at 1.2247
+        limit_grid(3, [1.2, 1.25])  # everything too close to the zero at 1.2247
 
 
 def test_ground_state_limit_is_exact():
     # Phi_0 scaled into oscillator variables is e^{-s^2/2} for every c
-    pts = _limit_grid(0, np.arange(0.3, 3.31, 0.15))
+    pts = limit_grid(0, np.arange(0.3, 3.31, 0.15))
     rho = limit_ratio_curve(0, 0.2, pts)
     np.testing.assert_allclose(rho, 1.0, atol=1e-12)
 

@@ -49,16 +49,18 @@ def test_deviations_pairs_the_largest_with_the_entries(report):
 
 
 @pytest.mark.parametrize("build, digits", [("circle_gram_dg", None),
-                                           ("indefinite_gram", 30)])
+                                           ("indefinite_gram", 30),
+                                           ("circle_gram_mac", 30)])
 def test_to_dict_walks_the_deviations_once(monkeypatch, build, digits):
     rep = getattr(qg, build)(qg.QContext(q=0.43, digits=digits), 6)
     # the relative measure as first defined, entry by entry
-    expected_rel = max(
-        abs(v - t) / (abs(rep.target[i][i]) * abs(rep.target[j][j])) ** 0.5
-        if (abs(rep.target[i][i]) * abs(rep.target[j][j])) ** 0.5 > 0
-        else abs(v - t)
-        for i, (row, trow) in enumerate(zip(rep.matrix, rep.target))
-        for j, (v, t) in enumerate(zip(row, trow)))
+    expected = []
+    for i, (row, trow) in enumerate(zip(rep.matrix, rep.target)):
+        for j, (v, t) in enumerate(zip(row, trow)):
+            scl = (abs(rep.target[i][i]) * abs(rep.target[j][j])) ** 0.5
+            expected.append((i, j, abs(v - t) / scl if scl > 0 else abs(v - t)))
+    assert rep.entry_deviations(True) == expected
+    expected_rel = max(dev for _, _, dev in expected)
     expected_abs = max(abs(v - t) for row, trow in zip(rep.matrix, rep.target)
                        for v, t in zip(row, trow))
     walks = []

@@ -1,14 +1,16 @@
-"""The chain tables against the per-chain dict loops they replace.
+"""Chain windows and tables against the per-chain dict loops they replace.
 
-Chains are dense coefficient windows, and the commutator, ladder and
-sum-rule suites act on whole tables of them. The references below are
-the dict-loop algorithms the package used before: one ladder application
-or one pointwise product per chain pair, each written over plain {t: a}
-mappings. Every comparison is exact (==), in double and at set digits.
+Chains are dense coefficient windows: every chain operation acts on the
+window, and the commutator, ladder and sum-rule suites act on whole
+tables of them. The references below are the dict-loop algorithms the
+package used before, each written over plain {t: a} mappings and run at
+the context's precision. Every comparison is exact (==), in double and
+at set digits.
 """
 
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 
 import qgauss as qg
 from qgauss import QContext, verify
+from qgauss.chain import prune
 from qgauss.qnum import arik_coon_eigenvalue, macfarlane_eigenvalue
 
 JUDGE = verify._judge
@@ -206,6 +209,76 @@ def test_one_row_cases_equal_the_dict_loops(digits):
         for g in even:
             assert (dict(qg.product_daughters(f, g).coeffs)
                     == dict_daughters(ctx, dict(f.coeffs), dict(g.coeffs)))
+
+
+def dict_add(f, g):
+    out = dict(f)
+    for t, a in g.items():
+        out[t] = out.get(t, 0) + a
+    return normalized(out)
+
+
+def window_cases(ctx):
+    """Random complex chains drawn as random_chain draws them, family
+    chains with holes, an asymmetric window and the zero chain."""
+    rng = np.random.default_rng(11)
+    return ([verify.random_chain(ctx, rng) for _ in range(4)]
+            + [qg.build_phi(ctx, 4), qg.build_Bn(ctx, 3),
+               qg.GaussianChain(ctx, {-3: ctx.make(0.5), 0: ctx.make(-1.25),
+                                      1: ctx.make(2.0)}),
+               qg.zero_chain(ctx)])
+
+
+def window_pairs(ctx, f, chains):
+    """(window operation on f, its dict-loop reference as a thunk)."""
+    coeffs = dict(f.coeffs)
+    top = dict_max_abs(coeffs)
+    for s in (ctx.sqrt(ctx.make(3)), ctx.make(0.3 - 1.7j), 2.5, -1):
+        yield qg.scale(f, s), lambda s=s: dict_scale(coeffs, s)
+    for s in (Fraction(1, 2), Fraction(-1, 2)):
+        yield qg.shift(f, s), lambda s=s: {t - int(2 * s): a
+                                           for t, a in coeffs.items()}
+    for a, b in ((1, Fraction(1, 3)), (2, Fraction(-5, 7)),
+                 (-3, Fraction(2, 5)), (0, Fraction(1, 3))):
+        yield qg.mul_qlinear(f, a, b), lambda a=a, b=b: {
+            t - a: c * ctx.qpow(Fraction(a * t, 2) - Fraction(a * a, 4) + b)
+            for t, c in coeffs.items()}
+    yield f.conjugate(), lambda: {t: a.conjugate() for t, a in coeffs.items()}
+    yield f.reflect(), lambda: {-t: a for t, a in coeffs.items()}
+    for rel in (0.3, 1e-3):
+        yield prune(f, rel), lambda rel=rel: {
+            t: a for t, a in coeffs.items() if float(abs(a)) > rel * top}
+    for g in chains:
+        other = dict(g.coeffs)
+        yield qg.add(f, g), lambda other=other: dict_add(coeffs, other)
+        yield (qg.subtract(f, g),
+               lambda other=other: dict_subtract(coeffs, other))
+
+
+@pytest.mark.parametrize("digits", [None, 20, 40])
+def test_window_operations_equal_the_dict_loops(digits):
+    ctx = QContext(q=0.43, digits=digits)
+    chains = window_cases(ctx)
+    for f in chains:
+        for window, reference in window_pairs(ctx, f, chains):
+            with ctx.prec():
+                expected = normalized(reference())
+            assert list(window.coeffs) == sorted(window.coeffs)
+            assert dict(window.coeffs) == expected
+
+
+def test_scale_add_and_subtract_keep_the_chains_precision():
+    ctx = QContext(q=0.5, digits=40)
+    raised = qg.apply_ladder(qg.arik_raise(ctx), qg.build_phi(ctx, 3))
+    phi4 = qg.build_phi(ctx, 4)
+    with ctx.prec():
+        root = ctx.sqrt(arik_coon_eigenvalue(ctx.q, 4))
+        third, rest = ctx.make(1) / 3, 1 - ctx.make(1) / 3
+    assert qg.coeff_distance(raised, qg.scale(phi4, root)) <= 1e-45
+    assert qg.coeff_distance(qg.subtract(qg.add(phi4, phi4), phi4),
+                             phi4) == 0.0
+    sums = qg.add(qg.scale(phi4, third), qg.scale(phi4, rest))
+    assert qg.coeff_distance(sums, phi4) <= 1e-45
 
 
 def test_coeffs_view_keeps_the_value_types():

@@ -6,7 +6,7 @@ import pytest
 
 import qgauss as qg
 from qgauss import QContext
-from qgauss import dg, macfarlane
+from qgauss import circle, dg, macfarlane
 from qgauss.report import GramReport
 from qgauss.verify import commutator_residual, random_chain
 
@@ -61,6 +61,19 @@ def test_poisson_suite_uses_c():
     result = qg.run_suite("poisson", c=2.0)
     assert result.passed
     assert result.params["c"] == 2.0
+
+
+def test_a_failing_poisson_suite_lists_its_row(monkeypatch):
+    passing = qg.run_suite("poisson").to_dict()
+    assert passing["failures"] == [] and passing["notes"] == {}
+    monkeypatch.setattr(circle, "poisson_check", lambda c, grid: 1.0)
+    result = qg.run_suite("poisson")
+    assert not result.passed and result.max_deviation == 1.0
+    assert result.failures == [["theta-sum", 1.0]]
+    monkeypatch.setattr(circle, "poisson_check", lambda c, grid: math.nan)
+    data = qg.run_suite("poisson").to_dict()
+    assert not data["passed"] and data["max_deviation"] is None
+    assert data["failures"] == [["theta-sum", None]]
 
 
 def test_circle_mac_conjugated_variant_fails():
