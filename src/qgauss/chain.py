@@ -397,19 +397,22 @@ def ladder_residuals(ctx: QContext, levels, build, lower, raise_, eigenvalue,
             for n, lo, hi in zip(levels, low, up)]
 
 
-def commutator_residuals(a: LadderOperator, b: LadderOperator,
-                         maps: list) -> list:
+def commutator_residuals(ctx: QContext, ladders, maps: list) -> list:
     """The largest coefficient of (a b - q b a - 1) f for each mapping
-    f = {t: a_t} in maps, on a's context: the mappings form one table,
-    and each ladder product acts on all of it at once."""
-    ctx = a.ctx
+    f = {t: a_t} in maps, one list per ladder pair (a, b) = (a(ctx),
+    b(ctx)) in ladders: the mappings form one table, built once for every
+    pair, and each ladder product acts on all of it at once."""
     with ctx.prec():
         table = _table_of(ctx, maps)
-        first = _ladder_table(a, *_ladder_table(b, *table))
-        second = _ladder_table(b, *_ladder_table(a, *table))
-        second = second[0], _times(second[1], ctx.q)
-        return _row_max_abs(_difference(_difference(first, second),
-                                        table)[1]).tolist()
+        residuals = []
+        for a, b in ladders:
+            a, b = a(ctx), b(ctx)
+            first = _ladder_table(a, *_ladder_table(b, *table))
+            second = _ladder_table(b, *_ladder_table(a, *table))
+            second = second[0], _times(second[1], ctx.q)
+            residuals.append(_row_max_abs(_difference(
+                _difference(first, second), table)[1]).tolist())
+        return residuals
 
 
 # -- inner products, products, transforms ----------------------------------

@@ -362,14 +362,38 @@ def sw_orthogonality(ctx: QContext, n: int, m: int, s, form: str = "du",
     return integrate_real_line(integrand, ctx, tol=1e-12)
 
 
+def sw_overlaps(ctx: QContext, nmax: int, s, method: str = "analytic") -> list:
+    """The du-form overlaps I_nm = sw_orthogonality(ctx, n, m, s, "du",
+    method) for n <= m <= nmax, mirrored below the diagonal; the analytic
+    ones build each shifted Phi_k once."""
+    pairs = [(n, m) for n in range(nmax + 1) for m in range(n, nmax + 1)]
+    if method == "analytic":
+        with ctx.prec():
+            chains = [shift(build_Phi(ctx, k), -Fraction(s))
+                      for k in range(nmax + 1)]
+            jacobian = 2 * ctx.c * ctx.c
+            upper = {(n, m): jacobian * inner(chains[n], chains[m])
+                     for n, m in pairs}
+    else:
+        upper = {(n, m): sw_orthogonality(ctx, n, m, s, "du", method)
+                 for n, m in pairs}
+    return [[upper[min(n, m), max(n, m)] for m in range(nmax + 1)]
+            for n in range(nmax + 1)]
+
+
+def sw_overlap_residual(overlaps: list) -> float:
+    """max over n != m of |I_nm| / sqrt(I_nn I_mm), I = sw_overlaps(...);
+    the magnitudes and ratios are taken at the ambient precision."""
+    diag = [abs(row[n]) for n, row in enumerate(overlaps)]
+    worst = 0.0
+    for n, row in enumerate(overlaps):
+        for m in range(n + 1, len(row)):
+            worst = max(worst, float(abs(row[m])
+                                     / math.sqrt(diag[n] * diag[m])))
+    return worst
+
+
 def sw_orthogonality_residual(ctx: QContext, nmax: int, s,
                               method: str = "analytic") -> float:
     """max over n != m <= nmax of |I_nm| / sqrt(I_nn I_mm) in the du form."""
-    diag = [abs(sw_orthogonality(ctx, n, n, s, "du", method))
-            for n in range(nmax + 1)]
-    worst = 0.0
-    for n in range(nmax + 1):
-        for m in range(n + 1, nmax + 1):
-            off = abs(sw_orthogonality(ctx, n, m, s, "du", method))
-            worst = max(worst, float(off / math.sqrt(diag[n] * diag[m])))
-    return worst
+    return sw_overlap_residual(sw_overlaps(ctx, nmax, s, method))

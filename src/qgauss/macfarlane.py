@@ -5,8 +5,10 @@ pairing).
 Same integer-center Gaussians as the first oscillator, but rapidly
 growing coefficients and an indefinite normalization (B_n, B_n) = (-1)^n:
 the double Gram takes each entry as one exact integer sum over the binary
-value q = M/2^e, and a Gram at set digits runs at the precision that
-chain.gram_budget reads off its term mass.
+value q = M/2^e, the signed q-binomial polynomial of B_n evaluated at the
+points q^k by Horner and weighed by the coefficients of B_m, and a Gram at
+set digits runs at the precision that chain.gram_budget reads off its term
+mass.
 """
 
 from __future__ import annotations
@@ -145,8 +147,10 @@ def twisted_gram_magnitudes(q: float, nmax: int) -> tuple:
     return rows, kernel, [0.0] * (nmax + 1)
 
 
-# Largest nmax the mac-gram suite runs in exact double sums at unset digits;
-# past nmax ~8 their widening integers cost more than the budgeted mp Gram.
+# Largest nmax the mac-gram suite runs in exact double sums at unset digits.
+# The exact sums cost less than the budgeted mp Gram through nmax 12 at
+# least; the bound stays here because past it the suite reports the digits
+# the budget chose, and raising it would change that output.
 EXACT_NMAX = 7
 
 
@@ -158,13 +162,20 @@ def _binary_twisted_gram(q: float, nmax: int) -> list:
     diagonal entry fl(P) / sqrt(fl(P)^2), P = (q, q)_n, is +-1 exactly, as
     sqrt(fl(x^2)) = |x| in binary round-to-nearest: there is no floor.
 
-    With T[n][k] = [n k]_q D^{k(n-k)}, the (j, k) term of entry (n, m),
-    s = j + k, carries D^{((j-k)^2 - j - k)/2} and M^{s(s+1)/2 - n j - m k}.
-    The rows A[n][j] = (-1)^j T[n][j] M^{n(n-j)} against the kernel
-    M^{s(s+1)/2} D^{((j-k)^2 - j - k)/2 + nmax} therefore sum to the entry
-    times M^{n^2 + m^2} D^{nmax}; q^{floor(r)}, r = (n(n-1) + m(m-1))/4,
-    and (q, q)_n join the integer numerator and denominator, and one
-    correctly rounded int / int gives the double Fraction.__float__ would.
+    The kernel exponent s(s+1)/2 - n j - m k, s = j + k, splits as
+    [j(j+1)/2 - n j] + [k(k+1)/2 - m k] + j k, so the entry before q^r,
+    r = (n(n-1) + m(m-1))/4, and the (q, q) norms is
+    X_nm = sum_k b_mk P_n(q^k), where P_n(z) = sum_j b_nj z^j and
+    b_nj = (-1)^j [n j]_q q^{j(j+1)/2 - n j}; P_n is evaluated term by
+    term, never through the q-binomial theorem the entry tests. In
+    integers, with T[n][j] = [n j]_q D^{j(n-j)} and mu_n = n(n-1)/2:
+    c_nj = (-1)^j T[n][j] M^{(n-j)(n-j-1)/2} D^{j(j-1)/2} = b_nj M^{mu_n},
+    H_n(k) = sum_j c_nj M^{jk} D^{k(n-j)} = P_n(q^k) M^{mu_n} D^{nk} by a
+    homogeneous Horner pass, and Z_nm = sum_{k<=m} c_mk H_n(k) D^{n(m-k)}
+    = X_nm M^{mu_n + mu_m} D^{nm}, symmetric and summed once per pair.
+    q^{floor(r)} and (q, q)_n join the integer numerator and denominator,
+    and one correctly rounded int / int gives the double
+    Fraction.__float__ would.
     """
     M, D = q.as_integer_ratio()
     e = D.bit_length() - 1
@@ -174,12 +185,20 @@ def _binary_twisted_gram(q: float, nmax: int) -> list:
         prev = T[-1] + [0]
         T.append([M ** k * prev[k] + (prev[k - 1] << e * (n - k) if k else 0)
                   for k in range(n + 1)])
-    A = [[(-1) ** j * t * M ** (n * (n - j)) for j, t in enumerate(row)]
+    c = [[(-1) ** j * t * M ** ((n - j) * (n - j - 1) // 2)
+          << e * (j * (j - 1) // 2) for j, t in enumerate(row)]
          for n, row in enumerate(T)]
-    K = [[M ** ((j + k) * (j + k + 1) // 2)
-          << e * (((j - k) ** 2 - j - k) // 2 + nmax)
-          for k in range(size)] for j in range(size)]
-    sums = gram_contract(A, K, A)
+    sums = [[0] * size for _ in range(size)]
+    for n, row in enumerate(c):
+        H = []  # H_n(k) for k <= n, the highest coefficient first
+        for k in range(n + 1):
+            step, h = M ** k, row[n]
+            for i in range(1, n + 1):
+                h = h * step + (row[n - i] << e * k * i)
+            H.append(h)
+        for m in range(n + 1):
+            sums[n][m] = sums[m][n] = sum(
+                c[m][k] * H[k] << e * n * (m - k) for k in range(m + 1))
     scaled = [1]  # (q, q)_n D^{n(n+1)/2}
     for i in range(1, size):
         scaled.append(scaled[-1] * ((1 << e * i) - M ** i))
@@ -190,8 +209,9 @@ def _binary_twisted_gram(q: float, nmax: int) -> list:
         total = sums[n][m]
         if not total:
             return 0.0
-        whole, rest = divmod(n * (n - 1) + m * (m - 1), 4)
-        denominator = M ** (n * n + m * m - whole) << e * (nmax + whole)
+        twice_mu = n * (n - 1) + m * (m - 1)
+        whole, rest = divmod(twice_mu, 4)
+        denominator = M ** (twice_mu // 2 - whole) << e * (n * m + whole)
         return (total / denominator * math.exp(lnq * (rest / 4))
                 / math.sqrt(poch[n] * poch[m]))
     return [[entry(n, m) for m in range(size)] for n in range(size)]
@@ -201,9 +221,11 @@ def indefinite_gram(ctx: QContext, nmax: int) -> GramReport:
     """Parity-twisted Gram of B_0..B_nmax against diag((-1)^n).
 
     In the double backend each entry is one exact integer sum over the
-    binary value q = M/2^e, the signed tables (-1)^j [n j]_q q^{-n j}
-    against q^{s(s+1)/2} times q^{floor(r)}, r = (n(n-1) + m(m-1))/4,
-    all scaled to integers by known powers of M and 2^e. All of the
+    binary value q = M/2^e: sum_k b_mk P_n(q^k), the polynomial
+    P_n(z) = sum_j b_nj z^j of the signed coefficients
+    b_nj = (-1)^j [n j]_q q^{j(j+1)/2 - n j} evaluated at q^k by Horner,
+    times q^{floor(r)}, r = (n(n-1) + m(m-1))/4, all scaled to integers
+    by known powers of M and 2^e (_binary_twisted_gram). All of the
     cancellation happens inside it (off-diagonal entries collapse to an
     exact zero), leaving one rounding and the factors q^{frac(r)} and
     1/sqrt((q, q)_n (q, q)_m) in double. At explicit digits it measures

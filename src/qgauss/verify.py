@@ -145,8 +145,7 @@ _LADDERS = {"dg": (arik_lower, arik_raise), "mac": (mac_raise, mac_lower)}
 def commutator_residual(ctx: QContext, f: GaussianChain, family: str) -> float:
     """Largest coefficient of (lower raise - q raise lower - 1) f for the
     first family, (raise lower - q lower raise - 1) f for the second."""
-    a, b = (ladder(ctx) for ladder in _LADDERS[family])
-    return commutator_residuals(a, b, [f.coeffs])[0]
+    return commutator_residuals(ctx, [_LADDERS[family]], [f.coeffs])[0][0]
 
 
 def suite_commutators(ctx: QContext, count: int = 20,
@@ -155,8 +154,7 @@ def suite_commutators(ctx: QContext, count: int = 20,
     draws them, checked as one table."""
     rng = np.random.default_rng(seed)
     maps = [_random_coeffs(rng) for _ in range(count)]
-    residuals = zip(*(commutator_residuals(a(ctx), b(ctx), maps)
-                      for a, b in _LADDERS.values()))
+    residuals = zip(*commutator_residuals(ctx, _LADDERS.values(), maps))
     rows = [((family, i), dev) for i, pair in enumerate(residuals)
             for family, dev in zip(_LADDERS, pair)]
     return _judge("commutators", 1e-13, rows,
@@ -284,7 +282,8 @@ def suite_sw(ctx: QContext, nmax: int = 6, s=0.5) -> SuiteResult:
         worst_bridge = max(worst_bridge, res)
         if res > bridge_tol:
             failures.append(["bridge", n, float(res)])
-    orth = dg_mod.sw_orthogonality_residual(ctx, nmax, s, method="analytic")
+    overlaps = dg_mod.sw_overlaps(ctx, nmax, s)
+    orth = dg_mod.sw_overlap_residual(overlaps)
     if orth > orth_tol:
         failures.append(["orthogonality", float(orth)])
     quad_pairs = [(0, 1), (1, 2), (2, 4)]
@@ -292,11 +291,9 @@ def suite_sw(ctx: QContext, nmax: int = 6, s=0.5) -> SuiteResult:
     for n, m in quad_pairs:
         if n > nmax or m > nmax:
             continue
-        ana = dg_mod.sw_orthogonality(ctx, n, m, s, "du", "analytic")
         num = dg_mod.sw_orthogonality(ctx, n, m, s, "du", "quadrature")
-        diag = abs(dg_mod.sw_orthogonality(ctx, n, n, s, "du", "analytic")
-                   * dg_mod.sw_orthogonality(ctx, m, m, s, "du", "analytic"))
-        gap = float(abs(ana - num) / math.sqrt(diag))
+        diag = abs(overlaps[n][n] * overlaps[m][m])
+        gap = float(abs(overlaps[n][m] - num) / math.sqrt(diag))
         quad_worst = max(quad_worst, gap)
         if gap > 1e-9:
             failures.append(["quadrature", n, m, gap])

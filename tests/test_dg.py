@@ -11,6 +11,7 @@ from qgauss.dg import (
     limit_grid,
     limit_ratio_curve,
     sw_orthogonality_residual,
+    sw_overlaps,
     sw_u_form,
     sw_u_of_x,
 )
@@ -147,6 +148,54 @@ def test_sw_bridge_residual_small():
 
 def test_sw_du_orthogonality():
     assert sw_orthogonality_residual(CTX, 6, Fraction(1, 2)) <= 1e-6
+
+
+def reference_sw_devs(ctx, nmax, s):
+    """orthogonality_dev and quadrature_dev of the sw suite by one
+    sw_orthogonality call per overlap, magnitudes and ratios outside the
+    context's precision."""
+    def overlap(n, m, method="analytic"):
+        return qg.sw_orthogonality(ctx, n, m, s, "du", method)
+    diag = [abs(overlap(n, n)) for n in range(nmax + 1)]
+    orth = 0.0
+    for n in range(nmax + 1):
+        for m in range(n + 1, nmax + 1):
+            orth = max(orth, float(abs(overlap(n, m))
+                                   / math.sqrt(diag[n] * diag[m])))
+    quad = 0.0
+    for n, m in ((0, 1), (1, 2), (2, 4)):
+        gap = abs(overlap(n, m) - overlap(n, m, "quadrature"))
+        quad = max(quad, float(gap / math.sqrt(abs(overlap(n, n)
+                                                   * overlap(m, m)))))
+    return orth, quad
+
+
+@pytest.mark.parametrize("digits", [None, 20, 40])
+def test_sw_overlaps_build_each_phi_once_and_keep_every_bit(digits,
+                                                            monkeypatch):
+    s = Fraction(1, 2)
+    for q in (0.3, 0.5, 0.83):
+        ctx = QContext(q=q, digits=digits)
+        orth, quad = reference_sw_devs(ctx, 6, s)
+        built = []
+        build = qg.dg.build_Phi
+
+        def counted(ctx, n):
+            built.append(n)
+            return build(ctx, n)
+        monkeypatch.setattr(qg.dg, "build_Phi", counted)
+        overlaps = sw_overlaps(ctx, 6, s)
+        assert sorted(built) == list(range(7))
+        built.clear()
+        result = qg.run_suite("sw", ctx)
+        monkeypatch.undo()
+        # the overlaps build each Phi_k once, the bridge its own Phi_n
+        assert sorted(built) == sorted(2 * list(range(7)))
+        assert overlaps == [[qg.sw_orthogonality(ctx, min(n, m), max(n, m), s)
+                             for m in range(7)] for n in range(7)]
+        assert sw_orthogonality_residual(ctx, 6, s) == orth
+        assert result.notes["orthogonality_dev"] == orth
+        assert result.notes["quadrature_dev"] == quad
 
 
 def test_sw_dx_form_not_orthogonal():

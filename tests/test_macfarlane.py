@@ -11,7 +11,7 @@ import qgauss as qg
 from qgauss import QContext
 from qgauss.chain import (gram_budget, gram_contract, lattice_kernel,
                           overlap_scale)
-from qgauss.macfarlane import twisted_gram_magnitudes
+from qgauss.macfarlane import _binary_twisted_gram, twisted_gram_magnitudes
 from qgauss.qnum import qbinomial_triangle, qpochhammer
 
 CTX = QContext(q=0.5)
@@ -179,3 +179,24 @@ def test_mac_harmonic_limit_rows():
     for row in rows:
         assert row["lambda_gap"] <= 0.05
         assert row["sign_ok"]
+
+
+# the Fraction reference stays under about 2 s per q up to nmax 18
+@pytest.mark.parametrize("q", [0.02, 0.5, 0.75, 0.98, 2.0 ** -30,
+                               float(QContext(c=1.3).q)], ids=repr)
+def test_horner_gram_equals_the_rational_sum(q):
+    nmax = 18
+    ref = rational_twisted_gram(q, nmax)
+    for size in range(1, nmax + 2):
+        assert _binary_twisted_gram(q, size - 1) == [row[:size]
+                                                     for row in ref[:size]]
+
+
+@pytest.mark.parametrize("q", [0.02, 0.6180339887498949, 0.98], ids=repr)
+def test_double_gram_is_exact_at_nmax_24(q):
+    size = 25
+    matrix = _binary_twisted_gram(q, size - 1)
+    assert [[matrix[n][m] for m in range(size) if m != n]
+            for n in range(size)] == [[0.0] * (size - 1)] * size
+    assert [matrix[n][n] for n in range(size)] == [(-1.0) ** n
+                                                   for n in range(size)]

@@ -180,6 +180,22 @@ def test_suite_commutators_rows_equal_per_chain_residuals(digits, judged):
         assert judged[-1] == expected
 
 
+@pytest.mark.parametrize("digits", [None, 30])
+def test_suite_commutators_builds_one_table_for_both_families(digits,
+                                                              monkeypatch):
+    built = []
+    table_of = qg.chain._table_of
+
+    def counted(ctx, maps):
+        built.append(len(maps))
+        return table_of(ctx, maps)
+    monkeypatch.setattr(qg.chain, "_table_of", counted)
+    result = verify.suite_commutators(QContext(q=0.6, digits=digits),
+                                      count=12)
+    assert built == [12]
+    assert len(result.failures) == 0
+
+
 @pytest.mark.parametrize("digits", [None, 20, 40, 60])
 def test_ladder_and_sumrule_suites_equal_the_dict_loops(digits, judged):
     for q in (0.37, 0.5512, 0.83):
