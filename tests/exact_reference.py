@@ -1,0 +1,107 @@
+"""Exact arithmetic for the set-digit references of the chain kernels.
+
+At set digits the ladder, commutator and daughter kernels convert their
+inputs exactly (each mpf coefficient, each q^(m/8), the prefactor and q),
+compute without rounding and round each result once. The references here
+do the same with Fractions, independently of the kernels' integer format:
+``exact`` converts an input, ``rounded`` rounds a value to the context's
+precision and ``sqrt_rounded`` rounds a square root to the nearest float.
+In double ``exact`` and ``rounded`` leave a value as it is, so a reference
+written over them computes in double exactly as before.
+"""
+
+import math
+from fractions import Fraction
+
+import mpmath
+
+
+def fraction(x) -> Fraction:
+    """An mpf, float or int as the Fraction it equals."""
+    if isinstance(x, mpmath.mpf):
+        sign, man, exp, _ = x._mpf_
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
+    return Fraction(x)
+
+
+class Exact:
+    """An exact complex rational re + i im."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=Fraction(0)):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @classmethod
+    def of(cls, a) -> "Exact":
+        if isinstance(a, Exact):
+            return a
+        if isinstance(a, (mpmath.mpc, complex)):
+            return cls(fraction(a.real), fraction(a.imag))
+        return cls(fraction(a))
+
+    def __add__(self, other):
+        other = Exact.of(other)
+        return Exact(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Exact(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + -Exact.of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = Exact.of(other)
+        return Exact(self.re * o.re - self.im * o.im,
+                     self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        o = Exact.of(other)
+        return self.re == o.re and self.im == o.im
+
+    def conjugate(self):
+        return Exact(self.re, -self.im)
+
+    def abs2(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+
+def exact(ctx, a):
+    """a as a reference computes with it: exactly at set digits."""
+    return a if ctx.digits is None else Exact.of(a)
+
+
+def rounded(ctx, a):
+    """An exact value rounded once, to nearest, at the context's working
+    precision: an mpf when real, else an mpc. Double values pass."""
+    if not isinstance(a, Exact):
+        return a
+    with ctx.prec():
+        prec = mpmath.mp.prec
+    re, im = (mpmath.libmp.from_rational(x.numerator, x.denominator, prec, "n")
+              for x in (a.re, a.im))
+    return mpmath.mp.make_mpf(re) if not a.im else mpmath.mp.make_mpc((re, im))
+
+
+def sqrt_rounded(x: Fraction) -> float:
+    """sqrt(x) for x >= 0 rounded to the nearest float: a close guess, then
+    moved while an exact midpoint to a neighbor lies on the root's side."""
+    if x == 0:
+        return 0.0
+    with mpmath.workprec(200):
+        y = float(mpmath.sqrt(mpmath.mpf(x.numerator) / x.denominator))
+    while True:
+        up, down = math.nextafter(y, math.inf), math.nextafter(y, 0.0)
+        if up != math.inf and ((Fraction(y) + Fraction(up)) / 2) ** 2 < x:
+            y = up
+        elif ((Fraction(y) + Fraction(down)) / 2) ** 2 > x:
+            y = down
+        else:
+            return y

@@ -3,9 +3,11 @@
 Chains are dense coefficient windows: every chain operation acts on the
 window, and the commutator, ladder and sum-rule suites act on whole
 tables of them. The references below are the dict-loop algorithms the
-package used before, each written over plain {t: a} mappings and run at
-the context's precision. Every comparison is exact (==), in double and
-at set digits.
+package used before, each written over plain {t: a} mappings. In double
+they run in double; at set digits they run on the same rounded inputs in
+exact Fractions and round each result once, as the kernels do (see
+exact_reference). Every comparison is exact (==), in double and at set
+digits.
 """
 
 import json
@@ -15,6 +17,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from exact_reference import Exact, exact, rounded, sqrt_rounded
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgauss as qg
 from qgauss import QContext, verify
@@ -38,15 +43,25 @@ def normalized(coeffs):
     return {t: a for t, a in sorted(coeffs.items()) if a != 0}
 
 
+def rounded_coeffs(ctx, coeffs):
+    return {t: rounded(ctx, a) for t, a in coeffs.items()}
+
+
 def dict_ladder(ctx, kind, coeffs):
+    """The ladder on a mapping; exact at set digits (round with
+    rounded_coeffs)."""
     (s1, a1, b1), (s2, a2, b2) = LADDER_TERMS[kind]
-    pow8 = ctx.qpow8
+
+    def pow8(m):
+        return exact(ctx, ctx.qpow8(m))
+    coeffs = {t: exact(ctx, c) for t, c in coeffs.items()}
     with ctx.prec():
         q = ctx.q
         if kind.startswith("arik"):
             pref = 1 / ctx.sqrt(1 - q)
         else:
             pref = 1 / ctx.sqrt(q * (1 - q))
+        pref = exact(ctx, pref)
         out = {t + s1: c * pow8(a1 * t + b1) for t, c in coeffs.items()}
         for t, c in coeffs.items():
             term = c if a2 is None else c * pow8(a2 * t + b2)
@@ -65,17 +80,29 @@ def dict_subtract(f, g):
     return normalized(out)
 
 
+def dict_max_abs2(coeffs):
+    """max |a|^2 of exact values."""
+    return max((Exact.of(a).abs2() for a in coeffs.values()), default=0)
+
+
 def dict_max_abs(coeffs):
+    """max |a|: in double as floats, of exact values rounded once."""
+    if any(isinstance(a, Exact) for a in coeffs.values()):
+        return sqrt_rounded(Fraction(dict_max_abs2(coeffs)))
     return max((float(abs(a)) for a in coeffs.values()), default=0.0)
 
 
 def dict_distance(ctx, f, g, relative=False):
+    if ctx.digits is not None:  # exact gap and ratio, one rounding
+        f, g = ({t: exact(ctx, a) for t, a in h.items()} for h in (f, g))
+        gap = dict_max_abs2(dict_subtract(f, g))
+        ref = (dict_max_abs2(g) or dict_max_abs2(f)) if relative else 1
+        return sqrt_rounded(Fraction(gap) / ref) if ref else 0.0
     ref = (dict_max_abs(g) or dict_max_abs(f)) if relative else 1.0
     if ref == 0.0:
         return 0.0
-    with ctx.prec():
-        gap = max((float(abs(f.get(t, 0) - g.get(t, 0)))
-                   for t in set(f) | set(g)), default=0.0)
+    gap = max((float(abs(f.get(t, 0) - g.get(t, 0)))
+               for t in set(f) | set(g)), default=0.0)
     return gap / ref if relative else gap
 
 
@@ -89,19 +116,21 @@ def dict_commutator(ctx, coeffs, family):
         else:
             first = dict_ladder(ctx, hi, dict_ladder(ctx, lo, coeffs))
             second = dict_ladder(ctx, lo, dict_ladder(ctx, hi, coeffs))
-        residual = dict_subtract(dict_subtract(first, dict_scale(second, ctx.q)),
-                                 coeffs)
+        residual = dict_subtract(dict_subtract(
+            first, dict_scale(second, exact(ctx, ctx.q))),
+            {t: exact(ctx, a) for t, a in coeffs.items()})
         return dict_max_abs(residual)
 
 
 def dict_daughters(ctx, f, g):
-    pow8 = ctx.qpow8
+    """The daughters of f g; exact at set digits."""
     out = {}
     with ctx.prec():
         for t, a in f.items():
             for s, b in g.items():
-                d = t - s
-                out[(t + s) // 2] = out.get((t + s) // 2, 0) + a * b * pow8(d * d)
+                w = exact(ctx, ctx.qpow8((t - s) ** 2))
+                out[(t + s) // 2] = (out.get((t + s) // 2, 0)
+                                     + exact(ctx, a) * exact(ctx, b) * w)
     return normalized(out)
 
 
@@ -112,9 +141,11 @@ def dict_ladder_rows(ctx, nmax, build, kinds, eigenvalue, relative, sign):
         for n in range(1, nmax + 1):
             root_n, root_up = (ctx.sqrt(eigenvalue(ctx.q, k)) for k in (n, n + 1))
             low = dict_distance(ctx, dict_ladder(ctx, kinds[0], family[n]),
-                                dict_scale(family[n - 1], root_n), relative)
+                                dict_scale(family[n - 1], exact(ctx, root_n)),
+                                relative)
             up = dict_distance(ctx, dict_ladder(ctx, kinds[1], family[n]),
-                               dict_scale(family[n + 1], sign * root_up),
+                               dict_scale(family[n + 1],
+                                          exact(ctx, sign * root_up)),
                                relative)
             rows.append((n, low, up))
     return rows
@@ -144,7 +175,8 @@ def reference_sumrule(ctx, nmax):
         for n, fn in enumerate(phis):
             fn = {t: a.conjugate() for t, a in fn.items()}
             for m, fm in enumerate(phis):
-                val = sum(dict_daughters(ctx, fn, fm).values()) / norm
+                total = sum(dict_daughters(ctx, fn, fm).values())
+                val = rounded(ctx, total) / norm
                 rows.append(((n, m), max(abs(val.real - (1 if n == m else 0)),
                                          abs(val.imag))))
     return rows, JUDGE("sumrule", 1e-12, rows, {"q": float(ctx.q),
@@ -218,13 +250,15 @@ def test_one_row_cases_equal_the_dict_loops(digits):
     for f in chains:
         for kind in LADDER_TERMS:
             once = qg.apply_ladder(qg.LadderOperator(kind, ctx), f)
-            assert dict(once.coeffs) == dict_ladder(ctx, kind, dict(f.coeffs))
+            assert dict(once.coeffs) == rounded_coeffs(
+                ctx, dict_ladder(ctx, kind, dict(f.coeffs)))
     even = [qg.GaussianChain(ctx, {t: a for t, a in f.coeffs.items() if t % 2 == 0})
             for f in chains]
     for f in even:
         for g in even:
             assert (dict(qg.product_daughters(f, g).coeffs)
-                    == dict_daughters(ctx, dict(f.coeffs), dict(g.coeffs)))
+                    == rounded_coeffs(ctx, dict_daughters(ctx, dict(f.coeffs),
+                                                          dict(g.coeffs))))
 
 
 def dict_add(f, g):
@@ -345,3 +379,46 @@ def test_double_power_past_the_float_range_is_inf():
     ctx = QContext(q=0.01)
     assert ctx.qpow(-1000) == math.inf and ctx.qpow8(-8000) == math.inf
     assert ctx.qpow(1000) == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(q=st.floats(0.02, 0.98), digits=st.sampled_from([20, 40, 60]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_set_digit_kernels_equal_the_exact_computation_rounded_once(
+        q, digits, seed):
+    ctx = QContext(q=q, digits=digits)
+    rng = np.random.default_rng(seed)
+    chains = [verify.random_chain(ctx, rng) for _ in range(3)]
+    for f in chains:
+        for kind in LADDER_TERMS:
+            once = qg.apply_ladder(qg.LadderOperator(kind, ctx), f)
+            assert dict(once.coeffs) == rounded_coeffs(
+                ctx, dict_ladder(ctx, kind, dict(f.coeffs)))
+    maps = [dict(f.coeffs) for f in chains]
+    residuals = qg.chain.commutator_residuals(
+        ctx, [(qg.arik_lower, qg.arik_raise), (qg.mac_raise, qg.mac_lower)],
+        maps)
+    assert residuals == [[dict_commutator(ctx, m, family) for m in maps]
+                         for family in ("dg", "mac")]
+    # one parity class, complex and real rows, so the parts pair every way
+    even = [qg.GaussianChain(ctx, {t: a for t, a in f.coeffs.items()
+                                   if t % 2 == 0}) for f in chains]
+    even.append(qg.build_phi(ctx, 3))
+    for f in even:
+        for g in even:
+            assert (dict(qg.product_daughters(f, g).coeffs)
+                    == rounded_coeffs(ctx, dict_daughters(
+                        ctx, dict(f.coeffs), dict(g.coeffs))))
+    sums = qg.chain.daughter_sums(even[1:], even)
+    assert sums == [[rounded(ctx, sum(dict_daughters(
+        ctx, dict(f.coeffs), dict(g.coeffs)).values())) for g in even]
+        for f in even[1:]]
+
+
+@pytest.mark.parametrize("q", [0.01, 0.99])
+def test_ladders_at_extreme_q_give_finite_relative_residuals(q):
+    """B_16 at q = 0.01 has a coefficient near 1e330, past the double range;
+    the relative residual is an exact ratio, rounded once, and finite."""
+    result = qg.run_suite("ladders", QContext(q=q, digits=30), nmax=15)
+    assert result.passed and math.isfinite(result.max_deviation)
+    assert result.max_deviation < 1e-25
