@@ -10,7 +10,8 @@ commutators on random chains.
 import numpy as np
 
 import qgauss as qg
-from qgauss.verify import commutator_residual, random_chain
+from qgauss.chain import commutator_residuals
+from qgauss.verify import random_chain
 
 ctx = qg.QContext(q=0.5)
 q = float(ctx.q)
@@ -35,9 +36,9 @@ print()
 # lowering on sqrt(lambda_n) phi_{n-1}; residuals are coefficient-wise.
 print("ladder residuals at q = 0.5:")
 print(" n   a lower      a raise      b lower      b raise")
-for n in (1, 3, 6, 10):
-    a_res = qg.ladder_check(ctx, n)
-    b_res = qg.mac_ladder_check(ctx, n)
+levels = (1, 3, 6, 10)
+for n, a_res, b_res in zip(levels, qg.ladder_checks(ctx, levels),
+                           qg.mac_ladder_checks(ctx, levels)):
     print(f"{n:2d}   {a_res['lower_residual']:.3e}   "
           f"{a_res['raise_residual']:.3e}   "
           f"{b_res['lower_residual']:.3e}   {b_res['raise_residual']:.3e}")
@@ -48,11 +49,10 @@ print()
 # The commutation relations hold on arbitrary chains, not only on the
 # eigenfunctions. Try a handful of random ones.
 rng = np.random.default_rng(7)
-worst = {"dg": 0.0, "mac": 0.0}
-for _ in range(10):
-    f = random_chain(ctx, rng)
-    for family in worst:
-        worst[family] = max(worst[family], commutator_residual(ctx, f, family))
+chains = [random_chain(ctx, rng) for _ in range(10)]
+first, second = commutator_residuals(
+    ctx, [(qg.arik_lower, qg.arik_raise), (qg.mac_raise, qg.mac_lower)],
+    [f.coeffs for f in chains])
 print("worst deformed-commutator residual over 10 random chains:")
-print(f"  a a' - q a' a - 1: {worst['dg']:.3e}")
-print(f"  b' b - q b b' - 1: {worst['mac']:.3e}")
+print(f"  a a' - q a' a - 1: {max(first):.3e}")
+print(f"  b' b - q b b' - 1: {max(second):.3e}")

@@ -43,8 +43,8 @@ print()
 # half-integer centers. Their coefficient sum carries the whole inner
 # product, which is why any periodic weight preserves orthogonality.
 print("daughter coefficient sums (target delta_nm):")
-for n in range(4):
-    sums = [complex(qg.daughter_sum_rule(ctx, n, m)).real for m in range(4)]
+for row in qg.daughter_sum_rules(ctx, 3):
+    sums = [complex(total).real for total in row]
     print("  " + "  ".join(f"{s:+10.3e}" for s in sums))
 print()
 

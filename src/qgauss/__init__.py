@@ -5,30 +5,26 @@ counterparts and a verification harness."""
 from .context import QContext
 from .qnum import (arik_coon_eigenvalue, macfarlane_eigenvalue, qbinomial,
                    qpochhammer)
-from .chain import (DaughterChain, GaussianChain, LadderOperator,
-                    TrigGaussian, add, alpha, apply_ladder, arik_lower,
-                    arik_raise, chain_from_dict, chain_to_dict,
-                    coeff_distance, evaluate, fourier, inner,
-                    integrate_daughters, mac_lower, mac_raise, make_gaussian,
+from .chain import (DaughterChain, GaussianChain, LadderOperator, add, alpha,
+                    apply_ladder, arik_lower, arik_raise, coeff_distance,
+                    evaluate, inner, mac_lower, mac_raise, make_gaussian,
                     mul_qlinear, overlap_scale, product_daughters,
                     relative_coeff_distance, scale, shift, subtract,
-                    trig_inner, zero_chain)
+                    zero_chain)
 from .report import GramReport
-from .quad import integrate_periodic_unit, integrate_real_line
+from .quad import integrate_real_line
 from .dg import (DGCoefficients, SWPolynomial, build_An_by_raising,
-                 build_Phi, build_phi, daughter_sum_rule, dg_coefficients,
-                 dg_norm, gram_phi, harmonic_limit_scan, ladder_check,
+                 build_Phi, build_phi, daughter_sum_rules, dg_coefficients,
+                 dg_norm, gram_phi, harmonic_limit_scan, ladder_checks,
                  stieltjes_wigert, sw_orthogonality, sw_bridge_residual)
 from .macfarlane import (MacCoefficients, build_Bn, build_Bn_by_raising,
                          indefinite_gram, mac_coeffs, mac_harmonic_limit,
-                         mac_ladder_check, mac_zeta, number_operator_check)
-from .circle import (RSPolynomial, ThetaEvaluator, circle_gram_dg,
-                     circle_gram_mac, parseval_bridge, poisson_check,
-                     rs_eval, rs_polynomial, theta3)
+                         mac_ladder_checks, mac_zeta, number_operator_check)
+from .circle import (ThetaEvaluator, circle_gram_dg, circle_gram_mac,
+                     parseval_bridge, poisson_check, theta3)
 from .weights import (PeriodicWeight, WeightedChain, alpha_w, an_gram,
-                      build_An, constant_weight, cosine_weight,
-                      gamma_family_gram, mixed_weighted_inner,
-                      orthonormal_weight_family, weighted_inner)
+                      build_An, cosine_weight, gamma_family_gram,
+                      mixed_weighted_inner, orthonormal_weight_family)
 from .verify import SUITES, SuiteResult, run_suite
 
 __version__ = "0.1.0"
@@ -37,27 +33,25 @@ __all__ = [
     "QContext",
     "arik_coon_eigenvalue", "macfarlane_eigenvalue", "qbinomial",
     "qpochhammer",
-    "DaughterChain", "GaussianChain", "LadderOperator", "TrigGaussian",
+    "DaughterChain", "GaussianChain", "LadderOperator",
     "add", "alpha", "apply_ladder", "arik_lower", "arik_raise",
-    "chain_from_dict", "chain_to_dict", "coeff_distance", "evaluate",
-    "fourier", "inner", "integrate_daughters", "mac_lower", "mac_raise",
+    "coeff_distance", "evaluate", "inner", "mac_lower", "mac_raise",
     "make_gaussian", "mul_qlinear", "overlap_scale", "product_daughters",
-    "relative_coeff_distance", "scale", "shift", "subtract", "trig_inner",
-    "zero_chain",
+    "relative_coeff_distance", "scale", "shift", "subtract", "zero_chain",
     "GramReport",
-    "integrate_periodic_unit", "integrate_real_line",
+    "integrate_real_line",
     "DGCoefficients", "SWPolynomial", "build_An_by_raising", "build_Phi",
-    "build_phi", "daughter_sum_rule", "dg_coefficients", "dg_norm",
-    "gram_phi", "harmonic_limit_scan", "ladder_check", "stieltjes_wigert",
+    "build_phi", "daughter_sum_rules", "dg_coefficients", "dg_norm",
+    "gram_phi", "harmonic_limit_scan", "ladder_checks", "stieltjes_wigert",
     "sw_orthogonality", "sw_bridge_residual",
     "MacCoefficients", "build_Bn", "build_Bn_by_raising", "indefinite_gram",
-    "mac_coeffs", "mac_harmonic_limit", "mac_ladder_check", "mac_zeta",
+    "mac_coeffs", "mac_harmonic_limit", "mac_ladder_checks", "mac_zeta",
     "number_operator_check",
-    "RSPolynomial", "ThetaEvaluator", "circle_gram_dg", "circle_gram_mac",
-    "parseval_bridge", "poisson_check", "rs_eval", "rs_polynomial", "theta3",
+    "ThetaEvaluator", "circle_gram_dg", "circle_gram_mac",
+    "parseval_bridge", "poisson_check", "theta3",
     "PeriodicWeight", "WeightedChain", "alpha_w", "an_gram", "build_An",
-    "constant_weight", "cosine_weight", "gamma_family_gram",
-    "mixed_weighted_inner", "orthonormal_weight_family", "weighted_inner",
+    "cosine_weight", "gamma_family_gram", "mixed_weighted_inner",
+    "orthonormal_weight_family",
     "SUITES", "SuiteResult", "run_suite",
     "__version__",
 ]

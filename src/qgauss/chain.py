@@ -43,8 +43,7 @@ from types import MappingProxyType
 import mpmath
 import numpy as np
 
-from .context import (GUARD_DIGITS, QContext, as_lattice_shift, conj,
-                      magnitude)
+from .context import GUARD_DIGITS, QContext, as_lattice_shift
 
 LADDER_KINDS = ("arik_lower", "arik_raise", "mac_lower", "mac_raise")
 
@@ -90,16 +89,8 @@ class GaussianChain(_Window):
     def is_zero(self) -> bool:
         return not self.row.size
 
-    def max_abs_coeff(self) -> float:
-        return float(_magnitudes(self.row).max(initial=0.0))
-
     def conjugate(self) -> "GaussianChain":
         return GaussianChain(self.ctx, start=self.start, row=self.row.conjugate())
-
-    def reflect(self) -> "GaussianChain":
-        """f(-x): centers negated, coefficients unchanged."""
-        return GaussianChain(self.ctx, start=1 - self.start - self.row.size,
-                             row=self.row[::-1])
 
 
 class DaughterChain(_Window):
@@ -121,29 +112,6 @@ class LadderOperator:
     def __post_init__(self):
         if self.kind not in LADDER_KINDS:
             raise ValueError(f"unknown ladder kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class TrigGaussian:
-    """prefactor * e^{-(pi/c)^2 theta^2} * sum_t gamma_t e^{i 2 pi (t/2) theta}.
-
-    Exact Fourier transform of a GaussianChain; harmonic indices are stored
-    doubled (key t for harmonic t/2) so half-integer centers stay integers,
-    in increasing order.
-    """
-
-    ctx: QContext
-    prefactor: object
-    trig_coeffs: dict
-
-    def evaluate(self, theta):
-        thetas = np.asarray(theta, dtype=float)
-        envelope = np.exp(-((np.pi / float(self.ctx.c)) ** 2) * thetas ** 2)
-        total = np.zeros(thetas.shape, dtype=complex)
-        for t, g in self.trig_coeffs.items():
-            total = total + complex(g) * np.exp(1j * np.pi * t * thetas)
-        out = float(self.prefactor) * envelope * total
-        return out if out.shape else out.item()
 
 
 # -- coefficient tables ------------------------------------------------------
@@ -303,9 +271,9 @@ def _rounded(ctx: QContext, parts: np.ndarray, exp: int) -> np.ndarray:
 
 
 def _magnitudes(rows: np.ndarray) -> np.ndarray:
-    """|a| of every entry of rows at rest, as magnitude() takes it."""
+    """|a| of every entry of rows at rest, as a float."""
     if rows.dtype == object:
-        return np.array([magnitude(a) for a in rows.flat]).reshape(rows.shape)
+        return np.array([float(abs(a)) for a in rows.flat]).reshape(rows.shape)
     return np.hypot(rows.real, rows.imag)
 
 
@@ -408,14 +376,6 @@ def mul_qlinear(f: GaussianChain, a: int, b) -> GaussianChain:
         factors = [ctx.qpow(Fraction(a * (2 * t - a), 4) + b) if live else 0
                    for t, live in enumerate(f.row.astype(bool), f.start)]
         return GaussianChain(ctx, start=f.start - a, row=_times(f.row, factors))
-
-
-def prune(f: GaussianChain, rel_threshold: float) -> GaussianChain:
-    """Drop coefficients below rel_threshold times the largest magnitude."""
-    if rel_threshold <= 0:
-        return f
-    keep = _magnitudes(f.row) > rel_threshold * f.max_abs_coeff()
-    return GaussianChain(f.ctx, start=f.start, row=np.where(keep, f.row, 0))
 
 
 # -- ladder operators ------------------------------------------------------
@@ -560,7 +520,7 @@ def commutator_residuals(ctx: QContext, ladders, maps: list) -> list:
     return residuals
 
 
-# -- inner products, products, transforms ----------------------------------
+# -- inner products and products -------------------------------------------
 
 def overlap_scale(ctx: QContext):
     """The basic two-Gaussian overlap integral of coincident centers,
@@ -589,23 +549,17 @@ def inner(f: GaussianChain, g: GaussianChain, kind: str = "standard"):
     _require_same_ctx(f, g)
     if kind not in ("standard", "parity_twisted"):
         raise ValueError(f"unknown inner product kind {kind!r}")
-    ctx = f.ctx
+    ctx, pow8 = f.ctx, f.ctx.qpow8
     sign = 1 if kind == "standard" else -1
     with ctx.prec():
-        return overlap_scale(ctx) * _pair_sum(ctx, f.coeffs, g.coeffs, sign)
-
-
-def _pair_sum(ctx: QContext, left: dict, right: dict, sign: int = 1):
-    """sum conj(a_t) b_s q^{(sign t - s)^2 / 8} over two twice-center maps:
-    (mu - nu)^2 / 2 = (t - s)^2 / 8, and the parity twist flips t to -t."""
-    pow8 = ctx.qpow8
-    total = 0
-    for t, a in left.items():
-        ca = conj(a)
-        for s, b in right.items():
-            d = sign * t - s
-            total = total + ca * b * pow8(d * d)
-    return total
+        # (mu - nu)^2 / 2 = (t - s)^2 / 8; the parity twist flips t to -t
+        total = 0
+        for t, a in f.coeffs.items():
+            ca = a.conjugate()
+            for s, b in g.coeffs.items():
+                d = sign * t - s
+                total = total + ca * b * pow8(d * d)
+        return overlap_scale(ctx) * total
 
 
 def lattice_kernel(ctx: QContext, size: int, kind: str = "standard") -> list:
@@ -773,42 +727,6 @@ def daughter_sums(left: list, right: list) -> list:
     return _rounded(ctx, np.array(sums, object), exp).tolist()
 
 
-def integrate_daughters(d: DaughterChain):
-    """Integral over the real line: each daughter contributes
-    sqrt(pi/2c^2) times its coefficient."""
-    with d.ctx.prec():
-        return overlap_scale(d.ctx) * d.coefficient_sum()
-
-
-def fourier(f: GaussianChain) -> TrigGaussian:
-    """Exact Fourier transform under F(theta) = integral e^{i 2 pi theta x} f(x) dx.
-
-    Each Gaussian maps to sqrt(pi/c^2) e^{-(pi/c)^2 theta^2} e^{i 2 pi mu theta},
-    so the chain's coefficients reappear as trig coefficients on the same
-    doubled index.
-    """
-    ctx = f.ctx
-    with ctx.prec():
-        pref = ctx.sqrt(ctx.pi() / (ctx.c * ctx.c))
-    return TrigGaussian(ctx, pref, dict(f.coeffs))
-
-
-def trig_inner(F: TrigGaussian, G: TrigGaussian):
-    """Analytic integral of conj(F(theta)) G(theta) over the line.
-
-    With both prefactors sqrt(pi/c^2) this reproduces the standard chain
-    inner product exactly (a Parseval identity).
-    """
-    if F.ctx != G.ctx:
-        raise ValueError("trig factors carry different contexts")
-    ctx = F.ctx
-    with ctx.prec():
-        c = ctx.c
-        gauss = ctx.sqrt(c * c / (2 * ctx.pi()))
-        total = _pair_sum(ctx, F.trig_coeffs, G.trig_coeffs)
-        return F.prefactor * G.prefactor * gauss * total
-
-
 def evaluate(f: GaussianChain, x):
     """Pointwise value sum_mu a_mu q^{(x-mu)^2}.
 
@@ -845,20 +763,6 @@ def relative_coeff_distance(f: GaussianChain, g: GaussianChain) -> float:
     (falls back to f when g is the zero chain)."""
     return _distance(_stack(f.ctx, [f]), _stack(f.ctx, [g]),
                      relative=True)[0]
-
-
-# -- serialization ----------------------------------------------------------
-
-def chain_to_dict(f: GaussianChain) -> dict:
-    """JSON-ready form {c, entries: [[t, re, im], ...]}."""
-    entries = [[t, float(a.real), float(a.imag)] for t, a in f.coeffs.items()]
-    return {"c": float(f.ctx.c), "entries": entries}
-
-
-def chain_from_dict(data: dict, digits: int | None = None) -> GaussianChain:
-    return GaussianChain(QContext(c=data["c"], digits=digits),
-                         {int(t): complex(re_part, im_part)
-                          for t, re_part, im_part in data["entries"]})
 
 
 def _require_same_ctx(f: GaussianChain, g: GaussianChain):

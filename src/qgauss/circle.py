@@ -20,23 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import GUARD_DIGITS, QContext
-from .qnum import horner, qbinomial_row, qbinomial_triangle, qpochhammer
+from .qnum import horner, qbinomial_triangle, qpochhammer
 from .chain import gram_budget, gram_contract, overlap_scale
 from .dg import dg_norm, gram_phi
 from .macfarlane import twisted_gram_magnitudes
 from .report import GramReport
-
-
-@dataclass(frozen=True)
-class RSPolynomial:
-    """H_n(z) = sum_k C^n_k z^k."""
-
-    n: int
-    q: float
-    coeffs: list
-
-    def __call__(self, z):
-        return horner(self.coeffs, z)
 
 
 @dataclass(frozen=True)
@@ -55,18 +43,6 @@ class ThetaEvaluator:
         for n in range(1, self.truncation + 1):
             total = total + 2.0 * self.q ** (n * n / 2.0) * np.cos(n * thetas)
         return total if total.shape else total.item()
-
-
-def rs_polynomial(n: int, q: float) -> RSPolynomial:
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    return RSPolynomial(n=n, q=q,
-                        coeffs=[float(b) for b in qbinomial_row(q, n)])
-
-
-def rs_eval(n: int, q: float, z):
-    """Horner evaluation of H_n at z (scalar or array)."""
-    return rs_polynomial(n, q)(z)
 
 
 def theta_truncation(q: float, tol: float) -> int:
@@ -263,13 +239,3 @@ def parseval_bridge(ctx: QContext, nmax: int, quad_points: int = 512) -> GramRep
                       notes={"family": "parseval-bridge",
                              "points": quad_points})
 
-
-def theta_tail_probe(q: float, tol: float, thetas=None) -> float:
-    """Largest observed change in theta3 when the truncation is pushed 5
-    terms past the bound-selected N; should sit below tol."""
-    if thetas is None:
-        thetas = np.linspace(0.0, 2.0 * np.pi, 9)
-    N = theta_truncation(q, tol)
-    base = ThetaEvaluator(q=q, truncation=N, tol=tol)(thetas)
-    more = ThetaEvaluator(q=q, truncation=N + 5, tol=tol)(thetas)
-    return float(np.abs(np.asarray(base) - np.asarray(more)).max())

@@ -42,16 +42,13 @@ def _scale(args) -> tuple[QContext, dict]:
     config block that JSON output echoes; seed is 12345 where the
     subcommand has no --seed."""
     if args.q is not None and args.c is not None:
-        raise SystemExit("error: give exactly one of --q and --c, not both")
+        raise ValueError("give exactly one of --q and --c, not both")
     for flag in ("n", "nmax"):
         if (getattr(args, flag, None) or 0) < 0:
-            raise SystemExit(f"error: --{flag} must be nonnegative, got "
+            raise ValueError(f"--{flag} must be nonnegative, got "
                              f"{getattr(args, flag)}")
-    try:
-        scale = QContext(c=args.c) if args.c is not None \
-            else QContext(q=0.5 if args.q is None else args.q)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    scale = QContext(c=args.c) if args.c is not None \
+        else QContext(q=0.5 if args.q is None else args.q)
     return scale, {"c": scale.c, "q": scale.q, "supplied": scale.supplied,
                    "defaulted": args.q is None and args.c is None,
                    "digits": args.digits,
@@ -84,9 +81,9 @@ def _parse_grid(text: str) -> np.ndarray:
         lo_s, hi_s, count_s = text.split(":")
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
     except ValueError:
-        raise SystemExit(f"error: grid must be min:max:count, got {text!r}")
+        raise ValueError(f"grid must be min:max:count, got {text!r}")
     if count < 1:
-        raise SystemExit("error: empty grid")
+        raise ValueError("empty grid")
     return np.linspace(lo, hi, count)
 
 
@@ -359,4 +356,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parser().parse_args(_join_grid_values(list(argv)))
-    return COMMANDS[args.command](args, *_scale(args))
+    try:
+        return COMMANDS[args.command](args, *_scale(args))
+    except ValueError as exc:  # a bad argument: one line, no traceback
+        raise SystemExit(f"error: {exc}")

@@ -142,32 +142,13 @@ class QContext:
         real, cplx = (float, complex) if self.digits is None \
             else (mpmath.mpf, mpmath.mpc)
         with self.prec():
-            return cplx(x) if isinstance(x, complex) or im(x) != 0 else real(x)
+            return cplx(x) if isinstance(x, complex) or x.imag != 0 else real(x)
 
     def with_digits(self, digits: int | None) -> "QContext":
         """Same deformation parameter, different precision backend. The
         context is rebuilt from the parameter the caller supplied, as given,
         so a context made from q keeps that exact q."""
         return QContext(**{self.supplied: self._given}, digits=digits)
-
-
-# -- small generic helpers (work for float, complex, mpf and mpc) ---------
-
-def conj(z):
-    return z.conjugate()
-
-
-def re(z):
-    return z.real
-
-
-def im(z):
-    return z.imag
-
-
-def magnitude(z) -> float:
-    """abs(z) as an ordinary float, whatever the backend type of z."""
-    return float(abs(z))
 
 
 def as_lattice_shift(s) -> int:

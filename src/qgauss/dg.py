@@ -106,15 +106,10 @@ def build_An_by_raising(ctx: QContext, n: int) -> GaussianChain:
         return scale(chain, factor)
 
 
-def ladder_check(ctx: QContext, n: int) -> dict:
-    """Coefficient-space residuals of the two ladder relations at level n:
-    lowering onto sqrt(lam_n) phi_{n-1} and raising onto
-    sqrt(lam_{n+1}) phi_{n+1}."""
-    return ladder_checks(ctx, [n])[0]
-
-
 def ladder_checks(ctx: QContext, levels) -> list:
-    """ladder_check at each level in levels, with every phi_k built once."""
+    """Coefficient-space residuals of the two ladder relations at each
+    level n in levels, lowering onto sqrt(lam_n) phi_{n-1} and raising
+    onto sqrt(lam_{n+1}) phi_{n+1}, with every phi_k built once."""
     return ladder_residuals(ctx, levels, build_phi, arik_lower, arik_raise,
                             arik_coon_eigenvalue)
 
@@ -141,23 +136,15 @@ def gram_phi(ctx: QContext, nmax: int) -> GramReport:
                       precision_digits=ctx.digits, notes={"family": "dg"})
 
 
-def daughter_sum_rule(ctx: QContext, n: int, m: int):
-    """Sum of the normalized daughter coefficients of phi_n phi_m.
+def daughter_sum_rules(ctx: QContext, nmax: int) -> list:
+    """The sums of the normalized daughter coefficients of phi_n phi_m for
+    all n, m <= nmax, as rows indexed by n, with every phi_k built once.
 
     The product expands as alpha^2 sum_k d_k q^{2(x-k/2)^2} and the d_k
     sum to delta_{nm}: integrating against any half-period weight picks up
     one common factor, which is why the whole orthogonality survives
-    arbitrary periodic weights. Returns sum_k d_k.
+    arbitrary periodic weights.
     """
-    [[total]] = daughter_sums([build_phi(ctx, n).conjugate()],
-                              [build_phi(ctx, m)])
-    with ctx.prec():
-        return total / alpha(ctx) ** 2
-
-
-def daughter_sum_rules(ctx: QContext, nmax: int) -> list:
-    """daughter_sum_rule(ctx, n, m) for all n, m <= nmax, as rows indexed
-    by n, with every phi_k built once."""
     phis = [build_phi(ctx, k) for k in range(nmax + 1)]
     sums = daughter_sums([f.conjugate() for f in phis], phis)
     with ctx.prec():
@@ -362,21 +349,16 @@ def sw_orthogonality(ctx: QContext, n: int, m: int, s, form: str = "du",
     return integrate_real_line(integrand, ctx, tol=1e-12)
 
 
-def sw_overlaps(ctx: QContext, nmax: int, s, method: str = "analytic") -> list:
-    """The du-form overlaps I_nm = sw_orthogonality(ctx, n, m, s, "du",
-    method) for n <= m <= nmax, mirrored below the diagonal; the analytic
-    ones build each shifted Phi_k once."""
-    pairs = [(n, m) for n in range(nmax + 1) for m in range(n, nmax + 1)]
-    if method == "analytic":
-        with ctx.prec():
-            chains = [shift(build_Phi(ctx, k), -Fraction(s))
-                      for k in range(nmax + 1)]
-            jacobian = 2 * ctx.c * ctx.c
-            upper = {(n, m): jacobian * inner(chains[n], chains[m])
-                     for n, m in pairs}
-    else:
-        upper = {(n, m): sw_orthogonality(ctx, n, m, s, "du", method)
-                 for n, m in pairs}
+def sw_overlaps(ctx: QContext, nmax: int, s) -> list:
+    """The du-form overlaps I_nm = sw_orthogonality(ctx, n, m, s) for
+    n <= m <= nmax, mirrored below the diagonal, each shifted Phi_k built
+    once."""
+    with ctx.prec():
+        chains = [shift(build_Phi(ctx, k), -Fraction(s))
+                  for k in range(nmax + 1)]
+        jacobian = 2 * ctx.c * ctx.c
+        upper = {(n, m): jacobian * inner(chains[n], chains[m])
+                 for n in range(nmax + 1) for m in range(n, nmax + 1)}
     return [[upper[min(n, m), max(n, m)] for m in range(nmax + 1)]
             for n in range(nmax + 1)]
 
@@ -392,8 +374,3 @@ def sw_overlap_residual(overlaps: list) -> float:
                                      / math.sqrt(diag[n] * diag[m])))
     return worst
 
-
-def sw_orthogonality_residual(ctx: QContext, nmax: int, s,
-                              method: str = "analytic") -> float:
-    """max over n != m <= nmax of |I_nm| / sqrt(I_nn I_mm) in the du form."""
-    return sw_overlap_residual(sw_overlaps(ctx, nmax, s, method))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import QContext, magnitude
+from .context import QContext
 from .qnum import (macfarlane_eigenvalue, pochhammer_prefix, qbinomial_row,
                    qbinomial_triangle, qpochhammer)
 from .chain import (GaussianChain, alpha, apply_ladder, gram_contract, inner,
@@ -82,7 +82,7 @@ def mac_coeffs(ctx: QContext, n: int) -> MacCoefficients:
     closed = mac_E_closed(ctx, n)
     recursed = _mac_E_recursion(ctx, n)
     with ctx.prec():
-        gap = max(magnitude(a - b) / magnitude(a)
+        gap = max(float(abs(a - b)) / float(abs(a))
                   for a, b in zip(closed, recursed))
         zeta = mac_zeta(ctx, n)
     return MacCoefficients(n=n, ctx=ctx, zeta=zeta, E=closed, recursion_gap=gap)
@@ -109,15 +109,11 @@ def build_Bn_by_raising(ctx: QContext, n: int) -> GaussianChain:
         return chain
 
 
-def mac_ladder_check(ctx: QContext, n: int) -> dict:
-    """Residuals of b B_n = sqrt(-lam_n) B_{n-1} and
-    b' B_n = -sqrt(-lam_{n+1}) B_{n+1}, relative to the largest target
-    coefficient (absolute residuals are meaningless at these magnitudes)."""
-    return mac_ladder_checks(ctx, [n])[0]
-
-
 def mac_ladder_checks(ctx: QContext, levels) -> list:
-    """mac_ladder_check at each level in levels, with every B_k built once."""
+    """Residuals of b B_n = sqrt(-lam_n) B_{n-1} and
+    b' B_n = -sqrt(-lam_{n+1}) B_{n+1} at each level n in levels, relative
+    to the largest target coefficient (absolute residuals are meaningless
+    at these magnitudes), with every B_k built once."""
     return ladder_residuals(ctx, levels, build_Bn, mac_lower, mac_raise,
                             lambda q, k: -macfarlane_eigenvalue(q, k),
                             relative=True, raise_sign=-1)

@@ -8,8 +8,6 @@ it with ``QContext.prec()``), and a ``Fraction`` gives exact rationals.
 
 from __future__ import annotations
 
-import math
-
 
 def _check_q(q):
     if not 0 < q < 1:
@@ -153,9 +151,3 @@ def hermite(n: int, s):
         h, h_prev = 2.0 * s * h - 2.0 * m * h_prev, h
     return h
 
-
-def classical_binomial(n: int, k: int) -> float:
-    """Ordinary binomial coefficient, the q -> 1 limit of qbinomial."""
-    if k < 0 or k > n:
-        return 0.0
-    return float(math.comb(n, k))

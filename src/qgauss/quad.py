@@ -1,15 +1,14 @@
-"""Plain numerical quadrature used as an independent check on the analytic
-overlap formulas.
+"""Real-line quadrature, the independent check on the analytic overlap
+formulas.
 
 Deliberately unsophisticated: a truncated composite Simpson rule on the
-real line and an equispaced trapezoid rule on [0, 1]. Neither shares any
-machinery with the closed-form inner products they audit.
+real line, sharing no machinery with the closed-form inner products it
+audits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,17 +17,6 @@ from .context import QContext
 # q^{2 pad^2} = e^{-46} ~ 1e-20 for the bare envelope.
 _TAIL_EXPONENT = 23.0
 _MAX_POINTS = 1 << 21
-
-
-@dataclass(frozen=True)
-class RealLineRule:
-    """The truncation actually used for one real-line integral: the window
-    [-half_width, half_width], the final Simpson point count, and the
-    envelope tail bound that justified stopping there."""
-
-    half_width: float
-    points: int
-    tail_bound: float
 
 
 def _sample(f, xs: np.ndarray) -> np.ndarray:
@@ -49,14 +37,13 @@ def _simpson(f, half_width: float, panels: int) -> complex:
     return complex(total * h / 3.0)
 
 
-def choose_half_width(f, ctx: QContext) -> tuple:
+def choose_half_width(f, ctx: QContext) -> float:
     """Pick a truncation window from the Gaussian envelope.
 
     Starts at pad = sqrt(23)/c, where a bare q^{2x^2} tail is already down
     at 1e-20, then widens by half-pads while the sampled boundary values
     are not negligible against the interior peak (chains centered away
-    from the origin need the extra room). Returns (half_width, tail_bound)
-    with the bound M q^{2 pad^2} taken from the observed peak M.
+    from the origin need the extra room).
     """
     c = float(ctx.c)
     pad = math.sqrt(_TAIL_EXPONENT) / c
@@ -72,12 +59,10 @@ def choose_half_width(f, ctx: QContext) -> tuple:
         half_width += 0.5 * pad
     else:
         raise RuntimeError("integrand does not decay within the probe budget")
-    tail_bound = peak * math.exp(-2.0 * c * c * pad * pad)
-    return half_width, tail_bound
+    return half_width
 
 
-def integrate_real_line(f, ctx: QContext, tol: float = 1e-10,
-                        return_rule: bool = False):
+def integrate_real_line(f, ctx: QContext, tol: float = 1e-10):
     """Integrate a Gaussian-decay integrand over the real line.
 
     Composite Simpson on a window wide enough that the envelope tail is
@@ -85,7 +70,7 @@ def integrate_real_line(f, ctx: QContext, tol: float = 1e-10,
     Richardson estimate |S_2h - S_h| / 15 drops under tol. Raises
     RuntimeError if the point budget runs out first.
     """
-    half_width, tail_bound = choose_half_width(f, ctx)
+    half_width = choose_half_width(f, ctx)
     panels = 64
     prev = _simpson(f, half_width, panels)
     while True:
@@ -99,23 +84,5 @@ def integrate_real_line(f, ctx: QContext, tol: float = 1e-10,
         if abs(cur - prev) / 15.0 <= tol * scale:
             break
         prev = cur
-    if return_rule:
-        return cur, RealLineRule(half_width, 2 * panels + 1, tail_bound)
     return cur
 
-
-def integrate_periodic_unit(f, points: int = 512) -> complex:
-    """Equispaced trapezoid (= midpoint = mean) rule for a smooth
-    1-periodic integrand: the average of f(j/points). Spectrally accurate,
-    and exact once points exceeds the integrand's top harmonic."""
-    if points <= 0:
-        raise ValueError("points must be positive")
-    xs = np.arange(points) / points
-    return complex(_sample(f, xs).mean())
-
-
-def periodic_doubling_delta(f, points: int = 512) -> float:
-    """|I(2 points) - I(points)|, the usual spectral-accuracy report for
-    the periodic rule."""
-    return abs(integrate_periodic_unit(f, 2 * points)
-               - integrate_periodic_unit(f, points))

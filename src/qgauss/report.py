@@ -22,10 +22,6 @@ class GramReport:
     precision_digits: int | None = None
     notes: dict = field(default_factory=dict)
 
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
     def entry_deviations(self, relative: bool = False) -> list:
         """(i, j, |value - target|) row by row; relative divides by
         sqrt(|T_ii| |T_jj|), the natural size of an (i, j) entry when the

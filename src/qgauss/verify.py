@@ -58,7 +58,11 @@ def _judge(name: str, tol: float, rows, params: dict,
     """Hold every (label, deviation) row to the one tolerance tol: the
     result lists each row whose deviation is not <= tol, NaN included, as
     [*label, deviation], in row order, and carries the largest deviation,
-    or NaN once one is seen."""
+    or NaN once one is seen. A suite with no rows checked nothing, which
+    is a ValueError, not a pass."""
+    rows = list(rows)
+    if not rows:
+        raise ValueError(f"suite {name} has no rows to check")
     worst, failures = 0.0, []
     for label, dev in rows:
         dev = float(dev)
@@ -140,12 +144,6 @@ def random_chain(ctx: QContext, rng: np.random.Generator,
 
 # the ladders (a, b) of each family's relation a b - q b a = 1
 _LADDERS = {"dg": (arik_lower, arik_raise), "mac": (mac_raise, mac_lower)}
-
-
-def commutator_residual(ctx: QContext, f: GaussianChain, family: str) -> float:
-    """Largest coefficient of (lower raise - q raise lower - 1) f for the
-    first family, (raise lower - q lower raise - 1) f for the second."""
-    return commutator_residuals(ctx, [_LADDERS[family]], [f.coeffs])[0][0]
 
 
 def suite_commutators(ctx: QContext, count: int = 20,

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import QContext, conj, im, magnitude, re
-from .chain import (GaussianChain, LadderOperator, alpha, apply_ladder,
-                    evaluate, gram_contract, overlap_scale, product_daughters,
-                    scale)
+from .context import QContext
+from .chain import (GaussianChain, alpha, evaluate, gram_contract,
+                    overlap_scale, product_daughters, scale)
 from .dg import build_phi, daughter_gram
 from .report import GramReport
 
@@ -43,9 +42,6 @@ class PeriodicWeight:
             total = total + coeff * np.exp(4j * np.pi * m * xs)
         return total if total.shape else total.item()
 
-    def conjugated(self) -> "PeriodicWeight":
-        return PeriodicWeight({-m: v.conjugate() for m, v in self.modes.items()})
-
 
 @dataclass(frozen=True)
 class WeightedChain:
@@ -56,10 +52,6 @@ class WeightedChain:
 
     def evaluate(self, x):
         return self.weight.evaluate(x) * evaluate(self.chain, x)
-
-
-def constant_weight(value=1.0) -> PeriodicWeight:
-    return PeriodicWeight({0: value})
 
 
 def cosine_weight(amplitude: float = 0.3) -> PeriodicWeight:
@@ -101,7 +93,7 @@ def weight_gram_integral(wa: PeriodicWeight, wb: PeriodicWeight, ctx: QContext):
         total = 0
         for m, a in wa.modes.items():
             for mp_, b in wb.modes.items():
-                total = total + conj(a) * b * mode_overlap(ctx, mp_ - m)
+                total = total + a.conjugate() * b * mode_overlap(ctx, mp_ - m)
         return total
 
 
@@ -110,9 +102,9 @@ def alpha_w(weight: PeriodicWeight, ctx: QContext):
     positive for any nonzero weight."""
     with ctx.prec():
         norm_sq = weight_gram_integral(weight, weight, ctx)
-        if magnitude(im(norm_sq)) > 1e-14 * magnitude(norm_sq) or re(norm_sq) <= 0:
+        if abs(norm_sq.imag) > 1e-14 * abs(norm_sq) or norm_sq.real <= 0:
             raise ValueError("weight norm integral must be real positive")
-        return 1 / ctx.sqrt(re(norm_sq))
+        return 1 / ctx.sqrt(norm_sq.real)
 
 
 def build_An(ctx: QContext, weight: PeriodicWeight, n: int) -> WeightedChain:
@@ -137,21 +129,6 @@ def mixed_weighted_inner(ctx: QContext, wa: PeriodicWeight, f: GaussianChain,
         return weight_gram_integral(wa, wb, ctx) * daughters.coefficient_sum()
 
 
-def weighted_inner(f: WeightedChain, g: WeightedChain):
-    """Inner product of two functions carrying the same weight."""
-    if f.weight.modes != g.weight.modes:
-        raise ValueError("weighted inner product needs matching weights")
-    ctx = f.chain.ctx
-    return mixed_weighted_inner(ctx, f.weight, f.chain, f.weight, g.chain)
-
-
-def apply_ladder_weighted(op: LadderOperator, f: WeightedChain) -> WeightedChain:
-    """Ladder action on w * chain: the operators move everything by
-    half-integer steps and w has period 1/2, so the weight passes through
-    untouched and the operator acts on the chain alone."""
-    return WeightedChain(f.weight, apply_ladder(op, f.chain))
-
-
 def weights_gram(ctx: QContext, weights: list) -> list:
     """W[a][b] = integral conj(w_a) w_b q^{2x^2} dx for a list of weights:
     their mode coefficients contracted against the mode kernel."""
@@ -159,7 +136,7 @@ def weights_gram(ctx: QContext, weights: list) -> list:
     hi = max(max(w.modes) for w in weights)
     rows = [[w.modes.get(m, 0j) for m in range(lo, hi + 1)] for w in weights]
     with ctx.prec():
-        return gram_contract([[conj(v) for v in row] for row in rows],
+        return gram_contract([[v.conjugate() for v in row] for row in rows],
                              weight_mode_kernel(ctx, hi - lo + 1), rows)
 
 
@@ -173,8 +150,8 @@ def an_gram(ctx: QContext, weight: PeriodicWeight, nmax: int) -> GramReport:
     with ctx.prec():
         # (alpha_w / alpha)^2 times the weight Gram, with alpha_w^{-2} the
         # real part of that same Gram integral
-        factor = wgram / (re(wgram) * alpha(ctx) ** 2)
-        matrix = [[re(factor * d) for d in row] for row in daughters]
+        factor = wgram / (wgram.real * alpha(ctx) ** 2)
+        matrix = [[(factor * d).real for d in row] for row in daughters]
     target = [[1.0 if i == j else 0.0 for j in range(nmax + 1)]
               for i in range(nmax + 1)]
     return GramReport(labels=list(range(nmax + 1)), matrix=matrix, target=target,
@@ -247,7 +224,7 @@ def gamma_family_gram(ctx: QContext, nweights: int, nmax: int) -> GramReport:
     with ctx.prec():
         inv_alpha = 1 / alpha(ctx)
         inv_alpha2 = inv_alpha * inv_alpha
-        matrix = [[re(wgram[n1][n2] * inv_alpha2 * daughters[m1][m2])
+        matrix = [[(wgram[n1][n2] * inv_alpha2 * daughters[m1][m2]).real
                    for n2, m2 in labels] for n1, m1 in labels]
     target = [[1.0 if i == j else 0.0 for j in range(len(labels))]
               for i in range(len(labels))]

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 import qgauss as qg
-from qgauss.dg import sw_orthogonality_residual
+from qgauss.dg import sw_overlap_residual, sw_overlaps
 from qgauss.quad import integrate_real_line
 from qgauss.verify import random_chain, suite_commutators
 
@@ -54,9 +54,9 @@ def test_ladder_identities_hold_through_n10():
     ctx = qg.QContext(q=0.5)
     assert qg.apply_ladder(qg.arik_lower(ctx), qg.build_phi(ctx, 0)).is_zero()
     assert qg.apply_ladder(qg.mac_lower(ctx), qg.build_Bn(ctx, 0)).is_zero()
-    for n in range(1, 11):
-        first = qg.ladder_check(ctx, n)
-        second = qg.mac_ladder_check(ctx, n)
+    levels = range(1, 11)
+    for n, first, second in zip(levels, qg.ladder_checks(ctx, levels),
+                                qg.mac_ladder_checks(ctx, levels)):
         for label, res in (("a-lower", first["lower_residual"]),
                            ("a-raise", first["raise_residual"]),
                            ("b-lower", second["lower_residual"]),
@@ -79,9 +79,8 @@ def test_twisted_gram_is_alternating_identity():
 
 def test_daughter_coefficients_sum_to_kronecker():
     ctx = qg.QContext(q=0.5)
-    for n in range(11):
-        for m in range(11):
-            total = complex(qg.daughter_sum_rule(ctx, n, m))
+    for n, row in enumerate(qg.daughter_sum_rules(ctx, 10)):
+        for m, total in enumerate(map(complex, row)):
             target = 1.0 if n == m else 0.0
             assert abs(total - target) <= 1e-12, (n, m, total)
 
@@ -176,8 +175,12 @@ def test_lognormal_substitution_bridge():
     for n in range(7):
         res = qg.sw_bridge_residual(ctx, n, s)
         assert res <= 1e-11, (n, res)
-    for method in ("analytic", "quadrature"):
-        orth = sw_orthogonality_residual(ctx, 6, s, method=method)
+    numeric = [[qg.sw_orthogonality(ctx, min(n, m), max(n, m), s, "du",
+                                    "quadrature") for m in range(7)]
+               for n in range(7)]
+    for method, overlaps in (("analytic", sw_overlaps(ctx, 6, s)),
+                             ("quadrature", numeric)):
+        orth = sw_overlap_residual(overlaps)
         assert orth <= 1e-6, (method, orth)
 
 

@@ -16,21 +16,34 @@ from qgauss.circle import (
     _circle_trapezoid,
     _gram_truncation,
     circle_mac_magnitudes,
-    theta_tail_probe,
     theta_truncation,
 )
-from qgauss.quad import integrate_periodic_unit
+from qgauss.qnum import horner, qbinomial_row
+
+
+def rs_eval(n, q, z):
+    """The Rogers-Szego polynomial H_n(z) = sum_k C^n_k z^k by Horner."""
+    return horner(qbinomial_row(q, n), z)
+
+
+def theta_tail_probe(q, tol):
+    """Largest observed change in theta3 on 9 points of one period when
+    the truncation is pushed 5 terms past the bound-selected N."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, 9)
+    N = theta_truncation(q, tol)
+    base = qg.ThetaEvaluator(q=q, truncation=N, tol=tol)(thetas)
+    more = qg.ThetaEvaluator(q=q, truncation=N + 5, tol=tol)(thetas)
+    return float(np.abs(np.asarray(base) - np.asarray(more)).max())
 
 
 def test_rs_coefficients_are_qbinomials():
-    poly = qg.rs_polynomial(2, 0.5)
-    assert poly.coeffs == pytest.approx([1.0, 1.5, 1.0])
-    assert qg.rs_eval(2, 0.5, 1.0) == pytest.approx(3.5)
+    assert qbinomial_row(0.5, 2) == pytest.approx([1.0, 1.5, 1.0])
+    assert rs_eval(2, 0.5, 1.0) == pytest.approx(3.5)
 
 
 def test_rs_rejects_negative_degree():
     with pytest.raises(ValueError):
-        qg.rs_polynomial(-1, 0.5)
+        qg.circle_gram_dg(QContext(q=0.5), -1)
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
@@ -270,18 +283,15 @@ def test_parseval_bridge():
 
 
 def test_gram_matches_direct_periodic_quadrature():
-    # one entry recomputed with the generic trapezoid helper
+    # one entry recomputed as the mean of the integrand over 512 nodes
     q = 0.5
     n, m = 2, 2
     weight = qg.ThetaEvaluator(q=q, truncation=theta_truncation(q, 1e-16),
                                tol=1e-16)
-
-    def integrand(theta):
-        z = np.exp(2j * np.pi * theta)
-        return (qg.rs_eval(n, q, -(q ** -0.5) * np.conj(z))
-                * qg.rs_eval(m, q, -(q ** -0.5) * z)
-                * weight(2.0 * np.pi * theta))
-
-    val = integrate_periodic_unit(integrand, points=512).real
+    theta = np.arange(512) / 512
+    z = np.exp(2j * np.pi * theta)
+    val = np.mean(rs_eval(n, q, -(q ** -0.5) * np.conj(z))
+                  * rs_eval(m, q, -(q ** -0.5) * z)
+                  * weight(2.0 * np.pi * theta)).real
     rep = qg.circle_gram_dg(QContext(q=q), 3)
     assert val == pytest.approx(rep.matrix[n][m], rel=1e-13)

@@ -270,8 +270,33 @@ def test_parser_is_built_once_per_process_and_not_at_import():
     ("verify", "--suite", "ladders", "--nmax", "-1"),
 ])
 def test_negative_degree_is_one_error_line(argv):
+    assert_one_error_line(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--family", "dg", "--n", "2", "--q", "1.5"),
+    ("coeffs", "--family", "dg", "--n", "2", "--c", "0"),
+    ("coeffs", "--family", "dg", "--n", "2", "--digits", "0"),
+    ("gram", "--family", "mac", "--digits", "-3"),
+    ("circle", "--points", "100"),
+    ("verify", "--suite", "circle-dg", "--points", "100"),
+    ("gram", "--family", "gamma", "--nweights", "0"),
+    ("verify", "--suite", "gamma", "--nweights", "0"),
+    ("weights", "--count", "0"),
+    ("limit", "--n", "2", "--c-list", "0"),
+    # a suite with no rows checked nothing; it must not pass
+    ("verify", "--suite", "ladders", "--nmax", "0"),
+    ("verify", "--suite", "commutators", "--count", "0"),
+], ids=" ".join)
+def test_bad_argument_is_one_error_line(argv):
+    assert_one_error_line(argv)
+
+
+def assert_one_error_line(argv):
+    """The command fails with exit code 1, prints nothing on stdout and
+    exactly one line on stderr, an `error:` line, not a traceback."""
     proc = run_cli(*argv)
-    assert proc.returncode != 0 and proc.stdout == b""
+    assert proc.returncode == 1 and proc.stdout == b""
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
 

@@ -10,7 +10,7 @@ from qgauss.dg import (
     hermite_zeros,
     limit_grid,
     limit_ratio_curve,
-    sw_orthogonality_residual,
+    sw_overlap_residual,
     sw_overlaps,
     sw_u_form,
     sw_u_of_x,
@@ -76,18 +76,16 @@ def test_gram_is_identity():
 
 
 def test_ladder_residuals():
-    for n in range(1, 9):
-        res = qg.ladder_check(CTX, n)
+    for res in qg.ladder_checks(CTX, range(1, 9)):
         assert res["lower_residual"] <= 1e-12
         assert res["raise_residual"] <= 1e-12
     with pytest.raises(ValueError):
-        qg.ladder_check(CTX, 0)
+        qg.ladder_checks(CTX, [0])
 
 
 def test_daughter_sum_rule_kronecker():
-    for n in range(5):
-        for m in range(5):
-            val = qg.daughter_sum_rule(CTX, n, m)
+    for n, row in enumerate(qg.daughter_sum_rules(CTX, 4)):
+        for m, val in enumerate(row):
             target = 1.0 if n == m else 0.0
             assert complex(val) == pytest.approx(target, abs=1e-13)
 
@@ -147,7 +145,7 @@ def test_sw_bridge_residual_small():
 
 
 def test_sw_du_orthogonality():
-    assert sw_orthogonality_residual(CTX, 6, Fraction(1, 2)) <= 1e-6
+    assert sw_overlap_residual(sw_overlaps(CTX, 6, Fraction(1, 2))) <= 1e-6
 
 
 def reference_sw_devs(ctx, nmax, s):
@@ -193,7 +191,7 @@ def test_sw_overlaps_build_each_phi_once_and_keep_every_bit(digits,
         assert sorted(built) == sorted(2 * list(range(7)))
         assert overlaps == [[qg.sw_orthogonality(ctx, min(n, m), max(n, m), s)
                              for m in range(7)] for n in range(7)]
-        assert sw_orthogonality_residual(ctx, 6, s) == orth
+        assert sw_overlap_residual(overlaps) == orth
         assert result.notes["orthogonality_dev"] == orth
         assert result.notes["quadrature_dev"] == quad
 

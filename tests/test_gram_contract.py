@@ -14,7 +14,6 @@ import pytest
 import qgauss as qg
 from qgauss import QContext
 from qgauss.chain import gram_budget, gram_contract
-from qgauss.context import re
 from qgauss.macfarlane import twisted_gram_magnitudes
 from qgauss.weights import random_weight
 
@@ -113,7 +112,9 @@ def test_an_gram(q):
     for weight in (qg.cosine_weight(0.3),
                    random_weight(np.random.default_rng(7))):
         family = [qg.build_An(ctx, weight, n) for n in range(NMAX + 1)]
-        ref = [[re(qg.weighted_inner(f, g)) for g in family] for f in family]
+        ref = [[qg.mixed_weighted_inner(ctx, f.weight, f.chain, g.weight,
+                                        g.chain).real for g in family]
+               for f in family]
         assert max_gap(qg.an_gram(ctx, weight, NMAX).matrix, ref) <= DOUBLE_GAP
 
 
@@ -124,7 +125,7 @@ def test_gamma_family_gram(q):
     inv_alpha = 1 / qg.alpha(ctx)
     members = [(weights[n], qg.scale(qg.build_phi(ctx, m), inv_alpha))
                for n in range(3) for m in range(NMAX + 1)]
-    ref = [[re(qg.mixed_weighted_inner(ctx, wa, f, wb, g)) for wb, g in members]
+    ref = [[qg.mixed_weighted_inner(ctx, wa, f, wb, g).real for wb, g in members]
            for wa, f in members]
     report = qg.gamma_family_gram(ctx, 3, NMAX)
     assert max_gap(report.matrix, ref) <= DOUBLE_GAP

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qgauss.qnum import (
     arik_coon_eigenvalue,
     arik_coon_eigenvalues_by_recursion,
-    classical_binomial,
     hermite,
     macfarlane_eigenvalue,
     macfarlane_eigenvalues_by_recursion,
@@ -85,7 +84,7 @@ def test_classical_limit():
     for n in range(11):
         for k in range(n + 1):
             assert qbinomial(q, n, k) == pytest.approx(
-                classical_binomial(n, k), rel=1e-4)
+                math.comb(n, k), rel=1e-4)
 
 
 def test_qbinomial_mp_backend_agrees():

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qgauss import QContext, evaluate, inner, integrate_periodic_unit, integrate_real_line, make_gaussian
-from qgauss.quad import RealLineRule, periodic_doubling_delta
+from qgauss import QContext, evaluate, inner, integrate_real_line, make_gaussian
 
 
 def test_gaussian_envelope_integral():
@@ -18,15 +17,6 @@ def test_unit_gaussian():
     ctx = QContext(c=1.0)
     val = integrate_real_line(lambda x: np.exp(-x ** 2), ctx)
     assert val.real == pytest.approx(math.sqrt(math.pi), rel=1e-11)
-
-
-def test_rule_reporting():
-    ctx = QContext(q=0.5)
-    val, rule = integrate_real_line(lambda x: np.exp(-x ** 2), ctx, return_rule=True)
-    assert isinstance(rule, RealLineRule)
-    assert rule.half_width > 0
-    assert rule.points % 2 == 1  # Simpson needs an odd point count
-    assert rule.tail_bound < 1e-18 * max(1.0, abs(val))
 
 
 def test_quadrature_agrees_with_analytic_inner():
@@ -46,20 +36,3 @@ def test_off_center_chain_widens_window():
     val = integrate_real_line(lambda x: evaluate(f, x), ctx)
     assert val.real == pytest.approx(math.sqrt(math.pi / math.log(2.0)), rel=1e-10)
 
-
-def test_periodic_rule_exact_on_low_harmonics():
-    # trapezoid sums of e^{i 2 pi k x} vanish exactly for 0 < |k| < points
-    f = lambda x: 1.0 + np.cos(2 * np.pi * x) + 0.5 * np.sin(8 * np.pi * x)
-    val = integrate_periodic_unit(f, points=64)
-    assert val.real == pytest.approx(1.0, abs=1e-15)
-    assert abs(val.imag) <= 1e-16
-
-
-def test_periodic_rule_rejects_bad_points():
-    with pytest.raises(ValueError):
-        integrate_periodic_unit(lambda x: x, points=0)
-
-
-def test_periodic_doubling_delta_spectral():
-    f = lambda x: np.exp(np.cos(2 * np.pi * x))
-    assert periodic_doubling_delta(f, points=32) <= 1e-14

@@ -15,7 +15,6 @@ def report():
 
 
 def test_deviations(report):
-    assert report.size == 2
     assert report.max_abs_deviation == pytest.approx(0.002)
     # off-diagonal scale sqrt(1 * 4) = 2
     assert report.max_relative_deviation() == pytest.approx(0.001)

@@ -8,7 +8,8 @@ import qgauss as qg
 from qgauss import QContext
 from qgauss import circle, dg, macfarlane
 from qgauss.report import GramReport
-from qgauss.verify import commutator_residual, random_chain
+from qgauss.chain import commutator_residuals, daughter_sums
+from qgauss.verify import random_chain
 
 
 @pytest.mark.parametrize("suite", qg.SUITES)
@@ -31,6 +32,13 @@ def test_unknown_suite():
         qg.run_suite("fourier-gram")
 
 
+@pytest.mark.parametrize("suite, size", [("ladders", {"nmax": 0}),
+                                         ("commutators", {"count": 0})])
+def test_a_suite_with_no_rows_is_an_error_not_a_pass(suite, size):
+    with pytest.raises(ValueError, match="no rows"):
+        qg.run_suite(suite, **size)
+
+
 def test_result_serializes_to_json():
     result = qg.run_suite("dg-gram")
     text = json.dumps(result.to_dict())
@@ -46,8 +54,10 @@ def test_commutator_on_seeded_chains():
     rng = np.random.default_rng(12345)
     for _ in range(5):
         f = random_chain(ctx, rng)
-        assert commutator_residual(ctx, f, "dg") <= 1e-13
-        assert commutator_residual(ctx, f, "mac") <= 1e-13
+        for ladders in ((qg.arik_lower, qg.arik_raise),
+                        (qg.mac_raise, qg.mac_lower)):
+            [[residual]] = commutator_residuals(ctx, [ladders], [f.coeffs])
+            assert residual <= 1e-13
 
 
 def test_mac_gram_fails_at_starved_precision():
@@ -148,19 +158,28 @@ def test_family_tables_are_built_once_per_suite(monkeypatch, digits):
         assert sumrule.max_deviation == max(
             float(max(abs(v.real - int(n == m)), abs(v.imag)))
             for n in range(7) for m in range(7)
-            for v in [qg.daughter_sum_rule(ctx, n, m)])
+            for v in [one_pair_sum_rule(ctx, n, m)])
     assert ladders.max_deviation == max(
         res[key] for n in range(1, 7)
-        for res in (qg.ladder_check(ctx, n), qg.mac_ladder_check(ctx, n))
+        for res in (dg.ladder_checks(ctx, [n])[0],
+                    macfarlane.mac_ladder_checks(ctx, [n])[0])
         for key in ("lower_residual", "raise_residual"))
+
+
+def one_pair_sum_rule(ctx, n, m):
+    """The normalized daughter coefficient sum of phi_n phi_m alone."""
+    [[total]] = daughter_sums([qg.build_phi(ctx, n).conjugate()],
+                              [qg.build_phi(ctx, m)])
+    with ctx.prec():
+        return total / qg.alpha(ctx) ** 2
 
 
 def test_ladder_checks_match_single_levels():
     ctx = QContext(q=0.5)
-    assert dg.ladder_checks(ctx, [2, 5]) == [qg.ladder_check(ctx, 2),
-                                             qg.ladder_check(ctx, 5)]
+    assert dg.ladder_checks(ctx, [2, 5]) == (dg.ladder_checks(ctx, [2])
+                                             + dg.ladder_checks(ctx, [5]))
     assert macfarlane.mac_ladder_checks(ctx, range(1, 4)) == [
-        qg.mac_ladder_check(ctx, n) for n in range(1, 4)]
+        macfarlane.mac_ladder_checks(ctx, [n])[0] for n in range(1, 4)]
     assert dg.ladder_checks(ctx, []) == []
     with pytest.raises(ValueError):
         dg.ladder_checks(ctx, [0, 1])

@@ -7,7 +7,6 @@ import qgauss as qg
 from qgauss import QContext
 from qgauss.quad import integrate_real_line
 from qgauss.weights import (
-    apply_ladder_weighted,
     mode_overlap,
     random_weight,
     weight_family_condition,
@@ -43,7 +42,7 @@ def test_mode_overlap_formula():
 
 
 def test_alpha_w_reduces_to_alpha():
-    assert qg.alpha_w(qg.constant_weight(), CTX) == pytest.approx(
+    assert qg.alpha_w(qg.PeriodicWeight({0: 1.0}), CTX) == pytest.approx(
         float(qg.alpha(CTX)), rel=1e-15)
     # a unimodular weight has |w| = 1 and the same normalization
     assert qg.alpha_w(qg.PeriodicWeight({1: 1.0}), CTX) == pytest.approx(
@@ -91,22 +90,20 @@ def test_weighted_inner_against_quadrature():
     assert abs(entry(a2, a4)) <= 1e-10
 
 
-def test_weighted_inner_requires_matching_weights():
-    w1, w2 = qg.cosine_weight(0.3), qg.cosine_weight(0.4)
-    f = qg.build_An(CTX, w1, 0)
-    g = qg.build_An(CTX, w2, 0)
-    with pytest.raises(ValueError):
-        qg.weighted_inner(f, g)
-
-
 def test_ladder_passes_through_weight():
+    # a = T^{1/2} (q^{x + 1/4} - T^{1/2}) / sqrt(1 - q) on the function
+    # w A_3 equals w times a on the chain, w having period 1/2
     w = qg.cosine_weight(0.3)
     a3 = qg.build_An(CTX, w, 3)
-    lowered = apply_ladder_weighted(qg.arik_lower(CTX), a3)
-    assert lowered.weight is a3.weight
+    lowered = qg.apply_ladder(qg.arik_lower(CTX), a3.chain)
+    xs = np.linspace(-2.0, 5.0, 29)
+    direct = (0.5 ** (xs + 0.75) * a3.evaluate(xs + 0.5)
+              - a3.evaluate(xs + 1.0)) / math.sqrt(0.5)
+    np.testing.assert_allclose(direct, w.evaluate(xs)
+                               * qg.evaluate(lowered, xs), atol=1e-13)
     lam3 = qg.arik_coon_eigenvalue(0.5, 3)
     target = qg.scale(qg.build_An(CTX, w, 2).chain, math.sqrt(lam3))
-    assert qg.coeff_distance(lowered.chain, target) <= 1e-13
+    assert qg.coeff_distance(lowered, target) <= 1e-13
 
 
 # -- orthonormalized weight family and the doubly indexed Gram ---------------
