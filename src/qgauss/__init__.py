@@ -3,14 +3,12 @@ families built from them, with circle-integral and weighted-family
 counterparts and a verification harness."""
 
 from .context import QContext
-from .qnum import (arik_coon_eigenvalue, macfarlane_eigenvalue, qbinomial,
-                   qpochhammer)
+from .qnum import arik_coon_eigenvalue, macfarlane_eigenvalue, qpochhammer
 from .chain import (DaughterChain, GaussianChain, LadderOperator, add, alpha,
                     apply_ladder, arik_lower, arik_raise, coeff_distance,
-                    evaluate, inner, mac_lower, mac_raise, make_gaussian,
-                    mul_qlinear, overlap_scale, product_daughters,
-                    relative_coeff_distance, scale, shift, subtract,
-                    zero_chain)
+                    evaluate, inner, mac_lower, mac_raise, mul_qlinear,
+                    overlap_scale, product_daughters,
+                    relative_coeff_distance, scale, shift)
 from .report import GramReport
 from .quad import integrate_real_line
 from .dg import (DGCoefficients, SWPolynomial, build_An_by_raising,
@@ -31,13 +29,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QContext",
-    "arik_coon_eigenvalue", "macfarlane_eigenvalue", "qbinomial",
-    "qpochhammer",
+    "arik_coon_eigenvalue", "macfarlane_eigenvalue", "qpochhammer",
     "DaughterChain", "GaussianChain", "LadderOperator",
     "add", "alpha", "apply_ladder", "arik_lower", "arik_raise",
     "coeff_distance", "evaluate", "inner", "mac_lower", "mac_raise",
-    "make_gaussian", "mul_qlinear", "overlap_scale", "product_daughters",
-    "relative_coeff_distance", "scale", "shift", "subtract", "zero_chain",
+    "mul_qlinear", "overlap_scale", "product_daughters",
+    "relative_coeff_distance", "scale", "shift",
     "GramReport",
     "integrate_real_line",
     "DGCoefficients", "SWPolynomial", "build_An_by_raising", "build_Phi",

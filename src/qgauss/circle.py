@@ -127,10 +127,9 @@ def _aliased_theta_kernel(work: QContext, size: int, points: int,
     recurs along a diagonal that the cancellation amplifies, so at high
     precision K carries its own guard digits (fdot reads inputs exactly)."""
     fine = work.with_digits(work.digits + GUARD_DIGITS)
-    with fine.prec():
-        fold = [0 * fine.q] * points
-        for m in range(-truncation, truncation + 1):
-            fold[m % points] += fine.qpow8(4 * m * m)
+    fold = [0 * fine.q] * points
+    for m in range(-truncation, truncation + 1):
+        fold[m % points] += fine.qpow8(4 * m * m)
     return [[fold[-(j + sign * k) % points] for k in range(size)]
             for j in range(size)]
 
@@ -199,18 +198,17 @@ def circle_gram_mac(ctx: QContext, nmax: int, quad_points: int = 512,
         *circle_mac_magnitudes(q, nmax, quad_points, conjugate_first),
         MAC_TOL, ctx.digits)
     work = ctx.with_digits(digits)
-    with work.prec():
-        wq = work.q
-        args = [-(wq ** (0.5 - n)) for n in range(nmax + 1)]
-        A = [[c * args[n] ** k for k, c in enumerate(row)]
-             for n, row in enumerate(qbinomial_triangle(wq, nmax))]
-        K = _aliased_theta_kernel(work, nmax + 1, quad_points,
-                                  _gram_truncation(q, nmax),
-                                  -1 if conjugate_first else 1)
-        matrix = gram_contract(A, K, A)
-        target = [[wq ** (-n * (n - 1) // 2) * qpochhammer(wq, n) * (-1) ** n
-                   if n == m else 0 * wq for m in range(nmax + 1)]
-                  for n in range(nmax + 1)]
+    wq = work.q
+    args = [-(wq ** (0.5 - n)) for n in range(nmax + 1)]
+    A = [[c * args[n] ** k for k, c in enumerate(row)]
+         for n, row in enumerate(qbinomial_triangle(wq, nmax))]
+    K = _aliased_theta_kernel(work, nmax + 1, quad_points,
+                              _gram_truncation(q, nmax),
+                              -1 if conjugate_first else 1)
+    matrix = gram_contract(A, K, A)  # rounds at A's precision, work's
+    target = [[wq ** (-n * (n - 1) // 2) * qpochhammer(wq, n) * (-1) ** n
+               if n == m else 0 * wq for m in range(nmax + 1)]
+              for n in range(nmax + 1)]
     notes = {"family": "circle-mac", "points": quad_points,
              "conjugate_first": conjugate_first, "working_digits": digits,
              "log10_condition": round(log_condition, 2), "floor": floor}

@@ -40,13 +40,16 @@ def _fmt(x: float) -> str:
 def _scale(args) -> tuple[QContext, dict]:
     """The double-precision context of --q or --c (default q = 0.5) and the
     config block that JSON output echoes; seed is 12345 where the
-    subcommand has no --seed."""
+    subcommand has no --seed. An integer flag out of range is a ValueError
+    that names the flag."""
     if args.q is not None and args.c is not None:
         raise ValueError("give exactly one of --q and --c, not both")
-    for flag in ("n", "nmax"):
-        if (getattr(args, flag, None) or 0) < 0:
-            raise ValueError(f"--{flag} must be nonnegative, got "
-                             f"{getattr(args, flag)}")
+    for flag, least in (("n", 0), ("nmax", 0), ("digits", 1), ("count", 1),
+                        ("nweights", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            need = "nonnegative" if least == 0 else f"at least {least}"
+            raise ValueError(f"--{flag} must be {need}, got {value}")
     scale = QContext(c=args.c) if args.c is not None \
         else QContext(q=0.5 if args.q is None else args.q)
     return scale, {"c": scale.c, "q": scale.q, "supplied": scale.supplied,

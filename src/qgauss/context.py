@@ -7,12 +7,19 @@ mpmath backend, and centralizes the exact-exponent power q**r that the
 lattice algebra relies on. Every exponent the ladder and overlap algebra
 raises q to is a multiple of 1/8, so each context keeps those powers in
 a memo of its own (``qpow8``) and computes each one once.
+
+This is the one module that knows what a precision is. At set digits a
+context's numbers belong to an mpmath context of their own precision,
+digits + GUARD_DIGITS, shared by every QContext at those digits, so they
+compute at it wherever they are used, whatever mpmath's global precision
+is. Mixed arithmetic takes the left operand's precision (an mpc's when
+an mpf meets one). A stage meant to run in double says so by computing on
+``ctx.with_digits(None)``.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from fractions import Fraction
 
 import mpmath
@@ -20,6 +27,19 @@ import mpmath
 # Working digits added on top of what the caller asked for, so the
 # requested accuracy survives intermediate rounding.
 GUARD_DIGITS = 10
+
+# One mpmath context per working precision in decimal digits, built on
+# first use: building one per QContext would cost more than most suites.
+_MP_CONTEXTS = {}
+
+
+def _mp_context(dps: int) -> mpmath.MPContext:
+    try:
+        return _MP_CONTEXTS[dps]
+    except KeyError:
+        lib = _MP_CONTEXTS[dps] = mpmath.MPContext()
+        lib.dps = dps
+        return lib
 
 
 class QContext:
@@ -43,20 +63,18 @@ class QContext:
         object.__setattr__(self, "supplied", "c" if q is None else "q")
         object.__setattr__(self, "_given", c if q is None else q)
         object.__setattr__(self, "_pow8", {})
-        number = float if digits is None else mpmath.mpf
-        with self.prec():
-            if c is not None:
-                if not c > 0:
-                    raise ValueError(f"c must be positive, got {c}")
-                cval = number(c)
-                lnq = -cval * cval
-                qval = self.exp(lnq)
-            else:
-                if not 0 < q < 1:
-                    raise ValueError(f"q must lie in (0, 1), got {q}")
-                qval = number(q)
-                lnq = self._lib().log(qval)
-                cval = self.sqrt(-lnq)
+        if c is not None:
+            if not c > 0:
+                raise ValueError(f"c must be positive, got {c}")
+            cval = self.make(c)
+            lnq = -cval * cval
+            qval = self.exp(lnq)
+        else:
+            if not 0 < q < 1:
+                raise ValueError(f"q must lie in (0, 1), got {q}")
+            qval = self.make(q)
+            lnq = self.lib().log(qval)
+            cval = self.sqrt(-lnq)
         object.__setattr__(self, "c", cval)
         object.__setattr__(self, "q", qval)
         object.__setattr__(self, "ln_q", lnq)
@@ -84,12 +102,6 @@ class QContext:
     def is_mp(self) -> bool:
         return self.digits is not None
 
-    def prec(self):
-        """Context manager installing this context's working precision."""
-        if self.digits is None:
-            return nullcontext()
-        return mpmath.workdps(self.digits + GUARD_DIGITS)
-
     def qpow(self, r):
         """q**r for an exact rational exponent r.
 
@@ -106,12 +118,12 @@ class QContext:
                 return math.exp(float(r) * self.ln_q)
             except OverflowError:
                 return math.inf
-        with self.prec():
-            if isinstance(r, Fraction):
-                rr = mpmath.mpf(r.numerator) / r.denominator
-            else:
-                rr = mpmath.mpf(r)
-            return mpmath.exp(rr * self.ln_q)
+        lib = self.lib()
+        if isinstance(r, Fraction):
+            rr = lib.mpf(r.numerator) / r.denominator
+        else:
+            rr = lib.mpf(r)
+        return lib.exp(rr * self.ln_q)
 
     def qpow8(self, m: int):
         """q**(m/8) for an integer m: qpow(Fraction(m, 8)), bit for bit,
@@ -122,27 +134,29 @@ class QContext:
             value = self._pow8[m] = self.qpow(Fraction(m, 8))
             return value
 
-    def _lib(self):
-        return math if self.digits is None else mpmath
+    def lib(self):
+        """The numeric library of this context: ``math`` in double, at set
+        digits the mpmath context at digits + GUARD_DIGITS whose mpf, mpc,
+        functions and ``prec`` the context's numbers carry. Every QContext
+        at those digits shares it, so nothing may change its precision."""
+        if self.digits is None:
+            return math
+        return _mp_context(self.digits + GUARD_DIGITS)
 
     def sqrt(self, x):
-        with self.prec():
-            return self._lib().sqrt(x)
+        return self.lib().sqrt(x)
 
     def exp(self, x):
-        with self.prec():
-            return self._lib().exp(x)
+        return self.lib().exp(x)
 
     def pi(self):
-        with self.prec():
-            return +self._lib().pi
+        return +self.lib().pi
 
     def make(self, x):
         """Coerce a Python number into this context's scalar type."""
-        real, cplx = (float, complex) if self.digits is None \
-            else (mpmath.mpf, mpmath.mpc)
-        with self.prec():
-            return cplx(x) if isinstance(x, complex) or x.imag != 0 else real(x)
+        lib = self.lib()
+        real, cplx = (float, complex) if lib is math else (lib.mpf, lib.mpc)
+        return cplx(x) if isinstance(x, complex) or x.imag != 0 else real(x)
 
     def with_digits(self, digits: int | None) -> "QContext":
         """Same deformation parameter, different precision backend. The

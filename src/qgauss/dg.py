@@ -55,23 +55,21 @@ def dg_norm(ctx: QContext, n: int):
     """||Phi_n|| = (pi/2c^2)^{1/4} q^{-n/2} sqrt((q, q)_n)."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    with ctx.prec():
-        return (ctx.sqrt(overlap_scale(ctx)) * ctx.qpow8(-4 * n)
-                * ctx.sqrt(qpochhammer(ctx.q, n)))
+    return (ctx.sqrt(overlap_scale(ctx)) * ctx.qpow8(-4 * n)
+            * ctx.sqrt(qpochhammer(ctx.q, n)))
 
 
 def dg_coefficients(ctx: QContext, n: int) -> DGCoefficients:
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    with ctx.prec():
-        a = alpha(ctx)
-        root = ctx.sqrt(qpochhammer(ctx.q, n))
-        raw = []
-        normalized = []
-        for k, binom in enumerate(qbinomial_row(ctx.q, n)):
-            sign = -1 if k % 2 else 1
-            raw.append(sign * binom * ctx.qpow8(-4 * k))
-            normalized.append(sign * a * binom * ctx.qpow8(4 * (n - k)) / root)
+    a = alpha(ctx)
+    root = ctx.sqrt(qpochhammer(ctx.q, n))
+    raw = []
+    normalized = []
+    for k, binom in enumerate(qbinomial_row(ctx.q, n)):
+        sign = -1 if k % 2 else 1
+        raw.append(sign * binom * ctx.qpow8(-4 * k))
+        normalized.append(sign * a * binom * ctx.qpow8(4 * (n - k)) / root)
     return DGCoefficients(n=n, ctx=ctx, raw=raw, normalized=normalized)
 
 
@@ -96,14 +94,13 @@ def build_An_by_raising(ctx: QContext, n: int) -> GaussianChain:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    with ctx.prec():
-        chain = GaussianChain(ctx, {0: alpha(ctx)})
-        op = arik_raise(ctx)
-        for _ in range(n):
-            chain = apply_ladder(op, chain)
-        q = ctx.q
-        factor = ctx.sqrt((1 - q) ** n / qpochhammer(ctx.q, n))
-        return scale(chain, factor)
+    chain = GaussianChain(ctx, {0: alpha(ctx)})
+    op = arik_raise(ctx)
+    for _ in range(n):
+        chain = apply_ladder(op, chain)
+    q = ctx.q
+    factor = ctx.sqrt((1 - q) ** n / qpochhammer(ctx.q, n))
+    return scale(chain, factor)
 
 
 def ladder_checks(ctx: QContext, levels) -> list:
@@ -119,17 +116,15 @@ def daughter_gram(ctx: QContext, nmax: int) -> list:
     coefficients of phi_n and phi_m: the daughter coefficient sum of
     phi_n phi_m, alpha^2 delta_nm analytically, in the context's backend."""
     tables = [dg_coefficients(ctx, n).normalized for n in range(nmax + 1)]
-    with ctx.prec():
-        return gram_contract(tables, lattice_kernel(ctx, nmax + 1), tables)
+    return gram_contract(tables, lattice_kernel(ctx, nmax + 1), tables)
 
 
 def gram_phi(ctx: QContext, nmax: int) -> GramReport:
     """Gram matrix of phi_0..phi_nmax under the standard inner product,
     sqrt(pi/2c^2) times the daughter Gram, reported against the identity."""
-    with ctx.prec():
-        overlap = overlap_scale(ctx)
-        matrix = [[float((overlap * v).real) for v in row]
-                  for row in daughter_gram(ctx, nmax)]
+    overlap = overlap_scale(ctx)
+    matrix = [[float((overlap * v).real) for v in row]
+              for row in daughter_gram(ctx, nmax)]
     target = [[1.0 if i == j else 0.0 for j in range(nmax + 1)]
               for i in range(nmax + 1)]
     return GramReport(labels=list(range(nmax + 1)), matrix=matrix, target=target,
@@ -147,9 +142,8 @@ def daughter_sum_rules(ctx: QContext, nmax: int) -> list:
     """
     phis = [build_phi(ctx, k) for k in range(nmax + 1)]
     sums = daughter_sums([f.conjugate() for f in phis], phis)
-    with ctx.prec():
-        norm = alpha(ctx) ** 2
-        return [[total / norm for total in row] for row in sums]
+    norm = alpha(ctx) ** 2
+    return [[total / norm for total in row] for row in sums]
 
 
 # -- harmonic-oscillator limit ----------------------------------------------
@@ -237,11 +231,9 @@ def stieltjes_wigert(ctx: QContext, n: int, s) -> SWPolynomial:
         raise ValueError("degree must be nonnegative")
     s = Fraction(s)
     coeffs = []
-    with ctx.prec():
-        for k, binom in enumerate(qbinomial_row(ctx.q, n)):
-            sign = -1 if k % 2 else 1
-            coeffs.append(sign * binom
-                          * ctx.qpow((k + s) ** 2 - Fraction(k, 2)))
+    for k, binom in enumerate(qbinomial_row(ctx.q, n)):
+        sign = -1 if k % 2 else 1
+        coeffs.append(sign * binom * ctx.qpow((k + s) ** 2 - Fraction(k, 2)))
     return SWPolynomial(n=n, s=s, ctx=ctx, coeffs=coeffs)
 
 
@@ -258,11 +250,10 @@ def sw_u_form(poly: SWPolynomial, x):
     scalar point, evaluated in the context's type."""
     ctx = poly.ctx
     if ctx.is_mp:
-        with ctx.prec():
-            x = ctx.make(x)
-            s = ctx.make(poly.s.numerator) / poly.s.denominator
-            u = ctx.exp(-2 * ctx.ln_q * x)
-            return ctx.exp(ctx.ln_q * (x * x - 2 * s * x)) * poly(u)
+        x = ctx.make(x)
+        s = ctx.make(poly.s.numerator) / poly.s.denominator
+        u = ctx.exp(-2 * ctx.ln_q * x)
+        return ctx.exp(ctx.ln_q * (x * x - 2 * s * x)) * poly(u)
     xs = np.asarray(x, dtype=float)
     lnq = float(ctx.ln_q)
     u = np.exp(-2.0 * lnq * xs)
@@ -293,12 +284,11 @@ def sw_bridge_residual(ctx: QContext, n: int, s, xs=None,
     poly = stieltjes_wigert(ctx, n, s)
     chain = shift(build_Phi(ctx, n), -Fraction(s))
     if ctx.is_mp:
-        with ctx.prec():
-            pairs = [(sw_u_form(poly, x), evaluate(chain, ctx.make(x)).real)
-                     for x in xs]
-            top = max(abs(ref) for _, ref in pairs)
-            return float(max(abs(u - ref) / abs(ref) for u, ref in pairs
-                             if abs(ref) >= rel_floor * top))
+        pairs = [(sw_u_form(poly, x), evaluate(chain, ctx.make(x)).real)
+                 for x in xs]
+        top = max(abs(ref) for _, ref in pairs)
+        return float(max(abs(u - ref) / abs(ref) for u, ref in pairs
+                         if abs(ref) >= rel_floor * top))
     reference = np.real(evaluate(chain, xs))
     u_side = np.asarray(sw_u_form(poly, xs), dtype=float)
     keep = np.abs(reference) >= rel_floor * np.abs(reference).max()
@@ -320,24 +310,24 @@ def sw_orthogonality(ctx: QContext, n: int, m: int, s, form: str = "du",
 
     method "analytic" evaluates the chain overlap in closed form,
     "quadrature" integrates W P_n P_m (times the Jacobian for du)
-    numerically as an independent check.
+    numerically as an independent check, in double at any digits.
     """
     if form not in ("du", "dx"):
         raise ValueError(f"unknown form {form!r}")
     s = Fraction(s)
     if method == "analytic":
-        with ctx.prec():
-            fn = shift(build_Phi(ctx, n), -s)
-            fm = shift(build_Phi(ctx, m), -s)
-            if form == "du":
-                return 2 * ctx.c * ctx.c * inner(fn, fm)
-            return inner(fn, mul_qlinear(fm, 2, 0))
+        fn = shift(build_Phi(ctx, n), -s)
+        fm = shift(build_Phi(ctx, m), -s)
+        if form == "du":
+            return 2 * ctx.c * ctx.c * inner(fn, fm)
+        return inner(fn, mul_qlinear(fm, 2, 0))
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     from .quad import integrate_real_line
+    ctx = ctx.with_digits(None)  # the rule integrates in double
     pn = stieltjes_wigert(ctx, n, s)
     pm = stieltjes_wigert(ctx, m, s)
-    c2 = 2.0 * float(ctx.c) ** 2
+    c2 = 2.0 * ctx.c ** 2
 
     def integrand(x):
         u = sw_u_of_x(ctx, x)
@@ -353,19 +343,17 @@ def sw_overlaps(ctx: QContext, nmax: int, s) -> list:
     """The du-form overlaps I_nm = sw_orthogonality(ctx, n, m, s) for
     n <= m <= nmax, mirrored below the diagonal, each shifted Phi_k built
     once."""
-    with ctx.prec():
-        chains = [shift(build_Phi(ctx, k), -Fraction(s))
-                  for k in range(nmax + 1)]
-        jacobian = 2 * ctx.c * ctx.c
-        upper = {(n, m): jacobian * inner(chains[n], chains[m])
-                 for n in range(nmax + 1) for m in range(n, nmax + 1)}
+    chains = [shift(build_Phi(ctx, k), -Fraction(s)) for k in range(nmax + 1)]
+    jacobian = 2 * ctx.c * ctx.c
+    upper = {(n, m): jacobian * inner(chains[n], chains[m])
+             for n in range(nmax + 1) for m in range(n, nmax + 1)}
     return [[upper[min(n, m), max(n, m)] for m in range(nmax + 1)]
             for n in range(nmax + 1)]
 
 
 def sw_overlap_residual(overlaps: list) -> float:
     """max over n != m of |I_nm| / sqrt(I_nn I_mm), I = sw_overlaps(...);
-    the magnitudes and ratios are taken at the ambient precision."""
+    the magnitudes and ratios are taken at the overlaps' precision."""
     diag = [abs(row[n]) for n, row in enumerate(overlaps)]
     worst = 0.0
     for n, row in enumerate(overlaps):

@@ -44,35 +44,32 @@ class MacCoefficients:
 def mac_zeta(ctx: QContext, n: int, alpha_w=None):
     """zeta_n = alpha_w q^{n(n-1)/4} / sqrt((q, q)_n); alpha_w defaults to
     the unweighted ground-state constant."""
-    with ctx.prec():
-        if alpha_w is None:
-            alpha_w = alpha(ctx)
-        return (alpha_w * ctx.qpow8(2 * n * (n - 1))
-                / ctx.sqrt(qpochhammer(ctx.q, n)))
+    if alpha_w is None:
+        alpha_w = alpha(ctx)
+    return (alpha_w * ctx.qpow8(2 * n * (n - 1))
+            / ctx.sqrt(qpochhammer(ctx.q, n)))
 
 
 def mac_E_closed(ctx: QContext, n: int) -> list:
     """E^n_k = (-1)^k [n k]_q q^{(k - 2nk)/2}."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    with ctx.prec():
-        return [(-1 if k % 2 else 1) * binom * ctx.qpow8(4 * (k - 2 * n * k))
-                for k, binom in enumerate(qbinomial_row(ctx.q, n))]
+    return [(-1 if k % 2 else 1) * binom * ctx.qpow8(4 * (k - 2 * n * k))
+            for k, binom in enumerate(qbinomial_row(ctx.q, n))]
 
 
 def _mac_E_recursion(ctx: QContext, n: int) -> list:
     """Build E row by row from E^n_k = -E^{n-1}_{k-1} (1-q^n)/(1-q^k)
     q^{-n-k+3/2}, anchored at E^n_0 = 1."""
-    with ctx.prec():
-        q = ctx.q
-        gaps = [1 - q ** k for k in range(n + 1)]
-        row = [q / q]  # backend-typed 1
-        for m in range(1, n + 1):
-            nxt = [q / q]
-            for k in range(1, m + 1):
-                nxt.append(-row[k - 1] * (gaps[m] / gaps[k])
-                           * ctx.qpow8(12 - 8 * m - 8 * k))
-            row = nxt
+    q = ctx.q
+    gaps = [1 - q ** k for k in range(n + 1)]
+    row = [q / q]  # backend-typed 1
+    for m in range(1, n + 1):
+        nxt = [q / q]
+        for k in range(1, m + 1):
+            nxt.append(-row[k - 1] * (gaps[m] / gaps[k])
+                       * ctx.qpow8(12 - 8 * m - 8 * k))
+        row = nxt
     return row
 
 
@@ -81,18 +78,16 @@ def mac_coeffs(ctx: QContext, n: int) -> MacCoefficients:
     recursion construction (relative gap stored, expected < 1e-12)."""
     closed = mac_E_closed(ctx, n)
     recursed = _mac_E_recursion(ctx, n)
-    with ctx.prec():
-        gap = max(float(abs(a - b)) / float(abs(a))
-                  for a, b in zip(closed, recursed))
-        zeta = mac_zeta(ctx, n)
-    return MacCoefficients(n=n, ctx=ctx, zeta=zeta, E=closed, recursion_gap=gap)
+    gap = max(float(abs(a - b)) / float(abs(a))
+              for a, b in zip(closed, recursed))
+    return MacCoefficients(n=n, ctx=ctx, zeta=mac_zeta(ctx, n), E=closed,
+                           recursion_gap=gap)
 
 
 def build_Bn(ctx: QContext, n: int) -> GaussianChain:
     E = mac_E_closed(ctx, n)
     zeta = mac_zeta(ctx, n)
-    with ctx.prec():
-        return GaussianChain(ctx, {2 * k: zeta * e for k, e in enumerate(E)})
+    return GaussianChain(ctx, {2 * k: zeta * e for k, e in enumerate(E)})
 
 
 def build_Bn_by_raising(ctx: QContext, n: int) -> GaussianChain:
@@ -100,13 +95,12 @@ def build_Bn_by_raising(ctx: QContext, n: int) -> GaussianChain:
     B_{m+1} = -(b' B_m) / sqrt(-lam_{m+1}), from B_0 = alpha g_0."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    with ctx.prec():
-        chain = GaussianChain(ctx, {0: alpha(ctx)})
-        op = mac_raise(ctx)
-        for m in range(n):
-            lam = macfarlane_eigenvalue(ctx.q, m + 1)
-            chain = scale(apply_ladder(op, chain), -1 / ctx.sqrt(-lam))
-        return chain
+    chain = GaussianChain(ctx, {0: alpha(ctx)})
+    op = mac_raise(ctx)
+    for m in range(n):
+        lam = macfarlane_eigenvalue(ctx.q, m + 1)
+        chain = scale(apply_ladder(op, chain), -1 / ctx.sqrt(-lam))
+    return chain
 
 
 def mac_ladder_checks(ctx: QContext, levels) -> list:
@@ -121,11 +115,10 @@ def mac_ladder_checks(ctx: QContext, levels) -> list:
 
 def number_operator_check(ctx: QContext, n: int) -> float:
     """Relative coefficient residual of b'b B_n = lam_n B_n."""
-    with ctx.prec():
-        b_n = build_Bn(ctx, n)
-        lam = macfarlane_eigenvalue(ctx.q, n)
-        applied = apply_ladder(mac_raise(ctx), apply_ladder(mac_lower(ctx), b_n))
-        return relative_coeff_distance(applied, scale(b_n, lam))
+    b_n = build_Bn(ctx, n)
+    lam = macfarlane_eigenvalue(ctx.q, n)
+    applied = apply_ladder(mac_raise(ctx), apply_ladder(mac_lower(ctx), b_n))
+    return relative_coeff_distance(applied, scale(b_n, lam))
 
 
 def twisted_gram_magnitudes(q: float, nmax: int) -> tuple:
@@ -236,19 +229,16 @@ def indefinite_gram(ctx: QContext, nmax: int) -> GramReport:
     if ctx.digits is None:
         matrix = _binary_twisted_gram(float(ctx.q), nmax)
     else:
-        with ctx.prec():
-            ground = alpha(ctx)
-            poch = pochhammer_prefix(ctx.q, nmax)
-            tables = []
-            for n in range(size):
-                zeta = (ground * ctx.qpow8(2 * n * (n - 1))
-                        / ctx.sqrt(poch[n]))
-                tables.append([zeta * e for e in mac_E_closed(ctx, n)])
-            overlap = overlap_scale(ctx)
-            sums = gram_contract(tables,
-                                 lattice_kernel(ctx, size, "parity_twisted"),
-                                 tables)
-            matrix = [[(overlap * v).real for v in row] for row in sums]
+        ground = alpha(ctx)
+        poch = pochhammer_prefix(ctx.q, nmax)
+        tables = []
+        for n in range(size):
+            zeta = ground * ctx.qpow8(2 * n * (n - 1)) / ctx.sqrt(poch[n])
+            tables.append([zeta * e for e in mac_E_closed(ctx, n)])
+        overlap = overlap_scale(ctx)
+        sums = gram_contract(tables, lattice_kernel(ctx, size, "parity_twisted"),
+                             tables)
+        matrix = [[(overlap * v).real for v in row] for row in sums]
     target = [[(-1) ** i if i == j else 0 for j in range(size)]
               for i in range(size)]
     signs_ok = all((matrix[i][i] > 0) == (i % 2 == 0) for i in range(size))

@@ -2,8 +2,9 @@
 the eigenvalue sequences of the two oscillator realizations.
 
 All functions are pure and compute in the type of ``q``: a float gives
-doubles, an mpmath mpf gives mpf at the ambient precision (callers install
-it with ``QContext.prec()``), and a ``Fraction`` gives exact rationals.
+doubles, an mpmath mpf gives mpf at the precision it carries (a
+``QContext``'s numbers carry the context's), and a ``Fraction`` gives
+exact rationals.
 """
 
 from __future__ import annotations
@@ -35,24 +36,10 @@ def qpochhammer(q, n: int):
     return pochhammer_prefix(q, n)[n]
 
 
-def qbinomial(q, n: int, k: int):
-    """Gaussian binomial coefficient (q,q)_n / ((q,q)_k (q,q)_{n-k}).
-
-    Out-of-range k (k < 0 or k > n) returns 0, matching the boundary
-    conventions of the additive recursion; see ``qbinomial_triangle`` for
-    the recursion itself.
-    """
-    _check_q(q)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if k < 0 or k > n:
-        return q * 0
-    return qbinomial_row(q, n)[k]
-
-
 def qbinomial_row(q, n: int) -> list:
-    """[qbinomial(q, n, k) for k = 0..n], bit for bit, from one run of
-    Pochhammer partial products instead of three products per entry."""
+    """The Gaussian binomial coefficients (q,q)_n / ((q,q)_k (q,q)_{n-k})
+    for k = 0..n, from one run of Pochhammer partial products; see
+    ``qbinomial_triangle`` for the additive recursion."""
     _check_q(q)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")

@@ -19,19 +19,9 @@ _TAIL_EXPONENT = 23.0
 _MAX_POINTS = 1 << 21
 
 
-def _sample(f, xs: np.ndarray) -> np.ndarray:
-    try:
-        ys = np.asarray(f(xs), dtype=complex)
-        if ys.shape == xs.shape:
-            return ys
-    except (TypeError, ValueError):
-        pass
-    return np.array([complex(f(float(x))) for x in xs])
-
-
 def _simpson(f, half_width: float, panels: int) -> complex:
     xs = np.linspace(-half_width, half_width, 2 * panels + 1)
-    ys = _sample(f, xs)
+    ys = np.asarray(f(xs), dtype=complex)
     h = xs[1] - xs[0]
     total = ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum()
     return complex(total * h / 3.0)
@@ -51,7 +41,7 @@ def choose_half_width(f, ctx: QContext) -> float:
     peak = 0.0
     for _ in range(200):
         xs = np.linspace(-half_width, half_width, 257)
-        ys = np.abs(_sample(f, xs))
+        ys = np.abs(np.asarray(f(xs), dtype=complex))
         peak = max(peak, float(ys.max()))
         edge = max(float(ys[0]), float(ys[-1]))
         if peak == 0.0 or edge <= peak * 1e-18:
@@ -65,10 +55,12 @@ def choose_half_width(f, ctx: QContext) -> float:
 def integrate_real_line(f, ctx: QContext, tol: float = 1e-10):
     """Integrate a Gaussian-decay integrand over the real line.
 
-    Composite Simpson on a window wide enough that the envelope tail is
-    below the working target, doubling the panel count until the
-    Richardson estimate |S_2h - S_h| / 15 drops under tol. Raises
-    RuntimeError if the point budget runs out first.
+    f takes a numpy array of points and returns its values there, real or
+    complex, in double: the rule samples and sums in double. Composite
+    Simpson on a window wide enough that the envelope tail is below the
+    working target, doubling the panel count until the Richardson
+    estimate |S_2h - S_h| / 15 drops under tol. Raises RuntimeError if
+    the point budget runs out first.
     """
     half_width = choose_half_width(f, ctx)
     panels = 64

@@ -235,9 +235,10 @@ def suite_degeneracy(ctx: QContext, nmax: int = 8,
     rng = np.random.default_rng(seed)
     pairs = [(int(rng.integers(0, nmax + 1)), int(rng.integers(0, nmax + 1)))
              for _ in range(quad_pairs)]
-    family = [weights_mod.build_An(ctx, weight, n) for n in range(nmax + 1)]
+    double = ctx.with_digits(None)  # the rule integrates in double
+    family = [weights_mod.build_An(double, weight, n) for n in range(nmax + 1)]
     quadrature = [(("quadrature", n, m), abs(_weighted_quadrature_entry(
-        ctx, weight, family[n].chain, family[m].chain)
+        double, weight, family[n].chain, family[m].chain)
         - (1.0 if n == m else 0.0))) for n, m in pairs]
     random_weight = [(("random-weight", i), weights_mod.an_gram(
         ctx, weights_mod.random_weight(rng), min(nmax, 6)).max_abs_deviation)
@@ -248,6 +249,8 @@ def suite_degeneracy(ctx: QContext, nmax: int = 8,
     notes = {"analytic_dev": worst(analytic),
              "quadrature_dev": worst(quadrature),
              "random_weight_dev": worst(random_weight)}
+    if ctx.is_mp:
+        notes["double_stages"] = ["quadrature"]
     return _judge("degeneracy", 1e-9, analytic + quadrature + random_weight,
                   {"q": float(ctx.q), "nmax": nmax, "seed": seed}, notes)
 
@@ -261,10 +264,9 @@ def suite_gamma(ctx: QContext, nweights: int = 3, nmax: int = 6) -> SuiteResult:
 def suite_sumrule(ctx: QContext, nmax: int = 10) -> SuiteResult:
     rows = []
     for n, row in enumerate(dg_mod.daughter_sum_rules(ctx, nmax)):
-        with ctx.prec():  # the gap in the backend's own type
-            rows += [((n, m), max(abs(val.real - (1 if n == m else 0)),
-                                  abs(val.imag)))
-                     for m, val in enumerate(row)]
+        rows += [((n, m), max(abs(val.real - (1 if n == m else 0)),
+                              abs(val.imag)))
+                 for m, val in enumerate(row)]
     return _judge("sumrule", 1e-12, rows, {"q": float(ctx.q), "nmax": nmax})
 
 

@@ -82,36 +82,32 @@ def mode_overlap(ctx: QContext, delta: int):
     real for every harmonic separation delta. Centering the Gaussian at
     any half-integer k/2 multiplies this by e^{i 2 pi delta k} = 1, which
     is the entire shift-invariance mechanism."""
-    with ctx.prec():
-        c2 = ctx.c * ctx.c
-        return overlap_scale(ctx) * ctx.exp(-2 * ctx.pi() ** 2 * delta * delta / c2)
+    c2 = ctx.c * ctx.c
+    return overlap_scale(ctx) * ctx.exp(-2 * ctx.pi() ** 2 * delta * delta / c2)
 
 
 def weight_gram_integral(wa: PeriodicWeight, wb: PeriodicWeight, ctx: QContext):
     """integral conj(wa(x)) wb(x) q^{2 x^2} dx via the mode-overlap kernel."""
-    with ctx.prec():
-        total = 0
-        for m, a in wa.modes.items():
-            for mp_, b in wb.modes.items():
-                total = total + a.conjugate() * b * mode_overlap(ctx, mp_ - m)
-        return total
+    total = 0
+    for m, a in wa.modes.items():
+        for mp_, b in wb.modes.items():
+            total = total + a.conjugate() * b * mode_overlap(ctx, mp_ - m)
+    return total
 
 
 def alpha_w(weight: PeriodicWeight, ctx: QContext):
     """(integral |w|^2 q^{2x^2} dx)^{-1/2}; the norm integral is real and
     positive for any nonzero weight."""
-    with ctx.prec():
-        norm_sq = weight_gram_integral(weight, weight, ctx)
-        if abs(norm_sq.imag) > 1e-14 * abs(norm_sq) or norm_sq.real <= 0:
-            raise ValueError("weight norm integral must be real positive")
-        return 1 / ctx.sqrt(norm_sq.real)
+    norm_sq = weight_gram_integral(weight, weight, ctx)
+    if abs(norm_sq.imag) > 1e-14 * abs(norm_sq) or norm_sq.real <= 0:
+        raise ValueError("weight norm integral must be real positive")
+    return 1 / ctx.sqrt(norm_sq.real)
 
 
 def build_An(ctx: QContext, weight: PeriodicWeight, n: int) -> WeightedChain:
     """A_n = (alpha_w / alpha) w phi_n, the weighted eigenfunction."""
-    with ctx.prec():
-        factor = alpha_w(weight, ctx) / alpha(ctx)
-        return WeightedChain(weight, scale(build_phi(ctx, n), factor))
+    factor = alpha_w(weight, ctx) / alpha(ctx)
+    return WeightedChain(weight, scale(build_phi(ctx, n), factor))
 
 
 def mixed_weighted_inner(ctx: QContext, wa: PeriodicWeight, f: GaussianChain,
@@ -124,9 +120,8 @@ def mixed_weighted_inner(ctx: QContext, wa: PeriodicWeight, f: GaussianChain,
     shifts), so the whole integral is one weight factor times the daughter
     coefficient sum.
     """
-    with ctx.prec():
-        daughters = product_daughters(f.conjugate(), g)
-        return weight_gram_integral(wa, wb, ctx) * daughters.coefficient_sum()
+    daughters = product_daughters(f.conjugate(), g)
+    return weight_gram_integral(wa, wb, ctx) * daughters.coefficient_sum()
 
 
 def weights_gram(ctx: QContext, weights: list) -> list:
@@ -135,9 +130,9 @@ def weights_gram(ctx: QContext, weights: list) -> list:
     lo = min(min(w.modes) for w in weights)
     hi = max(max(w.modes) for w in weights)
     rows = [[w.modes.get(m, 0j) for m in range(lo, hi + 1)] for w in weights]
-    with ctx.prec():
-        return gram_contract([[v.conjugate() for v in row] for row in rows],
-                             weight_mode_kernel(ctx, hi - lo + 1), rows)
+    # the rows are Python numbers: the contraction takes the kernel's precision
+    return gram_contract([[v.conjugate() for v in row] for row in rows],
+                         weight_mode_kernel(ctx, hi - lo + 1), rows)
 
 
 def an_gram(ctx: QContext, weight: PeriodicWeight, nmax: int) -> GramReport:
@@ -147,11 +142,10 @@ def an_gram(ctx: QContext, weight: PeriodicWeight, nmax: int) -> GramReport:
     weight Gram times the daughter Gram entry of phi_n, phi_m."""
     [[wgram]] = weights_gram(ctx, [weight])
     daughters = daughter_gram(ctx, nmax)
-    with ctx.prec():
-        # (alpha_w / alpha)^2 times the weight Gram, with alpha_w^{-2} the
-        # real part of that same Gram integral
-        factor = wgram / (wgram.real * alpha(ctx) ** 2)
-        matrix = [[(factor * d).real for d in row] for row in daughters]
+    # (alpha_w / alpha)^2 times the weight Gram, with alpha_w^{-2} the real
+    # part of that same Gram integral
+    factor = wgram / (wgram.real * alpha(ctx) ** 2)
+    matrix = [[(factor * d).real for d in row] for row in daughters]
     target = [[1.0 if i == j else 0.0 for j in range(nmax + 1)]
               for i in range(nmax + 1)]
     return GramReport(labels=list(range(nmax + 1)), matrix=matrix, target=target,
@@ -221,11 +215,10 @@ def gamma_family_gram(ctx: QContext, nweights: int, nmax: int) -> GramReport:
     wgram = weights_gram(ctx, orthonormal_weight_family(ctx, nweights))
     daughters = daughter_gram(ctx, nmax)
     labels = [(n, m) for n in range(nweights) for m in range(nmax + 1)]
-    with ctx.prec():
-        inv_alpha = 1 / alpha(ctx)
-        inv_alpha2 = inv_alpha * inv_alpha
-        matrix = [[(wgram[n1][n2] * inv_alpha2 * daughters[m1][m2]).real
-                   for n2, m2 in labels] for n1, m1 in labels]
+    inv_alpha = 1 / alpha(ctx)
+    inv_alpha2 = inv_alpha * inv_alpha
+    matrix = [[(wgram[n1][n2] * inv_alpha2 * daughters[m1][m2]).real
+               for n2, m2 in labels] for n1, m1 in labels]
     target = [[1.0 if i == j else 0.0 for j in range(len(labels))]
               for i in range(len(labels))]
     return GramReport(labels=labels, matrix=matrix, target=target,

@@ -18,7 +18,7 @@ import mpmath
 
 def fraction(x) -> Fraction:
     """An mpf, float or int as the Fraction it equals."""
-    if isinstance(x, mpmath.mpf):
+    if hasattr(x, "_mpf_"):
         sign, man, exp, _ = x._mpf_
         return Fraction(-man if sign else man) * Fraction(2) ** exp
     return Fraction(x)
@@ -36,7 +36,7 @@ class Exact:
     def of(cls, a) -> "Exact":
         if isinstance(a, Exact):
             return a
-        if isinstance(a, (mpmath.mpc, complex)):
+        if hasattr(a, "_mpc_") or isinstance(a, complex):
             return cls(fraction(a.real), fraction(a.imag))
         return cls(fraction(a))
 
@@ -83,11 +83,11 @@ def rounded(ctx, a):
     precision: an mpf when real, else an mpc. Double values pass."""
     if not isinstance(a, Exact):
         return a
-    with ctx.prec():
-        prec = mpmath.mp.prec
-    re, im = (mpmath.libmp.from_rational(x.numerator, x.denominator, prec, "n")
+    lib = ctx.lib()
+    re, im = (mpmath.libmp.from_rational(x.numerator, x.denominator,
+                                         lib.prec, "n")
               for x in (a.re, a.im))
-    return mpmath.mp.make_mpf(re) if not a.im else mpmath.mp.make_mpc((re, im))
+    return lib.make_mpf(re) if not a.im else lib.make_mpc((re, im))
 
 
 def sqrt_rounded(x: Fraction) -> float:

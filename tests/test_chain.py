@@ -12,9 +12,13 @@ from hypothesis import strategies as st
 
 import qgauss as qg
 from qgauss import QContext
-from qgauss.chain import zero_chain
 
 CTX = QContext(q=0.5)
+
+
+def gaussian(ctx, t):
+    """The unit Gaussian centered at t/2."""
+    return qg.GaussianChain(ctx, {t: 1.0})
 
 
 def random_chain(ctx, keys=(-2, 0, 1, 3), coeffs=(0.7, -1.0, 0.25, 0.5)):
@@ -30,7 +34,7 @@ def test_evaluate_matches_direct_formula():
 
 
 def test_evaluate_vectorized_and_scalar():
-    f = qg.make_gaussian(CTX, 2)
+    f = gaussian(CTX, 2)
     xs = np.array([-1.0, 0.0, 1.0])
     vals = qg.evaluate(f, xs)
     assert vals.shape == (3,)
@@ -41,7 +45,7 @@ def test_evaluate_vectorized_and_scalar():
 
 def test_shift_moves_centers_against_the_argument():
     # T^s f(x) = f(x + s), so the center of g_0 lands at -s
-    f = qg.make_gaussian(CTX, 0)
+    f = gaussian(CTX, 0)
     g = qg.shift(f, 0.5)
     assert list(g.coeffs) == [-1]
     x = 0.8
@@ -50,7 +54,7 @@ def test_shift_moves_centers_against_the_argument():
 
 def test_shift_rejects_off_lattice():
     with pytest.raises(ValueError):
-        qg.shift(qg.make_gaussian(CTX, 0), 0.3)
+        qg.shift(gaussian(CTX, 0), 0.3)
 
 
 @given(st.integers(min_value=-6, max_value=6),
@@ -65,7 +69,7 @@ def test_shift_composition(a, b):
 
 def test_mul_qlinear_exact_bookkeeping():
     # q^{ax+b} g_{mu}: center moves to mu - a/2, coefficient q^{a mu - a^2/4 + b}
-    f = qg.make_gaussian(CTX, 3)  # mu = 3/2
+    f = gaussian(CTX, 3)  # mu = 3/2
     g = qg.mul_qlinear(f, 2, Fraction(1, 4))
     assert list(g.coeffs) == [1]
     expected = 0.5 ** (2 * 1.5 - 1.0 + 0.25)
@@ -83,11 +87,11 @@ def test_mul_qlinear_pointwise():
 
 def test_mul_qlinear_rejects_fractional_slope():
     with pytest.raises(ValueError):
-        qg.mul_qlinear(qg.make_gaussian(CTX, 0), 0.5, 0)
+        qg.mul_qlinear(gaussian(CTX, 0), 0.5, 0)
 
 
 def test_lowering_annihilates_ground_state_exactly():
-    g0 = qg.make_gaussian(CTX, 0)
+    g0 = gaussian(CTX, 0)
     assert qg.apply_ladder(qg.arik_lower(CTX), g0).is_zero()
     assert qg.apply_ladder(qg.mac_lower(CTX), g0).is_zero()
 
@@ -95,26 +99,26 @@ def test_lowering_annihilates_ground_state_exactly():
 def test_ladder_context_mismatch():
     other = QContext(q=0.3)
     with pytest.raises(ValueError):
-        qg.apply_ladder(qg.arik_lower(CTX), qg.make_gaussian(other, 0))
+        qg.apply_ladder(qg.arik_lower(CTX), gaussian(other, 0))
 
 
 def test_inner_single_gaussian_overlap():
     # <g_t, g_s> = sqrt(pi/2c^2) q^{(t-s)^2/8} on twice-centers
     scale = math.sqrt(math.pi / (2 * math.log(2.0)))
     for t, s in [(0, 0), (0, 1), (2, -1), (4, 0)]:
-        val = qg.inner(qg.make_gaussian(CTX, t), qg.make_gaussian(CTX, s))
+        val = qg.inner(gaussian(CTX, t), gaussian(CTX, s))
         assert val == pytest.approx(scale * 0.5 ** ((t - s) ** 2 / 8), rel=1e-14)
 
 
 def test_twisted_inner_flips_first_argument():
     scale = math.sqrt(math.pi / (2 * math.log(2.0)))
-    val = qg.inner(qg.make_gaussian(CTX, 3), qg.make_gaussian(CTX, 1),
+    val = qg.inner(gaussian(CTX, 3), gaussian(CTX, 1),
                    kind="parity_twisted")
     assert val == pytest.approx(scale * 0.5 ** ((3 + 1) ** 2 / 8), rel=1e-14)
 
 
 def test_inner_rejects_unknown_kind():
-    f = qg.make_gaussian(CTX, 0)
+    f = gaussian(CTX, 0)
     with pytest.raises(ValueError):
         qg.inner(f, f, kind="euclidean")
 
@@ -128,7 +132,7 @@ def test_inner_hermitian():
 def test_alpha_normalizes_ground_state():
     a = qg.alpha(CTX)
     assert a ** 2 * qg.overlap_scale(CTX) == pytest.approx(1.0, abs=1e-16)
-    g0 = qg.scale(qg.make_gaussian(CTX, 0), a)
+    g0 = qg.scale(gaussian(CTX, 0), a)
     assert qg.inner(g0, g0) == pytest.approx(1.0, rel=1e-15)
 
 
@@ -145,7 +149,7 @@ def test_adjoint_pairings():
 
 def test_product_daughters_parity_guard():
     with pytest.raises(ValueError):
-        qg.product_daughters(qg.make_gaussian(CTX, 0), qg.make_gaussian(CTX, 1))
+        qg.product_daughters(gaussian(CTX, 0), gaussian(CTX, 1))
 
 
 def test_product_daughters_integrates_to_inner():
@@ -158,7 +162,7 @@ def test_product_daughters_integrates_to_inner():
 
 
 def test_daughter_keys():
-    d = qg.product_daughters(qg.make_gaussian(CTX, 1), qg.make_gaussian(CTX, 3))
+    d = qg.product_daughters(gaussian(CTX, 1), gaussian(CTX, 3))
     assert list(d.coeffs) == [2]
     assert d.coeffs[2] == pytest.approx(0.5 ** (4 / 8), rel=1e-15)
 
@@ -175,7 +179,7 @@ def test_mp_backend_matches_double():
 
 
 def test_zero_handling():
-    z = zero_chain(CTX)
+    z = qg.GaussianChain(CTX, {})
     assert z.is_zero() and len(z) == 0
     # exact zeros drop at construction
     g = qg.GaussianChain(CTX, {0: 1.0, 2: 0.0})
@@ -189,7 +193,7 @@ def test_conjugate():
 
 def test_mismatched_context_raises():
     with pytest.raises(ValueError):
-        qg.add(qg.make_gaussian(CTX, 0), qg.make_gaussian(QContext(q=0.4), 0))
+        qg.add(gaussian(CTX, 0), gaussian(QContext(q=0.4), 0))
 
 
 def exact_moves(ctx):
@@ -217,30 +221,31 @@ def composed_ladder(op, f):
     ctx, q = op.ctx, op.ctx.q
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     if ctx.digits is None:
-        shift, mul_qlinear, subtract, scale = (qg.shift, qg.mul_qlinear,
-                                               qg.subtract, qg.scale)
+        shift, mul_qlinear, scale = qg.shift, qg.mul_qlinear, qg.scale
+
+        def subtract(f, g):
+            return qg.add(f, qg.scale(g, -1))
     else:
         shift, mul_qlinear, subtract, scale = exact_moves(ctx)
         f = {t: Exact.of(a) for t, a in f.coeffs.items()}
-    with ctx.prec():
-        if op.kind == "arik_lower":
-            result = shift(subtract(mul_qlinear(f, 1, quarter),
-                                    shift(f, half)), half)
-            pref = 1 / ctx.sqrt(1 - q)
-        elif op.kind == "arik_raise":
-            moved = shift(f, -half)
-            result = subtract(mul_qlinear(moved, 1, quarter),
-                              shift(moved, -half))
-            pref = 1 / ctx.sqrt(1 - q)
-        elif op.kind == "mac_lower":
-            result = subtract(mul_qlinear(f, 2, half),
-                              mul_qlinear(shift(f, half), 1, quarter))
-            pref = 1 / ctx.sqrt(q * (1 - q))
-        else:
-            result = subtract(mul_qlinear(f, -2, half),
-                              shift(mul_qlinear(f, -1, quarter), half))
-            pref = 1 / ctx.sqrt(q * (1 - q))
-        result = scale(result, pref)
+    if op.kind == "arik_lower":
+        result = shift(subtract(mul_qlinear(f, 1, quarter),
+                                shift(f, half)), half)
+        pref = 1 / ctx.sqrt(1 - q)
+    elif op.kind == "arik_raise":
+        moved = shift(f, -half)
+        result = subtract(mul_qlinear(moved, 1, quarter),
+                          shift(moved, -half))
+        pref = 1 / ctx.sqrt(1 - q)
+    elif op.kind == "mac_lower":
+        result = subtract(mul_qlinear(f, 2, half),
+                          mul_qlinear(shift(f, half), 1, quarter))
+        pref = 1 / ctx.sqrt(q * (1 - q))
+    else:
+        result = subtract(mul_qlinear(f, -2, half),
+                          shift(mul_qlinear(f, -1, quarter), half))
+        pref = 1 / ctx.sqrt(q * (1 - q))
+    result = scale(result, pref)
     if ctx.digits is None:
         return dict(result.coeffs)
     return {t: rounded(ctx, a) for t, a in sorted(result.items()) if a != 0}
@@ -257,7 +262,7 @@ def test_apply_ladder_equals_the_composition_exactly(kind, digits):
         # seeded chains carry complex coefficients, mpc at 30 digits
         chains = [seeded_chain(ctx, rng) for _ in range(4)]
         chains += [qg.build_phi(ctx, 5), qg.build_Bn(ctx, 4),
-                   qg.make_gaussian(ctx, 0), qg.make_gaussian(ctx, 3)]
+                   gaussian(ctx, 0), gaussian(ctx, 3)]
         for f in chains:
             once = qg.apply_ladder(op, f)
             assert dict(once.coeffs) == composed_ladder(op, f)
@@ -273,8 +278,7 @@ def test_mul_qlinear_any_rational_offset(digits):
     for a, b in ((1, Fraction(1, 4)), (-2, Fraction(3, 8)), (3, Fraction(1, 3)),
                  (2, Fraction(-5, 7)), (0, 2)):
         g = qg.mul_qlinear(f, a, b)
-        with ctx.prec():
-            expected = {t - a: c * ctx.qpow(Fraction(a * t, 2)
-                                            - Fraction(a * a, 4) + b)
-                        for t, c in f.coeffs.items()}
+        expected = {t - a: c * ctx.qpow(Fraction(a * t, 2)
+                                        - Fraction(a * a, 4) + b)
+                    for t, c in f.coeffs.items()}
         assert g.coeffs == expected

@@ -191,8 +191,8 @@ class TestCircleGramMac:
                        for z in nodes]
 
             def values(n):
-                coeffs = [qg.qbinomial(mq, n, k) * (-(mq ** -(n - 0.5))) ** k
-                          for k in range(n + 1)]
+                coeffs = [binom * (-(mq ** -(n - 0.5))) ** k
+                          for k, binom in enumerate(qbinomial_row(mq, n))]
                 return [mpmath.polyval(coeffs[::-1], z) for z in nodes]
 
             for n, m in ((0, 0), (6, 8), (8, 8)):
@@ -251,8 +251,9 @@ def test_condition_is_the_unsigned_node_free_gram():
     q, nmax = 0.4, 6
     with mpmath.workdps(30):
         mq = mpmath.mpf(q)
-        A = [[qg.qbinomial(mq, n, k) * mq ** (-(n - 0.5) * k)
-              for k in range(n + 1)] for n in range(nmax + 1)]
+        A = [[binom * mq ** (-(n - 0.5) * k)
+              for k, binom in enumerate(qbinomial_row(mq, n))]
+             for n in range(nmax + 1)]
         scale = [mpmath.sqrt(mq ** (-n * (n - 1) / 2) * qg.qpochhammer(mq, n))
                  for n in range(nmax + 1)]
         mass = max(mpmath.fsum(A[n][j] * mq ** ((j + k) ** 2 / 2) * A[m][k]

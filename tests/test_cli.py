@@ -9,7 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
+
+from qgauss import cli
 
 ALPHA = 0.8150352570704902
 FLOAT17 = re.compile(r"^-?\d\.\d{16}e[+-]\d{2}$")
@@ -287,18 +290,45 @@ def test_negative_degree_is_one_error_line(argv):
     # a suite with no rows checked nothing; it must not pass
     ("verify", "--suite", "ladders", "--nmax", "0"),
     ("verify", "--suite", "commutators", "--count", "0"),
+    ("verify", "--suite", "sw", "--digits", "0"),
 ], ids=" ".join)
 def test_bad_argument_is_one_error_line(argv):
-    assert_one_error_line(argv)
+    line = assert_one_error_line(argv)
+    # the flags the CLI range-checks itself are named in their message
+    for flag in set(argv) & {"--digits", "--count", "--nweights"}:
+        assert flag in line, line
 
 
-def assert_one_error_line(argv):
+def assert_one_error_line(argv) -> str:
     """The command fails with exit code 1, prints nothing on stdout and
-    exactly one line on stderr, an `error:` line, not a traceback."""
+    exactly one line on stderr, an `error:` line, not a traceback; returns
+    that line."""
     proc = run_cli(*argv)
     assert proc.returncode == 1 and proc.stdout == b""
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    return lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--family", "mac", "--n", "4", "--q", "0.5", "--digits", "30"),
+    ("gram", "--family", "gamma", "--digits", "30"),
+    ("circle", "--family", "mac"),
+    ("verify", "--suite", "sw", "--digits", "20"),
+], ids=" ".join)
+def test_set_digit_output_ignores_the_global_precision(argv, capsys):
+    """Each context's numbers carry its own precision, so mpmath's global
+    precision changes no byte of a set-digit or auto-digit run."""
+    outputs = []
+    saved = mpmath.mp.dps
+    try:
+        for dps in (5, 15, 50):
+            mpmath.mp.dps = dps
+            assert cli.main(list(argv)) == 0
+            outputs.append(capsys.readouterr())
+    finally:
+        mpmath.mp.dps = saved
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_overflowing_ladder_check_reports_a_failure():

@@ -43,10 +43,28 @@ def test_qpow_exact_exponent():
 def test_mp_backend_types():
     ctx = QContext(q=0.5, digits=30)
     assert ctx.is_mp
-    assert isinstance(ctx.q, mpmath.mpf)
+    lib = ctx.lib()
+    assert lib.dps == 40  # 30 digits and the 10 guard digits
+    assert type(ctx.q) is type(ctx.c) is type(ctx.ln_q) is lib.mpf
     val = ctx.qpow(Fraction(1, 3))
-    assert isinstance(val, mpmath.mpf)
+    assert type(val) is lib.mpf
     assert float(val) == pytest.approx(0.5 ** (1.0 / 3.0), rel=1e-15)
+
+
+def test_each_precision_has_one_mpmath_context():
+    assert QContext(q=0.3, digits=25).lib() is QContext(c=2.0, digits=25).lib()
+    assert QContext(q=0.3, digits=25).lib() is not QContext(q=0.3, digits=26).lib()
+    assert QContext(q=0.3).lib() is math
+
+
+@pytest.mark.parametrize("dps", [5, 15, 50])
+def test_numbers_ignore_the_global_precision(dps):
+    ref = QContext(q=0.3, digits=30)
+    with mpmath.workdps(dps):
+        ctx = QContext(q=0.3, digits=30)
+        values = [ctx.c, ctx.qpow8(3), ctx.sqrt(ctx.q), ctx.pi(), ctx.make(0.1)]
+    assert values == [ref.c, ref.qpow8(3), ref.sqrt(ref.q), ref.pi(),
+                      ref.make(0.1)]
 
 
 def test_with_digits_round_trip():
@@ -80,8 +98,9 @@ def test_make_keeps_real_real():
     assert isinstance(ctx.make(2), float)
     assert isinstance(ctx.make(1 + 1j), complex)
     hi = ctx.with_digits(20)
-    assert isinstance(hi.make(2), mpmath.mpf)
-    assert isinstance(hi.make(1j), mpmath.mpc)
+    assert type(hi.make(2)) is hi.lib().mpf
+    assert type(hi.make(1j)) is hi.lib().mpc
+    assert hi.lib().dps == 30
 
 
 def test_lattice_shift_validation():
@@ -107,6 +126,6 @@ def test_qpow8_memo_lives_with_its_context():
     # a rebuilt context, same parameter or new digits, starts a memo of its own
     assert QContext(q=0.5).qpow8(5) is not first
     wide = ctx.with_digits(30)
-    assert isinstance(wide.qpow8(5), mpmath.mpf)
+    assert type(wide.qpow8(5)) is wide.lib().mpf
     assert wide.qpow8(5) == wide.qpow(Fraction(5, 8))
     assert ctx.qpow8(5) is first

@@ -7,7 +7,6 @@ chain.inner or product_daughters call per entry."""
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -48,22 +47,33 @@ def test_backends_agree_on_ragged_tables():
     big = 2 ** 40
     as_int = gram_contract([[big * v for v in r] for r in A],
                            [[big * v for v in r] for r in K], B)
-    with mpmath.workdps(30):
-        mp = gram_contract(A, [[mpmath.mpf(v) for v in r] for r in K], B)
+    lib = QContext(q=0.5, digits=20).lib()
+    mp = gram_contract(A, [[lib.mpf(v) for v in r] for r in K], B)
     assert as_float == dense.tolist()
     assert exact == dense.tolist() and isinstance(exact[0][0], Fraction)
     assert as_int == [[big * big * v for v in r] for r in dense.tolist()]
     assert type(as_int[0][0]) is int
-    assert mp == dense.tolist() and isinstance(mp[0][0], mpmath.mpf)
+    assert mp == dense.tolist() and type(mp[0][0]) is lib.mpf
 
 
 def test_flat_kernel_is_a_diagonal():
     A = [[1.0, 2.0j], [3.0]]
     w = [0.5, 0.25]
     assert gram_contract(A, w, A) == [[0.5 - 1.0, 1.5], [1.5, 4.5]]
-    with mpmath.workdps(20):
-        mp = gram_contract(A, [mpmath.mpf(v) for v in w], A)
+    lib = QContext(q=0.5, digits=10).lib()
+    mp = gram_contract(A, [lib.mpf(v) for v in w], A)
     assert mp == [[-0.5, 1.5], [1.5, 4.5]]
+
+
+def test_mpmath_rows_set_the_precision_of_the_contraction():
+    # rows of mpmath numbers round at their own precision, whatever the
+    # kernel's; rows of Python numbers take the kernel's
+    coarse, fine = (QContext(q=0.5, digits=d).lib() for d in (10, 40))
+    third = [[fine.mpf(1) / 3]]
+    rows = [[coarse.mpf(1)]]
+    assert type(gram_contract(rows, third, rows)[0][0]) is coarse.mpf
+    assert gram_contract(rows, third, rows)[0][0] == coarse.mpf(1) / 3
+    assert type(gram_contract([[1.0]], third, [[1.0]])[0][0]) is fine.mpf
 
 
 @pytest.mark.parametrize("q", QS)
@@ -89,7 +99,7 @@ def test_twisted_gram_at_30_digits(q):
     ref = pairwise([qg.build_Bn(ctx, n) for n in range(NMAX + 1)],
                    "parity_twisted")
     report = qg.indefinite_gram(ctx, NMAX)
-    assert isinstance(report.matrix[0][0], mpmath.mpf)
+    assert type(report.matrix[0][0]) is ctx.lib().mpf
     assert max_gap(report.matrix, ref) <= 1e-25
 
 

@@ -128,13 +128,11 @@ def test_double_gram_is_bit_identical_to_rational_sum(ctx):
 def test_set_digits_gram_contracts_the_mac_coeffs_rows(digits):
     ctx = QContext(q=0.37, digits=digits)
     nmax = 8
-    with ctx.prec():
-        tables = [[t.zeta * e for e in t.E]
-                  for t in (qg.mac_coeffs(ctx, n) for n in range(nmax + 1))]
-        sums = gram_contract(tables,
-                             lattice_kernel(ctx, nmax + 1, "parity_twisted"),
-                             tables)
-        ref = [[(overlap_scale(ctx) * v).real for v in row] for row in sums]
+    tables = [[t.zeta * e for e in t.E]
+              for t in (qg.mac_coeffs(ctx, n) for n in range(nmax + 1))]
+    sums = gram_contract(tables, lattice_kernel(ctx, nmax + 1, "parity_twisted"),
+                         tables)
+    ref = [[(overlap_scale(ctx) * v).real for v in row] for row in sums]
     assert qg.indefinite_gram(ctx, nmax).matrix == ref
 
 

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgauss import QContext
 from qgauss.qnum import (
     arik_coon_eigenvalue,
     arik_coon_eigenvalues_by_recursion,
     hermite,
     macfarlane_eigenvalue,
     macfarlane_eigenvalues_by_recursion,
-    qbinomial,
     qbinomial_row,
     qbinomial_triangle,
     qpochhammer,
@@ -47,22 +47,16 @@ def test_qpochhammer_negative_n():
 
 def test_qbinomial_known_values():
     # 1 + q + 2q^2 + q^3 + q^4 at q = 1/2
-    assert qbinomial(0.5, 4, 2) == pytest.approx(2.1875, abs=1e-15)
-    assert qbinomial(0.5, 2, 1) == pytest.approx(1.5, abs=1e-15)
-    assert qbinomial(0.5, 5, 0) == 1.0
-
-
-def test_qbinomial_out_of_range_is_zero():
-    assert qbinomial(0.5, 3, 4) == 0.0
-    assert qbinomial(0.5, 3, -1) == 0.0
+    assert qbinomial_row(0.5, 4)[2] == pytest.approx(2.1875, abs=1e-15)
+    assert qbinomial_row(0.5, 2)[1] == pytest.approx(1.5, abs=1e-15)
+    assert qbinomial_row(0.5, 5)[0] == 1.0
 
 
 @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
 def test_triangle_matches_closed_form(q):
     rows = qbinomial_triangle(q, 12)
     for n, row in enumerate(rows):
-        for k, val in enumerate(row):
-            closed = qbinomial(q, n, k)
+        for val, closed in zip(row, qbinomial_row(q, n), strict=True):
             assert val == pytest.approx(closed, rel=1e-13)
 
 
@@ -73,39 +67,37 @@ def test_triangle_row_shapes():
 
 @given(st.integers(min_value=0, max_value=30), st.sampled_from([0.1, 0.5, 0.9]))
 def test_qbinomial_symmetry(n, q):
+    row = qbinomial_row(q, n)
     for k in range(n + 1):
-        lhs = qbinomial(q, n, k)
-        rhs = qbinomial(q, n, n - k)
-        assert lhs == pytest.approx(rhs, rel=1e-13)
+        assert row[k] == pytest.approx(row[n - k], rel=1e-13)
 
 
 def test_classical_limit():
     q = 1.0 - 1e-6
     for n in range(11):
-        for k in range(n + 1):
-            assert qbinomial(q, n, k) == pytest.approx(
-                math.comb(n, k), rel=1e-4)
+        for k, binom in enumerate(qbinomial_row(q, n)):
+            assert binom == pytest.approx(math.comb(n, k), rel=1e-4)
 
 
 def test_qbinomial_mp_backend_agrees():
-    a = qbinomial(0.5, 8, 3)
-    with mpmath.workdps(50):  # 40 digits and the 10 guard digits
-        b = qbinomial(mpmath.mpf(0.5), 8, 3)
-    assert isinstance(b, mpmath.mpf)
+    a = qbinomial_row(0.5, 8)[3]
+    ctx = QContext(q=0.5, digits=40)
+    b = qbinomial_row(ctx.q, 8)[3]
+    assert type(b) is ctx.lib().mpf and b.context.dps == 50  # 40 + 10 guard
     assert float(b) == pytest.approx(a, rel=1e-15)
 
 
-def test_mpf_q_computes_at_the_ambient_precision():
-    with mpmath.workdps(40):
-        q = mpmath.mpf(1) / 3
-        val = qbinomial(q, 8, 3)
-        assert isinstance(val, mpmath.mpf)
-        assert isinstance(qpochhammer(q, 5), mpmath.mpf)
-        with mpmath.workdps(70):  # 60 digits and the 10 guard digits
-            ref = qbinomial(q, 8, 3)
-        assert abs(val - ref) <= mpmath.mpf(10) ** -38 * ref
-        # far beyond what a double q could deliver
-        assert abs(val - qbinomial(float(q), 8, 3)) > mpmath.mpf(10) ** -30
+def test_mpf_q_computes_at_its_own_precision():
+    fine, wide = (QContext(q=0.5, digits=d).lib() for d in (30, 60))
+    q = fine.mpf(1) / 3
+    with mpmath.workdps(5):  # the global precision plays no part
+        val = qbinomial_row(q, 8)[3]
+        poch = qpochhammer(q, 5)
+    assert type(val) is type(poch) is fine.mpf and fine.dps == 40
+    ref = qbinomial_row(wide.mpf(1) / 3, 8)[3]
+    assert abs(val - ref) <= mpmath.mpf(10) ** -38 * ref
+    # far beyond what a double q could deliver
+    assert abs(val - qbinomial_row(float(q), 8)[3]) > mpmath.mpf(10) ** -30
 
 
 def _pochhammer_by_loop(q, n):
@@ -125,7 +117,6 @@ def test_qbinomial_row_is_the_three_product_quotient_exactly(make):
         for q in (make(0.2), make(0.5), make(0.7361)):
             for n in range(13):
                 row = qbinomial_row(q, n)
-                assert row == [qbinomial(q, n, k) for k in range(n + 1)]
                 assert row == [_pochhammer_by_loop(q, n)
                                / (_pochhammer_by_loop(q, k)
                                   * _pochhammer_by_loop(q, n - k))
@@ -134,21 +125,20 @@ def test_qbinomial_row_is_the_three_product_quotient_exactly(make):
 
 
 def test_qbinomial_row_at_set_digits():
+    ctx = QContext(q=0.5, digits=40)
+    row = qbinomial_row(ctx.q, 9)
+    assert all(type(b) is ctx.lib().mpf for b in row)
+    # the same bits as the global context at the same working precision
     with mpmath.workdps(50):  # 40 digits and the 10 guard digits
-        q = mpmath.mpf(0.5)
-        row = qbinomial_row(q, 9)
-        assert row == [qbinomial(q, 9, k) for k in range(10)]
-    assert all(isinstance(b, mpmath.mpf) for b in row)
+        assert row == qbinomial_row(mpmath.mpf(0.5), 9)
 
 
 def test_fraction_q_is_exact():
     q = Fraction(1, 2)
     assert qpochhammer(q, 3) == Fraction(21, 64)
-    assert qbinomial(q, 4, 2) == Fraction(35, 16)
+    assert qbinomial_row(q, 4)[2] == Fraction(35, 16)
     assert qbinomial_triangle(q, 4)[4][2] == Fraction(35, 16)
     assert macfarlane_eigenvalue(q, 3) == -14
-    zero = qbinomial(q, 3, 4)
-    assert zero == 0 and isinstance(zero, Fraction)
 
 
 def test_arik_coon_eigenvalues():

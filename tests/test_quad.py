@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qgauss import QContext, evaluate, inner, integrate_real_line, make_gaussian
+from qgauss import GaussianChain, QContext, evaluate, inner, integrate_real_line
 
 
 def test_gaussian_envelope_integral():
@@ -21,8 +21,8 @@ def test_unit_gaussian():
 
 def test_quadrature_agrees_with_analytic_inner():
     ctx = QContext(q=0.5)
-    f = make_gaussian(ctx, 1)
-    g = make_gaussian(ctx, -2)
+    f = GaussianChain(ctx, {1: 1.0})
+    g = GaussianChain(ctx, {-2: 1.0})
     target = inner(f, g)
     val = integrate_real_line(lambda x: evaluate(f, x) * evaluate(g, x), ctx, tol=1e-12)
     assert val.real == pytest.approx(float(target), rel=1e-10)
@@ -32,7 +32,7 @@ def test_off_center_chain_widens_window():
     # a Gaussian parked far from the origin must still be captured;
     # a single (unsquared) chain integrates to sqrt(pi/c^2)
     ctx = QContext(q=0.5)
-    f = make_gaussian(ctx, 14)  # center at 7
+    f = GaussianChain(ctx, {14: 1.0})  # center at 7
     val = integrate_real_line(lambda x: evaluate(f, x), ctx)
     assert val.real == pytest.approx(math.sqrt(math.pi / math.log(2.0)), rel=1e-10)
 

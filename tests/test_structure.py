@@ -1,6 +1,7 @@
 """Module boundaries of the package: no module reaches into another's
 private names, so each data format stays behind the module that owns it;
-and every public name of the package has a caller outside the tests."""
+precision lives in the context module alone; and every public name of the
+package has a caller outside the tests."""
 
 import ast
 import re
@@ -53,6 +54,42 @@ def test_no_module_imports_another_modules_private_names():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def global_precision_uses(source: str) -> list:
+    """(line, text) of each use of mpmath's global precision in the source:
+    a `.prec()` block, `workdps`, or any mpmath attribute that computes on
+    the global context (`mpmath.libmp` is pure, and `mpmath.MPContext`
+    builds a context of its own)."""
+    found = [(n, line.strip()) for n, line in
+             enumerate(source.splitlines(), 1)
+             if re.search(r"\.prec\(\)|workdps|workprec|mpmath\.mp\b", line)]
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "mpmath"
+                and node.attr not in ("libmp", "MPContext")):
+            found.append((node.lineno, f"mpmath.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "mpmath":
+            found.append((node.lineno, "from mpmath import"))
+    return sorted(set(found))
+
+
+def test_the_walk_sees_a_global_precision_use():
+    source = ("import mpmath\n"
+              "with ctx.prec():\n    x = mpmath.mp.prec\n"
+              "y = mpmath.fdot([1], [2])\n"
+              "z = mpmath.libmp.dps_to_prec(10) + mpmath.MPContext().prec\n")
+    assert [n for n, _ in global_precision_uses(source)] == [2, 3, 3, 4]
+
+
+def test_precision_lives_in_the_context_module():
+    """No module of src/qgauss computes at mpmath's global precision: each
+    context's numbers carry their own, so nothing sets or reads the global
+    one."""
+    found = {path.name: global_precision_uses(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
 def public_definitions(source: str) -> list:
     """The public top-level functions and classes of a module."""
     return [node.name for node in ast.parse(source).body
@@ -61,10 +98,10 @@ def public_definitions(source: str) -> list:
 
 
 def references(source: str) -> set:
-    """(owner, name) of every name the source mentions: a bare name, an
-    attribute, an imported name or a "module.name" string (the benchmark
-    tracer names functions so), owner being the top-level definition the
-    mention sits in, None outside any."""
+    """(owner, name) of every name the source mentions in code: a bare
+    name, an attribute or an imported name, owner being the top-level
+    definition the mention sits in, None outside any. A string naming a
+    function (as the benchmark tracer's name sets do) calls nothing."""
     found = set()
     for top in ast.parse(source).body:
         owner = getattr(top, "name", None)
@@ -75,9 +112,6 @@ def references(source: str) -> set:
                 found.add((owner, node.attr))
             elif isinstance(node, ast.alias):
                 found.add((owner, node.name.rsplit(".", 1)[-1]))
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                found |= {(owner, name) for name in re.findall(
-                    r"^[a-z_]+\.(\w+)$", node.value)}
     return found
 
 
@@ -107,6 +141,7 @@ def test_the_walk_sees_an_uncalled_function():
                "b.py": "def caller():\n    return wrapped()\n"}
     callers = {**modules, "bench.py": "NAMES = {'a.Traced'}\n"}
     assert uncalled(modules, callers) == [("a.py", "recursive"),
+                                          ("a.py", "Traced"),
                                           ("b.py", "caller")]
 
 

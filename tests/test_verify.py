@@ -154,11 +154,10 @@ def test_family_tables_are_built_once_per_suite(monkeypatch, digits):
     assert sumrule.passed and ladders.passed
     # the same numbers as the one-pair and one-level checks, the sum-rule
     # gaps taken in the backend's own type
-    with ctx.prec():
-        assert sumrule.max_deviation == max(
-            float(max(abs(v.real - int(n == m)), abs(v.imag)))
-            for n in range(7) for m in range(7)
-            for v in [one_pair_sum_rule(ctx, n, m)])
+    assert sumrule.max_deviation == max(
+        float(max(abs(v.real - int(n == m)), abs(v.imag)))
+        for n in range(7) for m in range(7)
+        for v in [one_pair_sum_rule(ctx, n, m)])
     assert ladders.max_deviation == max(
         res[key] for n in range(1, 7)
         for res in (dg.ladder_checks(ctx, [n])[0],
@@ -170,8 +169,7 @@ def one_pair_sum_rule(ctx, n, m):
     """The normalized daughter coefficient sum of phi_n phi_m alone."""
     [[total]] = daughter_sums([qg.build_phi(ctx, n).conjugate()],
                               [qg.build_phi(ctx, m)])
-    with ctx.prec():
-        return total / qg.alpha(ctx) ** 2
+    return total / qg.alpha(ctx) ** 2
 
 
 def test_ladder_checks_match_single_levels():
