@@ -18,7 +18,7 @@ c_list = [0.2, 0.1, 0.05]
 print("even-part ratio deviation, per level and width:")
 print(" n   dev(c=0.2)   dev(c=0.1)   dev(c=0.05)  step ratio")
 for n in range(5):
-    rows = qg.harmonic_limit_scan(n, c_list)
+    rows = qg.harmonic_limit_scan(qg.DG, n, c_list)
     devs = [row["dev"] for row in rows]
     step = devs[2] / devs[1] if devs[1] > 0 else float("nan")
     print(f"{n:2d}   {devs[0]:10.3e}   {devs[1]:10.3e}   {devs[2]:10.3e}"

@@ -37,8 +37,8 @@ print()
 print("ladder residuals at q = 0.5:")
 print(" n   a lower      a raise      b lower      b raise")
 levels = (1, 3, 6, 10)
-for n, a_res, b_res in zip(levels, qg.ladder_checks(ctx, levels),
-                           qg.mac_ladder_checks(ctx, levels)):
+for n, a_res, b_res in zip(levels, qg.ladder_residuals(ctx, levels, qg.DG),
+                           qg.ladder_residuals(ctx, levels, qg.MAC)):
     print(f"{n:2d}   {a_res['lower_residual']:.3e}   "
           f"{a_res['raise_residual']:.3e}   "
           f"{b_res['lower_residual']:.3e}   {b_res['raise_residual']:.3e}")
@@ -51,8 +51,7 @@ print()
 rng = np.random.default_rng(7)
 chains = [random_chain(ctx, rng) for _ in range(10)]
 first, second = commutator_residuals(
-    ctx, [(qg.arik_lower, qg.arik_raise), (qg.mac_raise, qg.mac_lower)],
-    [f.coeffs for f in chains])
+    ctx, [qg.DG.relation, qg.MAC.relation], [f.coeffs for f in chains])
 print("worst deformed-commutator residual over 10 random chains:")
 print(f"  a a' - q a' a - 1: {max(first):.3e}")
 print(f"  b' b - q b b' - 1: {max(second):.3e}")

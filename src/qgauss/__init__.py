@@ -4,20 +4,20 @@ counterparts and a verification harness."""
 
 from .context import QContext
 from .qnum import arik_coon_eigenvalue, macfarlane_eigenvalue, qpochhammer
-from .chain import (DaughterChain, GaussianChain, LadderOperator, add, alpha,
-                    apply_ladder, arik_lower, arik_raise, coeff_distance,
-                    evaluate, inner, mac_lower, mac_raise, mul_qlinear,
+from .chain import (DaughterChain, Family, GaussianChain, LadderOperator, add,
+                    alpha, apply_ladder, arik_lower, arik_raise,
+                    build_by_raising, coeff_distance, evaluate, inner,
+                    ladder_residuals, mac_lower, mac_raise, mul_qlinear,
                     overlap_scale, product_daughters,
                     relative_coeff_distance, scale, shift)
 from .report import GramReport
 from .quad import integrate_real_line
-from .dg import (DGCoefficients, SWPolynomial, build_An_by_raising,
-                 build_Phi, build_phi, daughter_sum_rules, dg_coefficients,
-                 dg_norm, gram_phi, harmonic_limit_scan, ladder_checks,
-                 stieltjes_wigert, sw_orthogonality, sw_bridge_residual)
-from .macfarlane import (MacCoefficients, build_Bn, build_Bn_by_raising,
-                         indefinite_gram, mac_coeffs, mac_harmonic_limit,
-                         mac_ladder_checks, mac_zeta, number_operator_check)
+from .dg import (DG, DGCoefficients, SWPolynomial, build_Phi, build_phi,
+                 daughter_sum_rules, dg_coefficients, dg_norm, gram_phi,
+                 harmonic_limit_scan, stieltjes_wigert, sw_orthogonality,
+                 sw_bridge_residual)
+from .macfarlane import (MAC, MacCoefficients, build_Bn, indefinite_gram,
+                         mac_coeffs, mac_row, mac_zeta, number_operator_check)
 from .circle import (ThetaEvaluator, circle_gram_dg, circle_gram_mac,
                      parseval_bridge, poisson_check, theta3)
 from .weights import (PeriodicWeight, WeightedChain, alpha_w, an_gram,
@@ -30,20 +30,20 @@ __version__ = "0.1.0"
 __all__ = [
     "QContext",
     "arik_coon_eigenvalue", "macfarlane_eigenvalue", "qpochhammer",
-    "DaughterChain", "GaussianChain", "LadderOperator",
+    "DaughterChain", "Family", "GaussianChain", "LadderOperator",
     "add", "alpha", "apply_ladder", "arik_lower", "arik_raise",
-    "coeff_distance", "evaluate", "inner", "mac_lower", "mac_raise",
+    "build_by_raising", "coeff_distance", "evaluate", "inner",
+    "ladder_residuals", "mac_lower", "mac_raise",
     "mul_qlinear", "overlap_scale", "product_daughters",
     "relative_coeff_distance", "scale", "shift",
     "GramReport",
     "integrate_real_line",
-    "DGCoefficients", "SWPolynomial", "build_An_by_raising", "build_Phi",
-    "build_phi", "daughter_sum_rules", "dg_coefficients", "dg_norm",
-    "gram_phi", "harmonic_limit_scan", "ladder_checks", "stieltjes_wigert",
-    "sw_orthogonality", "sw_bridge_residual",
-    "MacCoefficients", "build_Bn", "build_Bn_by_raising", "indefinite_gram",
-    "mac_coeffs", "mac_harmonic_limit", "mac_ladder_checks", "mac_zeta",
-    "number_operator_check",
+    "DG", "DGCoefficients", "SWPolynomial", "build_Phi", "build_phi",
+    "daughter_sum_rules", "dg_coefficients", "dg_norm", "gram_phi",
+    "harmonic_limit_scan", "stieltjes_wigert", "sw_orthogonality",
+    "sw_bridge_residual",
+    "MAC", "MacCoefficients", "build_Bn", "indefinite_gram", "mac_coeffs",
+    "mac_row", "mac_zeta", "number_operator_check",
     "ThetaEvaluator", "circle_gram_dg", "circle_gram_mac",
     "parseval_bridge", "poisson_check", "theta3",
     "PeriodicWeight", "WeightedChain", "alpha_w", "an_gram", "build_An",

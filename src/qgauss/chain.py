@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -112,6 +113,27 @@ class LadderOperator:
     def __post_init__(self):
         if self.kind not in LADDER_KINDS:
             raise ValueError(f"unknown ladder kind {self.kind!r}")
+
+
+@dataclass(frozen=True)
+class Family:
+    """What sets one oscillator family apart: build(ctx, n) is f_n on the
+    centers 0..n, bare(ctx, n) its coefficients without the n-dependent
+    scale; lower f_n = sqrt(lam_n) f_{n-1} and raise_ f_n = sign
+    sqrt(lam_{n+1}) f_{n+1}, lam(q, k) > 0; relation is the pair (a, b) of
+    a b - q b a = 1; f_n is orthogonal under the inner product kind; and
+    relative takes its ladder residuals relative to the target."""
+
+    name: str
+    build: Callable
+    bare: Callable
+    lower: Callable
+    raise_: Callable
+    lam: Callable
+    relation: tuple
+    kind: str
+    sign: int
+    relative: bool
 
 
 # -- coefficient tables ------------------------------------------------------
@@ -441,15 +463,14 @@ def apply_ladder(op: LadderOperator, f: GaussianChain) -> GaussianChain:
                          row=_rounded(op.ctx, parts, exp)[0])
 
 
-def ladder_residuals(ctx: QContext, levels, build, lower, raise_, eigenvalue,
-                     relative: bool = False, raise_sign: int = 1) -> list:
-    """The ladder check of both families, one dict per level n in levels:
-    the coeff_distance (relative_coeff_distance with relative) from lower
-    f_n to sqrt(lam_n) f_{n-1} and from raise f_n to raise_sign
-    sqrt(lam_{n+1}) f_{n+1}, lam_k = eigenvalue(q, k), f_k = build(ctx, k)
-    built once. Each ladder acts on the table of all levels at once; at set
-    digits the images, the scaled targets and their gaps are exact, and
-    each residual rounds once, a relative one after its exact ratio."""
+def ladder_residuals(ctx: QContext, levels, family: Family) -> list:
+    """The family's ladder check, one dict per level n in levels: the
+    coeff_distance (relative_coeff_distance if family.relative) from lower
+    f_n to sqrt(lam_n) f_{n-1} and from raise f_n to sign sqrt(lam_{n+1})
+    f_{n+1}, each f_k = family.build(ctx, k) built once. Each ladder acts
+    on the table of all levels at once; at set digits the images, the
+    scaled targets and their gaps are exact, and each residual rounds
+    once, a relative one after its exact ratio."""
     levels = list(levels)
     if any(n < 1 for n in levels):
         raise ValueError("ladder check needs n >= 1")
@@ -458,21 +479,35 @@ def ladder_residuals(ctx: QContext, levels, build, lower, raise_, eigenvalue,
     # past the double range (inf powers) the double gaps turn NaN quietly;
     # the suite's judge reports them as failures
     with np.errstate(invalid="ignore", over="ignore"):
-        family = {k: build(ctx, k) for k in
+        chains = {k: family.build(ctx, k) for k in
                   sorted({k for n in levels for k in (n - 1, n, n + 1)})}
-        root = {k: ctx.sqrt(eigenvalue(ctx.q, k)) for k in family if k}
+        root = {k: ctx.sqrt(family.lam(ctx.q, k)) for k in chains if k}
 
         def targets(step, sign):
             """sign sqrt(lam_k) f_{n+step}, k the higher of n and n + step."""
-            return _scaled(ctx, _stack(ctx, [family[n + step] for n in levels]),
+            return _scaled(ctx, _stack(ctx, [chains[n + step] for n in levels]),
                            [[sign * root[max(n, n + step)]] for n in levels])
-        table = _stack(ctx, [family[n] for n in levels])
-        low = _distance(_ladder_table(lower(ctx), *table), targets(-1, 1),
-                        relative)
-        up = _distance(_ladder_table(raise_(ctx), *table),
-                       targets(1, raise_sign), relative)
+        table = _stack(ctx, [chains[n] for n in levels])
+        low = _distance(_ladder_table(family.lower(ctx), *table),
+                        targets(-1, 1), family.relative)
+        up = _distance(_ladder_table(family.raise_(ctx), *table),
+                       targets(1, family.sign), family.relative)
     return [{"n": n, "lower_residual": lo, "raise_residual": hi}
             for n, lo, hi in zip(levels, low, up)]
+
+
+def build_by_raising(family: Family, ctx: QContext, n: int) -> GaussianChain:
+    """f_n built by n raising steps from the ground state alpha g_0,
+    f_{k+1} = sign (raise f_k) / sqrt(lam_{k+1}), to compare with the
+    closed form family.build."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    chain = GaussianChain(ctx, {0: alpha(ctx)})
+    op = family.raise_(ctx)
+    for k in range(1, n + 1):
+        chain = scale(apply_ladder(op, chain),
+                      family.sign / ctx.sqrt(family.lam(ctx.q, k)))
+    return chain
 
 
 def commutator_residuals(ctx: QContext, ladders, maps: list) -> list:

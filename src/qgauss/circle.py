@@ -30,12 +30,10 @@ from .report import GramReport
 @dataclass(frozen=True)
 class ThetaEvaluator:
     """Symmetric truncation of theta_3(theta; q) = sum q^{n^2/2} e^{i n theta}
-    at |n| <= truncation, with the geometric tail bound
-    2 q^{N^2/2} / (1 - q^{N/2}) <= tol recorded."""
+    at |n| <= truncation (theta_truncation picks it for a tail bound)."""
 
     q: float
     truncation: int
-    tol: float
 
     def __call__(self, theta):
         thetas = np.asarray(theta, dtype=float)
@@ -60,7 +58,7 @@ def theta_truncation(q: float, tol: float) -> int:
 
 def theta3(theta, q: float, tol: float = 1e-14):
     """theta_3(theta; q), real and positive on the real line for q in (0, 1)."""
-    return ThetaEvaluator(q=q, truncation=theta_truncation(q, tol), tol=tol)(theta)
+    return ThetaEvaluator(q=q, truncation=theta_truncation(q, tol))(theta)
 
 
 def poisson_check(c: float, theta_grid=None) -> float:
@@ -141,8 +139,8 @@ def _circle_trapezoid(q: float, nmax: int, points: int, args: list,
     by the node rule F diag(theta_3) S^T / points in double."""
     thetas = np.arange(points) / points
     z = np.exp(2j * np.pi * thetas)
-    weight = ThetaEvaluator(q=q, truncation=_gram_truncation(q, nmax),
-                            tol=1e-16)(2.0 * np.pi * thetas)
+    weight = ThetaEvaluator(q=q, truncation=_gram_truncation(q, nmax))(
+        2.0 * np.pi * thetas)
     rows = qbinomial_triangle(q, nmax)
     second = [horner(rows[n], z * args[n]) for n in range(nmax + 1)]
     # the coefficients and args are real, so H(a conj(z)) = conj(H(a z))
@@ -158,7 +156,7 @@ def circle_gram_dg(ctx: QContext, nmax: int, quad_points: int = 512) -> GramRepo
     The integrand is a trigonometric polynomial times the truncated theta
     series, so the equispaced rule is exact once quad_points clears the
     top harmonic; 512 is far past that knee for the tested degrees. The
-    sum runs in double precision whatever the context's digits.
+    sum runs in double whatever the digits, a double stage in the notes.
     """
     _check_points(quad_points)
     q = ctx.with_digits(None).q
@@ -166,9 +164,11 @@ def circle_gram_dg(ctx: QContext, nmax: int, quad_points: int = 512) -> GramRepo
                                [-(q ** -0.5)] * (nmax + 1), True)
     target = [[q ** -n * qpochhammer(q, n) if n == m else 0.0
                for m in range(nmax + 1)] for n in range(nmax + 1)]
+    notes = {"family": "circle-dg", "points": quad_points}
+    if ctx.is_mp:
+        notes["double_stages"] = ["trapezoid"]
     return GramReport(labels=list(range(nmax + 1)), matrix=matrix, target=target,
-                      precision_digits=None,
-                      notes={"family": "circle-dg", "points": quad_points})
+                      precision_digits=None, notes=notes)
 
 
 def circle_gram_mac(ctx: QContext, nmax: int, quad_points: int = 512,

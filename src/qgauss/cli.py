@@ -22,15 +22,19 @@ import numpy as np
 from .context import QContext
 from .chain import evaluate
 from .circle import circle_gram_dg, circle_gram_mac
-from .dg import (build_phi, dg_coefficients, gram_phi, harmonic_limit_scan,
-                 limit_grid, limit_ratio_curve)
-from .macfarlane import (build_Bn, indefinite_gram, mac_E_closed,
-                         mac_harmonic_limit, mac_limit_ratio_curve, mac_zeta)
+from .dg import (dg_coefficients, gram_phi, harmonic_limit_scan, limit_grid,
+                 limit_ratio_curve)
+from .macfarlane import indefinite_gram, mac_row
 from .weights import gamma_family_gram, orthonormal_weight_family
 from .report import GramReport
-from .verify import SUITES, run_suite
+from .verify import FAMILIES, SUITES, run_suite
 
 SCHEMA = "qgauss/1"
+
+# the name and the coefficient row of each family's coeffs table
+_COEFFS = {"dg": ("phi-unit-norm",
+                  lambda ctx, n: dg_coefficients(ctx, n).normalized),
+           "mac": ("zeta-times-E", mac_row)}
 
 
 def _fmt(x: float) -> str:
@@ -104,16 +108,9 @@ def _emit(args, echo: dict, payload: dict, header: list, rows) -> int:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_coeffs(args, scale: QContext, echo: dict) -> int:
-    ctx = scale.with_digits(args.digits)
-    if args.family == "dg":
-        coeffs = dg_coefficients(ctx, args.n).normalized
-        normalization = "phi-unit-norm"
-    else:
-        E = mac_E_closed(ctx, args.n)
-        zeta = mac_zeta(ctx, args.n)
-        coeffs = [zeta * e for e in E]
-        normalization = "zeta-times-E"
-    coeffs = [complex(float(v), 0.0) for v in coeffs]
+    normalization, row = _COEFFS[args.family]
+    coeffs = [complex(float(v), 0.0)
+              for v in row(scale.with_digits(args.digits), args.n)]
     return _emit(args, echo, {
         "family": args.family, "n": args.n, "normalization": normalization,
         "rows": [{"k": k, "center": float(k), "re": v.real, "im": v.imag}
@@ -128,8 +125,7 @@ def cmd_coeffs(args, scale: QContext, echo: dict) -> int:
 def cmd_eval(args, scale: QContext, echo: dict) -> int:
     grid = _parse_grid(args.grid)
     ctx = scale.with_digits(args.digits)
-    build = build_phi if args.family == "dg" else build_Bn
-    chain = build(ctx, args.n)
+    chain = FAMILIES[args.family].build(ctx, args.n)
     if ctx.digits is None:
         values = np.atleast_1d(np.asarray(evaluate(chain, grid), dtype=complex))
     else:
@@ -197,19 +193,21 @@ def cmd_weights(args, scale: QContext, echo: dict) -> int:
 
 
 def cmd_limit(args, scale: QContext, echo: dict) -> int:
-    c_list = [float(tok) for tok in args.c_list.split(",") if tok]
+    try:
+        c_list = [float(tok) for tok in args.c_list.split(",") if tok]
+    except ValueError:
+        c_list = []
+    if not c_list:
+        raise ValueError("--c-list must be comma-separated widths, got "
+                         f"{args.c_list!r}")
     grid = np.arange(0.3, 3.31, 0.15) if args.grid is None \
         else _parse_grid(args.grid)
-    if args.family == "dg":
-        scan = harmonic_limit_scan(args.n, c_list, grid)
-        curve = limit_ratio_curve
-    else:
-        scan = mac_harmonic_limit(args.n, c_list, grid)
-        curve = mac_limit_ratio_curve
+    family = FAMILIES[args.family]
+    scan = harmonic_limit_scan(family, args.n, c_list, grid)
 
     def rows():
         pts = limit_grid(args.n, grid)
-        curves = [curve(args.n, c, pts) for c in c_list]
+        curves = [limit_ratio_curve(family, args.n, c, pts) for c in c_list]
         for i, s in enumerate(pts):
             yield [_fmt(s)] + [_fmt(col[i]) for col in curves]
     return _emit(args, echo, {"family": args.family, "n": args.n,

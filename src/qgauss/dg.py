@@ -1,10 +1,10 @@
 """The orthogonal Gaussian-combination polynomials Phi_n / phi_n.
 
 Phi_n is the alternating q-binomial combination of unit Gaussians at the
-integers 0..n; phi_n is its normalization. Both are built two independent
-ways (closed-form coefficients, repeated raising from the ground state)
-and the module also carries the harmonic-oscillator small-c limit study
-and the lognormal-weight polynomial bridge.
+integers 0..n; phi_n is its normalization. DG describes the family to
+the code written once over both (chain.Family). The module also carries
+the harmonic-oscillator small-c limit study of either family and the
+lognormal-weight polynomial bridge.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ import numpy as np
 from .context import QContext
 from .qnum import (arik_coon_eigenvalue, hermite, horner, qbinomial_row,
                    qpochhammer)
-from .chain import (GaussianChain, alpha, apply_ladder, arik_lower,
-                    arik_raise, daughter_sums, evaluate, gram_contract, inner,
-                    ladder_residuals, lattice_kernel, mul_qlinear,
-                    overlap_scale, scale, shift)
+from .chain import (Family, GaussianChain, alpha, arik_lower, arik_raise,
+                    daughter_sums, evaluate, gram_contract, inner,
+                    lattice_kernel, mul_qlinear, overlap_scale, shift)
 from .report import GramReport
 
 
@@ -85,30 +84,13 @@ def build_phi(ctx: QContext, n: int) -> GaussianChain:
     return GaussianChain(ctx, {2 * k: table.normalized[k] for k in range(n + 1)})
 
 
-def build_An_by_raising(ctx: QContext, n: int) -> GaussianChain:
-    """phi_n built the second way: n raising steps from the ground state,
-    then one overall scale sqrt((1-q)^n / (q, q)_n).
-
-    Agreement with build_phi is the statement that the raising recursion's
-    coefficient triangle coincides with the q-binomial triangle.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    chain = GaussianChain(ctx, {0: alpha(ctx)})
-    op = arik_raise(ctx)
-    for _ in range(n):
-        chain = apply_ladder(op, chain)
-    q = ctx.q
-    factor = ctx.sqrt((1 - q) ** n / qpochhammer(ctx.q, n))
-    return scale(chain, factor)
-
-
-def ladder_checks(ctx: QContext, levels) -> list:
-    """Coefficient-space residuals of the two ladder relations at each
-    level n in levels, lowering onto sqrt(lam_n) phi_{n-1} and raising
-    onto sqrt(lam_{n+1}) phi_{n+1}, with every phi_k built once."""
-    return ladder_residuals(ctx, levels, build_phi, arik_lower, arik_raise,
-                            arik_coon_eigenvalue)
+# a a' - q a' a = 1; build looks build_phi up at each call, so a patched
+# or traced build_phi sees them all
+DG = Family(name="dg", build=lambda ctx, n: build_phi(ctx, n),
+            bare=lambda ctx, n: dg_coefficients(ctx, n).raw,
+            lower=arik_lower, raise_=arik_raise, lam=arik_coon_eigenvalue,
+            relation=(arik_lower, arik_raise), kind="standard", sign=1,
+            relative=False)
 
 
 def daughter_gram(ctx: QContext, nmax: int) -> list:
@@ -154,33 +136,30 @@ def hermite_zeros(n: int) -> np.ndarray:
     return np.polynomial.hermite.hermroots([0.0] * n + [1.0])
 
 
-def limit_grid(n: int, grid, margin: float = 0.2) -> np.ndarray:
-    """Positive sample points, deduplicated and kept clear of the Hermite
-    zeros by the stated margin (the ratio blows up at a zero)."""
+def limit_grid(n: int, grid) -> np.ndarray:
+    """Positive sample points, deduplicated and kept at least 0.2 clear of
+    the Hermite zeros (the ratio blows up at a zero)."""
     pts = np.unique(np.abs(np.asarray(grid, dtype=float)))
     pts = pts[(pts > 1e-9) & (pts <= 4.0)]
     zeros = hermite_zeros(n)
     if zeros.size:
         dist = np.min(np.abs(pts[:, None] - zeros[None, :]), axis=1)
-        pts = pts[dist >= margin]
+        pts = pts[dist >= 0.2]
     if pts.size < 3:
         raise ValueError("grid leaves fewer than 3 usable points away from "
                          "the Hermite zeros")
     return pts
 
 
-def limit_ratio_curve(n: int, c: float, pts: np.ndarray) -> np.ndarray:
+def limit_ratio_curve(family: Family, n: int, c: float,
+                      pts: np.ndarray) -> np.ndarray:
     """Even part of the scaled-polynomial / Hermite-target ratio,
-    rho(s) = (r_c(s) + r_c(-s)) / 2 with
-    r_c(s) = Phi_n(s / (sqrt(2) c)) / ((-c/sqrt(2))^n e^{-s^2/2} H_n(s)),
-    evaluated on the positive points pts."""
-    return even_limit_ratio(build_Phi(QContext(c=c), n), n, c, pts)
-
-
-def even_limit_ratio(chain: GaussianChain, n: int, c: float,
-                     pts: np.ndarray) -> np.ndarray:
-    """(r(s) + r(-s)) / 2 on the positive points pts, with
-    r(s) = chain(s / (sqrt(2) c)) / ((-c/sqrt(2))^n e^{-s^2/2} H_n(s))."""
+    rho(s) = (r_c(s) + r_c(-s)) / 2 on the positive points pts, with
+    r_c(s) = f(s / (sqrt(2) c)) / ((-c/sqrt(2))^n e^{-s^2/2} H_n(s)) and
+    f the chain of family.bare(ctx, n)."""
+    ctx = QContext(c=c)
+    chain = GaussianChain(ctx, {2 * k: a for k, a in
+                                enumerate(family.bare(ctx, n))})
     scale_factor = (-c / math.sqrt(2.0)) ** n
     xs = pts / (math.sqrt(2.0) * c)
     target_plus = np.exp(-pts ** 2 / 2.0) * hermite(n, pts)
@@ -190,35 +169,35 @@ def even_limit_ratio(chain: GaussianChain, n: int, c: float,
     return np.real(r_plus + r_minus) / 2.0
 
 
-def harmonic_limit_scan(n: int, c_list, grid=None) -> list:
-    """Measure how fast Phi_n approaches the oscillator eigenfunction.
+def harmonic_limit_scan(family: Family, n: int, c_list, grid=None) -> list:
+    """Measure how fast the family's f_n approaches the oscillator
+    eigenfunction.
 
-    For each width c the scaled polynomial Phi_n(s / (sqrt(2) c)) divided
-    by (-c/sqrt(2))^n is compared with e^{-s^2/2} H_n(s) through the ratio
-    r_c(s). The leading finite-c correction to the ratio is odd in s, so
-    the even part rho(s) = (r_c(s) + r_c(-s)) / 2 converges one order
-    faster; dev(c) is the spread (max - min) / |median| of rho over the
-    grid. Returns one row per c with the deviation and the median ratio
-    (the limit's normalization constant, reported but not asserted).
+    The leading finite-c correction to the ratio r_c(s) is odd in s, so
+    its even part rho (limit_ratio_curve) converges one order faster;
+    dev(c) is the spread (max - min) / |median| of rho over the grid points
+    clear of the Hermite zeros. One row per c gives the deviation and the
+    median ratio (the limit's normalization, reported but not asserted);
+    a parity-twisted family's rows add the eigenvalue lambda_n = sign lam_n
+    of raise_ lower, its drift |lambda_n + n| and whether the indefinite
+    norm of f_n has the sign (-1)^n.
     """
-    return limit_scan(limit_ratio_curve, n, c_list, grid)
-
-
-def limit_scan(curve, n: int, c_list, grid=None, extra=None) -> list:
-    """The limit-study protocol shared by both families: rho = curve(n, c,
-    pts) on the grid points clear of the Hermite zeros, one row per c with
-    its spread and median, plus extra(n, c) when given."""
     if grid is None:
         grid = np.arange(0.3, 3.31, 0.15)
     pts = limit_grid(n, grid)
     rows = []
     for c in c_list:
-        rho = curve(n, c, pts)
+        rho = limit_ratio_curve(family, n, c, pts)
         med = statistics.median(rho.tolist())
         row = {"c": float(c), "dev": float((rho.max() - rho.min()) / abs(med)),
                "ratio": float(med), "points": int(pts.size)}
-        if extra is not None:
-            row.update(extra(n, c))
+        if family.kind == "parity_twisted":
+            ctx = QContext(c=c)
+            lam = family.sign * family.lam(ctx.q, n)
+            f = family.build(ctx, n)
+            norm = inner(f, f, kind=family.kind).real
+            row.update(lambda_n=float(lam), lambda_gap=float(abs(lam + n)),
+                       sign_ok=bool((norm > 0) == (n % 2 == 0)))
         rows.append(row)
     return rows
 
@@ -271,16 +250,13 @@ def sw_weight(ctx: QContext, s, x):
     return vals if vals.shape else vals.item()
 
 
-def sw_bridge_residual(ctx: QContext, n: int, s, xs=None,
-                       rel_floor: float = 0.01) -> float:
+def sw_bridge_residual(ctx: QContext, n: int, s) -> float:
     """Largest relative pointwise gap between the u-form and Phi_n(x - s)
-    over xs, skipping points where Phi_n(x - s) is below rel_floor times
-    its largest sampled magnitude (the ratio is meaningless at a zero).
-    In a high-precision backend both sides are evaluated point by point
-    in the context's type."""
-    if xs is None:
-        xs = np.linspace(-2.0, n + 2.0, 81)
-    xs = np.asarray(xs, dtype=float)
+    over 81 points spanning [-2, n + 2], skipping points where
+    Phi_n(x - s) is below 0.01 times its largest sampled magnitude (the
+    ratio is meaningless at a zero). In a high-precision backend both
+    sides are evaluated point by point in the context's type."""
+    xs = np.linspace(-2.0, n + 2.0, 81)
     poly = stieltjes_wigert(ctx, n, s)
     chain = shift(build_Phi(ctx, n), -Fraction(s))
     if ctx.is_mp:
@@ -288,10 +264,10 @@ def sw_bridge_residual(ctx: QContext, n: int, s, xs=None,
                  for x in xs]
         top = max(abs(ref) for _, ref in pairs)
         return float(max(abs(u - ref) / abs(ref) for u, ref in pairs
-                         if abs(ref) >= rel_floor * top))
+                         if abs(ref) >= 0.01 * top))
     reference = np.real(evaluate(chain, xs))
     u_side = np.asarray(sw_u_form(poly, xs), dtype=float)
-    keep = np.abs(reference) >= rel_floor * np.abs(reference).max()
+    keep = np.abs(reference) >= 0.01 * np.abs(reference).max()
     return float(np.max(np.abs(u_side[keep] - reference[keep])
                         / np.abs(reference[keep])))
 

@@ -8,7 +8,8 @@ the double Gram takes each entry as one exact integer sum over the binary
 value q = M/2^e, the signed q-binomial polynomial of B_n evaluated at the
 points q^k by Horner and weighed by the coefficients of B_m, and a Gram at
 set digits runs at the precision that chain.gram_budget reads off its term
-mass.
+mass. MAC describes the family to the code written once over both
+(chain.Family).
 """
 
 from __future__ import annotations
@@ -16,15 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .context import QContext
 from .qnum import (macfarlane_eigenvalue, pochhammer_prefix, qbinomial_row,
                    qbinomial_triangle, qpochhammer)
-from .chain import (GaussianChain, alpha, apply_ladder, gram_contract, inner,
-                    ladder_residuals, lattice_kernel, mac_lower, mac_raise,
+from .chain import (Family, GaussianChain, alpha, apply_ladder,
+                    gram_contract, lattice_kernel, mac_lower, mac_raise,
                     overlap_scale, relative_coeff_distance, scale)
-from .dg import even_limit_ratio, limit_scan
 from .report import GramReport
 
 
@@ -41,12 +39,10 @@ class MacCoefficients:
     recursion_gap: float
 
 
-def mac_zeta(ctx: QContext, n: int, alpha_w=None):
-    """zeta_n = alpha_w q^{n(n-1)/4} / sqrt((q, q)_n); alpha_w defaults to
-    the unweighted ground-state constant."""
-    if alpha_w is None:
-        alpha_w = alpha(ctx)
-    return (alpha_w * ctx.qpow8(2 * n * (n - 1))
+def mac_zeta(ctx: QContext, n: int):
+    """zeta_n = alpha q^{n(n-1)/4} / sqrt((q, q)_n), alpha the ground-state
+    constant."""
+    return (alpha(ctx) * ctx.qpow8(2 * n * (n - 1))
             / ctx.sqrt(qpochhammer(ctx.q, n)))
 
 
@@ -84,33 +80,23 @@ def mac_coeffs(ctx: QContext, n: int) -> MacCoefficients:
                            recursion_gap=gap)
 
 
-def build_Bn(ctx: QContext, n: int) -> GaussianChain:
-    E = mac_E_closed(ctx, n)
+def mac_row(ctx: QContext, n: int) -> list:
+    """The coefficients zeta_n E^n_k of B_n on the centers k = 0..n."""
     zeta = mac_zeta(ctx, n)
-    return GaussianChain(ctx, {2 * k: zeta * e for k, e in enumerate(E)})
+    return [zeta * e for e in mac_E_closed(ctx, n)]
 
 
-def build_Bn_by_raising(ctx: QContext, n: int) -> GaussianChain:
-    """B_n built by n signed raising steps,
-    B_{m+1} = -(b' B_m) / sqrt(-lam_{m+1}), from B_0 = alpha g_0."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    chain = GaussianChain(ctx, {0: alpha(ctx)})
-    op = mac_raise(ctx)
-    for m in range(n):
-        lam = macfarlane_eigenvalue(ctx.q, m + 1)
-        chain = scale(apply_ladder(op, chain), -1 / ctx.sqrt(-lam))
-    return chain
+def build_Bn(ctx: QContext, n: int) -> GaussianChain:
+    return GaussianChain(ctx, {2 * k: a for k, a in enumerate(mac_row(ctx, n))})
 
 
-def mac_ladder_checks(ctx: QContext, levels) -> list:
-    """Residuals of b B_n = sqrt(-lam_n) B_{n-1} and
-    b' B_n = -sqrt(-lam_{n+1}) B_{n+1} at each level n in levels, relative
-    to the largest target coefficient (absolute residuals are meaningless
-    at these magnitudes), with every B_k built once."""
-    return ladder_residuals(ctx, levels, build_Bn, mac_lower, mac_raise,
-                            lambda q, k: -macfarlane_eigenvalue(q, k),
-                            relative=True, raise_sign=-1)
+# b' b - q b b' = 1 with b' = mac_raise; build looks build_Bn up at each
+# call, so a patched or traced build_Bn sees them all
+MAC = Family(name="mac", build=lambda ctx, n: build_Bn(ctx, n),
+             bare=mac_E_closed, lower=mac_lower, raise_=mac_raise,
+             lam=lambda q, k: -macfarlane_eigenvalue(q, k),
+             relation=(mac_raise, mac_lower), kind="parity_twisted", sign=-1,
+             relative=True)
 
 
 def number_operator_check(ctx: QContext, n: int) -> float:
@@ -229,12 +215,7 @@ def indefinite_gram(ctx: QContext, nmax: int) -> GramReport:
     if ctx.digits is None:
         matrix = _binary_twisted_gram(float(ctx.q), nmax)
     else:
-        ground = alpha(ctx)
-        poch = pochhammer_prefix(ctx.q, nmax)
-        tables = []
-        for n in range(size):
-            zeta = ground * ctx.qpow8(2 * n * (n - 1)) / ctx.sqrt(poch[n])
-            tables.append([zeta * e for e in mac_E_closed(ctx, n)])
+        tables = [mac_row(ctx, n) for n in range(size)]
         overlap = overlap_scale(ctx)
         sums = gram_contract(tables, lattice_kernel(ctx, size, "parity_twisted"),
                              tables)
@@ -245,30 +226,3 @@ def indefinite_gram(ctx: QContext, nmax: int) -> GramReport:
     return GramReport(labels=list(range(size)), matrix=matrix, target=target,
                       precision_digits=ctx.digits,
                       notes={"family": "mac", "sign_alternation_ok": signs_ok})
-
-
-def mac_limit_ratio_curve(n: int, c: float, pts: np.ndarray) -> np.ndarray:
-    """Even part of the ratio B_n(s / (sqrt(2) c)) / (zeta_n (-c/sqrt(2))^n)
-    over e^{-s^2/2} H_n(s), on the positive points pts. The zeta_n scale is
-    divided out by building the chain from the bare E coefficients."""
-    ctx = QContext(c=c)
-    chain = GaussianChain(ctx, {2 * k: e for k, e in
-                                enumerate(mac_E_closed(ctx, n))})
-    return even_limit_ratio(chain, n, c, pts)
-
-
-def _eigenvalue_and_sign(n: int, c: float) -> dict:
-    ctx = QContext(c=c)
-    lam = macfarlane_eigenvalue(ctx.q, n)
-    norm_sign = inner(build_Bn(ctx, n), build_Bn(ctx, n),
-                      kind="parity_twisted").real
-    return {"lambda_n": float(lam), "lambda_gap": float(abs(lam + n)),
-            "sign_ok": bool((norm_sign > 0) == (n % 2 == 0))}
-
-
-def mac_harmonic_limit(n: int, c_list, grid=None) -> list:
-    """Small-c limit study for B_n, same even-part ratio protocol as the
-    first family. Each row also reports the eigenvalue drift |lam_n + n|
-    and the indefinite-norm sign."""
-    return limit_scan(mac_limit_ratio_curve, n, c_list, grid,
-                      _eigenvalue_and_sign)

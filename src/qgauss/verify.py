@@ -14,16 +14,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .context import QContext
-from .qnum import macfarlane_eigenvalue
-from .chain import (GaussianChain, arik_lower, arik_raise,
-                    commutator_residuals, evaluate, gram_budget, mac_lower,
-                    mac_raise)
+from .chain import (GaussianChain, commutator_residuals, evaluate,
+                    gram_budget, ladder_residuals)
 from . import circle as circle_mod
 from . import dg as dg_mod
 from . import macfarlane as mac_mod
 from . import weights as weights_mod
 from .quad import integrate_real_line
 from .report import GramReport
+
+# the oscillator families by name, in the order the suites report them
+FAMILIES = {family.name: family for family in (dg_mod.DG, mac_mod.MAC)}
+
 
 @dataclass
 class SuiteResult:
@@ -115,35 +117,27 @@ def suite_mac_gram(ctx: QContext, nmax: int = 5) -> SuiteResult:
 
 
 def suite_ladders(ctx: QContext, nmax: int = 10) -> SuiteResult:
-    levels = range(1, nmax + 1)
-    rows = (((family, dgres["n"], key), res[key])
-            for dgres, macres in zip(dg_mod.ladder_checks(ctx, levels),
-                                     mac_mod.mac_ladder_checks(ctx, levels))
-            for family, res in (("dg", dgres), ("mac", macres))
+    checks = [ladder_residuals(ctx, range(1, nmax + 1), family)
+              for family in FAMILIES.values()]
+    rows = (((name, res["n"], key), res[key]) for level in zip(*checks)
+            for name, res in zip(FAMILIES, level)
             for key in ("lower_residual", "raise_residual"))
     return _judge("ladders", 1e-11, rows, {"q": float(ctx.q), "nmax": nmax,
                                            "digits": ctx.digits})
 
 
-def _random_coeffs(rng: np.random.Generator, max_terms: int = 8,
-                   span: int = 4) -> dict:
-    nterms = int(rng.integers(1, max_terms + 1))
-    centers = rng.choice(np.arange(-span, span + 1), size=nterms,
-                         replace=False)
+def _random_coeffs(rng: np.random.Generator) -> dict:
+    nterms = int(rng.integers(1, 9))
+    centers = rng.choice(np.arange(-4, 5), size=nterms, replace=False)
     normals = rng.standard_normal(2 * nterms)  # (re, im) center by center
     return {int(t): complex(normals[2 * k], normals[2 * k + 1])
             for k, t in enumerate(centers)}
 
 
-def random_chain(ctx: QContext, rng: np.random.Generator,
-                 max_terms: int = 8, span: int = 4) -> GaussianChain:
-    """A random complex chain on twice-centers in [-span, span]; sizes are
-    kept modest so commutator residuals stay meaningful in double."""
-    return GaussianChain(ctx, _random_coeffs(rng, max_terms, span))
-
-
-# the ladders (a, b) of each family's relation a b - q b a = 1
-_LADDERS = {"dg": (arik_lower, arik_raise), "mac": (mac_raise, mac_lower)}
+def random_chain(ctx: QContext, rng: np.random.Generator) -> GaussianChain:
+    """A random complex chain of 1 to 8 terms on twice-centers in [-4, 4],
+    small so that commutator residuals stay meaningful in double."""
+    return GaussianChain(ctx, _random_coeffs(rng))
 
 
 def suite_commutators(ctx: QContext, count: int = 20,
@@ -152,9 +146,10 @@ def suite_commutators(ctx: QContext, count: int = 20,
     draws them, checked as one table."""
     rng = np.random.default_rng(seed)
     maps = [_random_coeffs(rng) for _ in range(count)]
-    residuals = zip(*commutator_residuals(ctx, _LADDERS.values(), maps))
-    rows = [((family, i), dev) for i, pair in enumerate(residuals)
-            for family, dev in zip(_LADDERS, pair)]
+    residuals = zip(*commutator_residuals(
+        ctx, [family.relation for family in FAMILIES.values()], maps))
+    rows = [((name, i), dev) for i, pair in enumerate(residuals)
+            for name, dev in zip(FAMILIES, pair)]
     return _judge("commutators", 1e-13, rows,
                   {"q": float(ctx.q), "count": count, "seed": seed,
                    "digits": ctx.digits})
@@ -193,7 +188,7 @@ def suite_limits(nmax: int = 4) -> SuiteResult:
     rows = {}
     worst_gap = 0.0
     for n in range(nmax + 1):
-        scan = dg_mod.harmonic_limit_scan(n, c_list)
+        scan = dg_mod.harmonic_limit_scan(dg_mod.DG, n, c_list)
         devs = [row["dev"] for row in scan]
         rows[str(n)] = scan
         if n == 0:
@@ -206,7 +201,7 @@ def suite_limits(nmax: int = 4) -> SuiteResult:
             if not ratio_window[0] <= step <= ratio_window[1]:
                 failures.append(["dg", n, "step-ratio", float(step)])
         q = math.exp(-0.05 ** 2)
-        gap = abs(macfarlane_eigenvalue(q, n) + n)
+        gap = abs(mac_mod.MAC.sign * mac_mod.MAC.lam(q, n) + n)
         worst_gap = max(worst_gap, gap)
         if gap > eig_tol:
             failures.append(["mac", n, "eigenvalue-gap", float(gap)])

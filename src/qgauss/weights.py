@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import QContext
-from .chain import (GaussianChain, alpha, evaluate, gram_contract,
-                    overlap_scale, product_daughters, scale)
+from .chain import (GaussianChain, alpha, gram_contract, overlap_scale,
+                    product_daughters, scale)
 from .dg import build_phi, daughter_gram
 from .report import GramReport
 
@@ -50,9 +50,6 @@ class WeightedChain:
     weight: PeriodicWeight
     chain: GaussianChain
 
-    def evaluate(self, x):
-        return self.weight.evaluate(x) * evaluate(self.chain, x)
-
 
 def cosine_weight(amplitude: float = 0.3) -> PeriodicWeight:
     """w(x) = 1 + amplitude * cos(4 pi x)."""
@@ -60,13 +57,12 @@ def cosine_weight(amplitude: float = 0.3) -> PeriodicWeight:
     return PeriodicWeight({-1: half, 0: 1.0, 1: half})
 
 
-def random_weight(rng: np.random.Generator, nmodes: int = 3,
-                  mode_span: int = 2) -> PeriodicWeight:
-    """A weight with nmodes distinct harmonics in [-mode_span, mode_span]
-    and complex Gaussian coefficients; the constant mode is always present
-    so the weight cannot be orthogonal to the ground state by accident."""
-    choices = list(range(-mode_span, mode_span + 1))
-    picks = rng.choice(len(choices), size=nmodes, replace=False)
+def random_weight(rng: np.random.Generator) -> PeriodicWeight:
+    """A weight with 3 distinct harmonics in [-2, 2] and complex Gaussian
+    coefficients; the constant mode is always present so the weight cannot
+    be orthogonal to the ground state by accident."""
+    choices = list(range(-2, 3))
+    picks = rng.choice(len(choices), size=3, replace=False)
     modes = {}
     for idx in picks:
         modes[choices[idx]] = complex(rng.standard_normal(),
@@ -221,9 +217,9 @@ def gamma_family_gram(ctx: QContext, nweights: int, nmax: int) -> GramReport:
                for n2, m2 in labels] for n1, m1 in labels]
     target = [[1.0 if i == j else 0.0 for j in range(len(labels))]
               for i in range(len(labels))]
+    notes = {"family": "gamma", "nweights": nweights, "nmax": nmax,
+             "kernel_condition": weight_family_condition(ctx, nweights)}
+    if ctx.is_mp:  # the Gram-Schmidt of the weights runs in numpy float
+        notes["double_stages"] = ["weight_orthonormalization"]
     return GramReport(labels=labels, matrix=matrix, target=target,
-                      precision_digits=ctx.digits,
-                      notes={"family": "gamma", "nweights": nweights,
-                             "nmax": nmax,
-                             "kernel_condition":
-                                 weight_family_condition(ctx, nweights)})
+                      precision_digits=ctx.digits, notes=notes)

@@ -35,7 +35,7 @@ def test_binomial_and_raising_constructions_agree():
         ctx = qg.QContext(q=q)
         for n in range(13):
             gap = qg.coeff_distance(qg.build_phi(ctx, n),
-                                    qg.build_An_by_raising(ctx, n))
+                                    qg.build_by_raising(qg.DG, ctx, n))
             assert gap <= 1e-12, (q, n, gap)
 
 
@@ -55,8 +55,9 @@ def test_ladder_identities_hold_through_n10():
     assert qg.apply_ladder(qg.arik_lower(ctx), qg.build_phi(ctx, 0)).is_zero()
     assert qg.apply_ladder(qg.mac_lower(ctx), qg.build_Bn(ctx, 0)).is_zero()
     levels = range(1, 11)
-    for n, first, second in zip(levels, qg.ladder_checks(ctx, levels),
-                                qg.mac_ladder_checks(ctx, levels)):
+    for n, first, second in zip(levels,
+                                qg.ladder_residuals(ctx, levels, qg.DG),
+                                qg.ladder_residuals(ctx, levels, qg.MAC)):
         for label, res in (("a-lower", first["lower_residual"]),
                            ("a-raise", first["raise_residual"]),
                            ("b-lower", second["lower_residual"]),
@@ -145,10 +146,11 @@ def test_small_width_limit_is_second_order():
     in [0.15, 0.40], and the second family's eigenvalues sit within 0.05
     of -n at c = 0.05."""
     c_list = [0.2, 0.1, 0.05]
-    flat = [row["dev"] for row in qg.harmonic_limit_scan(0, c_list)]
+    flat = [row["dev"] for row in qg.harmonic_limit_scan(qg.DG, 0, c_list)]
     assert max(flat) <= 1e-12, flat
     for n in range(1, 5):
-        devs = [row["dev"] for row in qg.harmonic_limit_scan(n, c_list)]
+        devs = [row["dev"]
+                for row in qg.harmonic_limit_scan(qg.DG, n, c_list)]
         assert devs[0] > devs[1] > devs[2], (n, devs)
         step = devs[2] / devs[1]
         assert 0.15 <= step <= 0.40, (n, step)

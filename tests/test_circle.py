@@ -31,8 +31,8 @@ def theta_tail_probe(q, tol):
     the truncation is pushed 5 terms past the bound-selected N."""
     thetas = np.linspace(0.0, 2.0 * np.pi, 9)
     N = theta_truncation(q, tol)
-    base = qg.ThetaEvaluator(q=q, truncation=N, tol=tol)(thetas)
-    more = qg.ThetaEvaluator(q=q, truncation=N + 5, tol=tol)(thetas)
+    base = qg.ThetaEvaluator(q=q, truncation=N)(thetas)
+    more = qg.ThetaEvaluator(q=q, truncation=N + 5)(thetas)
     return float(np.abs(np.asarray(base) - np.asarray(more)).max())
 
 
@@ -287,8 +287,7 @@ def test_gram_matches_direct_periodic_quadrature():
     # one entry recomputed as the mean of the integrand over 512 nodes
     q = 0.5
     n, m = 2, 2
-    weight = qg.ThetaEvaluator(q=q, truncation=theta_truncation(q, 1e-16),
-                               tol=1e-16)
+    weight = qg.ThetaEvaluator(q=q, truncation=theta_truncation(q, 1e-16))
     theta = np.arange(512) / 512
     z = np.exp(2j * np.pi * theta)
     val = np.mean(rs_eval(n, q, -(q ** -0.5) * np.conj(z))

@@ -65,7 +65,7 @@ def test_two_constructions_agree(q):
     ctx = QContext(q=q)
     for n in range(13):
         direct = qg.build_phi(ctx, n)
-        raised = qg.build_An_by_raising(ctx, n)
+        raised = qg.build_by_raising(qg.DG, ctx, n)
         assert qg.coeff_distance(direct, raised) <= 1e-12
 
 
@@ -76,11 +76,11 @@ def test_gram_is_identity():
 
 
 def test_ladder_residuals():
-    for res in qg.ladder_checks(CTX, range(1, 9)):
+    for res in qg.ladder_residuals(CTX, range(1, 9), qg.DG):
         assert res["lower_residual"] <= 1e-12
         assert res["raise_residual"] <= 1e-12
     with pytest.raises(ValueError):
-        qg.ladder_checks(CTX, [0])
+        qg.ladder_residuals(CTX, [0], qg.DG)
 
 
 def test_daughter_sum_rule_kronecker():
@@ -110,12 +110,12 @@ def test_limit_grid_avoids_zeros():
 def test_ground_state_limit_is_exact():
     # Phi_0 scaled into oscillator variables is e^{-s^2/2} for every c
     pts = limit_grid(0, np.arange(0.3, 3.31, 0.15))
-    rho = limit_ratio_curve(0, 0.2, pts)
+    rho = limit_ratio_curve(qg.DG, 0, 0.2, pts)
     np.testing.assert_allclose(rho, 1.0, atol=1e-12)
 
 
 def test_limit_scan_second_order():
-    rows = qg.harmonic_limit_scan(2, [0.2, 0.1, 0.05])
+    rows = qg.harmonic_limit_scan(qg.DG, 2, [0.2, 0.1, 0.05])
     devs = [r["dev"] for r in rows]
     assert devs[0] > devs[1] > devs[2]
     # even-part deviation shrinks like c^2

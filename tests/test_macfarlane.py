@@ -42,12 +42,12 @@ def test_recursion_gap_small():
 def test_raising_reproduces_closed_form():
     for n in range(11):
         closed = qg.build_Bn(CTX, n)
-        raised = qg.build_Bn_by_raising(CTX, n)
+        raised = qg.build_by_raising(qg.MAC, CTX, n)
         assert qg.relative_coeff_distance(raised, closed) <= 1e-11
 
 
 def test_ladder_residuals():
-    for res in qg.mac_ladder_checks(CTX, range(1, 11)):
+    for res in qg.ladder_residuals(CTX, range(1, 11), qg.MAC):
         assert res["lower_residual"] <= 1e-11
         assert res["raise_residual"] <= 1e-11
 
@@ -170,7 +170,7 @@ def test_mac_limit_eigenvalue_drift():
 
 
 def test_mac_harmonic_limit_rows():
-    rows = qg.mac_harmonic_limit(1, [0.1, 0.05])
+    rows = qg.harmonic_limit_scan(qg.MAC, 1, [0.1, 0.05])
     assert [r["c"] for r in rows] == [0.1, 0.05]
     assert rows[1]["dev"] < rows[0]["dev"]
     for row in rows:

@@ -15,8 +15,7 @@ SRC = ROOT / "src" / "qgauss"
 TEST_ONLY = {
     # paper claims that only pytest checks until a `constructions` suite
     # runs them from `qgauss verify`
-    "build_An_by_raising": "phi_n by raising equals its closed form",
-    "build_Bn_by_raising": "B_n by raising equals its closed form",
+    "build_by_raising": "f_n by raising equals its closed form",
     "number_operator_check": "b'b B_n = lambda_n B_n",
     "mac_coeffs": "the closed-form E^n_k match their recursion",
     "arik_coon_eigenvalues_by_recursion": "lambda_{n+1} = q lambda_n + 1",

@@ -8,7 +8,7 @@ import qgauss as qg
 from qgauss import QContext
 from qgauss import circle, dg, macfarlane
 from qgauss.report import GramReport
-from qgauss.chain import commutator_residuals, daughter_sums
+from qgauss.chain import commutator_residuals, daughter_sums, ladder_residuals
 from qgauss.verify import random_chain
 
 
@@ -160,8 +160,8 @@ def test_family_tables_are_built_once_per_suite(monkeypatch, digits):
         for v in [one_pair_sum_rule(ctx, n, m)])
     assert ladders.max_deviation == max(
         res[key] for n in range(1, 7)
-        for res in (dg.ladder_checks(ctx, [n])[0],
-                    macfarlane.mac_ladder_checks(ctx, [n])[0])
+        for res in (ladder_residuals(ctx, [n], dg.DG)[0],
+                    ladder_residuals(ctx, [n], macfarlane.MAC)[0])
         for key in ("lower_residual", "raise_residual"))
 
 
@@ -174,13 +174,13 @@ def one_pair_sum_rule(ctx, n, m):
 
 def test_ladder_checks_match_single_levels():
     ctx = QContext(q=0.5)
-    assert dg.ladder_checks(ctx, [2, 5]) == (dg.ladder_checks(ctx, [2])
-                                             + dg.ladder_checks(ctx, [5]))
-    assert macfarlane.mac_ladder_checks(ctx, range(1, 4)) == [
-        macfarlane.mac_ladder_checks(ctx, [n])[0] for n in range(1, 4)]
-    assert dg.ladder_checks(ctx, []) == []
+    assert ladder_residuals(ctx, [2, 5], dg.DG) == (
+        ladder_residuals(ctx, [2], dg.DG) + ladder_residuals(ctx, [5], dg.DG))
+    assert ladder_residuals(ctx, range(1, 4), macfarlane.MAC) == [
+        ladder_residuals(ctx, [n], macfarlane.MAC)[0] for n in range(1, 4)]
+    assert ladder_residuals(ctx, [], dg.DG) == []
     with pytest.raises(ValueError):
-        dg.ladder_checks(ctx, [0, 1])
+        ladder_residuals(ctx, [0, 1], dg.DG)
 
 
 @pytest.mark.parametrize("digits", [20, 40])
@@ -188,9 +188,18 @@ def test_sw_bridge_follows_the_digits(digits):
     plain = qg.run_suite("sw", QContext(q=0.5)).notes
     result = qg.run_suite("sw", QContext(q=0.5, digits=digits))
     assert result.notes["bridge_dev"] <= plain["bridge_dev"] * 1e-15
-    # the quadrature cross-check stays double, and the notes say so
-    assert result.notes["double_stages"] == ["quadrature"]
-    assert "double_stages" not in plain
+
+
+@pytest.mark.parametrize("suite, stages", [
+    ("degeneracy", ["quadrature"]), ("sw", ["quadrature"]),
+    ("circle-dg", ["trapezoid"]), ("gamma", ["weight_orthonormalization"]),
+])
+def test_set_digits_name_the_stages_that_stay_double(suite, stages):
+    # a stage that runs in double whatever the digits is named at set
+    # digits, and only there
+    assert "double_stages" not in qg.run_suite(suite, QContext(q=0.5)).notes
+    result = qg.run_suite(suite, QContext(q=0.5, digits=20))
+    assert result.notes["double_stages"] == stages
 
 
 def test_sumrule_gap_is_taken_below_double_resolution():

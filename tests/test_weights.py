@@ -81,9 +81,9 @@ def test_weighted_inner_against_quadrature():
     a4 = qg.build_An(CTX, w, 4)
 
     def entry(f, g):
-        # WeightedChain.evaluate already carries the weight factor
         def integrand(x):
-            return np.conj(f.evaluate(x)) * g.evaluate(x)
+            return (np.conj(f.weight.evaluate(x) * qg.evaluate(f.chain, x))
+                    * g.weight.evaluate(x) * qg.evaluate(g.chain, x))
         return integrate_real_line(integrand, CTX, tol=1e-12)
 
     assert entry(a2, a2).real == pytest.approx(1.0, abs=1e-10)
@@ -97,8 +97,10 @@ def test_ladder_passes_through_weight():
     a3 = qg.build_An(CTX, w, 3)
     lowered = qg.apply_ladder(qg.arik_lower(CTX), a3.chain)
     xs = np.linspace(-2.0, 5.0, 29)
-    direct = (0.5 ** (xs + 0.75) * a3.evaluate(xs + 0.5)
-              - a3.evaluate(xs + 1.0)) / math.sqrt(0.5)
+    def a3_at(x):
+        return w.evaluate(x) * qg.evaluate(a3.chain, x)
+    direct = (0.5 ** (xs + 0.75) * a3_at(xs + 0.5)
+              - a3_at(xs + 1.0)) / math.sqrt(0.5)
     np.testing.assert_allclose(direct, w.evaluate(xs)
                                * qg.evaluate(lowered, xs), atol=1e-13)
     lam3 = qg.arik_coon_eigenvalue(0.5, 3)
