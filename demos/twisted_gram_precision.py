@@ -12,7 +12,7 @@ read off the contraction's own term mass, picks in advance.
 
 import qgauss as qg
 from qgauss.chain import gram_budget
-from qgauss.macfarlane import twisted_gram_magnitudes
+from qgauss.macfarlane import EXACT_NMAX, twisted_gram_magnitudes
 
 ctx = qg.QContext(q=0.5)
 
@@ -36,10 +36,11 @@ print(f"term mass a naive sum would have to cancel: "
       f"{10 ** log_condition:.3e}")
 print()
 
-# With an explicit digit count the library uses a plain multiprecision
-# sum instead, so the budget becomes visible: the condition (largest term
-# mass over the entry's size) times the roundoff per operation and the
-# term count predicts the floor each digit count reaches.
+# With an explicit digit count the library contracts the coefficients
+# rounded to that precision instead, so the budget becomes visible: the
+# condition (largest term mass over the entry's size) times the roundoff
+# per operation and the term count predicts the floor each digit count
+# reaches.
 magnitudes = twisted_gram_magnitudes(0.5, 12)
 log_condition, suggested, _ = gram_budget(*magnitudes, 1e-20)
 print("explicit-precision backend at q = 0.5, n <= 12:")
@@ -52,7 +53,11 @@ for digits in (8, 40):
 print(f"  digits the budget picks for 1e-20 with 12 to spare: {suggested}")
 print()
 
-# The verification suite wires the same logic behind one call.
-result = qg.run_suite("mac-gram", qg.QContext(q=0.5), nmax=12)
-print(f"mac-gram suite at n <= 12: passed = {result.passed}, "
-      f"deviation {float(result.max_deviation):.3e}")
+# The verification suite wires the same logic behind one call: the exact
+# integer sums up to EXACT_NMAX, where they are the cheaper route, and the
+# digits the budget picks past it.
+for nmax in (12, EXACT_NMAX + 2):
+    result = qg.run_suite("mac-gram", qg.QContext(q=0.5), nmax=nmax)
+    print(f"mac-gram suite at n <= {nmax}: passed = {result.passed}, "
+          f"deviation {float(result.max_deviation):.3e}, "
+          f"digits {result.params['digits']}")

@@ -29,7 +29,8 @@ q^{m/8} and the prefactors are binary fractions m 2^e, so a table becomes
 Python integers at one binary exponent, its real and imaginary parts
 stacked, and products and sums are exact. Each result rounds once: a row
 to the context's precision, nearest; a residual, or the exact ratio of a
-relative one, to the nearest float.
+relative one, to the nearest float. The Gram contraction gram_contract
+takes its mpmath tables the same way.
 """
 
 from __future__ import annotations
@@ -118,14 +119,16 @@ class LadderOperator:
 @dataclass(frozen=True)
 class Family:
     """What sets one oscillator family apart: build(ctx, n) is f_n on the
-    centers 0..n, bare(ctx, n) its coefficients without the n-dependent
-    scale; lower f_n = sqrt(lam_n) f_{n-1} and raise_ f_n = sign
+    centers 0..n, table(ctx, nmax) the coefficient rows of f_0..f_nmax
+    built in one pass, bare(ctx, n) the coefficients of f_n without the
+    n-dependent scale; lower f_n = sqrt(lam_n) f_{n-1} and raise_ f_n = sign
     sqrt(lam_{n+1}) f_{n+1}, lam(q, k) > 0; relation is the pair (a, b) of
     a b - q b a = 1; f_n is orthogonal under the inner product kind; and
     relative takes its ladder residuals relative to the target."""
 
     name: str
     build: Callable
+    table: Callable
     bare: Callable
     lower: Callable
     raise_: Callable
@@ -137,6 +140,12 @@ class Family:
 
 
 # -- coefficient tables ------------------------------------------------------
+
+def integer_chain(ctx: QContext, row) -> GaussianChain:
+    """sum_k row[k] q^{(x-k)^2}: a coefficient row on the integer centers
+    0, 1, 2, ..."""
+    return GaussianChain(ctx, {2 * k: a for k, a in enumerate(row)})
+
 
 def _table_of(ctx: QContext, maps: list) -> tuple:
     """Mappings {t: a}, one per row, as a table on their common window: a
@@ -231,15 +240,21 @@ def _binary(x: float) -> tuple:
     return num, 1 - den.bit_length()
 
 
+def _man_exp(value: tuple) -> tuple:
+    """An mpmath value tuple as an exact (m, e)."""
+    sign, man, exp, _ = value
+    if exp and not man:  # mpmath's inf and nan
+        raise ValueError("a table entry is not finite")
+    return -man if sign else man, exp
+
+
 def _split(a) -> tuple:
     """A table entry as (re, im), each part an exact (m, e); im is None
     for a real entry."""
     if hasattr(a, "_mpf_"):
-        sign, man, exp, _ = a._mpf_
-        return (-man if sign else man, exp), None
+        return _man_exp(a._mpf_), None
     if hasattr(a, "_mpc_"):
-        return tuple((-man if sign else man, exp)
-                     for sign, man, exp, _ in a._mpc_)
+        return tuple(map(_man_exp, a._mpc_))
     if isinstance(a, complex):
         return _binary(a.real), _binary(a.imag)
     return (a, 0) if isinstance(a, int) else _binary(a), None
@@ -247,16 +262,21 @@ def _split(a) -> tuple:
 
 def _exact(ctx: QContext, values) -> tuple:
     """An array of table entries, or one number, as (parts, exp): in double
-    the array under one leading axis, exp 0; at set digits each entry
-    converted exactly, with no rounding, at the lowest exponent of any."""
+    the array under one leading axis, exp 0; at set digits _fixed."""
     values = np.asarray(values, object if ctx.is_mp else None)
-    if not ctx.is_mp:
-        return values[None], 0
+    return _fixed(values) if ctx.is_mp else (values[None], 0)
+
+
+def _fixed(values: np.ndarray) -> tuple:
+    """An object array of binary numbers (mpmath numbers, Python floats,
+    ints and complexes) as (parts, exp): each entry converted exactly,
+    with no rounding, at the lowest exponent of any."""
     re, im = zip(*map(_split, values.flat)) if values.size else ((), ())
     parts = [re] if im.count(None) == len(im) else \
         [re, [z or (0, 0) for z in im]]
     exp = min((e for part in parts for m, e in part if m), default=0)
-    return np.array([[m << (e - exp) for m, e in part] for part in parts],
+    return np.array([[m << (e - exp) if m else 0 for m, e in part]
+                     for part in parts],
                     object).reshape((len(parts),) + values.shape), exp
 
 
@@ -467,10 +487,10 @@ def ladder_residuals(ctx: QContext, levels, family: Family) -> list:
     """The family's ladder check, one dict per level n in levels: the
     coeff_distance (relative_coeff_distance if family.relative) from lower
     f_n to sqrt(lam_n) f_{n-1} and from raise f_n to sign sqrt(lam_{n+1})
-    f_{n+1}, each f_k = family.build(ctx, k) built once. Each ladder acts
-    on the table of all levels at once; at set digits the images, the
-    scaled targets and their gaps are exact, and each residual rounds
-    once, a relative one after its exact ratio."""
+    f_{n+1}, every f_k a row of one family.table. Each ladder acts on the
+    table of all levels at once; at set digits the images, the scaled
+    targets and their gaps are exact, and each residual rounds once, a
+    relative one after its exact ratio."""
     levels = list(levels)
     if any(n < 1 for n in levels):
         raise ValueError("ladder check needs n >= 1")
@@ -479,7 +499,8 @@ def ladder_residuals(ctx: QContext, levels, family: Family) -> list:
     # past the double range (inf powers) the double gaps turn NaN quietly;
     # the suite's judge reports them as failures
     with np.errstate(invalid="ignore", over="ignore"):
-        chains = {k: family.build(ctx, k) for k in
+        rows = family.table(ctx, max(levels) + 1)
+        chains = {k: integer_chain(ctx, rows[k]) for k in
                   sorted({k for n in levels for k in (n - 1, n, n + 1)})}
         root = {k: ctx.sqrt(family.lam(ctx.q, k)) for k in chains if k}
 
@@ -573,7 +594,8 @@ def lattice_kernel(ctx: QContext, size: int, kind: str = "standard") -> list:
     K[j][k] = q^{(j-k)^2/2}, or q^{(j+k)^2/2} under the parity twist, so
     the pair's inner product is sqrt(pi/2c^2) K[j][k]."""
     sign = 1 if kind == "standard" else -1
-    powers = [ctx.qpow8(4 * d * d) for d in range(2 * size)]
+    count = size if sign == 1 else 2 * size - 1  # |j - k| or j + k
+    powers = [ctx.qpow8(4 * d * d) for d in range(count)]
     return [[powers[abs(j - sign * k)] for k in range(size)]
             for j in range(size)]
 
@@ -584,35 +606,81 @@ def gram_contract(A, K, B) -> list:
     The rows of A and B are coefficient tables against the kernel K, a
     matrix or, given as a flat sequence, a diagonal. Rows may be ragged:
     missing trailing entries are zeros. The backend follows the kernel's
-    element type: mpmath numbers contract with the fdot of their own
-    precision, that of A's entries when they are mpmath numbers, else the
-    kernel's (fdot reads every input exactly); Python ints and Fractions
-    with exact sums, anything else with numpy matrix products. Returns a
-    list of rows.
+    element type. With mpmath numbers each entry of A K and of the result
+    rounds once to nearest, at the precision of A's entries when they are
+    mpmath numbers, else the kernel's: A, K and B convert once to exact
+    integers and every sum is exact (_fixed_dots), which is fdot's result
+    wherever fdot's own sum keeps every term. Python ints and Fractions
+    sum exactly, anything else takes numpy matrix products. Returns a list
+    of rows.
     """
     diagonal = not hasattr(K[0], "__len__")
     probe = K[0] if diagonal else K[0][0]
     if hasattr(probe, "_mpf_") or hasattr(probe, "_mpc_"):
         lead = A[0][0] if A and len(A[0]) else probe
         lib = getattr(lead, "context", probe.context)
-        dot = lib.fdot
-        # fdot converts a number of another precision on every read,
-        # keeping its bits; convert each kernel entry once instead
-        K = [lib.convert(k) for k in K] if diagonal else \
-            [[lib.convert(k) for k in row] for row in K]
-    elif isinstance(probe, (int, Fraction)):
-        def dot(x, y):
-            return sum(map(operator.mul, x, y))
-    else:
+        left = _fixed_rows(A, len(K))
+        if diagonal:  # a * k rounds at k's precision when a is no mpf
+            K = [lib.convert(k) for k in K]
+            AK = [[a * k for a, k in zip(row, K)] for row in A]
+        else:
+            AK = _fixed_dots(lib, left, _fixed_rows(list(zip(*K)), len(K)))
+        width = max(map(len, AK), default=0)
+        right = left if B is A and width == len(K) else _fixed_rows(B, width)
+        return _fixed_dots(lib, _fixed_rows(AK, width), right)
+    if not isinstance(probe, (int, Fraction)):
         K = np.asarray(K)
         A, B = _dense(A, K.shape[0]), _dense(B, K.shape[-1])
         return ((A * K if diagonal else A @ K) @ B.T).tolist()
     if diagonal:
         AK = [[a * k for a, k in zip(row, K)] for row in A]
     else:
-        columns = list(zip(*K))
-        AK = [[dot(row, col) for col in columns] for row in A]
-    return [[dot(left, right) for right in B] for left in AK]
+        AK = [[sum(map(operator.mul, row, col)) for col in zip(*K)]
+              for row in A]
+    return [[sum(map(operator.mul, x, y)) for y in B] for x in AK]
+
+
+def _fixed_rows(rows: list, width: int) -> tuple:
+    """Ragged rows cut or zero-filled to width columns, as zip pairs them
+    with rows of that length, in exact integers: (parts, exp, first,
+    length), parts and exp as _fixed gives them, first the column of each
+    row's first complex entry and length its length, both at most width."""
+    length = [min(len(row), width) for row in rows]
+    table = np.zeros((len(rows), width), object)
+    for line, row, n in zip(table, rows, length):
+        line[:n] = row[:n]
+    parts, exp = _fixed(table)
+    first = length
+    if len(parts) == 2:
+        first = [next((j for j, a in enumerate(row[:n]) if
+                       hasattr(a, "_mpc_") or isinstance(a, complex)), n)
+                 for row, n in zip(rows, length)]
+    return parts, exp, first, length
+
+
+def _fixed_dots(lib, left: tuple, right: tuple) -> list:
+    """lib.fdot(x, y) for each row x of left and y of right (_fixed_rows),
+    as rows: the sums are exact in integers, and each rounds once to the
+    nearest mpf at lib's precision, an mpc where a pair that zip forms
+    holds a complex entry. fdot's own sum drops a term more than 2 prec
+    bits below its running total; this one keeps it."""
+    (L, el, fl, nl), (R, er, fr, nr) = left, right
+    re = L[0] @ R[0].T
+    im = np.zeros_like(re)
+    if len(L) == len(R) == 2:
+        re = re - L[1] @ R[1].T
+    if len(R) == 2:
+        im = im + L[0] @ R[1].T
+    if len(L) == 2:
+        im = im + L[1] @ R[0].T
+    cplx = np.minimum.outer(fl, fr) < np.minimum.outer(nl, nr)
+    prec, exp = lib.prec, el + er
+
+    def rounded(m):
+        return mpmath.libmp.from_man_exp(m, exp, prec, "n")
+    return [[lib.make_mpc((rounded(a), rounded(b))) if c
+             else lib.make_mpf(rounded(a)) for a, b, c in zip(*line)]
+            for line in zip(re.tolist(), im.tolist(), cplx.tolist())]
 
 
 def _dense(rows, width: int) -> np.ndarray:

@@ -123,7 +123,8 @@ def _aliased_theta_kernel(work: QContext, size: int, points: int,
     """The points-node rule on z^j z^{sign k} theta_3, |m| <= truncation:
     K[j][k] sums q^{m^2/2} over m = -(j + sign k) mod points. A rounding
     recurs along a diagonal that the cancellation amplifies, so at high
-    precision K carries its own guard digits (fdot reads inputs exactly)."""
+    precision K carries its own guard digits (gram_contract reads its inputs
+    exactly)."""
     fine = work.with_digits(work.digits + GUARD_DIGITS)
     fold = [0 * fine.q] * points
     for m in range(-truncation, truncation + 1):

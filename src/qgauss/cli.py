@@ -203,15 +203,16 @@ def cmd_limit(args, scale: QContext, echo: dict) -> int:
     grid = np.arange(0.3, 3.31, 0.15) if args.grid is None \
         else _parse_grid(args.grid)
     family = FAMILIES[args.family]
-    scan = harmonic_limit_scan(family, args.n, c_list, grid)
+    payload = {"family": args.family, "n": args.n, "c_list": c_list}
+    if args.format == "json":  # the scan's rows; CSV tabulates the curves
+        payload["rows"] = harmonic_limit_scan(family, args.n, c_list, grid)
 
     def rows():
         pts = limit_grid(args.n, grid)
         curves = [limit_ratio_curve(family, args.n, c, pts) for c in c_list]
         for i, s in enumerate(pts):
             yield [_fmt(s)] + [_fmt(col[i]) for col in curves]
-    return _emit(args, echo, {"family": args.family, "n": args.n,
-                              "c_list": c_list, "rows": scan},
+    return _emit(args, echo, payload,
                  ["s"] + [f"rho_c{c:g}" for c in c_list], rows())
 
 

@@ -17,11 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from .context import QContext
-from .qnum import (arik_coon_eigenvalue, hermite, horner, qbinomial_row,
-                   qpochhammer)
+from .qnum import (arik_coon_eigenvalue, binomials_from_prefix, hermite,
+                   horner, pochhammer_prefix, qbinomial_row, qpochhammer)
 from .chain import (Family, GaussianChain, alpha, arik_lower, arik_raise,
                     daughter_sums, evaluate, gram_contract, inner,
-                    lattice_kernel, mul_qlinear, overlap_scale, shift)
+                    integer_chain, lattice_kernel, mul_qlinear,
+                    overlap_scale, shift)
 from .report import GramReport
 
 
@@ -61,32 +62,41 @@ def dg_norm(ctx: QContext, n: int):
 def dg_coefficients(ctx: QContext, n: int) -> DGCoefficients:
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    a = alpha(ctx)
-    root = ctx.sqrt(qpochhammer(ctx.q, n))
-    raw = []
-    normalized = []
-    for k, binom in enumerate(qbinomial_row(ctx.q, n)):
-        sign = -1 if k % 2 else 1
-        raw.append(sign * binom * ctx.qpow8(-4 * k))
-        normalized.append(sign * a * binom * ctx.qpow8(4 * (n - k)) / root)
-    return DGCoefficients(n=n, ctx=ctx, raw=raw, normalized=normalized)
+    poch = pochhammer_prefix(ctx.q, n)
+    raw = [(-binom if k % 2 else binom) * ctx.qpow8(-4 * k)
+           for k, binom in enumerate(binomials_from_prefix(poch, n))]
+    return DGCoefficients(n=n, ctx=ctx, raw=raw,
+                          normalized=_phi_row(ctx, alpha(ctx), poch, n))
+
+
+def _phi_row(ctx: QContext, a, poch: list, n: int) -> list:
+    """The coefficients of phi_n from alpha a and the Pochhammer prefix."""
+    root = ctx.sqrt(poch[n])
+    return [(-a if k % 2 else a) * binom * ctx.qpow8(4 * (n - k)) / root
+            for k, binom in enumerate(binomials_from_prefix(poch, n))]
+
+
+def phi_table(ctx: QContext, nmax: int) -> list:
+    """The coefficient rows of phi_0..phi_nmax, each as dg_coefficients
+    gives it, from one Pochhammer prefix and one alpha."""
+    a, poch = alpha(ctx), pochhammer_prefix(ctx.q, nmax)
+    return [_phi_row(ctx, a, poch, n) for n in range(nmax + 1)]
 
 
 def build_Phi(ctx: QContext, n: int) -> GaussianChain:
     """Unnormalized Phi_n as a chain on integer centers 0..n."""
-    table = dg_coefficients(ctx, n)
-    return GaussianChain(ctx, {2 * k: table.raw[k] for k in range(n + 1)})
+    return integer_chain(ctx, dg_coefficients(ctx, n).raw)
 
 
 def build_phi(ctx: QContext, n: int) -> GaussianChain:
     """Normalized phi_n; inner(phi_n, phi_n) = 1 analytically."""
-    table = dg_coefficients(ctx, n)
-    return GaussianChain(ctx, {2 * k: table.normalized[k] for k in range(n + 1)})
+    return integer_chain(ctx, dg_coefficients(ctx, n).normalized)
 
 
-# a a' - q a' a = 1; build looks build_phi up at each call, so a patched
-# or traced build_phi sees them all
+# a a' - q a' a = 1; build and table look build_phi and phi_table up at
+# each call, so a patched or traced one sees them all
 DG = Family(name="dg", build=lambda ctx, n: build_phi(ctx, n),
+            table=lambda ctx, nmax: phi_table(ctx, nmax),
             bare=lambda ctx, n: dg_coefficients(ctx, n).raw,
             lower=arik_lower, raise_=arik_raise, lam=arik_coon_eigenvalue,
             relation=(arik_lower, arik_raise), kind="standard", sign=1,
@@ -97,7 +107,7 @@ def daughter_gram(ctx: QContext, nmax: int) -> list:
     """D[n][m] = sum_{j,k} a^n_j a^m_k q^{(j-k)^2/2} over the normalized
     coefficients of phi_n and phi_m: the daughter coefficient sum of
     phi_n phi_m, alpha^2 delta_nm analytically, in the context's backend."""
-    tables = [dg_coefficients(ctx, n).normalized for n in range(nmax + 1)]
+    tables = phi_table(ctx, nmax)
     return gram_contract(tables, lattice_kernel(ctx, nmax + 1), tables)
 
 
@@ -122,7 +132,7 @@ def daughter_sum_rules(ctx: QContext, nmax: int) -> list:
     one common factor, which is why the whole orthogonality survives
     arbitrary periodic weights.
     """
-    phis = [build_phi(ctx, k) for k in range(nmax + 1)]
+    phis = [integer_chain(ctx, row) for row in phi_table(ctx, nmax)]
     sums = daughter_sums([f.conjugate() for f in phis], phis)
     norm = alpha(ctx) ** 2
     return [[total / norm for total in row] for row in sums]
@@ -158,8 +168,7 @@ def limit_ratio_curve(family: Family, n: int, c: float,
     r_c(s) = f(s / (sqrt(2) c)) / ((-c/sqrt(2))^n e^{-s^2/2} H_n(s)) and
     f the chain of family.bare(ctx, n)."""
     ctx = QContext(c=c)
-    chain = GaussianChain(ctx, {2 * k: a for k, a in
-                                enumerate(family.bare(ctx, n))})
+    chain = integer_chain(ctx, family.bare(ctx, n))
     scale_factor = (-c / math.sqrt(2.0)) ** n
     xs = pts / (math.sqrt(2.0) * c)
     target_plus = np.exp(-pts ** 2 / 2.0) * hermite(n, pts)

@@ -7,7 +7,9 @@ growing coefficients and an indefinite normalization (B_n, B_n) = (-1)^n:
 the double Gram takes each entry as one exact integer sum over the binary
 value q = M/2^e, the signed q-binomial polynomial of B_n evaluated at the
 points q^k by Horner and weighed by the coefficients of B_m, and a Gram at
-set digits runs at the precision that chain.gram_budget reads off its term
+set digits contracts the rows of mac_table, summed exactly and rounded
+once per entry (chain.gram_contract), at the digits given or, in the
+mac-gram suite past EXACT_NMAX, those chain.gram_budget reads off its term
 mass. MAC describes the family to the code written once over both
 (chain.Family).
 """
@@ -18,11 +20,12 @@ import math
 from dataclasses import dataclass
 
 from .context import QContext
-from .qnum import (macfarlane_eigenvalue, pochhammer_prefix, qbinomial_row,
-                   qbinomial_triangle, qpochhammer)
+from .qnum import (binomials_from_prefix, macfarlane_eigenvalue,
+                   pochhammer_prefix, qbinomial_row, qbinomial_triangle,
+                   qpochhammer)
 from .chain import (Family, GaussianChain, alpha, apply_ladder,
-                    gram_contract, lattice_kernel, mac_lower, mac_raise,
-                    overlap_scale, relative_coeff_distance, scale)
+                    gram_contract, integer_chain, lattice_kernel, mac_lower,
+                    mac_raise, overlap_scale, relative_coeff_distance, scale)
 from .report import GramReport
 
 
@@ -42,16 +45,23 @@ class MacCoefficients:
 def mac_zeta(ctx: QContext, n: int):
     """zeta_n = alpha q^{n(n-1)/4} / sqrt((q, q)_n), alpha the ground-state
     constant."""
-    return (alpha(ctx) * ctx.qpow8(2 * n * (n - 1))
-            / ctx.sqrt(qpochhammer(ctx.q, n)))
+    return _zeta(ctx, alpha(ctx), qpochhammer(ctx.q, n), n)
+
+
+def _zeta(ctx: QContext, a, poch_n, n: int):
+    return a * ctx.qpow8(2 * n * (n - 1)) / ctx.sqrt(poch_n)
 
 
 def mac_E_closed(ctx: QContext, n: int) -> list:
     """E^n_k = (-1)^k [n k]_q q^{(k - 2nk)/2}."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return [(-1 if k % 2 else 1) * binom * ctx.qpow8(4 * (k - 2 * n * k))
-            for k, binom in enumerate(qbinomial_row(ctx.q, n))]
+    return _E_row(ctx, qbinomial_row(ctx.q, n), n)
+
+
+def _E_row(ctx: QContext, binomials: list, n: int) -> list:
+    return [(-binom if k % 2 else binom) * ctx.qpow8(4 * (k - 2 * n * k))
+            for k, binom in enumerate(binomials)]
 
 
 def _mac_E_recursion(ctx: QContext, n: int) -> list:
@@ -86,13 +96,26 @@ def mac_row(ctx: QContext, n: int) -> list:
     return [zeta * e for e in mac_E_closed(ctx, n)]
 
 
+def mac_table(ctx: QContext, nmax: int) -> list:
+    """The rows mac_row(ctx, n) for n = 0..nmax, bit for bit, from one
+    Pochhammer prefix and one alpha."""
+    a, poch = alpha(ctx), pochhammer_prefix(ctx.q, nmax)
+    rows = []
+    for n in range(nmax + 1):
+        zeta = _zeta(ctx, a, poch[n], n)
+        rows.append([zeta * e for e in
+                     _E_row(ctx, binomials_from_prefix(poch, n), n)])
+    return rows
+
+
 def build_Bn(ctx: QContext, n: int) -> GaussianChain:
-    return GaussianChain(ctx, {2 * k: a for k, a in enumerate(mac_row(ctx, n))})
+    return integer_chain(ctx, mac_row(ctx, n))
 
 
-# b' b - q b b' = 1 with b' = mac_raise; build looks build_Bn up at each
-# call, so a patched or traced build_Bn sees them all
+# b' b - q b b' = 1 with b' = mac_raise; build and table look build_Bn and
+# mac_table up at each call, so a patched or traced one sees them all
 MAC = Family(name="mac", build=lambda ctx, n: build_Bn(ctx, n),
+             table=lambda ctx, nmax: mac_table(ctx, nmax),
              bare=mac_E_closed, lower=mac_lower, raise_=mac_raise,
              lam=lambda q, k: -macfarlane_eigenvalue(q, k),
              relation=(mac_raise, mac_lower), kind="parity_twisted", sign=-1,
@@ -122,11 +145,17 @@ def twisted_gram_magnitudes(q: float, nmax: int) -> tuple:
     return rows, kernel, [0.0] * (nmax + 1)
 
 
-# Largest nmax the mac-gram suite runs in exact double sums at unset digits.
-# The exact sums cost less than the budgeted mp Gram through nmax 12 at
-# least; the bound stays here because past it the suite reports the digits
-# the budget chose, and raising it would change that output.
-EXACT_NMAX = 7
+# Largest nmax the mac-gram suite runs in exact double sums at unset
+# digits, where its deviation is exactly 0; past it the suite runs the
+# budgeted mpmath Gram and reports the digits the budget chose. The bound
+# is the measured crossover: per mac-gram call, exact against budgeted,
+# median over 8 q in [0.21, 0.9] (Python 3.11.7, pure-Python mpmath, a
+# 2-vCPU VM), the two cost the same at nmax 18.
+#
+#     nmax      8     12     16     17     18     19     20     22
+#     exact   1.3    4.7   16.1   21.3   28.8   26.3   41.4   64.3  ms
+#     budget  5.4   11.5   21.3   24.0   28.2   22.6   31.8   39.4  ms
+EXACT_NMAX = 18
 
 
 def _binary_twisted_gram(q: float, nmax: int) -> list:
@@ -203,19 +232,21 @@ def indefinite_gram(ctx: QContext, nmax: int) -> GramReport:
     by known powers of M and 2^e (_binary_twisted_gram). All of the
     cancellation happens inside it (off-diagonal entries collapse to an
     exact zero), leaving one rounding and the factors q^{frac(r)} and
-    1/sqrt((q, q)_n (q, q)_m) in double. At explicit digits it measures
-    the naive term-by-term sum of the B_n coefficients at that precision
-    (that is the point of asking for a specific precision: the deviation
-    exposes the budget), keeping entries in the backend's own type so the
-    deviation can be recomputed below double resolution. Notes carry the
-    alternating-sign check; the mac-gram suite adds the precision budget
-    (twisted_gram_magnitudes through chain.gram_budget).
+    1/sqrt((q, q)_n (q, q)_m) in double. At explicit digits it contracts
+    the rows of mac_table, rounded at that precision, in exact sums that
+    round once per entry of A K and of the Gram (chain.gram_contract): the
+    rounding of the rows and of A K is what the Gram's cancellation
+    amplifies (that is the point of asking for a specific precision: the
+    deviation exposes the budget), and the entries keep the backend's own
+    type so the deviation can be recomputed below double resolution. Notes
+    carry the alternating-sign check; the mac-gram suite adds the
+    precision budget (twisted_gram_magnitudes through chain.gram_budget).
     """
     size = nmax + 1
     if ctx.digits is None:
         matrix = _binary_twisted_gram(float(ctx.q), nmax)
     else:
-        tables = [mac_row(ctx, n) for n in range(size)]
+        tables = mac_table(ctx, nmax)
         overlap = overlap_scale(ctx)
         sums = gram_contract(tables, lattice_kernel(ctx, size, "parity_twisted"),
                              tables)

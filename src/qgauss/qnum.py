@@ -43,8 +43,16 @@ def qbinomial_row(q, n: int) -> list:
     _check_q(q)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    poch = pochhammer_prefix(q, n)
-    return [poch[n] / (poch[k] * poch[n - k]) for k in range(n + 1)]
+    return binomials_from_prefix(pochhammer_prefix(q, n), n)
+
+
+def binomials_from_prefix(poch: list, n: int) -> list:
+    """qbinomial_row(q, n) from a pochhammer_prefix of q that reaches n, so
+    that every row of a table shares one prefix. The row is symmetric bit
+    for bit, a rounded product being the same either way round, so only
+    its first half is computed."""
+    half = [poch[n] / (poch[k] * poch[n - k]) for k in range(n // 2 + 1)]
+    return half + half[::-1][1 - n % 2:]
 
 
 def qbinomial_triangle(q, nmax: int):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import qgauss as qg
 from qgauss import QContext
+from qgauss.chain import gram_contract
 
 CTX = QContext(q=0.5)
 
@@ -282,3 +283,23 @@ def test_mul_qlinear_any_rational_offset(digits):
                                         - Fraction(a * a, 4) + b)
                     for t, c in f.coeffs.items()}
         assert g.coeffs == expected
+
+
+def test_set_digit_tables_take_rows_whose_entries_all_have_positive_exponents():
+    # 2 and 4 are 1·2^1 and 1·2^2: the row converts at exponent 1, and its
+    # hole, the integer 0, converts with them
+    ctx = QContext(q=0.5, digits=20)
+    f = qg.GaussianChain(ctx, {0: 2, 2: 4})
+    assert qg.coeff_distance(f, f) == 0.0
+    assert qg.coeff_distance(f, qg.GaussianChain(ctx, {0: 2})) == 4.0
+
+
+def test_set_digit_tables_reject_a_non_finite_entry():
+    # an inf would convert to the integer 0; it is refused instead
+    ctx = QContext(q=0.5, digits=20)
+    lib = ctx.lib()
+    f = qg.GaussianChain(ctx, {0: lib.inf})
+    with pytest.raises(ValueError, match="not finite"):
+        qg.coeff_distance(f, f)
+    with pytest.raises(ValueError, match="not finite"):
+        gram_contract([[lib.mpc(1, lib.nan)]], [[lib.mpf(1)]], [[1]])

@@ -144,6 +144,28 @@ def test_limit_csv_wide_table(tmp_path):
     assert header.split(",") == ["s", "rho_c0.2", "rho_c0.1"]
 
 
+@pytest.mark.parametrize("family", ["dg", "mac"])
+def test_limit_evaluates_each_curve_once(monkeypatch, capsys, family):
+    # CSV tabulates the curves and JSON reports the scan: either format
+    # evaluates each width's ratio curve once
+    from qgauss import dg
+    calls = []
+    original = dg.limit_ratio_curve
+
+    def counted(fam, n, c, pts):
+        calls.append(c)
+        return original(fam, n, c, pts)
+    for module in (cli, dg):
+        monkeypatch.setattr(module, "limit_ratio_curve", counted)
+    argv = ["limit", "--family", family, "--n", "2", "--c-list", "0.2,0.1,0.05"]
+    for fmt in ("csv", "json"):
+        calls.clear()
+        assert cli.main(argv + ["--format", fmt]) == 0
+        assert calls == [0.2, 0.1, 0.05], fmt
+        assert capsys.readouterr().out == run_cli(
+            *argv, "--format", fmt).stdout.decode()
+
+
 def test_verify_pass_and_report(tmp_path):
     report = tmp_path / "dg.json"
     proc = run_cli("verify", "--suite", "dg-gram", "--q", "0.5",

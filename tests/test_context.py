@@ -88,7 +88,8 @@ def test_with_digits_keeps_the_supplied_parameter():
 
 def test_auto_raised_precision_echoes_the_given_q():
     import qgauss as qg
-    result = qg.run_suite("mac-gram", QContext(q=0.5), nmax=8)
+    from qgauss.macfarlane import EXACT_NMAX
+    result = qg.run_suite("mac-gram", QContext(q=0.5), nmax=EXACT_NMAX + 1)
     assert result.notes["auto_digits"] is not None
     assert result.params["q"] == 0.5
 

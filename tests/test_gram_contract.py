@@ -9,12 +9,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgauss as qg
 from qgauss import QContext
-from qgauss.chain import gram_budget, gram_contract
+from qgauss.chain import gram_budget, gram_contract, lattice_kernel
 from qgauss.macfarlane import twisted_gram_magnitudes
-from qgauss.weights import random_weight
+from qgauss.weights import random_weight, weight_mode_kernel
 
 QS = (0.3, 0.5, 0.7)
 NMAX = 6
@@ -149,3 +151,97 @@ def test_circle_mac_passes_at_nmax_12():
     assert result.max_deviation <= result.tolerance * 1e-12
     assert math.isfinite(result.notes["log10_condition"])
     assert result.max_deviation <= result.notes["floor"]
+
+
+def fdot_contract(A, K, B):
+    """A K B^T in two stages of lib.fdot, each entry of A K and of the
+    result one fdot at the precision of A's lead entry, else the kernel's:
+    the reference the integer contraction must match bit for bit."""
+    diagonal = not hasattr(K[0], "__len__")
+    probe = K[0] if diagonal else K[0][0]
+    lead = A[0][0] if A and len(A[0]) else probe
+    lib = getattr(lead, "context", probe.context)
+    if diagonal:
+        K = [lib.convert(k) for k in K]
+        AK = [[a * k for a, k in zip(row, K)] for row in A]
+    else:
+        K = [[lib.convert(k) for k in row] for row in K]
+        AK = [[lib.fdot(row, col) for col in zip(*K)] for row in A]
+    return [[lib.fdot(left, right) for right in B] for left in AK]
+
+
+def identical(got, want) -> bool:
+    """Equal entry by entry, in value and in type (mpf or mpc)."""
+    return len(got) == len(want) and all(
+        len(g) == len(w) and all(type(x) is type(y) and x == y
+                                 for x, y in zip(g, w))
+        for g, w in zip(got, want))
+
+
+@st.composite
+def contractions(draw):
+    """A context at 15-100 digits, a lattice kernel of either kind on up
+    to 17 centers, and ragged rows of real or complex entries spread over
+    2^-80..2^80, B the same list as A or rows of its own."""
+    ctx = QContext(q=draw(st.floats(0.05, 0.95)),
+                   digits=draw(st.integers(15, 100)))
+    lib = ctx.lib()
+    size = draw(st.integers(1, 17))
+    K = lattice_kernel(ctx, size, draw(st.sampled_from(
+        ["standard", "parity_twisted"])))
+    complex_rows = draw(st.booleans())
+    entry = st.builds(
+        lambda m, e, im: lib.mpc(m, im) * lib.ldexp(1, e) / 3
+        if complex_rows and im is not None else lib.mpf(m) * lib.ldexp(1, e) / 3,
+        st.floats(-1, 1), st.integers(-80, 80), st.none() | st.floats(-1, 1))
+    rows = st.lists(st.lists(entry, max_size=size + 2), min_size=1,
+                    max_size=size)
+    A = draw(rows.filter(lambda r: len(r[0]) > 0))
+    B = A if draw(st.booleans()) else draw(rows)
+    return A, K, B
+
+
+@settings(max_examples=60, deadline=None)
+@given(contractions())
+def test_integer_contraction_is_the_fdot_contraction_bit_for_bit(case):
+    A, K, B = case
+    assert identical(gram_contract(A, K, B), fdot_contract(A, K, B))
+
+
+@pytest.mark.parametrize("digits", [15, 30, 100])
+def test_integer_contraction_matches_fdot_on_the_package_tables(digits):
+    ctx = QContext(q=0.43, digits=digits)
+    lib = ctx.lib()
+    # complex Python rows against the weight-mode kernel (weights_gram)
+    rows = [[w.modes.get(m, 0j) for m in range(-2, 3)]
+            for w in (qg.cosine_weight(0.3), random_weight(
+                np.random.default_rng(3)))]
+    rows = [row[:3 + i] for i, row in enumerate(rows)]  # ragged
+    K = weight_mode_kernel(ctx, 5)
+    conj = [[v.conjugate() for v in row] for row in rows]
+    assert identical(gram_contract(conj, K, rows), fdot_contract(conj, K, rows))
+    # an mpc kernel at a finer precision than the rows, as circle-mac's
+    # kernel carries guard digits of its own
+    fine = ctx.with_digits(digits + 10)
+    phase = fine.lib().mpc(fine.lib().cos(1), fine.lib().sin(1))
+    K = [[k * phase for k in row] for row in lattice_kernel(fine, 9)]
+    A = [qg.build_Bn(ctx, n).row.tolist()[::2] for n in range(9)]
+    assert identical(gram_contract(A, K, A), fdot_contract(A, K, A))
+    # and the diagonal kernel with mixed real and complex entries
+    diag = [lib.mpf(1) / 3, lib.mpc(1, 2) / 7, lib.mpf(5)]
+    A = [[1.0, 2.0j, lib.mpf(1) / 9], [3.0]]
+    assert identical(gram_contract(A, diag, A), fdot_contract(A, diag, A))
+
+
+def test_integer_sums_keep_a_term_fdot_drops():
+    # fdot's mpf_sum drops a term more than 2 prec bits below the running
+    # sum: 2^(3p) + 1 - 2^(3p) is 1 exactly, and 0 to fdot
+    lib = QContext(q=0.5, digits=20).lib()
+    big = lib.ldexp(1, 3 * lib.prec)
+    one, zero = lib.mpf(1), lib.mpf(0)
+    A = [[big, one, -big]]
+    K = [[one if j == k else zero for k in range(3)] for j in range(3)]
+    B = [[one, one, one]]
+    assert fdot_contract(A, K, B) == [[0]]
+    assert gram_contract(A, K, B) == [[1]]
+    assert type(gram_contract(A, K, B)[0][0]) is lib.mpf
