@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from functools import cache
@@ -75,12 +76,25 @@ def _emit_json(payload: dict, out: str | None):
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
 
 
-def _emit_csv(header: list, rows: list, out: str | None):
+def _csv_line(fields: list) -> str:
+    """fields as csv.writer writes them: quoted where they need it, with
+    the CRLF line end."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write(buf.getvalue(), out)
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()
+
+
+def _emit_csv(header: list, lead: list, cells: str, rows: list,
+              out: str | None) -> int:
+    """The header, then one line per entry of rows: the fields lead, the
+    same on every line and quoted once, then the printf fields cells
+    filled from the row. A float cell is "%.16e", which prints what
+    _fmt prints; a str cell must come quoted already (_csv_line)."""
+    lead_text = _csv_line(lead)[:-2] + "," if lead else ""
+    line = lead_text.replace("%", "%%") + cells + "\r\n"
+    _write(_csv_line(header) + (line * len(rows))
+           % tuple(itertools.chain.from_iterable(rows)), out)
+    return 0
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -94,14 +108,10 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _emit(args, echo: dict, payload: dict, header: list, rows) -> int:
-    """The payload plus the command name and the config echo as JSON, or
-    the header and the (lazily built) rows as CSV, as --format asks."""
-    if args.format == "json":
-        _emit_json({**payload, "command": args.command, "config": echo},
-                   args.out)
-    else:
-        _emit_csv(header, rows, args.out)
+def _emit(args, echo: dict, payload: dict) -> int:
+    """The payload plus the command name and the config echo as JSON."""
+    _emit_json({**payload, "command": args.command, "config": echo},
+               args.out)
     return 0
 
 
@@ -109,17 +119,19 @@ def _emit(args, echo: dict, payload: dict, header: list, rows) -> int:
 
 def cmd_coeffs(args, scale: QContext, echo: dict) -> int:
     normalization, row = _COEFFS[args.family]
-    coeffs = [complex(float(v), 0.0)
-              for v in row(scale.with_digits(args.digits), args.n)]
-    return _emit(args, echo, {
-        "family": args.family, "n": args.n, "normalization": normalization,
-        "rows": [{"k": k, "center": float(k), "re": v.real, "im": v.imag}
-                 for k, v in enumerate(coeffs)],
-    }, ["c", "q", "family", "n", "normalization", "k", "center",
-        "coefficient_re", "coefficient_im"],
-        ([_fmt(scale.c), _fmt(scale.q), args.family, args.n, normalization,
-          k, _fmt(k), _fmt(v.real), _fmt(v.imag)]
-         for k, v in enumerate(coeffs)))
+    coeffs = [float(v) for v in row(scale.with_digits(args.digits), args.n)]
+    if args.format == "json":
+        return _emit(args, echo, {
+            "family": args.family, "n": args.n,
+            "normalization": normalization,
+            "rows": [{"k": k, "center": float(k), "re": v, "im": 0.0}
+                     for k, v in enumerate(coeffs)]})
+    return _emit_csv(
+        ["c", "q", "family", "n", "normalization", "k", "center",
+         "coefficient_re", "coefficient_im"],
+        [_fmt(scale.c), _fmt(scale.q), args.family, args.n, normalization],
+        "%d,%.16e,%.16e,%.16e",
+        [(k, k, v, 0.0) for k, v in enumerate(coeffs)], args.out)
 
 
 def cmd_eval(args, scale: QContext, echo: dict) -> int:
@@ -130,27 +142,30 @@ def cmd_eval(args, scale: QContext, echo: dict) -> int:
         values = np.atleast_1d(np.asarray(evaluate(chain, grid), dtype=complex))
     else:
         values = np.array([complex(evaluate(chain, float(x))) for x in grid])
-    return _emit(args, echo, {
-        "family": args.family, "n": args.n,
-        "rows": [{"x": float(x), "re": v.real, "im": v.imag}
-                 for x, v in zip(grid, values)],
-    }, ["c", "q", "family", "n", "x", "value_re", "value_im"],
-        ([_fmt(scale.c), _fmt(scale.q), args.family, args.n,
-          _fmt(x), _fmt(v.real), _fmt(v.imag)] for x, v in zip(grid, values)))
+    table = np.column_stack([grid, values.real, values.imag]).tolist()
+    if args.format == "json":
+        return _emit(args, echo, {
+            "family": args.family, "n": args.n,
+            "rows": [{"x": x, "re": re, "im": im} for x, re, im in table]})
+    return _emit_csv(["c", "q", "family", "n", "x", "value_re", "value_im"],
+                     [_fmt(scale.c), _fmt(scale.q), args.family, args.n],
+                     "%.16e,%.16e,%.16e", table, args.out)
 
 
 def _emit_gram(args, scale: QContext, echo: dict, report: GramReport) -> int:
-    def rows():
-        for i, label_i in enumerate(report.labels):
-            for j, label_j in enumerate(report.labels):
-                v = float(report.matrix[i][j])
-                t = float(report.target[i][j])
-                yield [_fmt(scale.c), _fmt(scale.q), i, j, str(label_i),
-                       str(label_j), _fmt(v), _fmt(t), _fmt(v - t)]
-    payload = {"report": report.to_dict()} if args.format == "json" else {}
-    return _emit(args, echo, payload, ["c", "q", "i", "j", "label_i",
-                                       "label_j", "value", "target",
-                                       "deviation"], rows())
+    if args.format == "json":
+        return _emit(args, echo, {"report": report.to_dict()})
+    labels = [_csv_line([str(label)])[:-2] for label in report.labels]
+    rows = []
+    for i, label_i in enumerate(labels):
+        for j, label_j in enumerate(labels):
+            v = float(report.matrix[i][j])
+            t = float(report.target[i][j])
+            rows.append((i, j, label_i, label_j, v, t, v - t))
+    return _emit_csv(
+        ["c", "q", "i", "j", "label_i", "label_j", "value", "target",
+         "deviation"], [_fmt(scale.c), _fmt(scale.q)],
+        "%d,%d,%s,%s,%.16e,%.16e,%.16e", rows, args.out)
 
 
 def cmd_gram(args, scale: QContext, echo: dict) -> int:
@@ -181,15 +196,18 @@ def cmd_circle(args, scale: QContext, echo: dict) -> int:
 def cmd_weights(args, scale: QContext, echo: dict) -> int:
     family = orthonormal_weight_family(scale.with_digits(args.digits),
                                        args.count)
-    return _emit(args, echo, {
-        "count": args.count,
-        "weights": [{"index": i,
-                     "modes": [[m, v.real, v.imag]
-                               for m, v in sorted(w.modes.items())]}
-                    for i, w in enumerate(family)],
-    }, ["c", "q", "weight_index", "mode", "coeff_re", "coeff_im"],
-        ([_fmt(scale.c), _fmt(scale.q), i, m, _fmt(v.real), _fmt(v.imag)]
-         for i, w in enumerate(family) for m, v in sorted(w.modes.items())))
+    if args.format == "json":
+        return _emit(args, echo, {
+            "count": args.count,
+            "weights": [{"index": i,
+                         "modes": [[m, v.real, v.imag]
+                                   for m, v in sorted(w.modes.items())]}
+                        for i, w in enumerate(family)]})
+    return _emit_csv(
+        ["c", "q", "weight_index", "mode", "coeff_re", "coeff_im"],
+        [_fmt(scale.c), _fmt(scale.q)], "%d,%d,%.16e,%.16e",
+        [(i, m, v.real, v.imag) for i, w in enumerate(family)
+         for m, v in sorted(w.modes.items())], args.out)
 
 
 def cmd_limit(args, scale: QContext, echo: dict) -> int:
@@ -203,17 +221,15 @@ def cmd_limit(args, scale: QContext, echo: dict) -> int:
     grid = np.arange(0.3, 3.31, 0.15) if args.grid is None \
         else _parse_grid(args.grid)
     family = FAMILIES[args.family]
-    payload = {"family": args.family, "n": args.n, "c_list": c_list}
     if args.format == "json":  # the scan's rows; CSV tabulates the curves
-        payload["rows"] = harmonic_limit_scan(family, args.n, c_list, grid)
-
-    def rows():
-        pts = limit_grid(args.n, grid)
-        curves = [limit_ratio_curve(family, args.n, c, pts) for c in c_list]
-        for i, s in enumerate(pts):
-            yield [_fmt(s)] + [_fmt(col[i]) for col in curves]
-    return _emit(args, echo, payload,
-                 ["s"] + [f"rho_c{c:g}" for c in c_list], rows())
+        return _emit(args, echo, {
+            "family": args.family, "n": args.n, "c_list": c_list,
+            "rows": harmonic_limit_scan(family, args.n, c_list, grid)})
+    pts = limit_grid(args.n, grid)
+    curves = [limit_ratio_curve(family, args.n, c, pts) for c in c_list]
+    return _emit_csv(["s"] + [f"rho_c{c:g}" for c in c_list], [],
+                     ",".join(["%.16e"] * (1 + len(c_list))),
+                     np.column_stack([pts] + curves).tolist(), args.out)
 
 
 def cmd_verify(args, scale: QContext, echo: dict) -> int:

@@ -2,6 +2,8 @@
 contracts: schema tag, 17-significant-digit CSV floats, CRLF line endings,
 byte determinism and the exit-code conventions."""
 
+import csv
+import io
 import json
 import os
 import re
@@ -10,9 +12,14 @@ import sys
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
-from qgauss import cli
+from qgauss import (QContext, circle_gram_dg, circle_gram_mac, cli,
+                    dg_coefficients, evaluate, gamma_family_gram, gram_phi,
+                    indefinite_gram, mac_row, orthonormal_weight_family)
+from qgauss.dg import limit_grid, limit_ratio_curve
+from qgauss.verify import FAMILIES
 
 ALPHA = 0.8150352570704902
 FLOAT17 = re.compile(r"^-?\d\.\d{16}e[+-]\d{2}$")
@@ -370,3 +377,121 @@ def test_overflowing_ladder_check_reports_a_failure():
     result = json.loads(proc.stdout.decode(),
                         parse_constant=reject_constant)["result"]
     assert result["passed"] is False and result["max_deviation"] is None
+
+
+def reference_csv(header, rows):
+    """The CSV every command printed before the bulk writer: csv.writer
+    over the rows, each float field written as f"{x:.16e}"."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows([f"{v:.16e}" if isinstance(v, float) else v
+                      for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def test_bulk_csv_writer_matches_the_reference_writer(capsys):
+    # a lead field and a label that need quoting, a % in the lead, and
+    # the float spellings nan, inf, -inf and -0.0
+    label = "(0, 1)"
+    rows = [(label, float("nan"), float("inf"), -0.0),
+            ("2", -float("inf"), 1e-300, -1.5)]
+    cli._emit_csv(["lead,a", "pct", "label", "x", "y", "z"],
+                  ["a,b", "5%"], "%s,%.16e,%.16e,%.16e",
+                  [(cli._csv_line([name])[:-2], *values)
+                   for name, *values in rows], None)
+    out = capsys.readouterr().out
+    assert out == reference_csv(["lead,a", "pct", "label", "x", "y", "z"],
+                                [["a,b", "5%", *row] for row in rows])
+    assert '"a,b",5%,"(0, 1)",nan,inf,-0.0000000000000000e+00\r\n' in out
+
+
+def _gram_rows(ctx, report):
+    return [[float(ctx.c), float(ctx.q), i, j, str(li), str(lj),
+             float(report.matrix[i][j]), float(report.target[i][j]),
+             float(report.matrix[i][j]) - float(report.target[i][j])]
+            for i, li in enumerate(report.labels)
+            for j, lj in enumerate(report.labels)]
+
+
+def _coeffs_reference(ctx, family, n):
+    name, row = {"dg": ("phi-unit-norm",
+                        lambda: dg_coefficients(ctx, n).normalized),
+                 "mac": ("zeta-times-E", lambda: mac_row(ctx, n))}[family]
+    return (["c", "q", "family", "n", "normalization", "k", "center",
+             "coefficient_re", "coefficient_im"],
+            [[float(ctx.c), float(ctx.q), family, n, name, k, float(k),
+              float(v), 0.0] for k, v in enumerate(row())])
+
+
+def _eval_reference(ctx, family, n, grid):
+    values = np.asarray(evaluate(FAMILIES[family].build(ctx, n), grid),
+                        dtype=complex)
+    return (["c", "q", "family", "n", "x", "value_re", "value_im"],
+            [[float(ctx.c), float(ctx.q), family, n, float(x),
+              float(v.real), float(v.imag)] for x, v in zip(grid, values)])
+
+
+def _limit_reference(family, n, c_list):
+    pts = limit_grid(n, np.arange(0.3, 3.31, 0.15))
+    curves = [limit_ratio_curve(FAMILIES[family], n, c, pts) for c in c_list]
+    return (["s"] + [f"rho_c{c:g}" for c in c_list],
+            [[float(s)] + [float(col[i]) for col in curves]
+             for i, s in enumerate(pts)])
+
+
+GRAM_HEADER = ["c", "q", "i", "j", "label_i", "label_j", "value", "target",
+               "deviation"]
+
+
+@pytest.mark.parametrize("argv, reference", [
+    (("coeffs", "--family", "dg", "--n", "5"),
+     lambda ctx: _coeffs_reference(ctx, "dg", 5)),
+    (("coeffs", "--family", "mac", "--n", "3"),
+     lambda ctx: _coeffs_reference(ctx, "mac", 3)),
+    (("eval", "--family", "dg", "--n", "4", "--grid", "-8:12:401"),
+     lambda ctx: _eval_reference(ctx, "dg", 4, np.linspace(-8, 12, 401))),
+    (("eval", "--family", "mac", "--n", "2", "--grid", "-40:40:81"),
+     lambda ctx: _eval_reference(ctx, "mac", 2, np.linspace(-40, 40, 81))),
+    (("gram", "--family", "dg", "--format", "csv"),
+     lambda ctx: (GRAM_HEADER, _gram_rows(ctx, gram_phi(ctx, 8)))),
+    (("gram", "--family", "mac", "--format", "csv"),
+     lambda ctx: (GRAM_HEADER, _gram_rows(ctx, indefinite_gram(ctx, 8)))),
+    (("gram", "--family", "gamma", "--nmax", "3", "--format", "csv"),
+     lambda ctx: (GRAM_HEADER,
+                  _gram_rows(ctx, gamma_family_gram(ctx, 3, 3)))),
+    (("circle", "--family", "dg", "--points", "64", "--format", "csv"),
+     lambda ctx: (GRAM_HEADER, _gram_rows(ctx, circle_gram_dg(ctx, 8, 64)))),
+    (("circle", "--family", "mac", "--points", "64", "--format", "csv"),
+     lambda ctx: (GRAM_HEADER,
+                  _gram_rows(ctx, circle_gram_mac(ctx, 5, 64, False)))),
+    (("weights", "--count", "4", "--format", "csv"),
+     lambda ctx: (["c", "q", "weight_index", "mode", "coeff_re", "coeff_im"],
+                  [[float(ctx.c), float(ctx.q), i, m, v.real, v.imag]
+                   for i, w in enumerate(orthonormal_weight_family(ctx, 4))
+                   for m, v in sorted(w.modes.items())])),
+    (("limit", "--family", "dg", "--n", "2"),
+     lambda ctx: _limit_reference("dg", 2, [0.2, 0.1, 0.05])),
+    (("limit", "--family", "mac", "--n", "3"),
+     lambda ctx: _limit_reference("mac", 3, [0.2, 0.1, 0.05])),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+def test_every_csv_command_prints_the_reference_writer_bytes(argv, reference,
+                                                             capsys):
+    for q in ("0.5", "0.0731"):
+        assert cli.main([*argv, "--q", q]) == 0
+        header, rows = reference(QContext(q=float(q)))
+        assert capsys.readouterr().out == reference_csv(header, rows), q
+
+
+def test_csv_output_builds_no_json_rows(monkeypatch, capsys):
+    # a CSV command never builds the JSON payload, nor a JSON one the CSV
+    seen = []
+    monkeypatch.setattr(cli, "_emit", lambda *a: seen.append("json") or 0)
+    monkeypatch.setattr(cli, "_emit_csv", lambda *a: seen.append("csv") or 0)
+    for argv in (("coeffs", "--family", "dg", "--n", "2"),
+                 ("eval", "--family", "mac", "--n", "1", "--grid", "-2:2:5"),
+                 ("weights",), ("limit", "--n", "1"), ("gram",)):
+        for fmt in ("csv", "json"):
+            seen.clear()
+            assert cli.main([*argv, "--format", fmt]) == 0
+            assert seen == [fmt], (argv, fmt)
