@@ -4,8 +4,8 @@ Resumming a lattice of Gaussians with the dual-lattice formula turns
 real-line overlaps into circle integrals against a theta function, and
 the polynomial family reappears as Rogers-Szego polynomials. The script
 checks the resummation numerically, then reproduces both circle
-orthogonality relations with the equispaced rule: on its nodes for the
-first, exactly in coefficient space for the second.
+orthogonality relations with the equispaced rule, each exactly in
+coefficient space.
 """
 
 import numpy as np

@@ -4,12 +4,13 @@ tail bound, the Poisson-summation identity behind it, and the two circle
 orthogonality relations (the classical one and the degree-indexed one the
 second oscillator produces).
 
-Both circle Grams apply the N-node equispaced rule: the classical one on
-the nodes in double, F diag(theta_3) S^T / N, independent of the real-line
-overlaps it is compared with; the degree-indexed one exactly in coefficient
-space, one Hankel-kernel contraction at the working precision that
-chain.gram_budget reads off its term mass, with N still setting the
-rule's aliasing.
+Both circle Grams apply the N-node equispaced rule exactly in coefficient
+space (_circle_gram): one contraction A K A^T of the rows C^n_k args[n]^k
+against the theta kernel aliased as the rule is, Toeplitz for the
+classical relation, whose first factor is conjugated, and Hankel for the
+degree-indexed one. The classical Gram runs at the context's digits, in
+double when none are set; the degree-indexed one at the working precision
+that chain.gram_budget reads off its term mass.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import GUARD_DIGITS, QContext
-from .qnum import horner, qbinomial_triangle, qpochhammer
+from .qnum import qbinomial_triangle, qpochhammer
 from .chain import gram_budget, gram_contract, overlap_scale
 from .dg import dg_norm, gram_phi
 from .macfarlane import twisted_gram_magnitudes
@@ -122,10 +123,11 @@ def _aliased_theta_kernel(work: QContext, size: int, points: int,
                           truncation: int, sign: int) -> list:
     """The points-node rule on z^j z^{sign k} theta_3, |m| <= truncation:
     K[j][k] sums q^{m^2/2} over m = -(j + sign k) mod points. A rounding
-    recurs along a diagonal that the cancellation amplifies, so at high
-    precision K carries its own guard digits (gram_contract reads its inputs
-    exactly)."""
-    fine = work.with_digits(work.digits + GUARD_DIGITS)
+    recurs along a diagonal that the cancellation amplifies, so at set
+    digits K carries its own guard digits (gram_contract reads its inputs
+    exactly); in double it folds in double."""
+    fine = work if work.digits is None else \
+        work.with_digits(work.digits + GUARD_DIGITS)
     fold = [0 * fine.q] * points
     for m in range(-truncation, truncation + 1):
         fold[m % points] += fine.qpow8(4 * m * m)
@@ -133,20 +135,16 @@ def _aliased_theta_kernel(work: QContext, size: int, points: int,
             for j in range(size)]
 
 
-def _circle_trapezoid(q: float, nmax: int, points: int, args: list,
-                      conjugate_first: bool) -> list:
-    """Real parts of int_0^1 H_n(args[n] z') H_m(args[m] z) theta_3(2 pi theta;
-    q) dtheta, z = e^{i2pi theta} and z' = conj(z) if conjugate_first else z,
-    by the node rule F diag(theta_3) S^T / points in double."""
-    thetas = np.arange(points) / points
-    z = np.exp(2j * np.pi * thetas)
-    weight = ThetaEvaluator(q=q, truncation=_gram_truncation(q, nmax))(
-        2.0 * np.pi * thetas)
-    rows = qbinomial_triangle(q, nmax)
-    second = [horner(rows[n], z * args[n]) for n in range(nmax + 1)]
-    # the coefficients and args are real, so H(a conj(z)) = conj(H(a z))
-    first = [np.conj(v) for v in second] if conjugate_first else second
-    return np.real(gram_contract(first, weight / points, second)).tolist()
+def _circle_gram(work: QContext, nmax: int, points: int, args: list,
+                 sign: int, truncation: int) -> list:
+    """The points-node rule on H_n(args[n] z^sign) H_m(args[m] z) theta_3,
+    z = e^{i2pi theta} and theta_3 cut at |m| <= truncation, exactly in
+    coefficient space: A K A^T with A[n][k] = C^n_k args[n]^k and K the
+    aliased theta kernel, rounded at A's precision, work's."""
+    A = [[c * args[n] ** k for k, c in enumerate(row)]
+         for n, row in enumerate(qbinomial_triangle(work.q, nmax))]
+    K = _aliased_theta_kernel(work, nmax + 1, points, truncation, sign)
+    return gram_contract(A, K, A)
 
 
 def circle_gram_dg(ctx: QContext, nmax: int, quad_points: int = 512) -> GramReport:
@@ -157,19 +155,18 @@ def circle_gram_dg(ctx: QContext, nmax: int, quad_points: int = 512) -> GramRepo
     The integrand is a trigonometric polynomial times the truncated theta
     series, so the equispaced rule is exact once quad_points clears the
     top harmonic; 512 is far past that knee for the tested degrees. The
-    sum runs in double whatever the digits, a double stage in the notes.
+    rule runs in coefficient space (_circle_gram, the Toeplitz kernel) at
+    the context's digits, in double when none are set.
     """
     _check_points(quad_points)
-    q = ctx.with_digits(None).q
-    matrix = _circle_trapezoid(q, nmax, quad_points,
-                               [-(q ** -0.5)] * (nmax + 1), True)
-    target = [[q ** -n * qpochhammer(q, n) if n == m else 0.0
+    q = ctx.q
+    matrix = _circle_gram(ctx, nmax, quad_points, [-(q ** -0.5)] * (nmax + 1),
+                          -1, _gram_truncation(float(q), nmax))
+    target = [[q ** -n * qpochhammer(q, n) if n == m else 0 * q
                for m in range(nmax + 1)] for n in range(nmax + 1)]
-    notes = {"family": "circle-dg", "points": quad_points}
-    if ctx.is_mp:
-        notes["double_stages"] = ["trapezoid"]
     return GramReport(labels=list(range(nmax + 1)), matrix=matrix, target=target,
-                      precision_digits=None, notes=notes)
+                      precision_digits=ctx.digits,
+                      notes={"family": "circle-dg", "points": quad_points})
 
 
 def circle_gram_mac(ctx: QContext, nmax: int, quad_points: int = 512,
@@ -185,10 +182,9 @@ def circle_gram_mac(ctx: QContext, nmax: int, quad_points: int = 512,
     variant is not diagonal, and the report keeps the stated target so
     the difference is visible rather than hidden.
 
-    The quad_points-node rule is evaluated exactly in coefficient space as
-    A K A^T, A[n][k] = C^n_k (-q^{-(n-1/2)})^k, K the Hankel kernel
-    q^{(j+k)^2/2} (Toeplitz with conjugate_first) aliased as the rule is.
-    It cancels by the condition chain.gram_budget reads off
+    The quad_points-node rule runs in coefficient space (_circle_gram, the
+    Hankel kernel q^{(j+k)^2/2}, Toeplitz with conjugate_first). It
+    cancels by the condition chain.gram_budget reads off
     circle_mac_magnitudes, so a context without digits runs at the digits
     that budget picks for MAC_TOL; all inputs carry those digits. The notes
     give the log10 condition and the predicted relative deviation floor.
@@ -201,12 +197,9 @@ def circle_gram_mac(ctx: QContext, nmax: int, quad_points: int = 512,
     work = ctx.with_digits(digits)
     wq = work.q
     args = [-(wq ** (0.5 - n)) for n in range(nmax + 1)]
-    A = [[c * args[n] ** k for k, c in enumerate(row)]
-         for n, row in enumerate(qbinomial_triangle(wq, nmax))]
-    K = _aliased_theta_kernel(work, nmax + 1, quad_points,
-                              _gram_truncation(q, nmax),
-                              -1 if conjugate_first else 1)
-    matrix = gram_contract(A, K, A)  # rounds at A's precision, work's
+    matrix = _circle_gram(work, nmax, quad_points, args,
+                          -1 if conjugate_first else 1,
+                          _gram_truncation(q, nmax))
     target = [[wq ** (-n * (n - 1) // 2) * qpochhammer(wq, n) * (-1) ** n
                if n == m else 0 * wq for m in range(nmax + 1)]
               for n in range(nmax + 1)]
@@ -229,12 +222,13 @@ def parseval_bridge(ctx: QContext, nmax: int, quad_points: int = 512) -> GramRep
     the norms gives the phi Gram, which the report compares entrywise.
     """
     circle = circle_gram_dg(ctx, nmax, quad_points)
-    norms = [float(dg_norm(ctx, n)) for n in range(nmax + 1)]
-    scale = float(overlap_scale(ctx))
+    norms = [dg_norm(ctx, n) for n in range(nmax + 1)]
+    scale = overlap_scale(ctx)
     matrix = [[scale * circle.matrix[n][m] / (norms[n] * norms[m])
                for m in range(nmax + 1)] for n in range(nmax + 1)]
     return GramReport(labels=list(range(nmax + 1)), matrix=matrix,
-                      target=gram_phi(ctx, nmax).matrix, precision_digits=None,
+                      target=gram_phi(ctx, nmax).matrix,
+                      precision_digits=ctx.digits,
                       notes={"family": "parseval-bridge",
                              "points": quad_points})
 

@@ -169,6 +169,8 @@ def _emit_gram(args, scale: QContext, echo: dict, report: GramReport) -> int:
 
 
 def cmd_gram(args, scale: QContext, echo: dict) -> int:
+    if args.nweights is not None and args.family != "gamma":
+        raise ValueError("--nweights applies only to --family gamma")
     ctx = scale.with_digits(args.digits)
     nmax = 8 if args.nmax is None else args.nmax
     if args.family == "dg":
@@ -185,6 +187,8 @@ def cmd_circle(args, scale: QContext, echo: dict) -> int:
     ctx = scale.with_digits(args.digits)
     points = 512 if args.points is None else args.points
     if args.family == "dg":
+        if args.conjugate_first:
+            raise ValueError("--conjugate-first applies only to --family mac")
         nmax = 8 if args.nmax is None else args.nmax
         report = circle_gram_dg(ctx, nmax, points)
     else:

@@ -10,8 +10,9 @@ from functools import reduce
 class GramReport:
     """A computed Gram matrix next to its analytic target.
 
-    matrix and target are lists of rows of floats (real parts; every Gram
-    this library builds is real up to roundoff). max_abs_deviation is
+    matrix and target are lists of rows of real entries, floats in double
+    and the context's mpf at set digits (real parts; every Gram this
+    library builds is real up to roundoff). max_abs_deviation is
     always recomputed from the stored entries rather than cached, so a
     report edited after the fact cannot misstate its own quality.
     """

@@ -158,8 +158,8 @@ def suite_commutators(ctx: QContext, count: int = 20,
 def suite_circle_dg(ctx: QContext, nmax: int = 8,
                     points: int = 512) -> SuiteResult:
     return _gram_suite("circle-dg", circle_mod.circle_gram_dg(ctx, nmax, points),
-                       1e-9, {"q": float(ctx.q), "nmax": nmax, "points": points},
-                       relative=True)
+                       1e-9, {"q": float(ctx.q), "nmax": nmax, "points": points,
+                              "digits": ctx.digits}, relative=True)
 
 
 def suite_circle_mac(ctx: QContext, nmax: int = 5, points: int = 512,
@@ -219,6 +219,22 @@ def _weighted_quadrature_entry(ctx: QContext, weight, fn, gm) -> complex:
     return integrate_real_line(integrand, ctx, tol=1e-12)
 
 
+def _quadrature_pairs(rng: np.random.Generator, nmax: int,
+                      count: int) -> list:
+    """count pairs (n, m) in [0, nmax] drawn from rng, repeats dropped, and
+    (n, n) for the lowest degree n drawn when none is diagonal, so that a
+    norm is always among them: a low degree keeps its norm integrand
+    inside the rule's first window. rng advances by the 2 count draws
+    alone."""
+    drawn = [(int(rng.integers(0, nmax + 1)), int(rng.integers(0, nmax + 1)))
+             for _ in range(count)]
+    pairs = list(dict.fromkeys(drawn))
+    if pairs and all(n != m for n, m in pairs):
+        low = min(min(pair) for pair in pairs)
+        pairs.append((low, low))
+    return pairs
+
+
 def suite_degeneracy(ctx: QContext, nmax: int = 8,
                      quad_pairs: int = 6, seed: int = 12345) -> SuiteResult:
     """Weighted orthonormality for w = 1 + 0.3 cos(4 pi x): the analytic
@@ -228,8 +244,7 @@ def suite_degeneracy(ctx: QContext, nmax: int = 8,
     analytic = [((i, j), dev) for i, j, dev
                 in weights_mod.an_gram(ctx, weight, nmax).entry_deviations()]
     rng = np.random.default_rng(seed)
-    pairs = [(int(rng.integers(0, nmax + 1)), int(rng.integers(0, nmax + 1)))
-             for _ in range(quad_pairs)]
+    pairs = _quadrature_pairs(rng, nmax, quad_pairs)
     double = ctx.with_digits(None)  # the rule integrates in double
     family = [weights_mod.build_An(double, weight, n) for n in range(nmax + 1)]
     quadrature = [(("quadrature", n, m), abs(_weighted_quadrature_entry(

@@ -13,7 +13,6 @@ from qgauss import circle
 from qgauss.chain import gram_budget
 from qgauss.circle import (
     MAC_TOL,
-    _circle_trapezoid,
     _gram_truncation,
     circle_mac_magnitudes,
     theta_truncation,
@@ -24,6 +23,31 @@ from qgauss.qnum import horner, qbinomial_row
 def rs_eval(n, q, z):
     """The Rogers-Szego polynomial H_n(z) = sum_k C^n_k z^k by Horner."""
     return horner(qbinomial_row(q, n), z)
+
+
+def node_rule(q, nmax, args, conjugate_first, points=512):
+    """Real parts of the points-node rule on H_n(args[n] z') H_m(args[m] z)
+    theta_3(2 pi theta; q), z = e^{i2pi theta} and z' = conj(z) if
+    conjugate_first else z, sampled and summed in double."""
+    theta = np.arange(points) / points
+    z = np.exp(2j * np.pi * theta)
+    weight = qg.ThetaEvaluator(q=q, truncation=_gram_truncation(q, nmax))(
+        2.0 * np.pi * theta)
+    first = np.conj(z) if conjugate_first else z
+    return [[np.mean(rs_eval(n, q, args[n] * first) * rs_eval(m, q, args[m] * z)
+                     * weight).real for m in range(nmax + 1)]
+            for n in range(nmax + 1)]
+
+
+def assert_relative_gap(rep, reference, tol):
+    """Every entry of rep within tol sqrt(|T_nn T_mm|) of reference."""
+    size = len(reference)
+    for n in range(size):
+        for m in range(size):
+            scale = math.sqrt(abs(float(rep.target[n][n])
+                                  * float(rep.target[m][m])))
+            gap = abs(float(rep.matrix[n][m]) - reference[n][m])
+            assert gap <= tol * scale, (n, m, gap / scale)
 
 
 def theta_tail_probe(q, tol):
@@ -104,6 +128,29 @@ class TestCircleGramDG:
                   for x, y in zip(ra, rb))
         assert gap <= 1e-13
 
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
+    def test_coefficient_space_matches_the_node_rule(self, q):
+        nmax = 8
+        rep = qg.circle_gram_dg(QContext(q=q), nmax)
+        assert_relative_gap(rep, node_rule(q, nmax, [-(q ** -0.5)] * (nmax + 1),
+                                           True), 1e-12)
+
+    @pytest.mark.parametrize("q", [0.9, 0.95, 0.99])
+    def test_set_digits_pass_where_double_fails(self, q):
+        # in double the sums cancel past the tolerance here (0.66 at
+        # q = 0.99); at set digits every stage carries them
+        result = qg.run_suite("circle-dg", QContext(q=q, digits=30))
+        assert result.passed and result.max_deviation <= 1e-30
+        assert result.params["digits"] == 30
+
+    def test_set_digits_reach_every_stage(self):
+        rep = qg.circle_gram_dg(QContext(q=0.5, digits=40), 8)
+        assert rep.precision_digits == 40
+        assert "double_stages" not in rep.notes
+        assert rep.max_relative_deviation() <= 1e-45
+        result = qg.run_suite("circle-dg", QContext(q=0.5, digits=20))
+        assert "double_stages" not in result.notes
+
     def test_point_count_validation(self):
         with pytest.raises(ValueError):
             qg.circle_gram_dg(QContext(q=0.5), 3, quad_points=500)
@@ -166,13 +213,8 @@ class TestCircleGramMac:
         rep = qg.circle_gram_mac(QContext(q=q), nmax,
                                  conjugate_first=conjugate_first)
         args = [-(q ** -(n - 0.5)) for n in range(nmax + 1)]
-        nodes = _circle_trapezoid(q, nmax, 512, args, conjugate_first)
-        for n in range(nmax + 1):
-            for m in range(nmax + 1):
-                scale = math.sqrt(abs(float(rep.target[n][n])
-                                      * float(rep.target[m][m])))
-                gap = abs(float(rep.matrix[n][m]) - nodes[n][m])
-                assert gap <= 1e-12 * scale
+        assert_relative_gap(rep, node_rule(q, nmax, args, conjugate_first),
+                            1e-12)
 
     def test_few_points_reproduce_the_rule_aliasing(self):
         # at q = 0.97 the theta_3 truncation reaches |m| = 51, so 64 nodes
@@ -281,6 +323,10 @@ def test_budget_survives_bounds_past_the_double_range():
 def test_parseval_bridge():
     rep = qg.parseval_bridge(QContext(q=0.5), 6)
     assert rep.max_abs_deviation <= 1e-9
+    # at set digits both routes carry them
+    rep = qg.parseval_bridge(QContext(q=0.5, digits=30), 6)
+    assert rep.precision_digits == 30
+    assert rep.max_abs_deviation <= 1e-30
 
 
 def test_gram_matches_direct_periodic_quadrature():

@@ -320,14 +320,19 @@ def test_negative_degree_is_one_error_line(argv):
     ("verify", "--suite", "ladders", "--nmax", "0"),
     ("verify", "--suite", "commutators", "--count", "0"),
     ("verify", "--suite", "sw", "--digits", "0"),
+    # a flag that the chosen family ignores
+    ("circle", "--family", "dg", "--nmax", "2", "--conjugate-first"),
+    ("gram", "--family", "dg", "--nmax", "2", "--nweights", "5"),
+    ("gram", "--family", "mac", "--nmax", "2", "--nweights", "5"),
     # a width list that names no width, or one that is not a number
     ("limit", "--family", "mac", "--n", "2", "--c-list", ","),
     ("limit", "--n", "2", "--c-list", "0.1,x"),
 ], ids=" ".join)
 def test_bad_argument_is_one_error_line(argv):
     line = assert_one_error_line(argv)
-    # the flags the CLI range-checks itself are named in their message
-    for flag in set(argv) & {"--digits", "--count", "--nweights"}:
+    # the flags the CLI checks itself are named in their message
+    for flag in set(argv) & {"--digits", "--count", "--nweights",
+                             "--conjugate-first"}:
         assert flag in line, line
     # and so is --c-list when it names no width or one that is no number
     if {",", "0.1,x"} & set(argv):

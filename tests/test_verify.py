@@ -2,11 +2,12 @@ import json
 import math
 import statistics
 
+import numpy as np
 import pytest
 
 import qgauss as qg
 from qgauss import QContext
-from qgauss import circle, dg, macfarlane
+from qgauss import circle, dg, macfarlane, verify, weights
 from qgauss.report import GramReport
 from qgauss.chain import commutator_residuals, daughter_sums, ladder_residuals
 from qgauss.verify import random_chain
@@ -193,7 +194,7 @@ def test_sw_bridge_follows_the_digits(digits):
 
 @pytest.mark.parametrize("suite, stages", [
     ("degeneracy", ["quadrature"]), ("sw", ["quadrature"]),
-    ("circle-dg", ["trapezoid"]), ("gamma", ["weight_orthonormalization"]),
+    ("gamma", ["weight_orthonormalization"]),
 ])
 def test_set_digits_name_the_stages_that_stay_double(suite, stages):
     # a stage that runs in double whatever the digits is named at set
@@ -201,6 +202,26 @@ def test_set_digits_name_the_stages_that_stay_double(suite, stages):
     assert "double_stages" not in qg.run_suite(suite, QContext(q=0.5)).notes
     result = qg.run_suite(suite, QContext(q=0.5, digits=20))
     assert result.notes["double_stages"] == stages
+
+
+def test_degeneracy_integrates_distinct_pairs_and_a_norm(monkeypatch):
+    # with every quadrature entry at 10, each pair is a failure row
+    monkeypatch.setattr(verify, "_weighted_quadrature_entry",
+                        lambda *args: 10.0)
+    result = qg.run_suite("degeneracy", QContext(q=0.5))
+    pairs = [tuple(row[1:3]) for row in result.failures
+             if row[0] == "quadrature"]
+    assert len(pairs) == len(set(pairs)) == 6
+    assert any(n == m for n, m in pairs)
+    # the random weights are drawn after the twelve pair draws, as before
+    monkeypatch.undo()
+    rng = np.random.default_rng(12345)
+    for _ in range(12):
+        rng.integers(0, 9)
+    expected = max(weights.an_gram(QContext(q=0.5), weights.random_weight(rng),
+                                   6).max_abs_deviation for _ in range(3))
+    notes = qg.run_suite("degeneracy", QContext(q=0.5)).notes
+    assert notes["random_weight_dev"] == expected
 
 
 def test_sumrule_gap_is_taken_below_double_resolution():
