@@ -30,7 +30,8 @@ Python integers at one binary exponent, its real and imaginary parts
 stacked, and products and sums are exact. Each result rounds once: a row
 to the context's precision, nearest; a residual, or the exact ratio of a
 relative one, to the nearest float. The Gram contraction gram_contract
-takes its mpmath tables the same way.
+takes its mpmath tables the same way: each entry of A K B^T is one exact
+sum, rounded once.
 """
 
 from __future__ import annotations
@@ -305,10 +306,16 @@ def _rounded(ctx: QContext, parts: np.ndarray, exp: int) -> np.ndarray:
     flat = out.reshape(-1)
     for k, ms in enumerate(zip(*(p.flat for p in parts))):
         if any(ms):
-            re, *im = (mpmath.libmp.from_man_exp(m, exp, lib.prec, "n")
-                       for m in ms)
-            flat[k] = lib.make_mpc((re, *im)) if im else lib.make_mpf(re)
+            flat[k] = _from_parts(lib, ms, exp)
     return out
+
+
+def _from_parts(lib, ms: tuple, exp: int):
+    """The exact value (re,) or (re, im) times 2**exp, its parts integers,
+    rounded once to the nearest mpf, or mpc with two parts, at lib's
+    precision."""
+    re, *im = (mpmath.libmp.from_man_exp(m, exp, lib.prec, "n") for m in ms)
+    return lib.make_mpc((re, *im)) if im else lib.make_mpf(re)
 
 
 def _row_peaks(table: tuple) -> np.ndarray:
@@ -603,89 +610,61 @@ def lattice_kernel(ctx: QContext, size: int, kind: str = "standard") -> list:
 def gram_contract(A, K, B) -> list:
     """The bilinear form A K B^T behind every Gram matrix of the package.
 
-    The rows of A and B are coefficient tables against the kernel K, a
-    matrix or, given as a flat sequence, a diagonal. Rows may be ragged:
-    missing trailing entries are zeros. The backend follows the kernel's
-    element type. With mpmath numbers each entry of A K and of the result
-    rounds once to nearest, at the precision of A's entries when they are
-    mpmath numbers, else the kernel's: A, K and B convert once to exact
-    integers and every sum is exact (_fixed_dots), which is fdot's result
-    wherever fdot's own sum keeps every term. Python ints and Fractions
-    sum exactly, anything else takes numpy matrix products. Returns a list
+    The rows of A and B are coefficient tables against the matrix K. Rows
+    may be ragged: missing trailing entries are zeros, and entries past
+    K's width are cut, as zip pairs them. The backend follows K's element
+    type. Floats and complexes take numpy matrix products. With mpmath
+    numbers A, K and B convert once to exact integers, every entry of
+    A K B^T is one exact sum, and it rounds once to nearest, at the
+    precision of A's entries when they are mpmath numbers, else K's: an
+    mpc when A, K or B holds a complex entry, else an mpf. Returns a list
     of rows.
     """
-    diagonal = not hasattr(K[0], "__len__")
-    probe = K[0] if diagonal else K[0][0]
+    probe = K[0][0]
     if hasattr(probe, "_mpf_") or hasattr(probe, "_mpc_"):
         lead = A[0][0] if A and len(A[0]) else probe
         lib = getattr(lead, "context", probe.context)
-        left = _fixed_rows(A, len(K))
-        if diagonal:  # a * k rounds at k's precision when a is no mpf
-            K = [lib.convert(k) for k in K]
-            AK = [[a * k for a, k in zip(row, K)] for row in A]
-        else:
-            AK = _fixed_dots(lib, left, _fixed_rows(list(zip(*K)), len(K)))
-        width = max(map(len, AK), default=0)
-        right = left if B is A and width == len(K) else _fixed_rows(B, width)
-        return _fixed_dots(lib, _fixed_rows(AK, width), right)
-    if not isinstance(probe, (int, Fraction)):
-        K = np.asarray(K)
-        A, B = _dense(A, K.shape[0]), _dense(B, K.shape[-1])
-        return ((A * K if diagonal else A @ K) @ B.T).tolist()
-    if diagonal:
-        AK = [[a * k for a, k in zip(row, K)] for row in A]
-    else:
-        AK = [[sum(map(operator.mul, row, col)) for col in zip(*K)]
-              for row in A]
-    return [[sum(map(operator.mul, x, y)) for y in B] for x in AK]
+        size, width = len(K), len(K[0])
+        L, el = _fixed(_dense(A, size, object))
+        M, em = _fixed(_dense(K, width, object))
+        R, er = (L, el) if B is A and width == size else \
+            _fixed(_dense(B, width, object))
+        LM = _paired(lambda i, j: L[i] @ M[j], len(L), len(M))
+        parts = _paired(lambda i, j: LM[i] @ R[j].T, len(LM), len(R))
+        exp = el + em + er
+        return [[_from_parts(lib, ms, exp) for ms in zip(*rows)]
+                for rows in zip(*parts.tolist())]
+    if not isinstance(probe, (float, complex)):
+        raise TypeError("gram_contract takes a kernel of floats, complexes "
+                        f"or mpmath numbers, not {type(probe).__name__}")
+    K = np.asarray(K)
+    A, B = _dense(A, K.shape[0]), _dense(B, K.shape[-1])
+    return (A @ K @ B.T).tolist()
 
 
-def _fixed_rows(rows: list, width: int) -> tuple:
+def _paired(product, left: int, right: int) -> np.ndarray:
+    """The parts of the product of two exact tables, of left and right
+    parts (1 when real, 2 when complex, see _fixed), from product(i, j),
+    the product of part i of the left by part j of the right: [re] when
+    both are real, else [re, im], as (a + i a')(b + i b') pairs them."""
+    re = product(0, 0)
+    if left == right == 1:
+        return re[None]
+    im = 0
+    if left == right == 2:
+        re = re - product(1, 1)
+    if right == 2:
+        im = im + product(0, 1)
+    if left == 2:
+        im = im + product(1, 0)
+    return np.stack([re, im])
+
+
+def _dense(rows, width: int, dtype=None) -> np.ndarray:
     """Ragged rows cut or zero-filled to width columns, as zip pairs them
-    with rows of that length, in exact integers: (parts, exp, first,
-    length), parts and exp as _fixed gives them, first the column of each
-    row's first complex entry and length its length, both at most width."""
-    length = [min(len(row), width) for row in rows]
-    table = np.zeros((len(rows), width), object)
-    for line, row, n in zip(table, rows, length):
-        line[:n] = row[:n]
-    parts, exp = _fixed(table)
-    first = length
-    if len(parts) == 2:
-        first = [next((j for j, a in enumerate(row[:n]) if
-                       hasattr(a, "_mpc_") or isinstance(a, complex)), n)
-                 for row, n in zip(rows, length)]
-    return parts, exp, first, length
-
-
-def _fixed_dots(lib, left: tuple, right: tuple) -> list:
-    """lib.fdot(x, y) for each row x of left and y of right (_fixed_rows),
-    as rows: the sums are exact in integers, and each rounds once to the
-    nearest mpf at lib's precision, an mpc where a pair that zip forms
-    holds a complex entry. fdot's own sum drops a term more than 2 prec
-    bits below its running total; this one keeps it."""
-    (L, el, fl, nl), (R, er, fr, nr) = left, right
-    re = L[0] @ R[0].T
-    im = np.zeros_like(re)
-    if len(L) == len(R) == 2:
-        re = re - L[1] @ R[1].T
-    if len(R) == 2:
-        im = im + L[0] @ R[1].T
-    if len(L) == 2:
-        im = im + L[1] @ R[0].T
-    cplx = np.minimum.outer(fl, fr) < np.minimum.outer(nl, nr)
-    prec, exp = lib.prec, el + er
-
-    def rounded(m):
-        return mpmath.libmp.from_man_exp(m, exp, prec, "n")
-    return [[lib.make_mpc((rounded(a), rounded(b))) if c
-             else lib.make_mpf(rounded(a)) for a, b, c in zip(*line)]
-            for line in zip(re.tolist(), im.tolist(), cplx.tolist())]
-
-
-def _dense(rows, width: int) -> np.ndarray:
-    rows = [np.asarray(r) for r in rows]
-    out = np.zeros((len(rows), width), np.result_type(*rows))
+    with rows of that length: of dtype, or the rows' common type."""
+    rows = [np.asarray(r, dtype)[:width] for r in rows]
+    out = np.zeros((len(rows), width), dtype or np.result_type(*rows))
     for i, r in enumerate(rows):
         out[i, :len(r)] = r
     return out
@@ -702,13 +681,15 @@ def gram_budget(log_rows, log_kernel, log_scale, tol: float,
 
     Takes log10 |A[n][j]| (ragged rows end in zeros), log10 |K[j][k]| and
     log10 of each row's scale; entry (n, m) has condition (|A||K||A|^T)[n][m]
-    over scale[n] scale[m], and roundoff u on its t = size^2 terms floors
-    its deviation near gamma_t = t u times that (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., ch. 4). Logs keep it finite
-    far past the double range. Returns (log10 condition, digits, floor):
-    digits as given or, when None, the fewest whose floor at u =
-    10^-(digits + GUARD_DIGITS) sits BUDGET_GUARD_DIGITS under tol; floor
-    at those digits and mpmath's own u, None past the double range.
+    over scale[n] scale[m]. gram_contract sums exactly, so what the
+    cancellation amplifies is the rounding u of its inputs, the rows and
+    the kernel: the floor models it as gamma_t = t u times the condition,
+    t = size^2 terms, the bound of a sum rounded term by term (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 4). Logs
+    keep it finite far past the double range. Returns (log10 condition,
+    digits, floor): digits as given or, when None, the fewest whose floor
+    at u = 10^-(digits + GUARD_DIGITS) sits BUDGET_GUARD_DIGITS under tol;
+    floor at those digits and mpmath's own u, None past the double range.
     """
     K = np.asarray(log_kernel, dtype=float)
     A = np.full((len(log_rows), K.shape[0]), -np.inf)
@@ -760,19 +741,8 @@ def _daughter_table(ctx: QContext, left: tuple, right: tuple) -> tuple:
     for j in range(wa):
         term = _mul(_mul(A[:, :, j], B), weights[wa - 1 - j:wa - 1 - j + wb])
         out[..., j:j + wb] += term
-    pa, pb = out.shape[0], out.shape[2]
-    if pa == pb == 1:
-        out = out[:, :, 0]
-    else:  # (a + i a')(b + i b'): parts pair as a complex product
-        re, im = out[0, :, 0], 0
-        if pa == pb == 2:
-            re = re - out[1, :, 1]
-        if pb == 2:
-            im = im + out[0, :, 1]
-        if pa == 2:
-            im = im + out[1, :, 0]
-        out = np.stack([re, im])
-    return (ta + tb) // 2, out, ea + eb + ew
+    parts = _paired(lambda i, j: out[i, :, j], out.shape[0], out.shape[2])
+    return (ta + tb) // 2, parts, ea + eb + ew
 
 
 def product_daughters(f: GaussianChain, g: GaussianChain) -> DaughterChain:

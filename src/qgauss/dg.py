@@ -115,7 +115,7 @@ def gram_phi(ctx: QContext, nmax: int) -> GramReport:
     """Gram matrix of phi_0..phi_nmax under the standard inner product,
     sqrt(pi/2c^2) times the daughter Gram, reported against the identity."""
     overlap = overlap_scale(ctx)
-    matrix = [[float((overlap * v).real) for v in row]
+    matrix = [[(overlap * v).real for v in row]
               for row in daughter_gram(ctx, nmax)]
     target = [[1.0 if i == j else 0.0 for j in range(nmax + 1)]
               for i in range(nmax + 1)]

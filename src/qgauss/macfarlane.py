@@ -233,11 +233,11 @@ def indefinite_gram(ctx: QContext, nmax: int) -> GramReport:
     cancellation happens inside it (off-diagonal entries collapse to an
     exact zero), leaving one rounding and the factors q^{frac(r)} and
     1/sqrt((q, q)_n (q, q)_m) in double. At explicit digits it contracts
-    the rows of mac_table, rounded at that precision, in exact sums that
-    round once per entry of A K and of the Gram (chain.gram_contract): the
-    rounding of the rows and of A K is what the Gram's cancellation
-    amplifies (that is the point of asking for a specific precision: the
-    deviation exposes the budget), and the entries keep the backend's own
+    the rows of mac_table, rounded at that precision, in one exact sum per
+    entry that rounds once (chain.gram_contract): the rounding of the rows
+    is what the Gram's cancellation amplifies (that is the point of asking
+    for a specific precision: the deviation exposes the budget), and the
+    entries keep the backend's own
     type so the deviation can be recomputed below double resolution. Notes
     carry the alternating-sign check; the mac-gram suite adds the
     precision budget (twisted_gram_magnitudes through chain.gram_budget).

@@ -167,7 +167,8 @@ def suite_circle_mac(ctx: QContext, nmax: int = 5, points: int = 512,
     report = circle_mod.circle_gram_mac(ctx, nmax, points, conjugate_first)
     return _gram_suite("circle-mac", report, circle_mod.MAC_TOL,
                        {"q": float(ctx.q), "nmax": nmax, "points": points,
-                        "conjugate_first": conjugate_first}, relative=True)
+                        "conjugate_first": conjugate_first,
+                        "digits": ctx.digits}, relative=True)
 
 
 def suite_poisson(c: float = 1.0, grid_points: int = 17) -> SuiteResult:
@@ -262,13 +263,14 @@ def suite_degeneracy(ctx: QContext, nmax: int = 8,
     if ctx.is_mp:
         notes["double_stages"] = ["quadrature"]
     return _judge("degeneracy", 1e-9, analytic + quadrature + random_weight,
-                  {"q": float(ctx.q), "nmax": nmax, "seed": seed}, notes)
+                  {"q": float(ctx.q), "nmax": nmax, "seed": seed,
+                   "digits": ctx.digits}, notes)
 
 
 def suite_gamma(ctx: QContext, nweights: int = 3, nmax: int = 6) -> SuiteResult:
     return _gram_suite("gamma", weights_mod.gamma_family_gram(ctx, nweights, nmax),
                        1e-8, {"q": float(ctx.q), "nweights": nweights,
-                              "nmax": nmax})
+                              "nmax": nmax, "digits": ctx.digits})
 
 
 def suite_sumrule(ctx: QContext, nmax: int = 10) -> SuiteResult:
@@ -277,7 +279,8 @@ def suite_sumrule(ctx: QContext, nmax: int = 10) -> SuiteResult:
         rows += [((n, m), max(abs(val.real - (1 if n == m else 0)),
                               abs(val.imag)))
                  for m, val in enumerate(row)]
-    return _judge("sumrule", 1e-12, rows, {"q": float(ctx.q), "nmax": nmax})
+    return _judge("sumrule", 1e-12, rows, {"q": float(ctx.q), "nmax": nmax,
+                                           "digits": ctx.digits})
 
 
 def suite_sw(ctx: QContext, nmax: int = 6, s=0.5) -> SuiteResult:
@@ -313,7 +316,7 @@ def suite_sw(ctx: QContext, nmax: int = 6, s=0.5) -> SuiteResult:
         notes["double_stages"] = ["quadrature"]
     return SuiteResult("sw", not failures, orth_tol, max(orth, quad_worst),
                        params={"q": float(ctx.q), "nmax": nmax,
-                               "s": float(s)},
+                               "s": float(s), "digits": ctx.digits},
                        failures=failures, notes=notes)
 
 

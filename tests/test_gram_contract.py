@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_reference import Exact, rounded
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,27 +45,17 @@ def test_backends_agree_on_ragged_tables():
         @ np.array([[7, 0, 0], [1, 1, 1], [2, 0, 5]]).T
     as_float = gram_contract([[float(v) for v in r] for r in A],
                              [[float(v) for v in r] for r in K], B)
-    exact = gram_contract(A, [[Fraction(v) for v in r] for r in K], B)
-    # products past 2^63, where a fixed-width integer product would wrap
-    big = 2 ** 40
-    as_int = gram_contract([[big * v for v in r] for r in A],
-                           [[big * v for v in r] for r in K], B)
     lib = QContext(q=0.5, digits=20).lib()
     mp = gram_contract(A, [[lib.mpf(v) for v in r] for r in K], B)
     assert as_float == dense.tolist()
-    assert exact == dense.tolist() and isinstance(exact[0][0], Fraction)
-    assert as_int == [[big * big * v for v in r] for r in dense.tolist()]
-    assert type(as_int[0][0]) is int
     assert mp == dense.tolist() and type(mp[0][0]) is lib.mpf
-
-
-def test_flat_kernel_is_a_diagonal():
-    A = [[1.0, 2.0j], [3.0]]
-    w = [0.5, 0.25]
-    assert gram_contract(A, w, A) == [[0.5 - 1.0, 1.5], [1.5, 4.5]]
-    lib = QContext(q=0.5, digits=10).lib()
-    mp = gram_contract(A, [lib.mpf(v) for v in w], A)
-    assert mp == [[-0.5, 1.5], [1.5, 4.5]]
+    # a kernel of ints or Fractions has no backend: numpy's fixed-width
+    # integer products would wrap past 2^63
+    big = 2 ** 40
+    for kernel in ([[big * v for v in r] for r in K],
+                   [[Fraction(v) for v in r] for r in K]):
+        with pytest.raises(TypeError, match="gram_contract"):
+            gram_contract(A, kernel, B)
 
 
 def test_mpmath_rows_set_the_precision_of_the_contraction():
@@ -84,6 +75,14 @@ def test_dg_gram_and_parseval_target(q):
     ref = pairwise([qg.build_phi(ctx, n) for n in range(NMAX + 1)])
     assert max_gap(qg.gram_phi(ctx, NMAX).matrix, ref) <= DOUBLE_GAP
     assert max_gap(qg.parseval_bridge(ctx, NMAX).target, ref) <= DOUBLE_GAP
+
+
+def test_dg_gram_keeps_the_context_mpf_at_set_digits():
+    # a diagonal error below double resolution must show, in the Gram and
+    # in the target parseval_bridge compares against
+    ctx = QContext(q=0.6, digits=30)
+    assert type(qg.gram_phi(ctx, 4).matrix[0][0]) is ctx.lib().mpf
+    assert type(qg.parseval_bridge(ctx, 4).target[0][0]) is ctx.lib().mpf
 
 
 @pytest.mark.parametrize("q", QS)
@@ -156,18 +155,33 @@ def test_circle_mac_passes_at_nmax_12():
 def fdot_contract(A, K, B):
     """A K B^T in two stages of lib.fdot, each entry of A K and of the
     result one fdot at the precision of A's lead entry, else the kernel's:
-    the reference the integer contraction must match bit for bit."""
-    diagonal = not hasattr(K[0], "__len__")
-    probe = K[0] if diagonal else K[0][0]
+    a sum that rounds as it goes, unlike the exact contraction."""
+    probe = K[0][0]
     lead = A[0][0] if A and len(A[0]) else probe
     lib = getattr(lead, "context", probe.context)
-    if diagonal:
-        K = [lib.convert(k) for k in K]
-        AK = [[a * k for a, k in zip(row, K)] for row in A]
-    else:
-        K = [[lib.convert(k) for k in row] for row in K]
-        AK = [[lib.fdot(row, col) for col in zip(*K)] for row in A]
+    K = [[lib.convert(k) for k in row] for row in K]
+    AK = [[lib.fdot(row, col) for col in zip(*K)] for row in A]
     return [[lib.fdot(left, right) for right in B] for left in AK]
+
+
+def exact_contract(ctx, A, K, B):
+    """A K B^T summed in exact rationals over the entries that zip pairs,
+    each entry rounded once to nearest at ctx's precision: an mpc when A,
+    K or B holds a complex entry among them, else an mpf."""
+    A = [row[:len(K)] for row in A]
+    B = [row[:len(K[0])] for row in B]
+    cplx = any(hasattr(a, "_mpc_") or isinstance(a, complex)
+               for rows in (A, K, B) for row in rows for a in row)
+    K, A, B = ([[Exact.of(a) for a in row] for row in rows]
+               for rows in (K, A, B))
+    AK = [[sum((a * row[k] for a, row in zip(x, K)), Exact(0))
+           for k in range(len(K[0]))] for x in A]
+    lib = ctx.lib()
+
+    def entry(x, y):
+        value = rounded(ctx, sum((a * b for a, b in zip(x, y)), Exact(0)))
+        return lib.mpc(value) if cplx else value
+    return [[entry(x, y) for y in B] for x in AK]
 
 
 def identical(got, want) -> bool:
@@ -198,20 +212,19 @@ def contractions(draw):
                     max_size=size)
     A = draw(rows.filter(lambda r: len(r[0]) > 0))
     B = A if draw(st.booleans()) else draw(rows)
-    return A, K, B
+    return ctx, A, K, B
 
 
 @settings(max_examples=60, deadline=None)
 @given(contractions())
-def test_integer_contraction_is_the_fdot_contraction_bit_for_bit(case):
-    A, K, B = case
-    assert identical(gram_contract(A, K, B), fdot_contract(A, K, B))
+def test_integer_contraction_is_the_exact_sum_rounded_once(case):
+    ctx, A, K, B = case
+    assert identical(gram_contract(A, K, B), exact_contract(ctx, A, K, B))
 
 
 @pytest.mark.parametrize("digits", [15, 30, 100])
-def test_integer_contraction_matches_fdot_on_the_package_tables(digits):
+def test_integer_contraction_is_the_exact_sum_on_the_package_tables(digits):
     ctx = QContext(q=0.43, digits=digits)
-    lib = ctx.lib()
     # complex Python rows against the weight-mode kernel (weights_gram)
     rows = [[w.modes.get(m, 0j) for m in range(-2, 3)]
             for w in (qg.cosine_weight(0.3), random_weight(
@@ -219,18 +232,15 @@ def test_integer_contraction_matches_fdot_on_the_package_tables(digits):
     rows = [row[:3 + i] for i, row in enumerate(rows)]  # ragged
     K = weight_mode_kernel(ctx, 5)
     conj = [[v.conjugate() for v in row] for row in rows]
-    assert identical(gram_contract(conj, K, rows), fdot_contract(conj, K, rows))
+    assert identical(gram_contract(conj, K, rows),
+                     exact_contract(ctx, conj, K, rows))
     # an mpc kernel at a finer precision than the rows, as circle-mac's
     # kernel carries guard digits of its own
     fine = ctx.with_digits(digits + 10)
     phase = fine.lib().mpc(fine.lib().cos(1), fine.lib().sin(1))
     K = [[k * phase for k in row] for row in lattice_kernel(fine, 9)]
     A = [qg.build_Bn(ctx, n).row.tolist()[::2] for n in range(9)]
-    assert identical(gram_contract(A, K, A), fdot_contract(A, K, A))
-    # and the diagonal kernel with mixed real and complex entries
-    diag = [lib.mpf(1) / 3, lib.mpc(1, 2) / 7, lib.mpf(5)]
-    A = [[1.0, 2.0j, lib.mpf(1) / 9], [3.0]]
-    assert identical(gram_contract(A, diag, A), fdot_contract(A, diag, A))
+    assert identical(gram_contract(A, K, A), exact_contract(ctx, A, K, A))
 
 
 def test_integer_sums_keep_a_term_fdot_drops():

@@ -2,6 +2,7 @@
 and the indefinite Gram with its precision budget."""
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -99,7 +100,9 @@ def rational_twisted_gram(q: float, nmax: int) -> list:
               for n, row in enumerate(qbinomial_triangle(x, nmax))]
     kernel = [[x ** ((j + k) * (j + k + 1) // 2) for k in range(size)]
               for j in range(size)]
-    sums = gram_contract(tables, kernel, tables)
+    AK = [[sum(a * kernel[j][k] for j, a in enumerate(row))
+           for k in range(size)] for row in tables]
+    sums = [[sum(map(operator.mul, ak, row)) for row in tables] for ak in AK]
     poch = [float(qpochhammer(x, n)) for n in range(size)]
     lnq = math.log(q)
 

@@ -177,7 +177,8 @@ def reference_sumrule(ctx, nmax):
             rows.append(((n, m), max(abs(val.real - (1 if n == m else 0)),
                                      abs(val.imag))))
     return rows, JUDGE("sumrule", 1e-12, rows, {"q": float(ctx.q),
-                                               "nmax": nmax})
+                                               "nmax": nmax,
+                                               "digits": ctx.digits})
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import statistics
@@ -18,6 +19,13 @@ def test_every_suite_passes_at_defaults(suite):
     result = qg.run_suite(suite)
     assert result.passed, (suite, result.max_deviation, result.failures[:3])
     assert result.max_deviation <= result.tolerance
+
+
+@pytest.mark.parametrize("suite", [
+    name for name, suite in verify._REGISTRY.items()
+    if "ctx" in inspect.signature(suite).parameters])
+def test_every_context_suite_echoes_the_digits_asked_for(suite):
+    assert qg.run_suite(suite, QContext(q=0.5, digits=30)).params["digits"] == 30
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
