@@ -494,8 +494,9 @@ def ladder_residuals(ctx: QContext, levels, family: Family) -> list:
     """The family's ladder check, one dict per level n in levels: the
     coeff_distance (relative_coeff_distance if family.relative) from lower
     f_n to sqrt(lam_n) f_{n-1} and from raise f_n to sign sqrt(lam_{n+1})
-    f_{n+1}, every f_k a row of one family.table. Each ladder acts on the
-    table of all levels at once; at set digits the images, the scaled
+    f_{n+1}, every f_k a row of one family.table written onto the
+    twice-centers 0, 2, ..., 2k of one dense table. Each ladder acts on the
+    rows of all levels at once; at set digits the images, the scaled
     targets and their gaps are exact, and each residual rounds once, a
     relative one after its exact ratio."""
     levels = list(levels)
@@ -503,19 +504,28 @@ def ladder_residuals(ctx: QContext, levels, family: Family) -> list:
         raise ValueError("ladder check needs n >= 1")
     if not levels:
         return []
+    top = max(levels)
     # past the double range (inf powers) the double gaps turn NaN quietly;
     # the suite's judge reports them as failures
     with np.errstate(invalid="ignore", over="ignore"):
-        rows = family.table(ctx, max(levels) + 1)
-        chains = {k: integer_chain(ctx, rows[k]) for k in
-                  sorted({k for n in levels for k in (n - 1, n, n + 1)})}
-        root = {k: ctx.sqrt(family.lam(ctx.q, k)) for k in chains if k}
+        rows = np.zeros((top + 2, 2 * top + 3), object if ctx.is_mp else float)
+        for k, row in enumerate(family.table(ctx, top + 1)):
+            rows[k, :2 * k + 1:2] = row
+        parts, exp = _exact(ctx, rows)
+        root = {k: ctx.sqrt(family.lam(ctx.q, k))
+                for k in {*levels, *(n + 1 for n in levels)}}
+
+        def stacked(step):
+            """f_{n+step} for each n in levels, on the twice-centers 0 to
+            2 (top + step)."""
+            return (0, parts[:, [n + step for n in levels],
+                             :2 * (top + step) + 1], exp)
 
         def targets(step, sign):
             """sign sqrt(lam_k) f_{n+step}, k the higher of n and n + step."""
-            return _scaled(ctx, _stack(ctx, [chains[n + step] for n in levels]),
+            return _scaled(ctx, stacked(step),
                            [[sign * root[max(n, n + step)]] for n in levels])
-        table = _stack(ctx, [chains[n] for n in levels])
+        table = stacked(0)
         low = _distance(_ladder_table(family.lower(ctx), *table),
                         targets(-1, 1), family.relative)
         up = _distance(_ladder_table(family.raise_(ctx), *table),
@@ -538,13 +548,16 @@ def build_by_raising(family: Family, ctx: QContext, n: int) -> GaussianChain:
     return chain
 
 
-def commutator_residuals(ctx: QContext, ladders, maps: list) -> list:
-    """The largest coefficient of (a b - q b a - 1) f for each mapping
-    f = {t: a_t} in maps, one list per ladder pair (a, b) = (a(ctx),
-    b(ctx)) in ladders: the mappings form one table, built once for every
-    pair, and each ladder product acts on all of it at once. At set digits
-    the entries convert exactly and each residual rounds once."""
-    start, rows = _table_of(ctx, maps)
+def commutator_residuals(ctx: QContext, ladders, table: tuple) -> list:
+    """The largest coefficient of (a b - q b a - 1) f for each row f of
+    table, one list per ladder pair (a, b) = (a(ctx), b(ctx)) in ladders.
+    table is (start, rows): entry j of a row belongs to the twice-center
+    start + j, rows a float or complex array in double, at set digits an
+    object array of binary numbers (mpmath numbers, floats, complexes) with
+    the integer 0 in its holes. Each ladder product acts on all of it at
+    once; at set digits the entries convert exactly and each residual
+    rounds once."""
+    start, rows = table
     table = (start, *_exact(ctx, rows))
     residuals = []
     for a, b in ladders:

@@ -6,7 +6,9 @@ computation runs in ordinary doubles or in a configurable-precision
 mpmath backend, and centralizes the exact-exponent power q**r that the
 lattice algebra relies on. Every exponent the ladder and overlap algebra
 raises q to is a multiple of 1/8, so each context keeps those powers in
-a memo of its own (``qpow8``) and computes each one once.
+a memo of its own (``qpow8``) and computes each one once: in double from
+the float m / 8, which is that multiple exactly, at set digits from the
+exact Fraction.
 
 This is the one module that knows what a precision is. At set digits a
 context's numbers belong to an mpmath context of their own precision,
@@ -127,11 +129,14 @@ class QContext:
 
     def qpow8(self, m: int):
         """q**(m/8) for an integer m: qpow(Fraction(m, 8)), bit for bit,
-        computed on the first request and memoized in this context."""
+        computed on the first request and memoized in this context. In
+        double the exponent is m / 8, the float qpow makes of Fraction(m,
+        8), so no Fraction is built."""
         try:
             return self._pow8[m]
         except KeyError:
-            value = self._pow8[m] = self.qpow(Fraction(m, 8))
+            r = m / 8 if self.digits is None else Fraction(m, 8)
+            value = self._pow8[m] = self.qpow(r)
             return value
 
     def lib(self):

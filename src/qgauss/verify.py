@@ -126,28 +126,36 @@ def suite_ladders(ctx: QContext, nmax: int = 10) -> SuiteResult:
                                            "digits": ctx.digits})
 
 
-def _random_coeffs(rng: np.random.Generator) -> dict:
-    nterms = int(rng.integers(1, 9))
-    centers = rng.choice(np.arange(-4, 5), size=nterms, replace=False)
-    normals = rng.standard_normal(2 * nterms)  # (re, im) center by center
-    return {int(t): complex(normals[2 * k], normals[2 * k + 1])
-            for k, t in enumerate(centers)}
+def random_table(ctx: QContext, rng: np.random.Generator,
+                 count: int) -> tuple:
+    """count random complex chains of 1 to 8 terms on twice-centers in
+    [-4, 4], small so that commutator residuals stay meaningful in double,
+    as one table (start, rows) for chain.commutator_residuals. Three draws
+    make the whole table: each row's term count, uniform numbers whose
+    ranks below that count pick its centers, and standard normal real and
+    imaginary parts. In double rows is complex; at set digits an object
+    array of the same complexes with the integer 0 in its holes."""
+    nterms = rng.integers(1, 9, size=count)
+    ranks = rng.random((count, 9)).argsort(axis=1).argsort(axis=1)
+    values = rng.standard_normal((count, 9, 2)).view(complex)[..., 0]
+    if ctx.is_mp:
+        values = values.astype(object)
+    return -4, np.where(ranks < nterms[:, None], values, 0)
 
 
 def random_chain(ctx: QContext, rng: np.random.Generator) -> GaussianChain:
-    """A random complex chain of 1 to 8 terms on twice-centers in [-4, 4],
-    small so that commutator residuals stay meaningful in double."""
-    return GaussianChain(ctx, _random_coeffs(rng))
+    """One row of random_table as a chain."""
+    start, (row,) = random_table(ctx, rng, 1)
+    return GaussianChain(ctx, dict(enumerate(row.tolist(), start)))
 
 
 def suite_commutators(ctx: QContext, count: int = 20,
                       seed: int = 12345) -> SuiteResult:
-    """The commutator residuals of count chains drawn as random_chain
-    draws them, checked as one table."""
-    rng = np.random.default_rng(seed)
-    maps = [_random_coeffs(rng) for _ in range(count)]
+    """The commutator residuals of the count chains of one random_table,
+    checked for both families on that one table."""
+    table = random_table(ctx, np.random.default_rng(seed), count)
     residuals = zip(*commutator_residuals(
-        ctx, [family.relation for family in FAMILIES.values()], maps))
+        ctx, [family.relation for family in FAMILIES.values()], table))
     rows = [((name, i), dev) for i, pair in enumerate(residuals)
             for name, dev in zip(FAMILIES, pair)]
     return _judge("commutators", 1e-13, rows,

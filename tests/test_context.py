@@ -130,3 +130,13 @@ def test_qpow8_memo_lives_with_its_context():
     assert type(wide.qpow8(5)) is wide.lib().mpf
     assert wide.qpow8(5) == wide.qpow(Fraction(5, 8))
     assert ctx.qpow8(5) is first
+
+
+@pytest.mark.parametrize("q", [0.01, 0.35, 0.5, 0.99])
+def test_double_qpow8_is_the_fraction_power_bit_for_bit(q):
+    """Past the double range on either side too: inf and 0.0."""
+    ctx = QContext(q=q)
+    for m in [*range(-400, 401), -8 * 10 ** 6, 8 * 10 ** 6]:
+        assert ctx.qpow8(m).hex() == ctx.qpow(Fraction(m, 8)).hex()
+    assert ctx.qpow8(-8 * 10 ** 6) == math.inf
+    assert ctx.qpow8(8 * 10 ** 6) == 0.0

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 import qgauss as qg
 from qgauss import QContext, verify
-from qgauss.chain import commutator_residuals
 from qgauss.qnum import arik_coon_eigenvalue, macfarlane_eigenvalue
 
 JUDGE = verify._judge
@@ -193,38 +192,46 @@ def judged(monkeypatch):
     return seen
 
 
+def table_maps(table):
+    """The rows of a table (start, rows) as {t: a} mappings of their
+    nonzero entries."""
+    start, rows = table
+    return [{t: a for t, a in enumerate(row.tolist(), start) if a}
+            for row in rows]
+
+
 @pytest.mark.parametrize("digits", [None, 20, 40])
 def test_suite_commutators_rows_equal_per_chain_residuals(digits, judged):
     count = 60 if digits is None else 6
     for q, seed in ((0.23, 5), (0.618034, 12345), (0.89, 77)):
         ctx = QContext(q=q, digits=digits)
         verify.suite_commutators(ctx, count=count, seed=seed)
-        rng = np.random.default_rng(seed)
-        expected = []
-        for i in range(count):
-            f = verify.random_chain(ctx, rng)
-            for family in ("dg", "mac"):
-                [[one]] = commutator_residuals(ctx, [LADDERS[family]],
-                                               [f.coeffs])
-                assert one == dict_commutator(ctx, dict(f.coeffs), family)
-                expected.append(((family, i), one))
+        maps = table_maps(verify.random_table(
+            ctx, np.random.default_rng(seed), count))
+        expected = [((family, i), dict_commutator(ctx, coeffs, family))
+                    for i, coeffs in enumerate(maps)
+                    for family in ("dg", "mac")]
         assert judged[-1] == expected
 
 
 @pytest.mark.parametrize("digits", [None, 30])
 def test_suite_commutators_builds_one_table_for_both_families(digits,
                                                               monkeypatch):
-    built = []
-    table_of = qg.chain._table_of
+    """Two families, two ladder products each, two stencils a product:
+    eight stencils whatever the number of chains."""
+    applied = []
+    ladder_table = qg.chain._ladder_table
 
-    def counted(ctx, maps):
-        built.append(len(maps))
-        return table_of(ctx, maps)
-    monkeypatch.setattr(qg.chain, "_table_of", counted)
-    result = verify.suite_commutators(QContext(q=0.6, digits=digits),
-                                      count=12)
-    assert built == [12]
-    assert len(result.failures) == 0
+    def counted(op, start, parts, exp):
+        applied.append(parts.shape[1])
+        return ladder_table(op, start, parts, exp)
+    monkeypatch.setattr(qg.chain, "_ladder_table", counted)
+    for count in (1, 12, 50):
+        applied.clear()
+        result = verify.suite_commutators(QContext(q=0.6, digits=digits),
+                                          count=count)
+        assert applied == [count] * 8
+        assert len(result.failures) == 0
 
 
 @pytest.mark.parametrize("digits", [None, 20, 40, 60])
@@ -381,16 +388,17 @@ def test_set_digit_kernels_equal_the_exact_computation_rounded_once(
         q, digits, seed):
     ctx = QContext(q=q, digits=digits)
     rng = np.random.default_rng(seed)
-    chains = [verify.random_chain(ctx, rng) for _ in range(3)]
+    table = verify.random_table(ctx, rng, 3)
+    maps = table_maps(table)
+    chains = [qg.GaussianChain(ctx, m) for m in maps]
     for f in chains:
         for kind in LADDER_TERMS:
             once = qg.apply_ladder(qg.LadderOperator(kind, ctx), f)
             assert dict(once.coeffs) == rounded_coeffs(
                 ctx, dict_ladder(ctx, kind, dict(f.coeffs)))
-    maps = [dict(f.coeffs) for f in chains]
     residuals = qg.chain.commutator_residuals(
         ctx, [(qg.arik_lower, qg.arik_raise), (qg.mac_raise, qg.mac_lower)],
-        maps)
+        table)
     assert residuals == [[dict_commutator(ctx, m, family) for m in maps]
                          for family in ("dg", "mac")]
     # one parity class, complex and real rows, so the parts pair every way
@@ -415,3 +423,28 @@ def test_ladders_at_extreme_q_give_finite_relative_residuals(q):
     result = qg.run_suite("ladders", QContext(q=q, digits=30), nmax=15)
     assert result.passed and math.isfinite(result.max_deviation)
     assert result.max_deviation < 1e-25
+
+
+# The double ladders report at q 0.01, nmax 15: B_n's coefficients leave
+# the double range from n = 13, so the relative gaps of the mac rows that
+# reach it are inf / inf, NaN, written null. The dict loops skip some of
+# those NaNs, so this report is pinned as it stands.
+NAN_EDGE = {
+    "suite": "ladders", "passed": False, "tolerance": 1e-11,
+    "max_deviation": None,
+    "params": {"q": 0.01, "nmax": 15, "digits": None},
+    "failures": [["mac", 12, "raise_residual", None]] + [
+        ["mac", n, key, None] for n in (13, 14, 15)
+        for key in ("lower_residual", "raise_residual")],
+    "notes": {}}
+
+
+@pytest.mark.parametrize("digits", [None, 30])
+@pytest.mark.parametrize("q", [0.01, 0.99])
+def test_ladders_json_at_extreme_q_is_pinned(q, digits):
+    ctx = QContext(q=q, digits=digits)
+    result = qg.run_suite("ladders", ctx, nmax=15)
+    expected = NAN_EDGE if (q, digits) == (0.01, None) else \
+        reference_ladders(ctx, 15)[1].to_dict()
+    assert (json.dumps(result.to_dict(), sort_keys=True)
+            == json.dumps(expected, sort_keys=True))

@@ -11,7 +11,7 @@ from qgauss import QContext
 from qgauss import circle, dg, macfarlane, verify, weights
 from qgauss.report import GramReport
 from qgauss.chain import commutator_residuals, daughter_sums, ladder_residuals
-from qgauss.verify import random_chain
+from qgauss.verify import random_chain, random_table
 
 
 @pytest.mark.parametrize("suite", qg.SUITES)
@@ -59,14 +59,35 @@ def test_result_serializes_to_json():
 
 def test_commutator_on_seeded_chains():
     ctx = QContext(q=0.5)
-    import numpy as np
-    rng = np.random.default_rng(12345)
-    for _ in range(5):
-        f = random_chain(ctx, rng)
-        for ladders in ((qg.arik_lower, qg.arik_raise),
-                        (qg.mac_raise, qg.mac_lower)):
-            [[residual]] = commutator_residuals(ctx, [ladders], [f.coeffs])
-            assert residual <= 1e-13
+    table = random_table(ctx, np.random.default_rng(12345), 5)
+    for ladders in ((qg.arik_lower, qg.arik_raise),
+                    (qg.mac_raise, qg.mac_lower)):
+        [residuals] = commutator_residuals(ctx, [ladders], table)
+        assert len(residuals) == 5 and max(residuals) <= 1e-13
+
+
+def test_random_table_draws_1_to_8_terms_on_distinct_centers():
+    ctx = QContext(q=0.5)
+    start, rows = random_table(ctx, np.random.default_rng(2024), 2000)
+    assert start == -4 and rows.shape == (2000, 9) and rows.dtype == complex
+    live = rows != 0  # one column per twice-center -4..4
+    sizes = live.sum(axis=1)
+    assert sorted(set(sizes.tolist())) == list(range(1, 9))
+    assert live.any(axis=0).all()
+    again = random_table(ctx, np.random.default_rng(2024), 2000)
+    assert again[0] == start and np.array_equal(again[1], rows)
+    # at set digits: the same complexes, the integer 0 in the holes
+    _, wide = random_table(QContext(q=0.5, digits=30),
+                           np.random.default_rng(2024), 2000)
+    assert wide.dtype == object and (wide == rows).all()
+    assert all(type(a) is (complex if a else int) for a in wide.flat)
+    # random_chain is the first row of the same draw
+    f = random_chain(ctx, np.random.default_rng(2024))
+    first = random_table(ctx, np.random.default_rng(2024), 1)
+    assert dict(f.coeffs) == {t: a for t, a in
+                              enumerate(first[1][0].tolist(), -4) if a}
+    with pytest.raises(ValueError, match="no rows to check"):
+        verify.suite_commutators(ctx, count=0)
 
 
 def test_mac_gram_fails_at_starved_precision():
