@@ -6,9 +6,8 @@ computation runs in ordinary doubles or in a configurable-precision
 mpmath backend, and centralizes the exact-exponent power q**r that the
 lattice algebra relies on. Every exponent the ladder and overlap algebra
 raises q to is a multiple of 1/8, so each context keeps those powers in
-a memo of its own (``qpow8``) and computes each one once: in double from
-the float m / 8, which is that multiple exactly, at set digits from the
-exact Fraction.
+a memo of its own (``qpow8``) and computes each one once, from the float
+m / 8, which is that multiple exactly.
 
 This is the one module that knows what a precision is. At set digits a
 context's numbers belong to an mpmath context of their own precision,
@@ -129,14 +128,13 @@ class QContext:
 
     def qpow8(self, m: int):
         """q**(m/8) for an integer m: qpow(Fraction(m, 8)), bit for bit,
-        computed on the first request and memoized in this context. In
-        double the exponent is m / 8, the float qpow makes of Fraction(m,
-        8), so no Fraction is built."""
+        computed on the first request and memoized in this context. The
+        exponent is the float m / 8, which is Fraction(m, 8) exactly for
+        every |m| below 2**53, so no Fraction is built."""
         try:
             return self._pow8[m]
         except KeyError:
-            r = m / 8 if self.digits is None else Fraction(m, 8)
-            value = self._pow8[m] = self.qpow(r)
+            value = self._pow8[m] = self.qpow(m / 8)
             return value
 
     def lib(self):

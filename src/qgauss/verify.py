@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .context import QContext
-from .chain import (GaussianChain, commutator_residuals, evaluate,
-                    gram_budget, ladder_residuals)
+from .chain import (commutator_residuals, evaluate, gram_budget,
+                    ladder_residuals)
 from . import circle as circle_mod
 from . import dg as dg_mod
 from . import macfarlane as mac_mod
@@ -141,12 +141,6 @@ def random_table(ctx: QContext, rng: np.random.Generator,
     if ctx.is_mp:
         values = values.astype(object)
     return -4, np.where(ranks < nterms[:, None], values, 0)
-
-
-def random_chain(ctx: QContext, rng: np.random.Generator) -> GaussianChain:
-    """One row of random_table as a chain."""
-    start, (row,) = random_table(ctx, rng, 1)
-    return GaussianChain(ctx, dict(enumerate(row.tolist(), start)))
 
 
 def suite_commutators(ctx: QContext, count: int = 20,

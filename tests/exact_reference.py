@@ -7,13 +7,24 @@ do the same with Fractions, independently of the kernels' integer format:
 ``exact`` converts an input, ``rounded`` rounds a value to the context's
 precision and ``sqrt_rounded`` rounds a square root to the nearest float.
 In double ``exact`` and ``rounded`` leave a value as it is, so a reference
-written over them computes in double exactly as before.
+written over them computes in double exactly as before. ``random_chain``
+draws the random complex chains the kernels are checked on.
 """
 
 import math
 from fractions import Fraction
 
 import mpmath
+
+from qgauss.chain import GaussianChain
+from qgauss.verify import random_table
+
+
+def random_chain(ctx, rng) -> GaussianChain:
+    """One row of verify.random_table as a chain: 1 to 8 complex terms on
+    twice-centers in [-4, 4]."""
+    start, (row,) = random_table(ctx, rng, 1)
+    return GaussianChain(ctx, dict(enumerate(row.tolist(), start)))
 
 
 def fraction(x) -> Fraction:

@@ -10,11 +10,12 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from exact_reference import random_chain
 
 import qgauss as qg
 from qgauss.dg import sw_overlap_residual, sw_overlaps
 from qgauss.quad import integrate_real_line
-from qgauss.verify import random_chain, suite_commutators
+from qgauss.verify import suite_commutators
 
 
 def test_dg_family_is_orthonormal():

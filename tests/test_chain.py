@@ -255,7 +255,7 @@ def composed_ladder(op, f):
 @pytest.mark.parametrize("digits", [None, 30])
 @pytest.mark.parametrize("kind", qg.chain.LADDER_KINDS)
 def test_apply_ladder_equals_the_composition_exactly(kind, digits):
-    from qgauss.verify import random_chain as seeded_chain
+    from exact_reference import random_chain as seeded_chain
     rng = np.random.default_rng(2024)
     for q in (0.23, 0.5, 0.81):
         ctx = QContext(q=q, digits=digits)

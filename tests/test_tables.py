@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact_reference import Exact, exact, rounded, sqrt_rounded
+from exact_reference import Exact, exact, random_chain, rounded, sqrt_rounded
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -251,7 +251,7 @@ def test_ladder_and_sumrule_suites_equal_the_dict_loops(digits, judged):
 def test_one_row_cases_equal_the_dict_loops(digits):
     ctx = QContext(q=0.47, digits=digits)
     rng = np.random.default_rng(3)
-    chains = [verify.random_chain(ctx, rng) for _ in range(6)]
+    chains = [random_chain(ctx, rng) for _ in range(6)]
     chains += [qg.build_phi(ctx, 4), qg.build_Bn(ctx, 3), qg.GaussianChain(ctx, {})]
     for f in chains:
         for kind in LADDER_TERMS:
@@ -278,7 +278,7 @@ def window_cases(ctx):
     """Random complex chains drawn as random_chain draws them, family
     chains with holes, an asymmetric window and the zero chain."""
     rng = np.random.default_rng(11)
-    return ([verify.random_chain(ctx, rng) for _ in range(4)]
+    return ([random_chain(ctx, rng) for _ in range(4)]
             + [qg.build_phi(ctx, 4), qg.build_Bn(ctx, 3),
                qg.GaussianChain(ctx, {-3: ctx.make(0.5), 0: ctx.make(-1.25),
                                       1: ctx.make(2.0)}),
@@ -339,7 +339,7 @@ def test_coeffs_view_keeps_the_value_types():
         assert all(type(a) is real for a in phi.coeffs.values())
         assert all(type(a) is real for a in
                    qg.apply_ladder(qg.arik_raise(ctx), phi).coeffs.values())
-        f = verify.random_chain(ctx, np.random.default_rng(1))
+        f = random_chain(ctx, np.random.default_rng(1))
         assert f.coeffs and all(type(a) is cplx for a in f.coeffs.values())
         with pytest.raises(TypeError):
             f.coeffs[0] = 1.0

@@ -5,13 +5,14 @@ import statistics
 
 import numpy as np
 import pytest
+from exact_reference import random_chain
 
 import qgauss as qg
 from qgauss import QContext
 from qgauss import circle, dg, macfarlane, verify, weights
 from qgauss.report import GramReport
 from qgauss.chain import commutator_residuals, daughter_sums, ladder_residuals
-from qgauss.verify import random_chain, random_table
+from qgauss.verify import random_table
 
 
 @pytest.mark.parametrize("suite", qg.SUITES)
