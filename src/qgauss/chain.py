@@ -620,7 +620,7 @@ def lattice_kernel(ctx: QContext, size: int, kind: str = "standard") -> list:
             for j in range(size)]
 
 
-def gram_contract(A, K, B) -> list:
+def gram_contract(A, K, B) -> np.ndarray:
     """The bilinear form A K B^T behind every Gram matrix of the package.
 
     The rows of A and B are coefficient tables against the matrix K. Rows
@@ -630,8 +630,8 @@ def gram_contract(A, K, B) -> list:
     numbers A, K and B convert once to exact integers, every entry of
     A K B^T is one exact sum, and it rounds once to nearest, at the
     precision of A's entries when they are mpmath numbers, else K's: an
-    mpc when A, K or B holds a complex entry, else an mpf. Returns a list
-    of rows.
+    mpc when A, K or B holds a complex entry, else an mpf. Returns a 2-D
+    array, float64 or complex128 in double, of those mpmath numbers else.
     """
     probe = K[0][0]
     if hasattr(probe, "_mpf_") or hasattr(probe, "_mpc_"):
@@ -645,14 +645,14 @@ def gram_contract(A, K, B) -> list:
         LM = _paired(lambda i, j: L[i] @ M[j], len(L), len(M))
         parts = _paired(lambda i, j: LM[i] @ R[j].T, len(LM), len(R))
         exp = el + em + er
-        return [[_from_parts(lib, ms, exp) for ms in zip(*rows)]
-                for rows in zip(*parts.tolist())]
+        return np.frompyfunc(lambda *ms: _from_parts(lib, ms, exp),
+                             len(parts), 1)(*parts)
     if not isinstance(probe, (float, complex)):
         raise TypeError("gram_contract takes a kernel of floats, complexes "
                         f"or mpmath numbers, not {type(probe).__name__}")
     K = np.asarray(K)
     A, B = _dense(A, K.shape[0]), _dense(B, K.shape[-1])
-    return (A @ K @ B.T).tolist()
+    return A @ K @ B.T
 
 
 def _paired(product, left: int, right: int) -> np.ndarray:

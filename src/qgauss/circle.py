@@ -136,7 +136,7 @@ def _aliased_theta_kernel(work: QContext, size: int, points: int,
 
 
 def _circle_gram(work: QContext, nmax: int, points: int, args: list,
-                 sign: int, truncation: int) -> list:
+                 sign: int, truncation: int) -> np.ndarray:
     """The points-node rule on H_n(args[n] z^sign) H_m(args[m] z) theta_3,
     z = e^{i2pi theta} and theta_3 cut at |m| <= truncation, exactly in
     coefficient space: A K A^T with A[n][k] = C^n_k args[n]^k and K the
@@ -162,8 +162,7 @@ def circle_gram_dg(ctx: QContext, nmax: int, quad_points: int = 512) -> GramRepo
     q = ctx.q
     matrix = _circle_gram(ctx, nmax, quad_points, [-(q ** -0.5)] * (nmax + 1),
                           -1, _gram_truncation(float(q), nmax))
-    target = [[q ** -n * qpochhammer(q, n) if n == m else 0 * q
-               for m in range(nmax + 1)] for n in range(nmax + 1)]
+    target = np.diag([q ** -n * qpochhammer(q, n) for n in range(nmax + 1)])
     return GramReport(labels=list(range(nmax + 1)), matrix=matrix, target=target,
                       precision_digits=ctx.digits,
                       notes={"family": "circle-dg", "points": quad_points})
@@ -200,9 +199,8 @@ def circle_gram_mac(ctx: QContext, nmax: int, quad_points: int = 512,
     matrix = _circle_gram(work, nmax, quad_points, args,
                           -1 if conjugate_first else 1,
                           _gram_truncation(q, nmax))
-    target = [[wq ** (-n * (n - 1) // 2) * qpochhammer(wq, n) * (-1) ** n
-               if n == m else 0 * wq for m in range(nmax + 1)]
-              for n in range(nmax + 1)]
+    target = np.diag([wq ** (-n * (n - 1) // 2) * qpochhammer(wq, n) * (-1) ** n
+                      for n in range(nmax + 1)])
     notes = {"family": "circle-mac", "points": quad_points,
              "conjugate_first": conjugate_first, "working_digits": digits,
              "log10_condition": round(log_condition, 2), "floor": floor}
@@ -222,10 +220,8 @@ def parseval_bridge(ctx: QContext, nmax: int, quad_points: int = 512) -> GramRep
     the norms gives the phi Gram, which the report compares entrywise.
     """
     circle = circle_gram_dg(ctx, nmax, quad_points)
-    norms = [dg_norm(ctx, n) for n in range(nmax + 1)]
-    scale = overlap_scale(ctx)
-    matrix = [[scale * circle.matrix[n][m] / (norms[n] * norms[m])
-               for m in range(nmax + 1)] for n in range(nmax + 1)]
+    norms = np.array([dg_norm(ctx, n) for n in range(nmax + 1)])
+    matrix = circle.matrix * overlap_scale(ctx) / np.multiply.outer(norms, norms)
     return GramReport(labels=list(range(nmax + 1)), matrix=matrix,
                       target=gram_phi(ctx, nmax).matrix,
                       precision_digits=ctx.digits,

@@ -156,12 +156,10 @@ def _emit_gram(args, scale: QContext, echo: dict, report: GramReport) -> int:
     if args.format == "json":
         return _emit(args, echo, {"report": report.to_dict()})
     labels = [_csv_line([str(label)])[:-2] for label in report.labels]
-    rows = []
-    for i, label_i in enumerate(labels):
-        for j, label_j in enumerate(labels):
-            v = float(report.matrix[i][j])
-            t = float(report.target[i][j])
-            rows.append((i, j, label_i, label_j, v, t, v - t))
+    values, targets = (np.asarray(a, dtype=float).ravel().tolist()
+                       for a in (report.matrix, report.target))
+    rows = [(i, j, labels[i], labels[j], v, t, v - t) for (i, j), v, t
+            in zip(np.ndindex(report.matrix.shape), values, targets)]
     return _emit_csv(
         ["c", "q", "i", "j", "label_i", "label_j", "value", "target",
          "deviation"], [_fmt(scale.c), _fmt(scale.q)],

@@ -103,7 +103,7 @@ DG = Family(name="dg", build=lambda ctx, n: build_phi(ctx, n),
             relative=False)
 
 
-def daughter_gram(ctx: QContext, nmax: int) -> list:
+def daughter_gram(ctx: QContext, nmax: int) -> np.ndarray:
     """D[n][m] = sum_{j,k} a^n_j a^m_k q^{(j-k)^2/2} over the normalized
     coefficients of phi_n and phi_m: the daughter coefficient sum of
     phi_n phi_m, alpha^2 delta_nm analytically, in the context's backend."""
@@ -113,14 +113,12 @@ def daughter_gram(ctx: QContext, nmax: int) -> list:
 
 def gram_phi(ctx: QContext, nmax: int) -> GramReport:
     """Gram matrix of phi_0..phi_nmax under the standard inner product,
-    sqrt(pi/2c^2) times the daughter Gram, reported against the identity."""
-    overlap = overlap_scale(ctx)
-    matrix = [[(overlap * v).real for v in row]
-              for row in daughter_gram(ctx, nmax)]
-    target = [[1.0 if i == j else 0.0 for j in range(nmax + 1)]
-              for i in range(nmax + 1)]
-    return GramReport(labels=list(range(nmax + 1)), matrix=matrix, target=target,
-                      precision_digits=ctx.digits, notes={"family": "dg"})
+    sqrt(pi/2c^2) times the daughter Gram, reported against the identity.
+    The array goes left of an mpf, which would convert it by its string."""
+    return GramReport(labels=list(range(nmax + 1)),
+                      matrix=daughter_gram(ctx, nmax) * overlap_scale(ctx),
+                      target=np.eye(nmax + 1), precision_digits=ctx.digits,
+                      notes={"family": "dg"})
 
 
 def daughter_sum_rules(ctx: QContext, nmax: int) -> list:

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .context import QContext
 from .qnum import (binomials_from_prefix, macfarlane_eigenvalue,
                    pochhammer_prefix, qbinomial_row, qbinomial_triangle,
@@ -158,7 +160,7 @@ def twisted_gram_magnitudes(q: float, nmax: int) -> tuple:
 EXACT_NMAX = 18
 
 
-def _binary_twisted_gram(q: float, nmax: int) -> list:
+def _binary_twisted_gram(q: float, nmax: int) -> np.ndarray:
     """The double twisted Gram, each entry one exact integer sum over the
     binary value q = M/D, D = 2^e, rounded once.
 
@@ -218,42 +220,34 @@ def _binary_twisted_gram(q: float, nmax: int) -> list:
         denominator = M ** (twice_mu // 2 - whole) << e * (n * m + whole)
         return (total / denominator * math.exp(lnq * (rest / 4))
                 / math.sqrt(poch[n] * poch[m]))
-    return [[entry(n, m) for m in range(size)] for n in range(size)]
+    return np.array([[entry(n, m) for m in range(size)] for n in range(size)])
 
 
 def indefinite_gram(ctx: QContext, nmax: int) -> GramReport:
     """Parity-twisted Gram of B_0..B_nmax against diag((-1)^n).
 
     In the double backend each entry is one exact integer sum over the
-    binary value q = M/2^e: sum_k b_mk P_n(q^k), the polynomial
-    P_n(z) = sum_j b_nj z^j of the signed coefficients
-    b_nj = (-1)^j [n j]_q q^{j(j+1)/2 - n j} evaluated at q^k by Horner,
-    times q^{floor(r)}, r = (n(n-1) + m(m-1))/4, all scaled to integers
-    by known powers of M and 2^e (_binary_twisted_gram). All of the
-    cancellation happens inside it (off-diagonal entries collapse to an
-    exact zero), leaving one rounding and the factors q^{frac(r)} and
-    1/sqrt((q, q)_n (q, q)_m) in double. At explicit digits it contracts
-    the rows of mac_table, rounded at that precision, in one exact sum per
-    entry that rounds once (chain.gram_contract): the rounding of the rows
-    is what the Gram's cancellation amplifies (that is the point of asking
-    for a specific precision: the deviation exposes the budget), and the
-    entries keep the backend's own
-    type so the deviation can be recomputed below double resolution. Notes
-    carry the alternating-sign check; the mac-gram suite adds the
-    precision budget (twisted_gram_magnitudes through chain.gram_budget).
+    binary value q = M/2^e (_binary_twisted_gram): all of the cancellation
+    happens inside it, off-diagonal entries collapse to an exact zero, and
+    one rounding is left. At explicit digits it contracts the rows of
+    mac_table, rounded at that precision, in one exact sum per entry that
+    rounds once (chain.gram_contract): the rounding of the rows is what
+    the Gram's cancellation amplifies, so the deviation exposes the
+    budget, and the entries keep the backend's type so that it can be
+    recomputed below double resolution. Notes carry the alternating-sign
+    check; the mac-gram suite adds the precision budget
+    (twisted_gram_magnitudes through chain.gram_budget).
     """
     size = nmax + 1
     if ctx.digits is None:
         matrix = _binary_twisted_gram(float(ctx.q), nmax)
     else:
         tables = mac_table(ctx, nmax)
-        overlap = overlap_scale(ctx)
-        sums = gram_contract(tables, lattice_kernel(ctx, size, "parity_twisted"),
-                             tables)
-        matrix = [[(overlap * v).real for v in row] for row in sums]
-    target = [[(-1) ** i if i == j else 0 for j in range(size)]
-              for i in range(size)]
-    signs_ok = all((matrix[i][i] > 0) == (i % 2 == 0) for i in range(size))
-    return GramReport(labels=list(range(size)), matrix=matrix, target=target,
+        matrix = gram_contract(tables, lattice_kernel(
+            ctx, size, "parity_twisted"), tables) * overlap_scale(ctx)
+    even = np.arange(size) % 2 == 0
+    signs_ok = bool(np.array_equal(np.diagonal(matrix) > 0, even))
+    return GramReport(labels=list(range(size)), matrix=matrix,
+                      target=np.diag(np.where(even, 1.0, -1.0)),
                       precision_digits=ctx.digits,
                       notes={"family": "mac", "sign_alternation_ok": signs_ok})

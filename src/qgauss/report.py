@@ -3,81 +3,94 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from operator import attrgetter
+
+import numpy as np
 
 
 @dataclass
 class GramReport:
     """A computed Gram matrix next to its analytic target.
 
-    matrix and target are lists of rows of real entries, floats in double
-    and the context's mpf at set digits (real parts; every Gram this
-    library builds is real up to roundoff). max_abs_deviation is
+    matrix and target are 2-D arrays of real entries: float64 in double,
+    object arrays of the context's mpf at set digits (real parts; every
+    Gram this library builds is real up to roundoff). The deviations are
     always recomputed from the stored entries rather than cached, so a
     report edited after the fact cannot misstate its own quality.
     """
 
     labels: list
-    matrix: list
-    target: list
+    matrix: np.ndarray
+    target: np.ndarray
     precision_digits: int | None = None
     notes: dict = field(default_factory=dict)
 
-    def entry_deviations(self, relative: bool = False) -> list:
-        """(i, j, |value - target|) row by row; relative divides by
-        sqrt(|T_ii| |T_jj|), the natural size of an (i, j) entry when the
+    def deviation_matrix(self) -> np.ndarray:
+        return self.matrix - self.target
+
+    def deviations(self, relative: bool = False) -> np.ndarray:
+        """|matrix - target| entry by entry; relative divides entry (i, j)
+        by sqrt(|T_ii| |T_jj|), the natural size of an entry when the
         diagonal grows or decays, wherever that scale is nonzero."""
-        out = [(i, j, abs(v - t))
-               for i, (row, trow) in enumerate(zip(self.matrix, self.target))
-               for j, (v, t) in enumerate(zip(row, trow))]
-        return self._relative(out) if relative else out
-
-    def _relative(self, entries: list) -> list:
-        """Absolute entry deviations rescaled as entry_deviations(True)."""
-        diag = [abs(row[i]) for i, row in enumerate(self.target)]
-        root = [[(a * b) ** 0.5 for b in diag[:i + 1]]  # one per pair
-                for i, a in enumerate(diag)]
-        scales = (root[max(i, j)][min(i, j)] for i, j, _ in entries)
-        return [(i, j, dev / s if s > 0 else dev)
-                for (i, j, dev), s in zip(entries, scales)]
-
-    def deviations(self, relative: bool = False) -> tuple:
-        """(largest deviation, entry_deviations(relative)) from one walk."""
-        entries = self.entry_deviations(relative)
-        return _largest(entries), entries
+        dev = abs(self.deviation_matrix())
+        return _relative_to(self.target, dev) if relative else dev
 
     @property
     def max_abs_deviation(self) -> float:
-        return self.deviations()[0]
-
-    def deviation_matrix(self) -> list:
-        return [[v - t for v, t in zip(row, trow)]
-                for row, trow in zip(self.matrix, self.target)]
+        return _largest(self.deviations())
 
     def max_relative_deviation(self) -> float:
-        """The largest relative entry deviation (see entry_deviations)."""
-        return self.deviations(True)[0]
+        """The largest relative entry deviation (see deviations)."""
+        return _largest(self.deviations(True))
 
     def worst_entries(self, count: int = 3) -> list:
         """The count largest absolute deviations as (i, j, value, target)."""
-        worst = sorted(self.entry_deviations(),
-                       key=lambda item: (-item[2], item[0], item[1]))
-        return [(i, j, self.matrix[i][j], self.target[i][j])
-                for i, j, _ in worst[:count]]
+        dev = self.deviations()
+        worst = sorted(np.ndindex(dev.shape), key=lambda ij: -dev[ij])
+        return [(i, j, self.matrix.item(i, j), self.target.item(i, j))
+                for i, j in worst[:count]]
 
     def to_dict(self) -> dict:
-        worst, entries = self.deviations()
+        """The JSON-ready report; a non-finite entry or deviation is written
+        as null so the report stays strict JSON."""
+        dev = self.deviations()
         return {
             "labels": list(self.labels),
-            "matrix": [[float(v) for v in row] for row in self.matrix],
-            "target": [[float(v) for v in row] for row in self.target],
-            "max_abs_deviation": float(worst),
-            "max_relative_deviation": float(_largest(self._relative(entries))),
+            "matrix": _floats(self.matrix),
+            "target": _floats(self.target),
+            "max_abs_deviation": _floats(_largest(dev)),
+            "max_relative_deviation": _floats(
+                _largest(_relative_to(self.target, dev))),
             "precision_digits": self.precision_digits,
             "notes": dict(self.notes),
         }
 
 
-def _largest(entries: list) -> float:
-    """The largest deviation of (i, j, deviation) entries; 0.0 when empty."""
-    return reduce(max, (dev for _, _, dev in entries), 0.0)
+def _relative_to(target: np.ndarray, dev: np.ndarray) -> np.ndarray:
+    """dev over sqrt(|T_ii| |T_jj|) where that is nonzero, one root per
+    pair i <= j, taken as x ** 0.5 takes it, libm's pow: numpy's ** 0.5 is
+    sqrt on floats."""
+    diag = abs(np.diagonal(target))
+    i, j = np.triu_indices(diag.size)
+    pair, scale = diag[i] * diag[j], np.empty(dev.shape, diag.dtype)
+    scale[i, j] = scale[j, i] = pair ** 0.5 if pair.dtype == object else \
+        np.float_power(pair, 0.5)
+    return np.divide(dev, scale, out=dev.copy(), where=scale > 0)
+
+
+def _largest(dev: np.ndarray):
+    """The largest deviation other than NaN, 0.0 when there is none."""
+    return dev[dev == dev].max(initial=0.0)
+
+
+def _floats(values):
+    """An array, or one number, as Python floats, None where not finite."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isfinite(values), values, None).tolist()
+
+
+def real_part(values: np.ndarray) -> np.ndarray:
+    """The real part of each entry, of an object array's too, whose .real
+    numpy does not take entry by entry."""
+    return values.real if values.dtype != object else \
+        np.frompyfunc(attrgetter("real"), 1, 1)(values)

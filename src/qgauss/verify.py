@@ -55,32 +55,31 @@ def _finite(x):
     return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
-def _judge(name: str, tol: float, rows, params: dict,
-           notes: dict | None = None) -> SuiteResult:
-    """Hold every (label, deviation) row to the one tolerance tol: the
-    result lists each row whose deviation is not <= tol, NaN included, as
-    [*label, deviation], in row order, and carries the largest deviation,
-    or NaN once one is seen. A suite with no rows checked nothing, which
-    is a ValueError, not a pass."""
-    rows = list(rows)
-    if not rows:
+def _worst(devs) -> float:
+    """The largest deviation, 0.0 when there is none, NaN once one is."""
+    return float(np.max(np.asarray(devs, dtype=float), initial=0.0))
+
+
+def _judge(name: str, tol: float, devs, params: dict,
+           notes: dict | None = None, label=tuple) -> SuiteResult:
+    """Hold every entry of the array devs to the one tolerance tol: the
+    result lists each one not <= tol, NaN included, in row-major order as
+    [*label(index), deviation], index the list of the entry's indices,
+    and carries _worst(devs). No deviations is a ValueError."""
+    devs = np.asarray(devs, dtype=float)
+    if not devs.size:
         raise ValueError(f"suite {name} has no rows to check")
-    worst, failures = 0.0, []
-    for label, dev in rows:
-        dev = float(dev)
-        if not dev <= worst and worst == worst:
-            worst = dev
-        if not dev <= tol:
-            failures.append([*label, dev])
-    return SuiteResult(name, not failures, tol, worst, params=params,
+    failing = ~(devs <= tol)
+    failures = [[*label(index), dev] for index, dev in zip(
+        np.argwhere(failing).tolist(), devs[failing].tolist())]
+    return SuiteResult(name, not failures, tol, _worst(devs), params=params,
                        failures=failures, notes={} if notes is None else notes)
 
 
 def _gram_suite(name: str, report: GramReport, tol: float, params: dict,
                 relative: bool = False, notes: dict | None = None) -> SuiteResult:
-    return _judge(name, tol, (((i, j), dev) for i, j, dev
-                              in report.entry_deviations(relative)),
-                  params, report.notes if notes is None else notes)
+    return _judge(name, tol, report.deviations(relative), params,
+                  report.notes if notes is None else notes)
 
 
 def suite_dg_gram(ctx: QContext, nmax: int = 12) -> SuiteResult:
@@ -117,13 +116,14 @@ def suite_mac_gram(ctx: QContext, nmax: int = 5) -> SuiteResult:
 
 
 def suite_ladders(ctx: QContext, nmax: int = 10) -> SuiteResult:
+    keys = ("lower_residual", "raise_residual")
     checks = [ladder_residuals(ctx, range(1, nmax + 1), family)
               for family in FAMILIES.values()]
-    rows = (((name, res["n"], key), res[key]) for level in zip(*checks)
-            for name, res in zip(FAMILIES, level)
-            for key in ("lower_residual", "raise_residual"))
-    return _judge("ladders", 1e-11, rows, {"q": float(ctx.q), "nmax": nmax,
-                                           "digits": ctx.digits})
+    devs = np.array([[[res[key] for key in keys] for res in level]
+                     for level in zip(*checks)])
+    return _judge("ladders", 1e-11, devs, {"q": float(ctx.q), "nmax": nmax,
+                                           "digits": ctx.digits},
+                  label=lambda i: (list(FAMILIES)[i[1]], i[0] + 1, keys[i[2]]))
 
 
 def random_table(ctx: QContext, rng: np.random.Generator,
@@ -148,13 +148,12 @@ def suite_commutators(ctx: QContext, count: int = 20,
     """The commutator residuals of the count chains of one random_table,
     checked for both families on that one table."""
     table = random_table(ctx, np.random.default_rng(seed), count)
-    residuals = zip(*commutator_residuals(
-        ctx, [family.relation for family in FAMILIES.values()], table))
-    rows = [((name, i), dev) for i, pair in enumerate(residuals)
-            for name, dev in zip(FAMILIES, pair)]
-    return _judge("commutators", 1e-13, rows,
+    devs = np.stack(commutator_residuals(
+        ctx, [family.relation for family in FAMILIES.values()], table), axis=1)
+    return _judge("commutators", 1e-13, devs,
                   {"q": float(ctx.q), "count": count, "seed": seed,
-                   "digits": ctx.digits})
+                   "digits": ctx.digits},
+                  label=lambda i: (list(FAMILIES)[i[1]], i[0]))
 
 
 def suite_circle_dg(ctx: QContext, nmax: int = 8,
@@ -175,8 +174,9 @@ def suite_circle_mac(ctx: QContext, nmax: int = 5, points: int = 512,
 
 def suite_poisson(c: float = 1.0, grid_points: int = 17) -> SuiteResult:
     dev = circle_mod.poisson_check(c, np.linspace(0.0, 1.0, grid_points))
-    return _judge("poisson", 1e-12, [(("theta-sum",), dev)],
-                  {"c": float(c), "grid_points": grid_points})
+    return _judge("poisson", 1e-12, [dev],
+                  {"c": float(c), "grid_points": grid_points},
+                  label=lambda i: ("theta-sum",))
 
 
 def suite_limits(nmax: int = 4) -> SuiteResult:
@@ -244,29 +244,38 @@ def suite_degeneracy(ctx: QContext, nmax: int = 8,
     Gram must be the identity, a sample of entries must agree with direct
     quadrature, and the same holds for a few random weights."""
     weight = weights_mod.cosine_weight(0.3)
-    analytic = [((i, j), dev) for i, j, dev
-                in weights_mod.an_gram(ctx, weight, nmax).entry_deviations()]
+    analytic = weights_mod.an_gram(ctx, weight, nmax).deviations().ravel()
     rng = np.random.default_rng(seed)
     pairs = _quadrature_pairs(rng, nmax, quad_pairs)
     double = ctx.with_digits(None)  # the rule integrates in double
     family = [weights_mod.build_An(double, weight, n) for n in range(nmax + 1)]
-    quadrature = [(("quadrature", n, m), abs(_weighted_quadrature_entry(
-        double, weight, family[n].chain, family[m].chain)
-        - (1.0 if n == m else 0.0))) for n, m in pairs]
-    random_weight = [(("random-weight", i), weights_mod.an_gram(
-        ctx, weights_mod.random_weight(rng), min(nmax, 6)).max_abs_deviation)
-        for i in range(3)]
-
-    def worst(rows):
-        return max((float(dev) for _, dev in rows), default=0.0)
-    notes = {"analytic_dev": worst(analytic),
-             "quadrature_dev": worst(quadrature),
-             "random_weight_dev": worst(random_weight)}
+    quadrature, errors = [], []
+    for n, m in pairs:
+        try:
+            value = _weighted_quadrature_entry(double, weight, family[n].chain,
+                                               family[m].chain)
+        except RuntimeError as exc:  # the rule ran out of points
+            value = math.nan
+            errors.append([n, m, str(exc)])
+        quadrature.append(abs(value - (1.0 if n == m else 0.0)))
+    random_weight = [weights_mod.an_gram(
+        ctx, weights_mod.random_weight(rng), min(nmax, 6)).max_abs_deviation
+        for _ in range(3)]
+    notes = {"analytic_dev": _finite(_worst(analytic)),
+             "quadrature_dev": _finite(_worst(quadrature)),
+             "random_weight_dev": _finite(_worst(random_weight))}
+    if errors:
+        notes["quadrature_errors"] = errors
     if ctx.is_mp:
         notes["double_stages"] = ["quadrature"]
-    return _judge("degeneracy", 1e-9, analytic + quadrature + random_weight,
+    tail = [("quadrature", *pair) for pair in pairs] + [
+        ("random-weight", i) for i in range(3)]
+    size = analytic.size  # the analytic Gram's entries (i, j) come first
+    return _judge("degeneracy", 1e-9,
+                  np.concatenate([analytic, quadrature, random_weight]),
                   {"q": float(ctx.q), "nmax": nmax, "seed": seed,
-                   "digits": ctx.digits}, notes)
+                   "digits": ctx.digits}, notes, lambda i: tail[i[0] - size]
+                  if i[0] >= size else divmod(i[0], nmax + 1))
 
 
 def suite_gamma(ctx: QContext, nweights: int = 3, nmax: int = 6) -> SuiteResult:
@@ -276,13 +285,9 @@ def suite_gamma(ctx: QContext, nweights: int = 3, nmax: int = 6) -> SuiteResult:
 
 
 def suite_sumrule(ctx: QContext, nmax: int = 10) -> SuiteResult:
-    rows = []
-    for n, row in enumerate(dg_mod.daughter_sum_rules(ctx, nmax)):
-        rows += [((n, m), max(abs(val.real - (1 if n == m else 0)),
-                              abs(val.imag)))
-                 for m, val in enumerate(row)]
-    return _judge("sumrule", 1e-12, rows, {"q": float(ctx.q), "nmax": nmax,
-                                           "digits": ctx.digits})
+    sums = np.array(dg_mod.daughter_sum_rules(ctx, nmax))  # real, as phi_n
+    return _judge("sumrule", 1e-12, abs(sums - np.eye(nmax + 1)),
+                  {"q": float(ctx.q), "nmax": nmax, "digits": ctx.digits})
 
 
 def suite_sw(ctx: QContext, nmax: int = 6, s=0.5) -> SuiteResult:

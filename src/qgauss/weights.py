@@ -19,7 +19,7 @@ from .context import QContext
 from .chain import (GaussianChain, alpha, gram_contract, overlap_scale,
                     product_daughters, scale)
 from .dg import build_phi, daughter_gram
-from .report import GramReport
+from .report import GramReport, real_part
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def mixed_weighted_inner(ctx: QContext, wa: PeriodicWeight, f: GaussianChain,
     return weight_gram_integral(wa, wb, ctx) * daughters.coefficient_sum()
 
 
-def weights_gram(ctx: QContext, weights: list) -> list:
+def weights_gram(ctx: QContext, weights: list) -> np.ndarray:
     """W[a][b] = integral conj(w_a) w_b q^{2x^2} dx for a list of weights:
     their mode coefficients contracted against the mode kernel."""
     lo = min(min(w.modes) for w in weights)
@@ -136,16 +136,13 @@ def an_gram(ctx: QContext, weight: PeriodicWeight, nmax: int) -> GramReport:
     target is the degeneracy statement (same orthonormality as w = 1).
     Entries factor as in mixed_weighted_inner: (alpha_w/alpha)^2 times the
     weight Gram times the daughter Gram entry of phi_n, phi_m."""
-    [[wgram]] = weights_gram(ctx, [weight])
-    daughters = daughter_gram(ctx, nmax)
+    wgram = weights_gram(ctx, [weight]).item()
     # (alpha_w / alpha)^2 times the weight Gram, with alpha_w^{-2} the real
     # part of that same Gram integral
     factor = wgram / (wgram.real * alpha(ctx) ** 2)
-    matrix = [[(factor * d).real for d in row] for row in daughters]
-    target = [[1.0 if i == j else 0.0 for j in range(nmax + 1)]
-              for i in range(nmax + 1)]
-    return GramReport(labels=list(range(nmax + 1)), matrix=matrix, target=target,
-                      precision_digits=ctx.digits,
+    return GramReport(labels=list(range(nmax + 1)),
+                      matrix=real_part(daughter_gram(ctx, nmax) * factor),
+                      target=np.eye(nmax + 1), precision_digits=ctx.digits,
                       notes={"family": "weighted", "modes": len(weight.modes)})
 
 
@@ -209,17 +206,15 @@ def gamma_family_gram(ctx: QContext, nweights: int, nmax: int) -> GramReport:
     computed, none assumed from orthonormality.
     """
     wgram = weights_gram(ctx, orthonormal_weight_family(ctx, nweights))
-    daughters = daughter_gram(ctx, nmax)
     labels = [(n, m) for n in range(nweights) for m in range(nmax + 1)]
     inv_alpha = 1 / alpha(ctx)
-    inv_alpha2 = inv_alpha * inv_alpha
-    matrix = [[(wgram[n1][n2] * inv_alpha2 * daughters[m1][m2]).real
-               for n2, m2 in labels] for n1, m1 in labels]
-    target = [[1.0 if i == j else 0.0 for j in range(len(labels))]
-              for i in range(len(labels))]
+    # entry ((n1, m1), (n2, m2)) is block (n1, n2), entry (m1, m2): kron
+    matrix = real_part(np.kron(wgram * (inv_alpha * inv_alpha),
+                               daughter_gram(ctx, nmax)))
     notes = {"family": "gamma", "nweights": nweights, "nmax": nmax,
              "kernel_condition": weight_family_condition(ctx, nweights)}
     if ctx.is_mp:  # the Gram-Schmidt of the weights runs in numpy float
         notes["double_stages"] = ["weight_orthonormalization"]
-    return GramReport(labels=labels, matrix=matrix, target=target,
-                      precision_digits=ctx.digits, notes=notes)
+    return GramReport(labels=labels, matrix=matrix,
+                      target=np.eye(len(labels)), precision_digits=ctx.digits,
+                      notes=notes)

@@ -56,6 +56,33 @@ def test_circle_amplification_past_double_range_is_strict_json():
     assert 0 < notes["floor"] <= 1e-20
 
 
+def test_circle_past_the_double_range_writes_null():
+    # at q = 0.01 the mac diagonal passes 1e308 near nmax 20
+    proc = run_cli("circle", "--family", "mac", "--q", "0.01", "--nmax", "20")
+    assert proc.returncode == 0, proc.stderr.decode()
+    report = json.loads(proc.stdout.decode(),
+                        parse_constant=reject_constant)["report"]
+    assert report["matrix"][20][20] is None
+    assert report["target"][20][20] is None
+
+
+def test_quadrature_out_of_points_is_a_failing_row_not_a_traceback():
+    proc = run_cli("verify", "--suite", "degeneracy", "--q", "0.99",
+                   "--nmax", "15")
+    assert proc.returncode == 1, proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr
+    result = json.loads(proc.stdout.decode(),
+                        parse_constant=reject_constant)["result"]
+    assert not result["passed"] and result["max_deviation"] is None
+    assert [row for row in result["failures"]
+            if row[0] == "quadrature" and row[3] is None] == [
+        ["quadrature", 15, 6, None]]
+    notes = result["notes"]
+    assert notes["quadrature_dev"] is None
+    [[n, m, message]] = notes["quadrature_errors"]
+    assert (n, m) == (15, 6) and "trapezoid rule ran out" in message
+
+
 def test_coeffs_ground_state():
     data = run_json("coeffs", "--family", "dg", "--n", "0", "--q", "0.5")
     assert data["schema"] == "qgauss/1"

@@ -122,7 +122,7 @@ def test_double_gram_is_bit_identical_to_rational_sum(ctx):
     ref = rational_twisted_gram(float(ctx.q), nmax)
     for size in range(1, nmax + 2):
         matrix = qg.indefinite_gram(ctx, size - 1).matrix
-        assert matrix == [row[:size] for row in ref[:size]]
+        assert matrix.tolist() == [row[:size] for row in ref[:size]]
         assert all(matrix[n][m] == 0.0 for n in range(size)
                    for m in range(size) if n != m)
 
@@ -136,7 +136,7 @@ def test_set_digits_gram_contracts_the_mac_coeffs_rows(digits):
     sums = gram_contract(tables, lattice_kernel(ctx, nmax + 1, "parity_twisted"),
                          tables)
     ref = [[(overlap_scale(ctx) * v).real for v in row] for row in sums]
-    assert qg.indefinite_gram(ctx, nmax).matrix == ref
+    assert qg.indefinite_gram(ctx, nmax).matrix.tolist() == ref
 
 
 def test_exact_entry_agrees_with_mp_inner():
@@ -188,8 +188,8 @@ def test_horner_gram_equals_the_rational_sum(q):
     nmax = 18
     ref = rational_twisted_gram(q, nmax)
     for size in range(1, nmax + 2):
-        assert _binary_twisted_gram(q, size - 1) == [row[:size]
-                                                     for row in ref[:size]]
+        assert _binary_twisted_gram(q, size - 1).tolist() == [
+            row[:size] for row in ref[:size]]
 
 
 @pytest.mark.parametrize("q", [0.02, 0.6180339887498949, 0.98], ids=repr)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import qgauss as qg
@@ -9,8 +10,8 @@ from qgauss import GramReport
 @pytest.fixture
 def report():
     return GramReport(labels=[0, 1],
-                      matrix=[[1.0, 0.001], [0.002, 4.0]],
-                      target=[[1.0, 0.0], [0.0, 4.0]],
+                      matrix=np.array([[1.0, 0.001], [0.002, 4.0]]),
+                      target=np.array([[1.0, 0.0], [0.0, 4.0]]),
                       notes={"family": "demo"})
 
 
@@ -41,37 +42,73 @@ def test_to_dict_is_json_ready(report):
 
 
 def test_deviations_pairs_the_largest_with_the_entries(report):
+    assert report.deviations().tolist() == [[0.0, 0.001], [0.002, 0.0]]
+    # entry (i, j) over sqrt(|T_ii| |T_jj|): 1, 2, 2 and 4
+    assert report.deviations(True).tolist() == [[0.0, 0.0005], [0.001, 0.0]]
     for relative in (False, True):
-        worst, entries = report.deviations(relative)
-        assert entries == report.entry_deviations(relative)
-        assert worst == max(dev for _, _, dev in entries)
+        assert (report.max_relative_deviation() if relative
+                else report.max_abs_deviation) == report.deviations(
+                    relative).max()
 
 
-@pytest.mark.parametrize("build, digits", [("circle_gram_dg", None),
-                                           ("indefinite_gram", 30),
-                                           ("circle_gram_mac", 30)])
+# every GramReport builder at nmax 6, as (ctx, nmax) -> report
+BUILDERS = {
+    "gram_phi": qg.gram_phi,
+    "indefinite_gram": qg.indefinite_gram,
+    "circle_gram_dg": qg.circle_gram_dg,
+    "circle_gram_mac": qg.circle_gram_mac,
+    "parseval_bridge": qg.parseval_bridge,
+    "an_gram": lambda ctx, nmax: qg.an_gram(ctx, qg.cosine_weight(0.3), nmax),
+    "gamma_family_gram": lambda ctx, nmax: qg.gamma_family_gram(ctx, 2, nmax),
+}
+
+
+@pytest.mark.parametrize("digits", [None, 30])
+@pytest.mark.parametrize("build", list(BUILDERS))
 def test_to_dict_walks_the_deviations_once(monkeypatch, build, digits):
-    rep = getattr(qg, build)(qg.QContext(q=0.43, digits=digits), 6)
-    # the relative measure as first defined, entry by entry
-    expected = []
-    for i, (row, trow) in enumerate(zip(rep.matrix, rep.target)):
-        for j, (v, t) in enumerate(zip(row, trow)):
-            scl = (abs(rep.target[i][i]) * abs(rep.target[j][j])) ** 0.5
-            expected.append((i, j, abs(v - t) / scl if scl > 0 else abs(v - t)))
-    assert rep.entry_deviations(True) == expected
-    expected_rel = max(dev for _, _, dev in expected)
-    expected_abs = max(abs(v - t) for row, trow in zip(rep.matrix, rep.target)
-                       for v, t in zip(row, trow))
-    walks = []
-    original = GramReport.entry_deviations
+    rep = BUILDERS[build](qg.QContext(q=0.43, digits=digits), 6)
+    # both measures as first defined, entry by entry
+    M, T = rep.matrix.tolist(), rep.target.tolist()
+    size = len(M)
+    absolute = [[abs(M[i][j] - T[i][j]) for j in range(size)]
+                for i in range(size)]
+    relative = []
+    for i in range(size):
+        relative.append([])
+        for j in range(size):
+            scl = (abs(T[i][i]) * abs(T[j][j])) ** 0.5
+            dev = absolute[i][j]
+            relative[-1].append(dev / scl if scl > 0 else dev)
+    assert rep.deviations().tolist() == absolute
+    assert rep.deviations(True).tolist() == relative
+    calls, subtractions = [], []
+    deviations = GramReport.deviations
+    deviation_matrix = GramReport.deviation_matrix
 
     def counted(self, relative=False):
-        walks.append(relative)
-        return original(self, relative)
+        calls.append(relative)
+        return deviations(self, relative)
 
-    monkeypatch.setattr(GramReport, "entry_deviations", counted)
+    def subtracted(self):
+        subtractions.append(1)
+        return deviation_matrix(self)
+
+    monkeypatch.setattr(GramReport, "deviations", counted)
+    monkeypatch.setattr(GramReport, "deviation_matrix", subtracted)
     data = rep.to_dict()
-    assert walks == [False]
-    assert data["max_abs_deviation"] == float(expected_abs)
-    assert data["max_relative_deviation"] == float(expected_rel)
-    assert data["max_relative_deviation"] > 0
+    assert calls == [False] and subtractions == [1]
+    assert data["max_abs_deviation"] == float(max(map(max, absolute)))
+    assert data["max_relative_deviation"] == float(max(map(max, relative)))
+    assert data["matrix"] == [[float(v) for v in row] for row in M]
+    assert data["target"] == [[float(v) for v in row] for row in T]
+
+
+def test_non_finite_values_are_written_as_null():
+    # at q = 0.01 the diagonal q^{-n(n-1)/2} (q, q)_n passes the double
+    # range near n = 20; the working digits carry it, a double cannot
+    rep = qg.circle_gram_mac(qg.QContext(q=0.01), 20)
+    data = rep.to_dict()
+    json.dumps(data, allow_nan=False)
+    assert data["matrix"][20][20] is None and data["target"][20][20] is None
+    assert 0 < data["max_relative_deviation"] < 1e-8
+    assert data["matrix"][0][0] == float(rep.matrix[0][0])

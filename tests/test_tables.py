@@ -25,6 +25,15 @@ from qgauss import QContext, verify
 from qgauss.qnum import arik_coon_eigenvalue, macfarlane_eigenvalue
 
 JUDGE = verify._judge
+
+
+def judge_rows(name, tol, rows, params):
+    """verify._judge on a list of (label, deviation) rows."""
+    labels = [label for label, _ in rows]
+    return JUDGE(name, tol, [dev for _, dev in rows], params,
+                 label=lambda index: labels[index[0]])
+
+
 # the ladders (a, b) of each family's relation a b - q b a = 1
 LADDERS = {"dg": (qg.arik_lower, qg.arik_raise),
            "mac": (qg.mac_raise, qg.mac_lower)}
@@ -160,7 +169,7 @@ def reference_ladders(ctx, nmax):
             for a, b in zip(dg_rows, mac_rows)
             for family, (n, low, up) in (("dg", a), ("mac", b))
             for key, dev in (("lower_residual", low), ("raise_residual", up))]
-    return rows, JUDGE("ladders", 1e-11, rows, {
+    return rows, judge_rows("ladders", 1e-11, rows, {
         "q": float(ctx.q), "nmax": nmax, "digits": ctx.digits})
 
 
@@ -175,19 +184,22 @@ def reference_sumrule(ctx, nmax):
             val = rounded(ctx, total) / norm
             rows.append(((n, m), max(abs(val.real - (1 if n == m else 0)),
                                      abs(val.imag))))
-    return rows, JUDGE("sumrule", 1e-12, rows, {"q": float(ctx.q),
-                                               "nmax": nmax,
-                                               "digits": ctx.digits})
+    return rows, judge_rows("sumrule", 1e-12, rows, {"q": float(ctx.q),
+                                                    "nmax": nmax,
+                                                    "digits": ctx.digits})
 
 
 @pytest.fixture
 def judged(monkeypatch):
-    """Every row list a suite hands to verify._judge, in order."""
+    """Every deviation array a suite hands to verify._judge, in order, as
+    its (label, deviation) rows in row-major order."""
     seen = []
 
-    def spy(name, tol, rows, params, notes=None):
-        seen.append(list(rows))
-        return JUDGE(name, tol, seen[-1], params, notes)
+    def spy(name, tol, devs, params, notes=None, label=tuple):
+        devs = np.asarray(devs)
+        seen.append([(label(list(index)), dev) for index, dev
+                     in zip(np.ndindex(devs.shape), devs.ravel().tolist())])
+        return JUDGE(name, tol, devs, params, notes, label)
     monkeypatch.setattr(verify, "_judge", spy)
     return seen
 
@@ -363,7 +375,7 @@ def test_parity_mixing_still_raises():
 
 
 def test_a_nan_deviation_fails_its_suite_and_is_written_as_null():
-    result = verify._judge("x", 1e-9, [(("a",), math.nan), (("b",), 1e-12)], {})
+    result = judge_rows("x", 1e-9, [(("a",), math.nan), (("b",), 1e-12)], {})
     assert not result.passed
     assert math.isnan(result.max_deviation)
     assert [row[0] for row in result.failures] == ["a"]
@@ -371,8 +383,36 @@ def test_a_nan_deviation_fails_its_suite_and_is_written_as_null():
     assert data["max_deviation"] is None and data["failures"] == [["a", None]]
     json.dumps(data, allow_nan=False)
     # an infinite deviation fails too, after a finite worst
-    result = verify._judge("x", 1e-9, [(("a",), 1e-12), (("b",), math.inf)], {})
+    result = judge_rows("x", 1e-9, [(("a",), 1e-12), (("b",), math.inf)], {})
     assert not result.passed and result.max_deviation == math.inf
+
+
+def test_judge_labels_only_the_failures_in_row_major_order():
+    devs = np.array([[1e-12, math.inf, 0.0], [math.nan, 2e-9, 1e-9],
+                     [5.0, 1e-10, 0.5]])
+    labelled = []
+
+    def label(index):
+        labelled.append(index)
+        return ("entry", *index)
+    result = JUDGE("x", 1e-9, devs, {}, label=label)
+    failing = [[0, 1], [1, 0], [1, 1], [2, 0], [2, 2]]
+    assert labelled == failing
+    # the worst is NaN once one is seen, whatever is larger
+    assert not result.passed and math.isnan(result.max_deviation)
+    assert result.to_dict()["failures"] == [
+        ["entry", 0, 1, None], ["entry", 1, 0, None], ["entry", 1, 1, 2e-9],
+        ["entry", 2, 0, 5.0], ["entry", 2, 2, 0.5]]
+    # the default label is the index itself; without a NaN the worst is
+    # the largest deviation, inf included
+    devs[1, 0] = 0.0
+    result = JUDGE("x", 1e-9, devs, {})
+    assert result.max_deviation == math.inf
+    assert [row[:2] for row in result.failures] == [
+        index for index in failing if index != [1, 0]]
+    assert JUDGE("x", 1e-9, np.zeros((2, 2)), {}).max_deviation == 0.0
+    with pytest.raises(ValueError, match="no rows"):
+        JUDGE("x", 1e-9, np.zeros((0, 2)), {})
 
 
 def test_double_power_past_the_float_range_is_inf():

@@ -130,17 +130,23 @@ def test_circle_mac_conjugated_variant_fails():
     ("mac-gram", {"nmax": 6, "digits": 12}, False)])
 def test_gram_suite_walks_the_deviations_once(monkeypatch, suite, kwargs,
                                               relative):
-    walks = []
-    original = GramReport.entry_deviations
+    calls, subtractions = [], []
+    deviations = GramReport.deviations
+    deviation_matrix = GramReport.deviation_matrix
 
     def counted(self, relative=False):
-        walks.append(relative)
-        return original(self, relative)
+        calls.append(relative)
+        return deviations(self, relative)
+
+    def subtracted(self):
+        subtractions.append(1)
+        return deviation_matrix(self)
 
     ctx = QContext(q=0.43, digits=kwargs.pop("digits", None))
-    monkeypatch.setattr(GramReport, "entry_deviations", counted)
+    monkeypatch.setattr(GramReport, "deviations", counted)
+    monkeypatch.setattr(GramReport, "deviation_matrix", subtracted)
     result = qg.run_suite(suite, ctx, **kwargs)
-    assert walks == [relative]
+    assert calls == [relative] and subtractions == [1]
     monkeypatch.undo()
     # the verdict is that of the report's own deviation measures
     if suite == "circle-dg":
@@ -153,7 +159,8 @@ def test_gram_suite_walks_the_deviations_once(monkeypatch, suite, kwargs,
                 else report.max_abs_deviation)
     assert result.max_deviation == float(expected)
     assert result.failures == [
-        [i, j, float(dev)] for i, j, dev in report.entry_deviations(relative)
+        [i, j, float(dev)] for (i, j), dev
+        in np.ndenumerate(report.deviations(relative))
         if dev > result.tolerance]
 
 
