@@ -12,12 +12,11 @@ from .chain import (DaughterChain, Family, GaussianChain, LadderOperator, add,
                     relative_coeff_distance, scale, shift)
 from .report import GramReport
 from .quad import integrate_real_line
-from .dg import (DG, DGCoefficients, SWPolynomial, build_Phi, build_phi,
-                 daughter_sum_rules, dg_coefficients, dg_norm, gram_phi,
-                 harmonic_limit_scan, stieltjes_wigert, sw_orthogonality,
-                 sw_bridge_residual)
+from .dg import (DG, SWPolynomial, build_Phi, build_phi, daughter_sum_rules,
+                 dg_norm, gram_phi, harmonic_limit_scan, stieltjes_wigert,
+                 sw_orthogonality, sw_bridge_residual)
 from .macfarlane import (MAC, MacCoefficients, build_Bn, indefinite_gram,
-                         mac_coeffs, mac_row, mac_zeta, number_operator_check)
+                         mac_coeffs, number_operator_check)
 from .circle import (ThetaEvaluator, circle_gram_dg, circle_gram_mac,
                      parseval_bridge, poisson_check, theta3)
 from .weights import (PeriodicWeight, WeightedChain, alpha_w, an_gram,
@@ -38,12 +37,11 @@ __all__ = [
     "relative_coeff_distance", "scale", "shift",
     "GramReport",
     "integrate_real_line",
-    "DG", "DGCoefficients", "SWPolynomial", "build_Phi", "build_phi",
-    "daughter_sum_rules", "dg_coefficients", "dg_norm", "gram_phi",
-    "harmonic_limit_scan", "stieltjes_wigert", "sw_orthogonality",
-    "sw_bridge_residual",
+    "DG", "SWPolynomial", "build_Phi", "build_phi", "daughter_sum_rules",
+    "dg_norm", "gram_phi", "harmonic_limit_scan", "stieltjes_wigert",
+    "sw_orthogonality", "sw_bridge_residual",
     "MAC", "MacCoefficients", "build_Bn", "indefinite_gram", "mac_coeffs",
-    "mac_row", "mac_zeta", "number_operator_check",
+    "number_operator_check",
     "ThetaEvaluator", "circle_gram_dg", "circle_gram_mac",
     "parseval_bridge", "poisson_check", "theta3",
     "PeriodicWeight", "WeightedChain", "alpha_w", "an_gram", "build_An",

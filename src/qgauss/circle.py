@@ -147,6 +147,14 @@ def _circle_gram(work: QContext, nmax: int, points: int, args: list,
     return gram_contract(A, K, A)
 
 
+def _power(x, r):
+    """x ** r, and inf where a double power leaves the float range."""
+    try:
+        return x ** r
+    except OverflowError:
+        return math.inf
+
+
 def circle_gram_dg(ctx: QContext, nmax: int, quad_points: int = 512) -> GramReport:
     """G_{nm} = int_0^1 H_n(-q^{-1/2} e^{-i2pi theta})
     H_m(-q^{-1/2} e^{+i2pi theta}) theta_3(2 pi theta; q) dtheta, reported
@@ -162,7 +170,8 @@ def circle_gram_dg(ctx: QContext, nmax: int, quad_points: int = 512) -> GramRepo
     q = ctx.q
     matrix = _circle_gram(ctx, nmax, quad_points, [-(q ** -0.5)] * (nmax + 1),
                           -1, _gram_truncation(float(q), nmax))
-    target = np.diag([q ** -n * qpochhammer(q, n) for n in range(nmax + 1)])
+    target = np.diag([_power(q, -n) * qpochhammer(q, n)
+                      for n in range(nmax + 1)])
     return GramReport(labels=list(range(nmax + 1)), matrix=matrix, target=target,
                       precision_digits=ctx.digits,
                       notes={"family": "circle-dg", "points": quad_points})

@@ -23,19 +23,16 @@ import numpy as np
 from .context import QContext
 from .chain import evaluate
 from .circle import circle_gram_dg, circle_gram_mac
-from .dg import (dg_coefficients, gram_phi, harmonic_limit_scan, limit_grid,
-                 limit_ratio_curve)
-from .macfarlane import indefinite_gram, mac_row
+from .dg import gram_phi, harmonic_limit_scan, limit_grid, limit_ratio_curve
+from .macfarlane import indefinite_gram
 from .weights import gamma_family_gram, orthonormal_weight_family
 from .report import GramReport
 from .verify import FAMILIES, SUITES, run_suite
 
 SCHEMA = "qgauss/1"
 
-# the name and the coefficient row of each family's coeffs table
-_COEFFS = {"dg": ("phi-unit-norm",
-                  lambda ctx, n: dg_coefficients(ctx, n).normalized),
-           "mac": ("zeta-times-E", mac_row)}
+# the normalization each family's coeffs table names
+_NORMALIZATION = {"dg": "phi-unit-norm", "mac": "zeta-times-E"}
 
 
 def _fmt(x: float) -> str:
@@ -118,8 +115,9 @@ def _emit(args, echo: dict, payload: dict) -> int:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_coeffs(args, scale: QContext, echo: dict) -> int:
-    normalization, row = _COEFFS[args.family]
-    coeffs = [float(v) for v in row(scale.with_digits(args.digits), args.n)]
+    normalization = _NORMALIZATION[args.family]
+    rows = FAMILIES[args.family].table(scale.with_digits(args.digits), args.n)
+    coeffs = [float(v) for v in rows[args.n]]
     if args.format == "json":
         return _emit(args, echo, {
             "family": args.family, "n": args.n,

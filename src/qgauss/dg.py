@@ -27,17 +27,6 @@ from .report import GramReport
 
 
 @dataclass(frozen=True)
-class DGCoefficients:
-    """Coefficient table of one polynomial: raw[k] multiplies q^{(x-k)^2}
-    in Phi_n, normalized[k] = raw[k] / ||Phi_n|| does so in phi_n."""
-
-    n: int
-    ctx: QContext
-    raw: list
-    normalized: list
-
-
-@dataclass(frozen=True)
 class SWPolynomial:
     """P_n(u; s) = sum_k C^n_k (-1)^k q^{(k+s)^2 - k/2} u^k, the polynomial
     part of Phi_n(x - s) after the substitution u = q^{-2x}."""
@@ -59,16 +48,6 @@ def dg_norm(ctx: QContext, n: int):
             * ctx.sqrt(qpochhammer(ctx.q, n)))
 
 
-def dg_coefficients(ctx: QContext, n: int) -> DGCoefficients:
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    poch = pochhammer_prefix(ctx.q, n)
-    raw = [(-binom if k % 2 else binom) * ctx.qpow8(-4 * k)
-           for k, binom in enumerate(binomials_from_prefix(poch, n))]
-    return DGCoefficients(n=n, ctx=ctx, raw=raw,
-                          normalized=_phi_row(ctx, alpha(ctx), poch, n))
-
-
 def _phi_row(ctx: QContext, a, poch: list, n: int) -> list:
     """The coefficients of phi_n from alpha a and the Pochhammer prefix."""
     root = ctx.sqrt(poch[n])
@@ -77,27 +56,36 @@ def _phi_row(ctx: QContext, a, poch: list, n: int) -> list:
 
 
 def phi_table(ctx: QContext, nmax: int) -> list:
-    """The coefficient rows of phi_0..phi_nmax, each as dg_coefficients
-    gives it, from one Pochhammer prefix and one alpha."""
+    """The coefficient rows of phi_0..phi_nmax from one Pochhammer prefix
+    and one alpha."""
     a, poch = alpha(ctx), pochhammer_prefix(ctx.q, nmax)
     return [_phi_row(ctx, a, poch, n) for n in range(nmax + 1)]
 
 
+def Phi_table(ctx: QContext, nmax: int) -> list:
+    """The raw rows of Phi_0..Phi_nmax, (-1)^k [n k]_q q^{-k/2} on the
+    centers k, from one Pochhammer prefix."""
+    poch = pochhammer_prefix(ctx.q, nmax)
+    return [[(-binom if k % 2 else binom) * ctx.qpow8(-4 * k)
+             for k, binom in enumerate(binomials_from_prefix(poch, n))]
+            for n in range(nmax + 1)]
+
+
 def build_Phi(ctx: QContext, n: int) -> GaussianChain:
     """Unnormalized Phi_n as a chain on integer centers 0..n."""
-    return integer_chain(ctx, dg_coefficients(ctx, n).raw)
+    return integer_chain(ctx, Phi_table(ctx, n)[n])
 
 
 def build_phi(ctx: QContext, n: int) -> GaussianChain:
     """Normalized phi_n; inner(phi_n, phi_n) = 1 analytically."""
-    return integer_chain(ctx, dg_coefficients(ctx, n).normalized)
+    return integer_chain(ctx, phi_table(ctx, n)[n])
 
 
-# a a' - q a' a = 1; build and table look build_phi and phi_table up at
-# each call, so a patched or traced one sees them all
+# a a' - q a' a = 1; build, table and bare look build_phi, phi_table and
+# Phi_table up at each call, so a patched or traced one sees them all
 DG = Family(name="dg", build=lambda ctx, n: build_phi(ctx, n),
             table=lambda ctx, nmax: phi_table(ctx, nmax),
-            bare=lambda ctx, n: dg_coefficients(ctx, n).raw,
+            bare=lambda ctx, n: Phi_table(ctx, n)[n],
             lower=arik_lower, raise_=arik_raise, lam=arik_coon_eigenvalue,
             relation=(arik_lower, arik_raise), kind="standard", sign=1,
             relative=False)
@@ -272,11 +260,14 @@ def sw_bridge_residual(ctx: QContext, n: int, s) -> float:
         top = max(abs(ref) for _, ref in pairs)
         return float(max(abs(u - ref) / abs(ref) for u, ref in pairs
                          if abs(ref) >= 0.01 * top))
-    reference = np.real(evaluate(chain, xs))
-    u_side = np.asarray(sw_u_form(poly, xs), dtype=float)
-    keep = np.abs(reference) >= 0.01 * np.abs(reference).max()
-    return float(np.max(np.abs(u_side[keep] - reference[keep])
-                        / np.abs(reference[keep])))
+    # past the double range the u-form turns NaN quietly; the sw suite
+    # fails that row
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = np.real(evaluate(chain, xs))
+        u_side = np.asarray(sw_u_form(poly, xs), dtype=float)
+        keep = np.abs(reference) >= 0.01 * np.abs(reference).max()
+        return float(np.max(np.abs(u_side[keep] - reference[keep])
+                            / np.abs(reference[keep])))
 
 
 def sw_orthogonality(ctx: QContext, n: int, m: int, s, form: str = "du",
@@ -322,26 +313,16 @@ def sw_orthogonality(ctx: QContext, n: int, m: int, s, form: str = "du",
     return integrate_real_line(integrand, ctx, tol=1e-12)
 
 
-def sw_overlaps(ctx: QContext, nmax: int, s) -> list:
-    """The du-form overlaps I_nm = sw_orthogonality(ctx, n, m, s) for
-    n <= m <= nmax, mirrored below the diagonal, each shifted Phi_k built
-    once."""
-    chains = [shift(build_Phi(ctx, k), -Fraction(s)) for k in range(nmax + 1)]
-    jacobian = 2 * ctx.c * ctx.c
-    upper = {(n, m): jacobian * inner(chains[n], chains[m])
-             for n in range(nmax + 1) for m in range(n, nmax + 1)}
-    return [[upper[min(n, m), max(n, m)] for m in range(nmax + 1)]
-            for n in range(nmax + 1)]
-
-
-def sw_overlap_residual(overlaps: list) -> float:
-    """max over n != m of |I_nm| / sqrt(I_nn I_mm), I = sw_overlaps(...);
-    the magnitudes and ratios are taken at the overlaps' precision."""
-    diag = [abs(row[n]) for n, row in enumerate(overlaps)]
-    worst = 0.0
-    for n, row in enumerate(overlaps):
-        for m in range(n + 1, len(row)):
-            worst = max(worst, float(abs(row[m])
-                                     / math.sqrt(diag[n] * diag[m])))
-    return worst
-
+def sw_gram(ctx: QContext, nmax: int) -> GramReport:
+    """The du-form overlaps I_nm = sw_orthogonality(ctx, n, m, s) of
+    n, m <= nmax as 2c^2 sqrt(pi/2c^2) times the contraction of the rows of
+    Phi_table against the lattice kernel: a common shift s moves every
+    center alike, so it leaves each overlap as it is. The target is the
+    matrix's own diagonal, so the relative deviation of an entry off it is
+    |I_nm| / sqrt(|I_nn I_mm|)."""
+    tables = Phi_table(ctx, nmax)
+    matrix = gram_contract(tables, lattice_kernel(ctx, nmax + 1), tables) \
+        * (2 * ctx.c * ctx.c * overlap_scale(ctx))
+    return GramReport(labels=list(range(nmax + 1)), matrix=matrix,
+                      target=np.diag(np.diagonal(matrix)),
+                      precision_digits=ctx.digits, notes={"family": "sw"})

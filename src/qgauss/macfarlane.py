@@ -44,24 +44,14 @@ class MacCoefficients:
     recursion_gap: float
 
 
-def mac_zeta(ctx: QContext, n: int):
-    """zeta_n = alpha q^{n(n-1)/4} / sqrt((q, q)_n), alpha the ground-state
-    constant."""
-    return _zeta(ctx, alpha(ctx), qpochhammer(ctx.q, n), n)
-
-
 def _zeta(ctx: QContext, a, poch_n, n: int):
+    """zeta_n = alpha q^{n(n-1)/4} / sqrt((q, q)_n), from alpha a and
+    poch_n = (q, q)_n."""
     return a * ctx.qpow8(2 * n * (n - 1)) / ctx.sqrt(poch_n)
 
 
-def mac_E_closed(ctx: QContext, n: int) -> list:
-    """E^n_k = (-1)^k [n k]_q q^{(k - 2nk)/2}."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    return _E_row(ctx, qbinomial_row(ctx.q, n), n)
-
-
 def _E_row(ctx: QContext, binomials: list, n: int) -> list:
+    """E^n_k = (-1)^k [n k]_q q^{(k - 2nk)/2}, from the q-binomial row."""
     return [(-binom if k % 2 else binom) * ctx.qpow8(4 * (k - 2 * n * k))
             for k, binom in enumerate(binomials)]
 
@@ -84,23 +74,18 @@ def _mac_E_recursion(ctx: QContext, n: int) -> list:
 def mac_coeffs(ctx: QContext, n: int) -> MacCoefficients:
     """Closed-form coefficients, cross-checked against the independent
     recursion construction (relative gap stored, expected < 1e-12)."""
-    closed = mac_E_closed(ctx, n)
+    closed = _E_row(ctx, qbinomial_row(ctx.q, n), n)
     recursed = _mac_E_recursion(ctx, n)
     gap = max(float(abs(a - b)) / float(abs(a))
               for a, b in zip(closed, recursed))
-    return MacCoefficients(n=n, ctx=ctx, zeta=mac_zeta(ctx, n), E=closed,
+    zeta = _zeta(ctx, alpha(ctx), qpochhammer(ctx.q, n), n)
+    return MacCoefficients(n=n, ctx=ctx, zeta=zeta, E=closed,
                            recursion_gap=gap)
 
 
-def mac_row(ctx: QContext, n: int) -> list:
-    """The coefficients zeta_n E^n_k of B_n on the centers k = 0..n."""
-    zeta = mac_zeta(ctx, n)
-    return [zeta * e for e in mac_E_closed(ctx, n)]
-
-
 def mac_table(ctx: QContext, nmax: int) -> list:
-    """The rows mac_row(ctx, n) for n = 0..nmax, bit for bit, from one
-    Pochhammer prefix and one alpha."""
+    """The coefficient rows zeta_n E^n_k of B_0..B_nmax on the centers
+    k = 0..n, from one Pochhammer prefix and one alpha."""
     a, poch = alpha(ctx), pochhammer_prefix(ctx.q, nmax)
     rows = []
     for n in range(nmax + 1):
@@ -111,14 +96,15 @@ def mac_table(ctx: QContext, nmax: int) -> list:
 
 
 def build_Bn(ctx: QContext, n: int) -> GaussianChain:
-    return integer_chain(ctx, mac_row(ctx, n))
+    return integer_chain(ctx, mac_table(ctx, n)[n])
 
 
 # b' b - q b b' = 1 with b' = mac_raise; build and table look build_Bn and
 # mac_table up at each call, so a patched or traced one sees them all
 MAC = Family(name="mac", build=lambda ctx, n: build_Bn(ctx, n),
              table=lambda ctx, nmax: mac_table(ctx, nmax),
-             bare=mac_E_closed, lower=mac_lower, raise_=mac_raise,
+             bare=lambda ctx, n: _E_row(ctx, qbinomial_row(ctx.q, n), n),
+             lower=mac_lower, raise_=mac_raise,
              lam=lambda q, k: -macfarlane_eigenvalue(q, k),
              relation=(mac_raise, mac_lower), kind="parity_twisted", sign=-1,
              relative=True)

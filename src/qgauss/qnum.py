@@ -16,7 +16,10 @@ def _check_q(q):
 
 
 def pochhammer_prefix(qq, n: int) -> list:
-    """[(q, q)_0, ..., (q, q)_n] in the type of qq, one running product."""
+    """[(q, q)_0, ..., (q, q)_n] in the type of qq, one running product;
+    n is the top degree of the table rows built on it."""
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
     out = [qq / qq]  # one, in the backend type
     power = out[0]
     for _ in range(n):

@@ -31,8 +31,11 @@ class GramReport:
     def deviations(self, relative: bool = False) -> np.ndarray:
         """|matrix - target| entry by entry; relative divides entry (i, j)
         by sqrt(|T_ii| |T_jj|), the natural size of an entry when the
-        diagonal grows or decays, wherever that scale is nonzero."""
-        dev = abs(self.deviation_matrix())
+        diagonal grows or decays, wherever that scale is nonzero. An entry
+        or target past the double range gives an inf or NaN deviation, and
+        no warning: the judge fails it."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev = abs(self.deviation_matrix())
         return _relative_to(self.target, dev) if relative else dev
 
     @property
@@ -72,10 +75,11 @@ def _relative_to(target: np.ndarray, dev: np.ndarray) -> np.ndarray:
     sqrt on floats."""
     diag = abs(np.diagonal(target))
     i, j = np.triu_indices(diag.size)
-    pair, scale = diag[i] * diag[j], np.empty(dev.shape, diag.dtype)
-    scale[i, j] = scale[j, i] = pair ** 0.5 if pair.dtype == object else \
-        np.float_power(pair, 0.5)
-    return np.divide(dev, scale, out=dev.copy(), where=scale > 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair, scale = diag[i] * diag[j], np.empty(dev.shape, diag.dtype)
+        scale[i, j] = scale[j, i] = pair ** 0.5 if pair.dtype == object \
+            else np.float_power(pair, 0.5)
+        return np.divide(dev, scale, out=dev.copy(), where=scale > 0)
 
 
 def _largest(dev: np.ndarray):

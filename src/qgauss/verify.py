@@ -292,36 +292,32 @@ def suite_sumrule(ctx: QContext, nmax: int = 10) -> SuiteResult:
 
 def suite_sw(ctx: QContext, nmax: int = 6, s=0.5) -> SuiteResult:
     """Substitution bridge (pointwise, relative 1e-11) and the normalized
-    du-measure orthogonality (1e-6), analytic and by quadrature."""
-    bridge_tol = 1e-11
-    orth_tol = 1e-6
-    failures = []
-    worst_bridge = 0.0
-    for n in range(nmax + 1):
-        res = dg_mod.sw_bridge_residual(ctx, n, s)
-        worst_bridge = max(worst_bridge, res)
-        if res > bridge_tol:
-            failures.append(["bridge", n, float(res)])
-    overlaps = dg_mod.sw_overlaps(ctx, nmax, s)
-    orth = dg_mod.sw_overlap_residual(overlaps)
-    if orth > orth_tol:
-        failures.append(["orthogonality", float(orth)])
-    quad_pairs = [(0, 1), (1, 2), (2, 4)]
-    quad_worst = 0.0
-    for n, m in quad_pairs:
-        if n > nmax or m > nmax:
-            continue
+    du-measure orthogonality (1e-6), analytic and by quadrature (1e-9)
+    against the analytic overlaps of dg.sw_gram. Each row fails unless its
+    deviation is within its own tolerance, NaN included; the headline
+    deviation covers the orthogonality and quadrature rows."""
+    bridge = [dg_mod.sw_bridge_residual(ctx, n, s) for n in range(nmax + 1)]
+    report = dg_mod.sw_gram(ctx, nmax)
+    orth = _worst(report.deviations(True))
+    G = report.matrix
+    pairs = [(n, m) for n, m in ((0, 1), (1, 2), (2, 4)) if m <= nmax]
+    quad = []
+    for n, m in pairs:
         num = dg_mod.sw_orthogonality(ctx, n, m, s, "du", "quadrature")
-        diag = abs(overlaps[n][n] * overlaps[m][m])
-        gap = float(abs(overlaps[n][m] - num) / math.sqrt(diag))
-        quad_worst = max(quad_worst, gap)
-        if gap > 1e-9:
-            failures.append(["quadrature", n, m, gap])
-    notes = {"bridge_dev": worst_bridge, "orthogonality_dev": float(orth),
-             "quadrature_dev": quad_worst}
+        quad.append(float(abs(G[n, m] - num)
+                          / math.sqrt(abs(G[n, n] * G[m, m]))))
+    checks = ([(["bridge", n], dev, 1e-11) for n, dev in enumerate(bridge)]
+              + [(["orthogonality"], orth, 1e-6)]
+              + [(["quadrature", *pair], dev, 1e-9)
+                 for pair, dev in zip(pairs, quad)])
+    failures = [[*label, dev] for label, dev, tol in checks
+                if not dev <= tol]
+    notes = {"bridge_dev": _finite(_worst(bridge)),
+             "orthogonality_dev": _finite(orth),
+             "quadrature_dev": _finite(_worst(quad))}
     if ctx.is_mp:  # the quadrature cross-check runs on a double grid
         notes["double_stages"] = ["quadrature"]
-    return SuiteResult("sw", not failures, orth_tol, max(orth, quad_worst),
+    return SuiteResult("sw", not failures, 1e-6, _worst([orth, *quad]),
                        params={"q": float(ctx.q), "nmax": nmax,
                                "s": float(s), "digits": ctx.digits},
                        failures=failures, notes=notes)

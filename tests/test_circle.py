@@ -341,3 +341,19 @@ def test_gram_matches_direct_periodic_quadrature():
                   * weight(2.0 * np.pi * theta)).real
     rep = qg.circle_gram_dg(QContext(q=q), 3)
     assert val == pytest.approx(rep.matrix[n][m], rel=1e-13)
+
+
+def test_circle_dg_target_past_the_double_range_is_inf():
+    # q^-n leaves the double range at q = 0.01 past n = 154: that target
+    # is inf, written as null, and the suite fails rather than raise
+    report = qg.circle_gram_dg(QContext(q=0.01), 155, 64)
+    target = np.diagonal(report.target)
+    assert target[155] == math.inf and math.isfinite(target[154])
+    assert report.to_dict()["target"][155][155] is None
+    json.dumps(report.to_dict(), allow_nan=False)
+    # every target in range keeps the bits of q ** -n (q, q)_n
+    assert target[:155].tolist() == [0.01 ** -n * qg.qpochhammer(0.01, n)
+                                     for n in range(155)]
+    result = qg.run_suite("circle-dg", QContext(q=1e-4), nmax=80)
+    assert not result.passed
+    json.dumps(result.to_dict(), allow_nan=False)

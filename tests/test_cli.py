@@ -15,9 +15,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from qgauss import (QContext, circle_gram_dg, circle_gram_mac, cli,
-                    dg_coefficients, evaluate, gamma_family_gram, gram_phi,
-                    indefinite_gram, mac_row, orthonormal_weight_family)
+from qgauss import (QContext, circle_gram_dg, circle_gram_mac, cli, evaluate,
+                    gamma_family_gram, gram_phi, indefinite_gram,
+                    orthonormal_weight_family)
 from qgauss.dg import limit_grid, limit_ratio_curve
 from qgauss.verify import FAMILIES
 
@@ -447,13 +447,27 @@ def _gram_rows(ctx, report):
 
 
 def _coeffs_reference(ctx, family, n):
-    name, row = {"dg": ("phi-unit-norm",
-                        lambda: dg_coefficients(ctx, n).normalized),
-                 "mac": ("zeta-times-E", lambda: mac_row(ctx, n))}[family]
+    name = {"dg": "phi-unit-norm", "mac": "zeta-times-E"}[family]
     return (["c", "q", "family", "n", "normalization", "k", "center",
              "coefficient_re", "coefficient_im"],
             [[float(ctx.c), float(ctx.q), family, n, name, k, float(k),
-              float(v), 0.0] for k, v in enumerate(row())])
+              float(v), 0.0]
+             for k, v in enumerate(FAMILIES[family].table(ctx, n)[n])])
+
+
+def test_coeffs_prints_row_n_of_the_family_table(capsys):
+    for family in FAMILIES.values():
+        for digits in (None, 25):
+            ctx = QContext(q=0.37, digits=digits)
+            for n in (0, 1, 6):
+                argv = ["coeffs", "--family", family.name, "--n", str(n),
+                        "--q", "0.37", "--format", "json"]
+                if digits:
+                    argv += ["--digits", str(digits)]
+                assert cli.main(argv) == 0
+                rows = json.loads(capsys.readouterr().out)["rows"]
+                assert [row["re"] for row in rows] == [
+                    float(v) for v in family.table(ctx, n)[n]]
 
 
 def _eval_reference(ctx, family, n, grid):

@@ -7,11 +7,12 @@ import pytest
 import qgauss as qg
 from qgauss import QContext
 from qgauss.dg import (
+    Phi_table,
     hermite_zeros,
     limit_grid,
     limit_ratio_curve,
-    sw_overlap_residual,
-    sw_overlaps,
+    phi_table,
+    sw_gram,
     sw_u_form,
     sw_u_of_x,
 )
@@ -21,25 +22,29 @@ CTX = QContext(q=0.5)
 
 class TestCoefficients:
     def test_raw_level_one(self):
-        table = qg.dg_coefficients(CTX, 1)
-        assert table.raw[0] == pytest.approx(1.0, abs=1e-16)
-        assert table.raw[1] == pytest.approx(-math.sqrt(2.0), rel=1e-15)
+        row = Phi_table(CTX, 1)[1]
+        assert row[0] == pytest.approx(1.0, abs=1e-16)
+        assert row[1] == pytest.approx(-math.sqrt(2.0), rel=1e-15)
 
     def test_raw_alternating_signs(self):
-        table = qg.dg_coefficients(CTX, 7)
         signs = [1 if k % 2 == 0 else -1 for k in range(8)]
-        assert all(s * r > 0 for s, r in zip(signs, table.raw))
+        assert all(s * r > 0 for s, r in zip(signs, Phi_table(CTX, 7)[7]))
 
     def test_normalized_is_raw_over_norm(self):
-        for n in (0, 1, 4):
-            table = qg.dg_coefficients(CTX, n)
+        for n, (raw_row, unit_row) in enumerate(zip(Phi_table(CTX, 4),
+                                                    phi_table(CTX, 4))):
             norm = qg.dg_norm(CTX, n)
-            for raw, unit in zip(table.raw, table.normalized):
+            for raw, unit in zip(raw_row, unit_row):
                 assert unit == pytest.approx(raw / norm, rel=1e-14)
 
     def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
-            qg.dg_coefficients(CTX, -1)
+        for build in (qg.build_phi, qg.build_Phi, qg.build_Bn,
+                      qg.DG.bare, qg.MAC.bare):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                build(CTX, -1)
+        for table in (phi_table, Phi_table, qg.macfarlane.mac_table):
+            with pytest.raises(ValueError, match="degree must be nonnegative"):
+                table(CTX, -1)
 
 
 def test_norm_matches_self_inner():
@@ -145,55 +150,30 @@ def test_sw_bridge_residual_small():
 
 
 def test_sw_du_orthogonality():
-    assert sw_overlap_residual(sw_overlaps(CTX, 6, Fraction(1, 2))) <= 1e-6
-
-
-def reference_sw_devs(ctx, nmax, s):
-    """orthogonality_dev and quadrature_dev of the sw suite by one
-    sw_orthogonality call per overlap, magnitudes and ratios outside the
-    context's precision."""
-    def overlap(n, m, method="analytic"):
-        return qg.sw_orthogonality(ctx, n, m, s, "du", method)
-    diag = [abs(overlap(n, n)) for n in range(nmax + 1)]
-    orth = 0.0
-    for n in range(nmax + 1):
-        for m in range(n + 1, nmax + 1):
-            orth = max(orth, float(abs(overlap(n, m))
-                                   / math.sqrt(diag[n] * diag[m])))
-    quad = 0.0
-    for n, m in ((0, 1), (1, 2), (2, 4)):
-        gap = abs(overlap(n, m) - overlap(n, m, "quadrature"))
-        quad = max(quad, float(gap / math.sqrt(abs(overlap(n, n)
-                                                   * overlap(m, m)))))
-    return orth, quad
+    assert sw_gram(CTX, 6).max_relative_deviation() <= 1e-6
 
 
 @pytest.mark.parametrize("digits", [None, 20, 40])
-def test_sw_overlaps_build_each_phi_once_and_keep_every_bit(digits,
-                                                            monkeypatch):
+def test_sw_gram_is_the_pairwise_overlaps(digits):
+    # each entry within 1e-14 of sqrt(|I_nn I_mm|) in double, and within
+    # five digits of the working precision at set digits
+    tol = 1e-14 if digits is None else 10.0 ** -(digits + 5)
     s = Fraction(1, 2)
-    for q in (0.3, 0.5, 0.83):
+    for q in (0.3, 0.5, 0.62):
         ctx = QContext(q=q, digits=digits)
-        orth, quad = reference_sw_devs(ctx, 6, s)
-        built = []
-        build = qg.dg.build_Phi
-
-        def counted(ctx, n):
-            built.append(n)
-            return build(ctx, n)
-        monkeypatch.setattr(qg.dg, "build_Phi", counted)
-        overlaps = sw_overlaps(ctx, 6, s)
-        assert sorted(built) == list(range(7))
-        built.clear()
+        report = sw_gram(ctx, 6)
+        G = report.matrix
+        assert report.target.tolist() == np.diag(np.diagonal(G)).tolist()
+        for n in range(7):
+            for m in range(7):
+                pair = qg.sw_orthogonality(ctx, min(n, m), max(n, m), s)
+                scale = ctx.sqrt(abs(G[n, n] * G[m, m]))
+                assert abs(G[n, m] - pair) <= tol * scale, (q, n, m)
+        # the orthogonality row of the suite is the report's relative
+        # deviation off the diagonal
         result = qg.run_suite("sw", ctx)
-        monkeypatch.undo()
-        # the overlaps build each Phi_k once, the bridge its own Phi_n
-        assert sorted(built) == sorted(2 * list(range(7)))
-        assert overlaps == [[qg.sw_orthogonality(ctx, min(n, m), max(n, m), s)
-                             for m in range(7)] for n in range(7)]
-        assert sw_overlap_residual(overlaps) == orth
-        assert result.notes["orthogonality_dev"] == orth
-        assert result.notes["quadrature_dev"] == quad
+        assert result.notes["orthogonality_dev"] == float(
+            report.deviations(True).max())
 
 
 def test_sw_dx_form_not_orthogonal():

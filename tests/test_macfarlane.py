@@ -22,8 +22,12 @@ def test_zeta_values():
     # zeta_1 = alpha / sqrt(1 - q) at q = 1/2
     a = float(qg.alpha(CTX))
     assert a == pytest.approx(0.8150352570704902, rel=1e-15)
-    assert float(qg.mac_zeta(CTX, 1)) == pytest.approx(1.1526339143613291, rel=1e-14)
-    assert float(qg.mac_zeta(CTX, 0)) == pytest.approx(a, rel=1e-15)
+    assert float(qg.mac_coeffs(CTX, 1).zeta) == pytest.approx(
+        1.1526339143613291, rel=1e-14)
+    assert float(qg.mac_coeffs(CTX, 0).zeta) == pytest.approx(a, rel=1e-15)
+    # E^n_0 = 1, so each row of the table starts with its zeta_n
+    assert [row[0] for row in qg.macfarlane.mac_table(CTX, 4)] == [
+        qg.mac_coeffs(CTX, n).zeta for n in range(5)]
 
 
 def test_E_coefficients_low_orders():

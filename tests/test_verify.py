@@ -229,6 +229,26 @@ def test_sw_bridge_follows_the_digits(digits):
     assert result.notes["bridge_dev"] <= plain["bridge_dev"] * 1e-15
 
 
+def test_a_nan_sw_row_fails_the_suite_and_is_written_as_null(monkeypatch):
+    # at q = 0.001 the u-form of P_10 leaves the double range: its bridge
+    # row is NaN, and the suite fails on it whatever the headline reads
+    result = qg.run_suite("sw", QContext(q=0.001), nmax=10)
+    assert not result.passed
+    assert [row[:2] for row in result.failures] == [["bridge", 10]]
+    assert math.isnan(result.failures[0][2])
+    assert result.max_deviation <= result.tolerance
+    data = json.loads(json.dumps(result.to_dict(), allow_nan=False))
+    assert data["failures"] == [["bridge", 10, None]]
+    assert data["notes"]["bridge_dev"] is None
+    # a NaN quadrature row fails too, and the headline carries it
+    monkeypatch.setattr(dg, "sw_orthogonality", lambda *args: math.nan)
+    result = qg.run_suite("sw", QContext(q=0.5))
+    assert [row[:3] for row in result.failures] == [
+        ["quadrature", 0, 1], ["quadrature", 1, 2], ["quadrature", 2, 4]]
+    assert math.isnan(result.max_deviation)
+    assert result.to_dict()["notes"]["quadrature_dev"] is None
+
+
 @pytest.mark.parametrize("suite, stages", [
     ("degeneracy", ["quadrature"]), ("sw", ["quadrature"]),
     ("gamma", ["weight_orthonormalization"]),
