@@ -44,7 +44,6 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-import mpmath
 import numpy as np
 
 from .context import GUARD_DIGITS, QContext, as_lattice_shift
@@ -226,12 +225,10 @@ def _times(x: np.ndarray, y) -> np.ndarray:
 
 # -- exact tables -------------------------------------------------------------
 #
-# The ladder, commutator and daughter kernels act on tables (start, parts,
-# exp). In double, parts is the float64 or complex128 table under one
-# leading axis and exp is 0. At set digits, parts holds Python integers:
-# the real parts and, when any entry is complex, the imaginary parts along
-# the leading axis, the table being parts * 2**exp exactly. A value rounds
-# once, where it leaves a kernel (_rounded, _floats).
+# The kernels act on tables (start, parts, exp): in double parts is the
+# table under one leading axis and exp 0; at set digits Python integers,
+# real parts then any imaginary ones along that axis, the table being
+# parts * 2**exp exactly, rounded once where it leaves (_rounded, _floats).
 
 def _binary(x: float) -> tuple:
     """(m, e) with x = m 2^e exactly."""
@@ -314,28 +311,23 @@ def _from_parts(lib, ms: tuple, exp: int):
     """The exact value (re,) or (re, im) times 2**exp, its parts integers,
     rounded once to the nearest mpf, or mpc with two parts, at lib's
     precision."""
-    re, *im = (mpmath.libmp.from_man_exp(m, exp, lib.prec, "n") for m in ms)
-    return lib.make_mpc((re, *im)) if im else lib.make_mpf(re)
+    re, *im = (lib.mpf((m, exp)) for m in ms)
+    return lib.mpc(re, *im) if im else re
 
 
-def _row_peaks(table: tuple) -> np.ndarray:
-    """max |a| over each row of the table, 0 if empty: in double as floats,
-    at set digits max |a|^2 as exact Fractions (see _floats)."""
-    _, parts, exp = table
+def _row_peaks(parts: np.ndarray) -> np.ndarray:
+    """max |a| over each row of an exact table's parts, 0 if empty: floats
+    in double, at set digits the integer max |a|^2, exponent left out."""
     if parts.dtype != object:
         rows = parts[0]
         return np.hypot(rows.real, rows.imag).max(axis=-1, initial=0.0)
-    peaks = (parts * parts).sum(axis=0).max(axis=-1, initial=0)
-    unit = Fraction(2) ** (2 * exp)
-    return np.array([Fraction(p) * unit for p in peaks.flat],
-                    object).reshape(peaks.shape)
+    return (parts * parts).sum(axis=0).max(axis=-1, initial=0)
 
 
-def _sqrt_float(x: Fraction) -> float:
-    """sqrt(x) for a Fraction x >= 0, rounded once to the nearest float:
-    the integer root carries at least 55 bits and rounds to odd, so the
-    division rounds it as it would the exact root."""
-    num, den = x.numerator, x.denominator
+def _sqrt_float(num: int, den: int) -> float:
+    """sqrt(num / den) for integers num >= 0 and den > 0, rounded once to
+    the nearest float: the integer root carries at least 55 bits and
+    rounds to odd, so the division rounds it as it would the exact root."""
     k = max(0, 56 - (num.bit_length() - den.bit_length()) // 2)
     root = math.isqrt((num << 2 * k) // den)
     root |= root * root * den != num << 2 * k
@@ -345,22 +337,25 @@ def _sqrt_float(x: Fraction) -> float:
         return math.inf
 
 
-def _floats(peaks: np.ndarray) -> list:
-    """_row_peaks, or their ratios, as plain floats."""
+def _floats(peaks: np.ndarray, exp: int, ref=None) -> list:
+    """_row_peaks of parts at the binary exponent exp as floats, or their
+    ratios to those of ref where ref is nonzero, else 0.0, rounded once."""
     if peaks.dtype != object:
-        return peaks.tolist()
-    return [_sqrt_float(Fraction(p)) for p in peaks.tolist()]
+        return peaks.tolist() if ref is None else np.divide(
+            peaks, ref, out=np.zeros_like(peaks), where=ref != 0).tolist()
+    if ref is None:  # max |a|^2 = peak 2^(2 exp)
+        ref = [1 << max(0, -2 * exp)] * len(peaks)
+        peaks = peaks << max(0, 2 * exp)
+    return [_sqrt_float(p, r) if r else 0.0 for p, r in zip(peaks, ref)]
 
 
 def _distance(x: tuple, y: tuple, relative: bool = False) -> list:
     """coeff_distance, or relative_coeff_distance, of each row pair of two
     tables; at set digits the ratio is exact and rounds once."""
-    gap = _row_peaks(_difference(x, y))
-    if relative:
-        ref = _row_peaks(y)
-        ref = np.where(ref != 0, ref, _row_peaks(x))
-        gap = np.divide(gap, ref, out=np.zeros_like(gap), where=ref != 0)
-    return _floats(gap)
+    _, (a, b), exp = _aligned([x, y])
+    peak = _row_peaks(b) if relative else None
+    ref = np.where(peak != 0, peak, _row_peaks(a)) if relative else None
+    return _floats(_row_peaks(a - b), exp, ref)
 
 
 # -- construction and elementary algebra ----------------------------------
@@ -437,10 +432,7 @@ def _ladder_table(op: LadderOperator, start: int, parts: np.ndarray,
     ctx = op.ctx
     columns = range(start, start + parts.shape[-1])
     q = ctx.q
-    if op.kind.startswith("arik"):
-        pref = 1 / ctx.sqrt(1 - q)
-    else:
-        pref = 1 / ctx.sqrt(q * (1 - q))
+    pref = 1 / ctx.sqrt(1 - q if op.kind.startswith("arik") else q * (1 - q))
     taps = []
     for s, a, b in _LADDER_TERMS[op.kind]:
         tap = (start + s, parts, exp)
@@ -565,8 +557,8 @@ def commutator_residuals(ctx: QContext, ladders, table: tuple) -> list:
         first = _ladder_table(a, *_ladder_table(b, *table))
         second = _scaled(ctx, _ladder_table(b, *_ladder_table(a, *table)),
                          ctx.q)
-        residuals.append(_floats(_row_peaks(_difference(
-            _difference(first, second), table))))
+        _, parts, exp = _difference(_difference(first, second), table)
+        residuals.append(_floats(_row_peaks(parts), exp))
     return residuals
 
 
@@ -663,13 +655,10 @@ def _paired(product, left: int, right: int) -> np.ndarray:
     re = product(0, 0)
     if left == right == 1:
         return re[None]
-    im = 0
     if left == right == 2:
         re = re - product(1, 1)
-    if right == 2:
-        im = im + product(0, 1)
-    if left == 2:
-        im = im + product(1, 0)
+    im = (product(0, 1) if right == 2 else 0) + \
+        (product(1, 0) if left == 2 else 0)
     return np.stack([re, im])
 
 
@@ -715,8 +704,9 @@ def gram_budget(log_rows, log_kernel, log_scale, tol: float,
     if digits is None:
         digits = math.ceil(log_condition + log_terms - math.log10(tol)
                            + BUDGET_GUARD_DIGITS) - GUARD_DIGITS
-    log_floor = log_condition + log_terms - math.log10(2) * \
-        mpmath.libmp.dps_to_prec(digits + GUARD_DIGITS)
+    # the bits mpmath gives digits + GUARD_DIGITS (libmp.dps_to_prec)
+    bits = max(1, int(round((digits + GUARD_DIGITS + 1) * 3.3219280948873626)))
+    log_floor = log_condition + log_terms - math.log10(2) * bits
     return log_condition, digits, 10.0 ** log_floor if log_floor < 308 else None
 
 

@@ -141,8 +141,12 @@ def _circle_gram(work: QContext, nmax: int, points: int, args: list,
     z = e^{i2pi theta} and theta_3 cut at |m| <= truncation, exactly in
     coefficient space: A K A^T with A[n][k] = C^n_k args[n]^k and K the
     aliased theta kernel, rounded at A's precision, work's."""
-    A = [[c * args[n] ** k for k, c in enumerate(row)]
-         for n, row in enumerate(qbinomial_triangle(work.q, nmax))]
+    try:
+        A = [[c * args[n] ** k for k, c in enumerate(row)]
+             for n, row in enumerate(qbinomial_triangle(work.q, nmax))]
+    except OverflowError:
+        raise ValueError(f"the circle rows leave the double range at nmax "
+                         f"{nmax}; set --digits") from None
     K = _aliased_theta_kernel(work, nmax + 1, points, truncation, sign)
     return gram_contract(A, K, A)
 

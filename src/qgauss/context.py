@@ -6,8 +6,8 @@ computation runs in ordinary doubles or in a configurable-precision
 mpmath backend, and centralizes the exact-exponent power q**r that the
 lattice algebra relies on. Every exponent the ladder and overlap algebra
 raises q to is a multiple of 1/8, so each context keeps those powers in
-a memo of its own (``qpow8``) and computes each one once, from the float
-m / 8, which is that multiple exactly.
+a memo of its own (``qpow8``), each computed once: in double from the
+float m / 8, that multiple exactly, at set digits by binary powering.
 
 This is the one module that knows what a precision is. At set digits a
 context's numbers belong to an mpmath context of their own precision,
@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
-
 # Working digits added on top of what the caller asked for, so the
 # requested accuracy survives intermediate rounding.
 GUARD_DIGITS = 10
@@ -33,14 +31,20 @@ GUARD_DIGITS = 10
 # first use: building one per QContext would cost more than most suites.
 _MP_CONTEXTS = {}
 
+# Bits past the working precision that set-digit powers q^{m/8} carry
+# until they round: they err by at most |m| (|ln q| / 8 + 3) 2^-32 ulp
+# before it, so they stay within 1 ulp while |m| (|ln q| + 24) <= 2^34
+# (Brent & Zimmermann, Modern Computer Arithmetic, 2010, ch. 3-4).
+POWER_GUARD_BITS = 32
 
-def _mp_context(dps: int) -> mpmath.MPContext:
-    try:
-        return _MP_CONTEXTS[dps]
-    except KeyError:
+
+def _mp_context(dps: int):
+    lib = _MP_CONTEXTS.get(dps)
+    if lib is None:  # mpmath loads with the first set-digit context
+        import mpmath
         lib = _MP_CONTEXTS[dps] = mpmath.MPContext()
         lib.dps = dps
-        return lib
+    return lib
 
 
 class QContext:
@@ -109,33 +113,57 @@ class QContext:
         The exponent is kept as an integer or Fraction right up to this
         single exponentiation, so equal exponents always produce equal
         values and symbolic cancellations survive in coefficient space.
-        Exponents on the 1/8 lattice are better taken from ``qpow8``, which
-        returns this same value from the context's memo. A double power
-        past the float range is inf, so the checks built on it fail rather
-        than raise.
+        At set digits an exponent on the 1/8 lattice takes ``qpow8``'s
+        path. A double power past the float range is inf, so the checks
+        built on it fail rather than raise.
         """
         if self.digits is None:
             try:
                 return math.exp(float(r) * self.ln_q)
             except OverflowError:
                 return math.inf
+        if 8 * r == int(8 * r):
+            return self.qpow8(int(8 * r))
         lib = self.lib()
-        if isinstance(r, Fraction):
-            rr = lib.mpf(r.numerator) / r.denominator
-        else:
-            rr = lib.mpf(r)
+        rr = lib.mpf(r.numerator) / r.denominator \
+            if isinstance(r, Fraction) else lib.mpf(r)
         return lib.exp(rr * self.ln_q)
 
     def qpow8(self, m: int):
-        """q**(m/8) for an integer m: qpow(Fraction(m, 8)), bit for bit,
-        computed on the first request and memoized in this context. The
-        exponent is the float m / 8, which is Fraction(m, 8) exactly for
-        every |m| below 2**53, so no Fraction is built."""
-        try:
-            return self._pow8[m]
-        except KeyError:
+        """q**(m/8) for an integer m, memoized in this context. In double it
+        is qpow(Fraction(m, 8)) bit for bit (m / 8 is Fraction(m, 8) for
+        |m| < 2**53). At set digits it is the exact product, rounded once to
+        nearest, of the powers q^{±2^i/8} over the bits of |m|: q^{±1/8} =
+        exp(±ln q / 8), ln q taken once from the supplied parameter, and
+        each further one the square of the last cut to POWER_GUARD_BITS past
+        the working precision, kept in _pow8["+"] and _pow8["-"]."""
+        value = self._pow8.get(m)
+        if value is not None:
+            return value
+        if self.digits is None:
             value = self._pow8[m] = self.qpow(m / 8)
             return value
+        import mpmath
+        libmp, lib = mpmath.libmp, self.lib()
+        width = lib.prec + POWER_GUARD_BITS
+        if "+" not in self._pow8:  # q^{1/8} and q^{-1/8}
+            c = self.c._mpf_
+            ln = libmp.mpf_neg(libmp.mpf_mul(c, c)) if self.supplied == "c" \
+                else libmp.mpf_log(self.q._mpf_, width, "n")
+            for key, x in (("+", ln), ("-", libmp.mpf_neg(ln))):
+                self._pow8[key] = [libmp.mpf_exp(
+                    libmp.mpf_shift(x, -3), width, "n")[1:3]]
+        powers = self._pow8["+" if m > 0 else "-"]
+        bits, man, exp = abs(m), 1, 0
+        while len(powers) < bits.bit_length():  # squared, cut to width
+            base, shift = powers[-1]
+            drop = max(0, 2 * base.bit_length() - width)
+            powers.append((base * base >> drop, 2 * shift + drop))
+        for i, (base, shift) in enumerate(powers[:bits.bit_length()]):
+            if bits >> i & 1:
+                man, exp = man * base, exp + shift
+        value = self._pow8[m] = lib.mpf((man, exp))
+        return value
 
     def lib(self):
         """The numeric library of this context: ``math`` in double, at set

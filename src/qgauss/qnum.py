@@ -10,9 +10,11 @@ exact rationals.
 from __future__ import annotations
 
 
-def _check_q(q):
+def _check_q(q, n: int = 0, name: str = "n"):
     if not 0 < q < 1:
         raise ValueError(f"q must lie in (0, 1), got {q}")
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative, got {n}")
 
 
 def pochhammer_prefix(qq, n: int) -> list:
@@ -33,9 +35,7 @@ def qpochhammer(q, n: int):
 
     Returns 1 for n = 0. Strictly positive for q in (0, 1).
     """
-    _check_q(q)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_q(q, n)
     return pochhammer_prefix(q, n)[n]
 
 
@@ -43,9 +43,7 @@ def qbinomial_row(q, n: int) -> list:
     """The Gaussian binomial coefficients (q,q)_n / ((q,q)_k (q,q)_{n-k})
     for k = 0..n, from one run of Pochhammer partial products; see
     ``qbinomial_triangle`` for the additive recursion."""
-    _check_q(q)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_q(q, n)
     return binomials_from_prefix(pochhammer_prefix(q, n), n)
 
 
@@ -65,9 +63,7 @@ def qbinomial_triangle(q, nmax: int):
     recursion is positive, so the triangle is forward stable; it is the
     independent construction the closed form is checked against.
     """
-    _check_q(q)
-    if nmax < 0:
-        raise ValueError(f"nmax must be nonnegative, got {nmax}")
+    _check_q(q, nmax, "nmax")
     one = q / q
     rows = [[one]]
     qpowers = [one]
@@ -85,9 +81,7 @@ def qbinomial_triangle(q, nmax: int):
 
 def arik_coon_eigenvalue(q, n: int):
     """Number-operator eigenvalue (1 - q^n)/(1 - q); zero at n = 0."""
-    _check_q(q)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_q(q, n)
     return (1 - q ** n) / (1 - q)
 
 
@@ -107,9 +101,7 @@ def macfarlane_eigenvalue(q, n: int):
 
     Nonpositive for every n, strictly decreasing in n.
     """
-    _check_q(q)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_q(q, n)
     return -(q ** (-n)) * (1 - q ** n) / (1 - q)
 
 

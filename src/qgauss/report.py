@@ -26,7 +26,10 @@ class GramReport:
     notes: dict = field(default_factory=dict)
 
     def deviation_matrix(self) -> np.ndarray:
-        return self.matrix - self.target
+        """matrix - target; a zero of the target subtracts nothing."""
+        out, live = self.matrix.copy(), self.target != 0
+        out[live] = self.matrix[live] - self.target[live]
+        return out
 
     def deviations(self, relative: bool = False) -> np.ndarray:
         """|matrix - target| entry by entry; relative divides entry (i, j)
@@ -70,15 +73,18 @@ class GramReport:
 
 
 def _relative_to(target: np.ndarray, dev: np.ndarray) -> np.ndarray:
-    """dev over sqrt(|T_ii| |T_jj|) where that is nonzero, one root per
-    pair i <= j, taken as x ** 0.5 takes it, libm's pow: numpy's ** 0.5 is
-    sqrt on floats."""
+    """dev over sqrt(|T_ii| |T_jj|) where that is nonzero: in double one
+    root per pair i <= j as x ** 0.5 takes it (libm's pow; numpy's ** 0.5
+    is sqrt), at set digits the product of the n diagonal roots."""
     diag = abs(np.diagonal(target))
-    i, j = np.triu_indices(diag.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        pair, scale = diag[i] * diag[j], np.empty(dev.shape, diag.dtype)
-        scale[i, j] = scale[j, i] = pair ** 0.5 if pair.dtype == object \
-            else np.float_power(pair, 0.5)
+        if diag.dtype == object:
+            roots = np.array([x ** 0.5 for x in diag], object)
+            scale = np.multiply.outer(roots, roots)
+        else:
+            i, j = np.triu_indices(diag.size)
+            scale = np.empty(dev.shape)
+            scale[i, j] = scale[j, i] = np.float_power(diag[i] * diag[j], 0.5)
         return np.divide(dev, scale, out=dev.copy(), where=scale > 0)
 
 

@@ -61,12 +61,9 @@ def random_weight(rng: np.random.Generator) -> PeriodicWeight:
     """A weight with 3 distinct harmonics in [-2, 2] and complex Gaussian
     coefficients; the constant mode is always present so the weight cannot
     be orthogonal to the ground state by accident."""
-    choices = list(range(-2, 3))
-    picks = rng.choice(len(choices), size=3, replace=False)
-    modes = {}
-    for idx in picks:
-        modes[choices[idx]] = complex(rng.standard_normal(),
-                                      rng.standard_normal())
+    modes = {int(idx) - 2: complex(rng.standard_normal(),
+                                   rng.standard_normal())
+             for idx in rng.choice(5, size=3, replace=False)}
     modes[0] = modes.get(0, 0) + 1.0
     return PeriodicWeight(modes)
 
@@ -183,11 +180,8 @@ def orthonormal_weight_family(ctx: QContext, count: int) -> list:
                 v = v - (u @ K @ v) * u
         v = v / math.sqrt(v @ K @ v)
         basis.append(v)
-    family = []
-    for v in basis:
-        family.append(PeriodicWeight({m: v[m] for m in range(count)
-                                      if v[m] != 0.0}))
-    return family
+    return [PeriodicWeight({m: v[m] for m in range(count) if v[m] != 0.0})
+            for v in basis]
 
 
 def weight_family_condition(ctx: QContext, count: int) -> float:

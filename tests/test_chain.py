@@ -2,6 +2,7 @@
 four ladder operators and both analytic inner products."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import qgauss as qg
 from qgauss import QContext
-from qgauss.chain import gram_contract
+from qgauss.chain import _sqrt_float, gram_contract
 
 CTX = QContext(q=0.5)
 
@@ -303,3 +304,32 @@ def test_set_digit_tables_reject_a_non_finite_entry():
         qg.coeff_distance(f, f)
     with pytest.raises(ValueError, match="not finite"):
         gram_contract([[lib.mpc(1, lib.nan)]], [[lib.mpf(1)]], [[1]])
+
+
+def fraction_sqrt_float(x: Fraction) -> float:
+    """sqrt(x) rounded to a float as the tables took it from a reduced
+    Fraction: an integer root of at least 55 bits, rounded to odd."""
+    num, den = x.numerator, x.denominator
+    k = max(0, 56 - (num.bit_length() - den.bit_length()) // 2)
+    root = math.isqrt((num << 2 * k) // den)
+    root |= root * root * den != num << 2 * k
+    try:
+        return root / (1 << k)
+    except OverflowError:
+        return math.inf
+
+
+def test_the_root_of_an_integer_ratio_keeps_the_fraction_bits():
+    """An unreduced pair rounds as its Fraction does, across and past the
+    double range (inf above it, 0.0 and subnormals below)."""
+    rng = random.Random(2026)
+    for _ in range(3000):
+        num = rng.getrandbits(rng.randint(0, 2600))
+        den = rng.getrandbits(rng.randint(1, 2600)) | 1
+        common = rng.getrandbits(rng.randint(1, 200)) | 1 << rng.randint(0, 64)
+        expected = fraction_sqrt_float(Fraction(num, den))
+        assert _sqrt_float(num * common, den * common) == expected
+    assert _sqrt_float(1 << 4100, 1) == math.inf
+    assert _sqrt_float(0, 7) == 0.0
+    assert _sqrt_float(1, 1 << 4200) == 0.0
+    assert _sqrt_float(9, 4) == 1.5

@@ -357,3 +357,8 @@ def test_circle_dg_target_past_the_double_range_is_inf():
     result = qg.run_suite("circle-dg", QContext(q=1e-4), nmax=80)
     assert not result.passed
     json.dumps(result.to_dict(), allow_nan=False)
+
+
+def test_circle_rows_past_the_double_range_raise_a_value_error():
+    with pytest.raises(ValueError, match="double range.*--digits"):
+        qg.circle_gram_dg(QContext(q=0.01), 310, 1024)

@@ -411,6 +411,16 @@ def test_overflowing_ladder_check_reports_a_failure():
     assert result["passed"] is False and result["max_deviation"] is None
 
 
+def test_circle_rows_past_the_double_range_are_one_error_line():
+    # (-q^{-1/2})^k passes the double range at q = 0.01 past k = 307
+    proc = run_cli("circle", "--family", "dg", "--q", "0.01", "--nmax", "310",
+                   "--points", "1024")
+    err = proc.stderr.decode()
+    assert proc.returncode == 1 and not proc.stdout
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "double range" in err and "--digits" in err
+
+
 def reference_csv(header, rows):
     """The CSV every command printed before the bulk writer: csv.writer
     over the rows, each float field written as f"{x:.16e}"."""

@@ -140,3 +140,30 @@ def test_double_qpow8_is_the_fraction_power_bit_for_bit(q):
         assert ctx.qpow8(m).hex() == ctx.qpow(Fraction(m, 8)).hex()
     assert ctx.qpow8(-8 * 10 ** 6) == math.inf
     assert ctx.qpow8(8 * 10 ** 6) == 0.0
+
+
+def ulps_off(value, exact, prec: int) -> float:
+    """|value - exact| in units in the last place of a prec-bit number
+    near exact, exact a positive mpf of a wider context."""
+    _, _, exp, bc = exact._mpf_
+    return float(abs(exact.context.mpf(value) - exact)
+                 / exact.context.ldexp(1, exp + bc - prec))
+
+
+@pytest.mark.parametrize("digits", [20, 40, 60])
+@pytest.mark.parametrize("given", [{"q": 0.01}, {"q": 0.3},
+                                   {"q": 0.6180339887498949}, {"q": 0.99},
+                                   {"c": 1.1}])
+def test_set_digit_qpow8_is_within_one_ulp(given, digits):
+    """Against exp(m ln q / 8) 200 bits wider, ln q taken from the
+    context's own q, or -c^2 exactly when c was given."""
+    ctx = QContext(**given, digits=digits)
+    prec = ctx.lib().prec
+    wide = mpmath.MPContext()
+    wide.prec = prec + 200
+    ln_q = wide.log(wide.mpf(ctx.q)) if "q" in given else -wide.mpf(ctx.c) ** 2
+    for m in [*range(-512, 513), 2 ** 13, -2 ** 13]:
+        value = ctx.qpow8(m)
+        assert ulps_off(value, wide.exp(m * ln_q / 8), prec) <= 1, m
+        assert ctx.qpow(Fraction(m, 8)) == value
+    assert ctx.qpow8(0) == 1 and ctx.qpow8(8) == ctx.qpow(1)

@@ -67,7 +67,9 @@ BUILDERS = {
 @pytest.mark.parametrize("build", list(BUILDERS))
 def test_to_dict_walks_the_deviations_once(monkeypatch, build, digits):
     rep = BUILDERS[build](qg.QContext(q=0.43, digits=digits), 6)
-    # both measures as first defined, entry by entry
+    # both measures as first defined, entry by entry; the relative scale
+    # sqrt(|T_ii| |T_jj|) is one root of the product in double and the
+    # product of the two diagonal roots at set digits (object targets)
     M, T = rep.matrix.tolist(), rep.target.tolist()
     size = len(M)
     absolute = [[abs(M[i][j] - T[i][j]) for j in range(size)]
@@ -76,7 +78,9 @@ def test_to_dict_walks_the_deviations_once(monkeypatch, build, digits):
     for i in range(size):
         relative.append([])
         for j in range(size):
-            scl = (abs(T[i][i]) * abs(T[j][j])) ** 0.5
+            ti, tj = abs(T[i][i]), abs(T[j][j])
+            scl = ti ** 0.5 * tj ** 0.5 if rep.target.dtype == object \
+                else (ti * tj) ** 0.5
             dev = absolute[i][j]
             relative[-1].append(dev / scl if scl > 0 else dev)
     assert rep.deviations().tolist() == absolute

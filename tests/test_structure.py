@@ -1,10 +1,14 @@
 """Module boundaries of the package: no module reaches into another's
 private names, so each data format stays behind the module that owns it;
-precision lives in the context module alone; and every public name of the
-package has a caller outside the tests."""
+precision lives in the context module alone; a double run loads no
+mpmath; and every public name of the package has a caller outside the
+tests."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,6 +91,23 @@ def test_precision_lives_in_the_context_module():
     found = {path.name: global_precision_uses(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_a_double_run_loads_no_mpmath():
+    """import qgauss and every suite in double at its default size leave
+    mpmath unloaded; circle-mac is left out, its budget always sets
+    digits."""
+    code = ("import sys, qgauss\n"
+            "for name in qgauss.SUITES:\n"
+            "    if name != 'circle-mac':\n"
+            "        qgauss.run_suite(name, qgauss.QContext(q=0.43))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('mpmath')))\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def public_definitions(source: str) -> list:
