@@ -20,9 +20,9 @@ mpmath's global one; ``coeffs`` is only a read-only {t: a} view of the
 nonzero entries.
 
 A table holds one chain per row on a common window: ladders act on it as
-two-tap stencils, products of rows expand into daughters as one weighted
-convolution, and the commutator, ladder and sum-rule checks act on whole
-tables. In double these kernels keep numpy's float64 and complex128
+two-tap stencils, and the commutator and ladder checks act on whole
+tables; the product of two chains expands into daughters as one weighted
+convolution. In double these kernels keep numpy's float64 and complex128
 operations, a complex product taken part by part as Python takes it. At
 set digits they run in exact integer arithmetic: every mpf, every
 q^{m/8} and the prefactors are binary fractions m 2^e, so a table becomes
@@ -185,17 +185,9 @@ def _aligned(tables: list) -> tuple:
     return start, out, exp
 
 
-def _stack(ctx: QContext, chains: list) -> tuple:
-    """The rows of chains as one exact table (start, parts, exp) on their
-    common window."""
-    if len(chains) == 1:
-        return (chains[0].start, *_exact(ctx, chains[0].row[None]))
-    start = min(f.start for f in chains)
-    rows = np.zeros((len(chains), max(f.start + f.row.size for f in chains)
-                     - start), np.result_type(*(f.row for f in chains)))
-    for line, f in zip(rows, chains):
-        line[f.start - start:f.start - start + f.row.size] = f.row
-    return (start, *_exact(ctx, rows))
+def _row_table(f: GaussianChain) -> tuple:
+    """The chain's row as a one-row exact table (start, parts, exp)."""
+    return (f.start, *_exact(f.ctx, f.row[None]))
 
 
 def _difference(x: tuple, y: tuple) -> tuple:
@@ -477,7 +469,7 @@ def apply_ladder(op: LadderOperator, f: GaussianChain) -> GaussianChain:
     """
     if f.ctx != op.ctx:
         raise ValueError("operator and chain carry different contexts")
-    start, parts, exp = _ladder_table(op, *_stack(f.ctx, [f]))
+    start, parts, exp = _ladder_table(op, *_row_table(f))
     return GaussianChain(op.ctx, start=start,
                          row=_rounded(op.ctx, parts, exp)[0])
 
@@ -718,36 +710,6 @@ def _log10_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return top + np.log10(scaled.sum(axis=1))
 
 
-def _daughter_table(ctx: QContext, left: tuple, right: tuple) -> tuple:
-    """The daughters of each product of a left row by a right row, as a
-    table (start, parts, exp) whose parts have shape (parts, left rows,
-    right rows, width), from the first daughter center. On the centers
-    t = ta + 2j and s = tb + 2i of one parity class, entry j + i gathers
-    a_j b_i q^{(t-s)^2/8} in increasing left center j; at set digits the
-    real and imaginary parts of the two sides pair as complex products."""
-    parities, tables = set(), []
-    for start, parts, exp in (left, right):
-        live = np.flatnonzero(parts.astype(bool).any(axis=(0, 1)))
-        parities |= set(((start + live) % 2).tolist())
-        first = int(live[0]) if live.size else 0
-        tables.append((start + first, parts[..., first::2], exp))
-    if len(parities) > 1:
-        raise ValueError("product centers leave the half-integer lattice; "
-                         "chains must live on one parity class")
-    (ta, A, ea), (tb, B, eb) = tables
-    wa, wb = A.shape[-1], B.shape[-1]
-    weights, ew = _exact(ctx, [ctx.qpow8(d * d) for d in range(
-        ta - tb - 2 * (wb - 1), ta - tb + 2 * wa - 1, 2)])
-    out = np.zeros(A.shape[:2] + B.shape[:2] + (max(wa + wb - 1, 0),),
-                   np.result_type(A, B))
-    A, B, weights = A[..., None, None, None], B[None, None], weights[0, ::-1]
-    for j in range(wa):
-        term = _mul(_mul(A[:, :, j], B), weights[wa - 1 - j:wa - 1 - j + wb])
-        out[..., j:j + wb] += term
-    parts = _paired(lambda i, j: out[i, :, j], out.shape[0], out.shape[2])
-    return (ta + tb) // 2, parts, ea + eb + ew
-
-
 def product_daughters(f: GaussianChain, g: GaussianChain) -> DaughterChain:
     """Expand the pointwise product f(x) g(x) in the daughter family,
 
@@ -756,28 +718,31 @@ def product_daughters(f: GaussianChain, g: GaussianChain) -> DaughterChain:
     All centers of f and g must share one parity class (twice-center sums
     even), otherwise the daughters would leave the half-integer lattice.
     No conjugation is applied; integrating the result therefore equals
-    inner(conj(f), g, standard). The one-row case of _daughter_table; at
-    set digits each daughter rounds once.
+    inner(conj(f), g, standard). On the centers t = ta + 2j of f and
+    s = tb + 2i of g, daughter j + i gathers a_j b_i q^{(t-s)^2/8} in
+    increasing j, one weighted convolution of the two rows; at set digits
+    their real and imaginary parts pair as complex products, exactly, and
+    each daughter rounds once.
     """
     _require_same_ctx(f, g)
     ctx = f.ctx
-    start, parts, exp = _daughter_table(ctx, _stack(ctx, [f]),
-                                        _stack(ctx, [g]))
-    return DaughterChain(ctx, start=start, row=_rounded(ctx, parts, exp)[0, 0])
-
-
-def daughter_sums(left: list, right: list) -> list:
-    """The daughter coefficient sum of f g for every f in left (rows) and
-    g in right (columns): one convolution of the two tables, then each
-    daughter row summed. In double the sum runs in increasing center, as
-    DaughterChain.coefficient_sum sums it; at set digits it is exact and
-    each sum rounds once."""
-    ctx = left[0].ctx
-    _, parts, exp = _daughter_table(ctx, _stack(ctx, left),
-                                    _stack(ctx, right))
-    sums = [[[sum(filter(None, row)) for row in rows] for rows in part]
-            for part in parts.tolist()]
-    return _rounded(ctx, np.array(sums, object), exp).tolist()
+    if len({(h.start + j) % 2 for h in (f, g)
+            for j in np.flatnonzero(h.row.astype(bool)).tolist()}) > 1:
+        raise ValueError("product centers leave the half-integer lattice; "
+                         "chains must live on one parity class")
+    (A, ea), (B, eb) = (_exact(ctx, h.row[::2]) for h in (f, g))
+    wa, wb = A.shape[-1], B.shape[-1]
+    weights, ew = _exact(ctx, [ctx.qpow8(d * d) for d in range(
+        f.start - g.start - 2 * (wb - 1), f.start - g.start + 2 * wa - 1, 2)])
+    out = np.zeros((len(A), len(B), max(wa + wb - 1, 0)), np.result_type(A, B))
+    weights = weights[0, ::-1]
+    for j in range(wa):
+        term = _mul(_mul(A[:, None, j, None], B[None]),
+                    weights[wa - 1 - j:wa - 1 - j + wb])
+        out[..., j:j + wb] += term
+    parts = _paired(lambda i, j: out[i, j], len(A), len(B))
+    return DaughterChain(ctx, start=(f.start + g.start) // 2,
+                         row=_rounded(ctx, parts, ea + eb + ew))
 
 
 def evaluate(f: GaussianChain, x):
@@ -807,13 +772,13 @@ def evaluate(f: GaussianChain, x):
 
 def coeff_distance(f: GaussianChain, g: GaussianChain) -> float:
     """max |f_t - g_t| over the union of centers, as a plain float."""
-    return _distance(_stack(f.ctx, [f]), _stack(f.ctx, [g]))[0]
+    return _distance(_row_table(f), _row_table(g))[0]
 
 
 def relative_coeff_distance(f: GaussianChain, g: GaussianChain) -> float:
     """coeff_distance normalized by the largest reference coefficient of g
     (falls back to f when g is the zero chain)."""
-    return _distance(_stack(f.ctx, [f]), _stack(f.ctx, [g]),
+    return _distance(_row_table(f), _row_table(g),
                      relative=True)[0]
 
 

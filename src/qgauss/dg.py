@@ -20,9 +20,8 @@ from .context import QContext
 from .qnum import (arik_coon_eigenvalue, binomials_from_prefix, hermite,
                    horner, pochhammer_prefix, qbinomial_row, qpochhammer)
 from .chain import (Family, GaussianChain, alpha, arik_lower, arik_raise,
-                    daughter_sums, evaluate, gram_contract, inner,
-                    integer_chain, lattice_kernel, mul_qlinear,
-                    overlap_scale, shift)
+                    evaluate, gram_contract, inner, integer_chain,
+                    lattice_kernel, mul_qlinear, overlap_scale, shift)
 from .report import GramReport
 
 
@@ -109,19 +108,19 @@ def gram_phi(ctx: QContext, nmax: int) -> GramReport:
                       notes={"family": "dg"})
 
 
-def daughter_sum_rules(ctx: QContext, nmax: int) -> list:
+def daughter_sum_rules(ctx: QContext, nmax: int) -> np.ndarray:
     """The sums of the normalized daughter coefficients of phi_n phi_m for
-    all n, m <= nmax, as rows indexed by n, with every phi_k built once.
+    all n, m <= nmax, daughter_gram / alpha^2 as a 2-D array.
 
     The product expands as alpha^2 sum_k d_k q^{2(x-k/2)^2} and the d_k
     sum to delta_{nm}: integrating against any half-period weight picks up
     one common factor, which is why the whole orthogonality survives
-    arbitrary periodic weights.
+    arbitrary periodic weights. Each pair of centers (j, k) gives the
+    daughter at (j + k)/2 the term a^n_j a^m_k q^{(j-k)^2/2}, so the sum
+    over daughters is the daughter Gram's entry, grouped by center
+    instead of by pair.
     """
-    phis = [integer_chain(ctx, row) for row in phi_table(ctx, nmax)]
-    sums = daughter_sums([f.conjugate() for f in phis], phis)
-    norm = alpha(ctx) ** 2
-    return [[total / norm for total in row] for row in sums]
+    return daughter_gram(ctx, nmax) / alpha(ctx) ** 2
 
 
 # -- harmonic-oscillator limit ----------------------------------------------

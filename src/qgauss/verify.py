@@ -189,14 +189,15 @@ def suite_limits(nmax: int = 4) -> SuiteResult:
     ratio_window = (0.15, 0.40)
     failures = []
     rows = {}
-    worst_gap = 0.0
+    gaps = []
     for n in range(nmax + 1):
         scan = dg_mod.harmonic_limit_scan(dg_mod.DG, n, c_list)
         devs = [row["dev"] for row in scan]
         rows[str(n)] = scan
         if n == 0:
-            if max(devs) > 1e-12:
-                failures.append(["dg", n, "flat-ratio", float(max(devs))])
+            flat = _worst(devs)
+            if not flat <= 1e-12:
+                failures.append(["dg", n, "flat-ratio", flat])
         else:
             if not devs[0] > devs[1] > devs[2]:
                 failures.append(["dg", n, "monotone", [float(d) for d in devs]])
@@ -204,11 +205,10 @@ def suite_limits(nmax: int = 4) -> SuiteResult:
             if not ratio_window[0] <= step <= ratio_window[1]:
                 failures.append(["dg", n, "step-ratio", float(step)])
         q = math.exp(-0.05 ** 2)
-        gap = abs(mac_mod.MAC.sign * mac_mod.MAC.lam(q, n) + n)
-        worst_gap = max(worst_gap, gap)
-        if gap > eig_tol:
-            failures.append(["mac", n, "eigenvalue-gap", float(gap)])
-    return SuiteResult("limits", not failures, eig_tol, worst_gap,
+        gaps.append(abs(mac_mod.MAC.sign * mac_mod.MAC.lam(q, n) + n))
+        if not gaps[-1] <= eig_tol:
+            failures.append(["mac", n, "eigenvalue-gap", float(gaps[-1])])
+    return SuiteResult("limits", not failures, eig_tol, _worst(gaps),
                        params={"nmax": nmax, "c_list": c_list,
                                "ratio_window": list(ratio_window)},
                        failures=failures, notes={"scans": rows})
@@ -285,9 +285,11 @@ def suite_gamma(ctx: QContext, nweights: int = 3, nmax: int = 6) -> SuiteResult:
 
 
 def suite_sumrule(ctx: QContext, nmax: int = 10) -> SuiteResult:
-    sums = np.array(dg_mod.daughter_sum_rules(ctx, nmax))  # real, as phi_n
-    return _judge("sumrule", 1e-12, abs(sums - np.eye(nmax + 1)),
-                  {"q": float(ctx.q), "nmax": nmax, "digits": ctx.digits})
+    report = GramReport(labels=list(range(nmax + 1)),
+                        matrix=dg_mod.daughter_sum_rules(ctx, nmax),
+                        target=np.eye(nmax + 1), precision_digits=ctx.digits)
+    return _gram_suite("sumrule", report, 1e-12,
+                       {"q": float(ctx.q), "nmax": nmax, "digits": ctx.digits})
 
 
 def suite_sw(ctx: QContext, nmax: int = 6, s=0.5) -> SuiteResult:

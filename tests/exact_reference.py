@@ -8,15 +8,19 @@ do the same with Fractions, independently of the kernels' integer format:
 precision and ``sqrt_rounded`` rounds a square root to the nearest float.
 In double ``exact`` and ``rounded`` leave a value as it is, so a reference
 written over them computes in double exactly as before. ``random_chain``
-draws the random complex chains the kernels are checked on.
+draws the random complex chains the kernels are checked on, and
+``sum_rule_bound`` bounds the gap between two summation orders of the
+daughter sum rule.
 """
 
 import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
-from qgauss.chain import GaussianChain
+from qgauss.chain import GaussianChain, alpha
+from qgauss.dg import phi_table
 from qgauss.verify import random_table
 
 
@@ -25,6 +29,23 @@ def random_chain(ctx, rng) -> GaussianChain:
     twice-centers in [-4, 4]."""
     start, (row,) = random_table(ctx, rng, 1)
     return GaussianChain(ctx, dict(enumerate(row.tolist(), start)))
+
+
+def sum_rule_bound(ctx, nmax) -> np.ndarray:
+    """gamma_t (|Phi| K |Phi|^T) / alpha^2, entry by entry, over the rows
+    Phi of phi_table(ctx, nmax) and the lattice kernel K, with gamma_t =
+    t eps, t = (nmax + 1)^2 terms and eps the machine epsilon at the
+    context's precision: the roundoff of a sum of t terms in any order
+    (chain.gram_budget's model), so two orders of the normalized daughter
+    sums agree within it."""
+    size = nmax + 1
+    rows = np.zeros((size, size))
+    for n, row in enumerate(phi_table(ctx, nmax)):
+        rows[n, :n + 1] = [abs(float(a)) for a in row]
+    d = np.arange(size)
+    kernel = float(ctx.q) ** ((d[:, None] - d) ** 2 / 2)
+    eps = 2.0 ** (1 - (ctx.lib().prec if ctx.is_mp else 53))
+    return size ** 2 * eps * (rows @ kernel @ rows.T) / float(alpha(ctx)) ** 2
 
 
 def fraction(x) -> Fraction:

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -5,13 +6,13 @@ import statistics
 
 import numpy as np
 import pytest
-from exact_reference import random_chain
+from exact_reference import random_chain, sum_rule_bound
 
 import qgauss as qg
 from qgauss import QContext
 from qgauss import circle, dg, macfarlane, verify, weights
 from qgauss.report import GramReport
-from qgauss.chain import commutator_residuals, daughter_sums, ladder_residuals
+from qgauss.chain import commutator_residuals, ladder_residuals
 from qgauss.verify import random_table
 
 
@@ -191,12 +192,14 @@ def test_family_tables_are_built_once_per_suite(monkeypatch, digits):
     assert sorted(built) == [("mac_table", 7), ("phi_table", 7)]
     monkeypatch.undo()
     assert sumrule.passed and ladders.passed
-    # the same numbers as the one-pair and one-level checks, the sum-rule
-    # gaps taken in the backend's own type
-    assert sumrule.max_deviation == max(
-        float(max(abs(v.real - int(n == m)), abs(v.imag)))
-        for n in range(7) for m in range(7)
-        for v in [one_pair_sum_rule(ctx, n, m)])
+    # the same numbers as the one-level checks, and the sum rule within
+    # the roundoff of the one-pair daughter sums, another summation order
+    pairs = np.array([[one_pair_sum_rule(ctx, n, m) for m in range(7)]
+                      for n in range(7)])
+    gaps = abs(pairs - dg.daughter_sum_rules(ctx, 6)).astype(float)
+    assert (gaps <= sum_rule_bound(ctx, 6)).all()
+    assert abs(sumrule.max_deviation - float(np.max(abs(pairs - np.eye(7))))) \
+        <= sum_rule_bound(ctx, 6).max()
     assert ladders.max_deviation == max(
         res[key] for n in range(1, 7)
         for res in (ladder_residuals(ctx, [n], dg.DG)[0],
@@ -206,9 +209,43 @@ def test_family_tables_are_built_once_per_suite(monkeypatch, digits):
 
 def one_pair_sum_rule(ctx, n, m):
     """The normalized daughter coefficient sum of phi_n phi_m alone."""
-    [[total]] = daughter_sums([qg.build_phi(ctx, n).conjugate()],
-                              [qg.build_phi(ctx, m)])
-    return total / qg.alpha(ctx) ** 2
+    daughters = qg.product_daughters(qg.build_phi(ctx, n), qg.build_phi(ctx, m))
+    return daughters.coefficient_sum() / qg.alpha(ctx) ** 2
+
+
+@pytest.mark.parametrize("digits", [None, 25])
+def test_sumrule_reads_the_one_daughter_gram(monkeypatch, digits):
+    calls = []
+    for name in ("phi_table", "gram_contract"):
+        original = getattr(dg, name)
+
+        def counted(*args, original=original, name=name):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(dg, name, counted)
+    assert qg.run_suite("sumrule", QContext(q=0.61, digits=digits), nmax=6).passed
+    assert calls == ["phi_table", "gram_contract"]
+
+
+def test_a_nan_limits_row_fails_the_suite(monkeypatch):
+    scan, lam = dg.harmonic_limit_scan, macfarlane.MAC.lam
+
+    def nan_middle_row(family, n, c_list):
+        rows = scan(family, n, c_list)
+        if n == 0:
+            rows[1]["dev"] = math.nan
+        return rows
+    monkeypatch.setattr(dg, "harmonic_limit_scan", nan_middle_row)
+    result = qg.run_suite("limits")
+    assert not result.passed
+    assert [row[:3] for row in result.failures] == [["dg", 0, "flat-ratio"]]
+    assert math.isnan(result.failures[0][3])
+    monkeypatch.setattr(macfarlane, "MAC", dataclasses.replace(
+        macfarlane.MAC, lam=lambda q, k: math.nan if k == 2 else lam(q, k)))
+    result = qg.run_suite("limits")
+    assert [row[:3] for row in result.failures] == [
+        ["dg", 0, "flat-ratio"], ["mac", 2, "eigenvalue-gap"]]
+    assert math.isnan(result.max_deviation)
 
 
 def test_ladder_checks_match_single_levels():
