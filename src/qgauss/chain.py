@@ -23,11 +23,13 @@ A table holds one chain per row on a common window: ladders act on it as
 two-tap stencils, and the commutator and ladder checks act on whole
 tables; the product of two chains expands into daughters as one weighted
 convolution. In double these kernels keep numpy's float64 and complex128
-operations, a complex product taken part by part as Python takes it. At
-set digits they run in exact integer arithmetic: every mpf, every
-q^{m/8} and the prefactors are binary fractions m 2^e, so a table becomes
-Python integers at one binary exponent, its real and imaginary parts
-stacked, and products and sums are exact. Each result rounds once: a row
+operations, a complex product taken part by part as Python takes it and a
+real factor multiplying each part once (Python's complex x float but for
+the sign of an exact zero and at inf or NaN parts). At set digits they
+run in exact integer arithmetic: every mpf, every q^{m/8} and the
+prefactors are binary fractions m 2^e, so a table becomes Python integers
+at one binary exponent, its real and imaginary parts stacked, and
+products and sums are exact. Each result rounds once: a row
 to the context's precision, nearest; a residual, or the exact ratio of a
 relative one, to the nearest float. The Gram contraction gram_contract
 takes its mpmath tables the same way: each entry of A K B^T is one exact
@@ -198,8 +200,11 @@ def _difference(x: tuple, y: tuple) -> tuple:
 def _times(x: np.ndarray, y) -> np.ndarray:
     """x * y elementwise, broadcast. A complex double product is taken part
     by part as Python takes it: numpy's complex multiply rounds
-    differently. On object arrays a product with a zero factor is left the
-    integer 0, so the holes of a row at rest cost no mpmath call."""
+    differently. A real factor y multiplies each part of x once: Python's
+    complex x float but for the sign of an exact zero and at inf or NaN
+    parts, where Python's inf * 0 gives NaN. On object arrays a product
+    with a zero factor is left the integer 0, so the holes of a row at
+    rest cost no mpmath call."""
     y = np.asarray(y, dtype=x.dtype if x.dtype == object else None)
     if x.dtype == object:
         live = x.astype(bool) & y.astype(bool)
@@ -210,6 +215,9 @@ def _times(x: np.ndarray, y) -> np.ndarray:
     if x.dtype != complex and y.dtype != complex:
         return x * y
     out = np.empty(np.broadcast_shapes(x.shape, y.shape), complex)
+    if y.dtype != complex:
+        out.real, out.imag = x.real * y, x.imag * y
+        return out
     out.real = x.real * y.real - x.imag * y.imag
     out.imag = x.real * y.imag + x.imag * y.real
     return out
@@ -312,7 +320,9 @@ def _row_peaks(parts: np.ndarray) -> np.ndarray:
     in double, at set digits the integer max |a|^2, exponent left out."""
     if parts.dtype != object:
         rows = parts[0]
-        return np.hypot(rows.real, rows.imag).max(axis=-1, initial=0.0)
+        mags = np.abs(rows) if rows.dtype != complex else \
+            np.hypot(rows.real, rows.imag)
+        return mags.max(axis=-1, initial=0.0)
     return (parts * parts).sum(axis=0).max(axis=-1, initial=0)
 
 

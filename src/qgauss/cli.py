@@ -26,7 +26,7 @@ from .circle import circle_gram_dg, circle_gram_mac
 from .dg import gram_phi, harmonic_limit_scan, limit_grid, limit_ratio_curve
 from .macfarlane import indefinite_gram
 from .weights import gamma_family_gram, orthonormal_weight_family
-from .report import GramReport
+from .report import GramReport, json_floats
 from .verify import FAMILIES, SUITES, run_suite
 
 SCHEMA = "qgauss/1"
@@ -123,7 +123,7 @@ def cmd_coeffs(args, scale: QContext, echo: dict) -> int:
             "family": args.family, "n": args.n,
             "normalization": normalization,
             "rows": [{"k": k, "center": float(k), "re": v, "im": 0.0}
-                     for k, v in enumerate(coeffs)]})
+                     for k, v in enumerate(json_floats(coeffs))]})
     return _emit_csv(
         ["c", "q", "family", "n", "normalization", "k", "center",
          "coefficient_re", "coefficient_im"],
@@ -140,14 +140,15 @@ def cmd_eval(args, scale: QContext, echo: dict) -> int:
         values = np.atleast_1d(np.asarray(evaluate(chain, grid), dtype=complex))
     else:
         values = np.array([complex(evaluate(chain, float(x))) for x in grid])
-    table = np.column_stack([grid, values.real, values.imag]).tolist()
-    if args.format == "json":
+    table = np.column_stack([grid, values.real, values.imag])
+    if args.format == "json":  # strict JSON: null where not finite
         return _emit(args, echo, {
             "family": args.family, "n": args.n,
-            "rows": [{"x": x, "re": re, "im": im} for x, re, im in table]})
+            "rows": [{"x": x, "re": re, "im": im}
+                     for x, re, im in json_floats(table)]})
     return _emit_csv(["c", "q", "family", "n", "x", "value_re", "value_im"],
                      [_fmt(scale.c), _fmt(scale.q), args.family, args.n],
-                     "%.16e,%.16e,%.16e", table, args.out)
+                     "%.16e,%.16e,%.16e", table.tolist(), args.out)
 
 
 def _emit_gram(args, scale: QContext, echo: dict, report: GramReport) -> int:

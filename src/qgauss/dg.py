@@ -47,26 +47,26 @@ def dg_norm(ctx: QContext, n: int):
             * ctx.sqrt(qpochhammer(ctx.q, n)))
 
 
-def _phi_row(ctx: QContext, a, poch: list, n: int) -> list:
-    """The coefficients of phi_n from alpha a and the Pochhammer prefix."""
-    root = ctx.sqrt(poch[n])
-    return [(-a if k % 2 else a) * binom * ctx.qpow8(4 * (n - k)) / root
-            for k, binom in enumerate(binomials_from_prefix(poch, n))]
-
-
 def phi_table(ctx: QContext, nmax: int) -> list:
-    """The coefficient rows of phi_0..phi_nmax from one Pochhammer prefix
-    and one alpha."""
+    """The coefficient rows of phi_0..phi_nmax, (-1)^k alpha [n k]_q
+    q^{(n-k)/2} / sqrt((q, q)_n) on the centers k, from one Pochhammer
+    prefix, one alpha and one list of powers q^{j/2}."""
     a, poch = alpha(ctx), pochhammer_prefix(ctx.q, nmax)
-    return [_phi_row(ctx, a, poch, n) for n in range(nmax + 1)]
+    signs = [a, -a] * (nmax // 2 + 1)
+    powers = [ctx.qpow8(4 * j) for j in range(nmax + 1)]
+    return [[sign * binom * power / root for sign, binom, power in
+             zip(signs, binomials_from_prefix(poch, n), powers[n::-1])]
+            for n, root in enumerate(map(ctx.sqrt, poch))]
 
 
 def Phi_table(ctx: QContext, nmax: int) -> list:
     """The raw rows of Phi_0..Phi_nmax, (-1)^k [n k]_q q^{-k/2} on the
-    centers k, from one Pochhammer prefix."""
+    centers k, from one Pochhammer prefix and one list of (-1)^k q^{-k/2}."""
     poch = pochhammer_prefix(ctx.q, nmax)
-    return [[(-binom if k % 2 else binom) * ctx.qpow8(-4 * k)
-             for k, binom in enumerate(binomials_from_prefix(poch, n))]
+    powers = [-ctx.qpow8(-4 * k) if k % 2 else ctx.qpow8(-4 * k)
+              for k in range(nmax + 1)]
+    return [[binom * power for binom, power in
+             zip(binomials_from_prefix(poch, n), powers)]
             for n in range(nmax + 1)]
 
 

@@ -52,7 +52,8 @@ def _zeta(ctx: QContext, a, poch_n, n: int):
 
 def _E_row(ctx: QContext, binomials: list, n: int) -> list:
     """E^n_k = (-1)^k [n k]_q q^{(k - 2nk)/2}, from the q-binomial row."""
-    return [(-binom if k % 2 else binom) * ctx.qpow8(4 * (k - 2 * n * k))
+    pow8, step = ctx.qpow8, 4 - 8 * n
+    return [(-binom if k % 2 else binom) * pow8(step * k)
             for k, binom in enumerate(binomials)]
 
 
@@ -134,15 +135,15 @@ def twisted_gram_magnitudes(q: float, nmax: int) -> tuple:
 
 
 # Largest nmax the mac-gram suite runs in exact double sums at unset
-# digits, where its deviation is exactly 0; past it the suite runs the
-# budgeted mpmath Gram and reports the digits the budget chose. The bound
-# is the measured crossover: per mac-gram call, exact against budgeted,
-# median over 8 q in [0.21, 0.9] (Python 3.11.7, pure-Python mpmath, a
-# 2-vCPU VM), the two cost the same at nmax 18.
+# digits; past it the suite runs the budgeted mpmath Gram and reports the
+# digits the budget chose. Per mac-gram call, median over 8 q in
+# [0.21, 0.9] (best of 3 calls each; Python 3.11.7, pure-Python mpmath, a
+# 2-vCPU VM), the two routes cost the same near nmax 16; the bound stays
+# 18 because the exact sums give a deviation of exactly 0.
 #
-#     nmax      8     12     16     17     18     19     20     22
-#     exact   1.3    4.7   16.1   21.3   28.8   26.3   41.4   64.3  ms
-#     budget  5.4   11.5   21.3   24.0   28.2   22.6   31.8   39.4  ms
+#     nmax      8     12     15     16     17     18     20     22
+#     exact   0.5    1.7    4.4    5.9    7.9   10.7   19.0   30.3  ms
+#     budget  1.5    3.0    4.8    5.6    6.5    7.7   11.1   15.1  ms
 EXACT_NMAX = 18
 
 

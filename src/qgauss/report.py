@@ -62,10 +62,10 @@ class GramReport:
         dev = self.deviations()
         return {
             "labels": list(self.labels),
-            "matrix": _floats(self.matrix),
-            "target": _floats(self.target),
-            "max_abs_deviation": _floats(_largest(dev)),
-            "max_relative_deviation": _floats(
+            "matrix": json_floats(self.matrix),
+            "target": json_floats(self.target),
+            "max_abs_deviation": json_floats(_largest(dev)),
+            "max_relative_deviation": json_floats(
                 _largest(_relative_to(self.target, dev))),
             "precision_digits": self.precision_digits,
             "notes": dict(self.notes),
@@ -93,7 +93,7 @@ def _largest(dev: np.ndarray):
     return dev[dev == dev].max(initial=0.0)
 
 
-def _floats(values):
+def json_floats(values):
     """An array, or one number, as Python floats, None where not finite."""
     values = np.asarray(values, dtype=float)
     return np.where(np.isfinite(values), values, None).tolist()

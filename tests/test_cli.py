@@ -66,6 +66,27 @@ def test_circle_past_the_double_range_writes_null():
     assert report["target"][20][20] is None
 
 
+def test_coeffs_and_eval_past_the_double_range_write_null():
+    # at q = 0.01, n = 30 zeta_n underflows to 0 while E^n_k overflows, so
+    # most of B_30's double coefficients, and its values, are NaN
+    proc = run_cli("coeffs", "--family", "mac", "--n", "30", "--q", "0.01",
+                   "--format", "json")
+    assert proc.returncode == 0, proc.stderr.decode()
+    rows = json.loads(proc.stdout.decode(),
+                      parse_constant=reject_constant)["rows"]
+    values = [row["re"] for row in rows]
+    assert len(values) == 31 and values.count(None) == 25
+    assert [row["im"] for row in rows] == [0.0] * 31
+    assert all(isinstance(v, float) for v in values if v is not None)
+    proc = run_cli("eval", "--family", "mac", "--n", "30", "--q", "0.01",
+                   "--grid", "-1:1:3", "--format", "json")
+    assert proc.returncode == 0, proc.stderr.decode()
+    rows = json.loads(proc.stdout.decode(),
+                      parse_constant=reject_constant)["rows"]
+    assert [(row["x"], row["re"], row["im"]) for row in rows] == [
+        (-1.0, None, None), (0.0, None, None), (1.0, None, None)]
+
+
 def test_quadrature_out_of_points_is_a_failing_row_not_a_traceback():
     proc = run_cli("verify", "--suite", "degeneracy", "--q", "0.99",
                    "--nmax", "15")

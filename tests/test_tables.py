@@ -497,3 +497,99 @@ def test_ladders_json_at_extreme_q_is_pinned(q, digits):
         reference_ladders(ctx, 15)[1].to_dict()
     assert (json.dumps(result.to_dict(), sort_keys=True)
             == json.dumps(expected, sort_keys=True))
+
+
+# -- the double products and peaks, and the family tables, bit for bit ------
+
+def bits(x) -> tuple:
+    """A double, or an mpmath value, as the exact data that identify it,
+    the sign of a zero included."""
+    return x._mpf_ if hasattr(x, "_mpf_") else float(x).hex()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_real_factor_multiplies_each_part_of_a_complex_table_once(seed):
+    """Python's complex x float, entry by entry: every nonzero part bit for
+    bit, every zero part equal in value and carrying the sign of its one
+    product part * factor (Python's own product may differ in that sign)."""
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((2, 6, 9)) * 10.0 ** rng.integers(
+        -150, 150, (2, 6, 9))
+    parts[rng.random(parts.shape) < 0.3] = 0.0
+    parts[rng.random(parts.shape) < 0.2] = -0.0
+    table = np.empty(parts.shape[1:], complex)
+    table.real, table.imag = parts
+    factor = rng.standard_normal(9) * 10.0 ** rng.integers(-10, 10, 9)
+    factor[:2] = 0.0, -0.0
+    for y in (factor, factor[None], factor[3]):
+        got = qg.chain._times(table, y)
+        assert got.dtype == complex
+        for x, f, z in zip(*(a.ravel().tolist() for a in
+                             np.broadcast_arrays(table, y, got))):
+            want = complex(x) * float(f)
+            for part, once, mine in ((x.real, want.real, z.real),
+                                     (x.imag, want.imag, z.imag)):
+                assert mine == once
+                assert bits(mine) == bits(part * f if mine == 0 else once)
+
+
+def test_a_real_factor_at_inf_or_nan_parts_multiplies_each_part_once():
+    table = np.array([complex(math.inf, 1.0), complex(2.0, math.nan)])
+    got = qg.chain._times(table, np.array([2.0, 0.0]))
+    assert got[0].real == math.inf and got[0].imag == 2.0
+    assert math.isnan(got[1].imag) and bits(got[1].real) == bits(0.0)
+
+
+def test_real_row_peaks_are_the_hypot_peaks_with_inf_and_nan():
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(
+        -300, 300, (40, 7))
+    for value, share in ((0.0, 0.2), (-0.0, 0.1), (math.inf, 0.05),
+                         (-math.inf, 0.05), (math.nan, 0.05)):
+        rows[rng.random(rows.shape) < share] = value
+    rows[0], rows[1] = -0.0, math.nan
+    for table in (rows, rows[:, :0]):
+        got = qg.chain._row_peaks(table[None])
+        want = np.hypot(table, 0).max(axis=-1, initial=0.0)
+        assert [bits(x) for x in got.tolist()] == [bits(x) for x in
+                                                   want.tolist()]
+    complex_rows = np.empty(rows.shape, complex)
+    complex_rows.real, complex_rows.imag = rows, rows[::-1]
+    assert np.array_equal(
+        qg.chain._row_peaks(complex_rows[None]),
+        np.hypot(complex_rows.real, complex_rows.imag).max(axis=-1),
+        equal_nan=True)
+
+
+def closed_form_rows(ctx, nmax) -> dict:
+    """The rows of phi, Phi and B_0..B_nmax entry by entry from the closed
+    forms, each q-power read from the context's qpow8."""
+    a, poch = qg.alpha(ctx), qg.qnum.pochhammer_prefix(ctx.q, nmax)
+    rows = {"phi": [], "Phi": [], "mac": []}
+    for n in range(nmax + 1):
+        binomials = qg.qnum.binomials_from_prefix(poch, n)
+        root = ctx.sqrt(poch[n])
+        zeta = a * ctx.qpow8(2 * n * (n - 1)) / root
+        rows["phi"].append([(-a if k % 2 else a) * b * ctx.qpow8(4 * (n - k))
+                            / root for k, b in enumerate(binomials)])
+        rows["Phi"].append([(-b if k % 2 else b) * ctx.qpow8(-4 * k)
+                            for k, b in enumerate(binomials)])
+        rows["mac"].append([zeta * ((-b if k % 2 else b)
+                                    * ctx.qpow8(4 * (k - 2 * n * k)))
+                            for k, b in enumerate(binomials)])
+    return rows
+
+
+@pytest.mark.parametrize("digits", [None, 20, 60])
+@pytest.mark.parametrize("q", [0.01, 0.3, 0.6180339887498949, 0.99])
+def test_family_tables_equal_the_closed_form_entry_by_entry(q, digits):
+    ctx = QContext(q=q, digits=digits)
+    reference = {name: [[bits(x) for x in row] for row in rows]
+                 for name, rows in closed_form_rows(ctx, 25).items()}
+    tables = {"phi": qg.dg.phi_table, "Phi": qg.dg.Phi_table,
+              "mac": qg.macfarlane.mac_table}
+    for nmax in range(26):
+        for name, table in tables.items():
+            fresh = QContext(q=q, digits=digits)  # a cold qpow8 memo
+            assert [[bits(x) for x in row] for row in table(fresh, nmax)] \
+                == reference[name][:nmax + 1], (name, nmax)
