@@ -19,9 +19,9 @@ from .macfarlane import (MAC, MacCoefficients, build_Bn, indefinite_gram,
                          mac_coeffs, number_operator_check)
 from .circle import (ThetaEvaluator, circle_gram_dg, circle_gram_mac,
                      parseval_bridge, poisson_check, theta3)
-from .weights import (PeriodicWeight, WeightedChain, alpha_w, an_gram,
-                      build_An, cosine_weight, gamma_family_gram,
-                      mixed_weighted_inner, orthonormal_weight_family)
+from .weights import (PeriodicWeight, WeightedChain, alpha_w, build_An,
+                      cosine_weight, gamma_family_gram, mixed_weighted_inner,
+                      orthonormal_weight_family)
 from .verify import SUITES, SuiteResult, run_suite
 
 __version__ = "0.1.0"
@@ -44,7 +44,7 @@ __all__ = [
     "number_operator_check",
     "ThetaEvaluator", "circle_gram_dg", "circle_gram_mac",
     "parseval_bridge", "poisson_check", "theta3",
-    "PeriodicWeight", "WeightedChain", "alpha_w", "an_gram", "build_An",
+    "PeriodicWeight", "WeightedChain", "alpha_w", "build_An",
     "cosine_weight", "gamma_family_gram", "mixed_weighted_inner",
     "orthonormal_weight_family",
     "SUITES", "SuiteResult", "run_suite",

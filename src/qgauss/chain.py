@@ -768,8 +768,10 @@ def evaluate(f: GaussianChain, x):
         xs = np.asarray(x, dtype=float)
         lnq = float(ctx.ln_q)
         total = np.zeros(xs.shape, dtype=complex)
-        for t, a in f.coeffs.items():
-            total = total + complex(a) * np.exp(lnq * (xs - t / 2.0) ** 2)
+        # an inf coefficient times an underflowed Gaussian is NaN, quietly
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, a in f.coeffs.items():
+                total = total + complex(a) * np.exp(lnq * (xs - t / 2.0) ** 2)
         if np.all(total.imag == 0.0):
             total = total.real
         return total if total.shape else total.item()

@@ -227,8 +227,7 @@ def _quadrature_pairs(rng: np.random.Generator, nmax: int,
     """count pairs (n, m) in [0, nmax] drawn from rng, repeats dropped, and
     (n, n) for the lowest degree n drawn when none is diagonal, so that a
     norm is always among them: a low degree keeps its norm integrand
-    inside the rule's first window. rng advances by the 2 count draws
-    alone."""
+    inside the rule's first window."""
     drawn = [(int(rng.integers(0, nmax + 1)), int(rng.integers(0, nmax + 1)))
              for _ in range(count)]
     pairs = list(dict.fromkeys(drawn))
@@ -240,13 +239,12 @@ def _quadrature_pairs(rng: np.random.Generator, nmax: int,
 
 def suite_degeneracy(ctx: QContext, nmax: int = 8,
                      quad_pairs: int = 6, seed: int = 12345) -> SuiteResult:
-    """Weighted orthonormality for w = 1 + 0.3 cos(4 pi x): the analytic
-    Gram must be the identity, a sample of entries must agree with direct
-    quadrature, and the same holds for a few random weights."""
+    """Weighted orthonormality for w = 1 + 0.3 cos(4 pi x): for a seeded
+    sample of pairs, the real-line quadrature of |w|^2 A_n* A_m must be
+    delta_nm. Only a quadrature sees the weight: in closed form its norm
+    cancels against alpha_w, leaving the unweighted Gram."""
     weight = weights_mod.cosine_weight(0.3)
-    analytic = weights_mod.an_gram(ctx, weight, nmax).deviations().ravel()
-    rng = np.random.default_rng(seed)
-    pairs = _quadrature_pairs(rng, nmax, quad_pairs)
+    pairs = _quadrature_pairs(np.random.default_rng(seed), nmax, quad_pairs)
     double = ctx.with_digits(None)  # the rule integrates in double
     family = [weights_mod.build_An(double, weight, n) for n in range(nmax + 1)]
     quadrature, errors = [], []
@@ -258,24 +256,15 @@ def suite_degeneracy(ctx: QContext, nmax: int = 8,
             value = math.nan
             errors.append([n, m, str(exc)])
         quadrature.append(abs(value - (1.0 if n == m else 0.0)))
-    random_weight = [weights_mod.an_gram(
-        ctx, weights_mod.random_weight(rng), min(nmax, 6)).max_abs_deviation
-        for _ in range(3)]
-    notes = {"analytic_dev": _finite(_worst(analytic)),
-             "quadrature_dev": _finite(_worst(quadrature)),
-             "random_weight_dev": _finite(_worst(random_weight))}
+    notes = {"quadrature_dev": _finite(_worst(quadrature))}
     if errors:
         notes["quadrature_errors"] = errors
     if ctx.is_mp:
         notes["double_stages"] = ["quadrature"]
-    tail = [("quadrature", *pair) for pair in pairs] + [
-        ("random-weight", i) for i in range(3)]
-    size = analytic.size  # the analytic Gram's entries (i, j) come first
-    return _judge("degeneracy", 1e-9,
-                  np.concatenate([analytic, quadrature, random_weight]),
+    return _judge("degeneracy", 1e-9, quadrature,
                   {"q": float(ctx.q), "nmax": nmax, "seed": seed,
-                   "digits": ctx.digits}, notes, lambda i: tail[i[0] - size]
-                  if i[0] >= size else divmod(i[0], nmax + 1))
+                   "digits": ctx.digits}, notes,
+                  lambda i: ("quadrature", *pairs[i[0]]))
 
 
 def suite_gamma(ctx: QContext, nweights: int = 3, nmax: int = 6) -> SuiteResult:

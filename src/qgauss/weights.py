@@ -128,21 +128,6 @@ def weights_gram(ctx: QContext, weights: list) -> np.ndarray:
                          weight_mode_kernel(ctx, hi - lo + 1), rows)
 
 
-def an_gram(ctx: QContext, weight: PeriodicWeight, nmax: int) -> GramReport:
-    """Gram of A_0..A_nmax under the weighted inner product; the identity
-    target is the degeneracy statement (same orthonormality as w = 1).
-    Entries factor as in mixed_weighted_inner: (alpha_w/alpha)^2 times the
-    weight Gram times the daughter Gram entry of phi_n, phi_m."""
-    wgram = weights_gram(ctx, [weight]).item()
-    # (alpha_w / alpha)^2 times the weight Gram, with alpha_w^{-2} the real
-    # part of that same Gram integral
-    factor = wgram / (wgram.real * alpha(ctx) ** 2)
-    return GramReport(labels=list(range(nmax + 1)),
-                      matrix=real_part(daughter_gram(ctx, nmax) * factor),
-                      target=np.eye(nmax + 1), precision_digits=ctx.digits,
-                      notes={"family": "weighted", "modes": len(weight.modes)})
-
-
 # -- the orthonormal weight family and the doubly indexed Gram ---------------
 
 def weight_mode_kernel(ctx: QContext, count: int) -> list:

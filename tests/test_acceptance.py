@@ -89,13 +89,10 @@ def test_daughter_coefficients_sum_to_kronecker():
 
 def test_cosine_weighted_family_stays_orthonormal():
     """With w = 1 + 0.3 cos(4 pi x) the weighted family keeps the
-    identity Gram to 1e-9 for n, m <= 8, both analytically and against
-    a direct quadrature of |w|^2 A_n* A_m."""
+    identity Gram to 1e-9 for n, m <= 8, by a direct quadrature of
+    |w|^2 A_n* A_m."""
     ctx = qg.QContext(q=0.5)
     weight = qg.cosine_weight(0.3)
-    report = qg.an_gram(ctx, weight, 8)
-    assert report.max_abs_deviation <= 1e-9
-
     family = [qg.build_An(ctx, weight, n) for n in range(9)]
 
     def quad_entry(f, g):

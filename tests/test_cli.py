@@ -87,6 +87,19 @@ def test_coeffs_and_eval_past_the_double_range_write_null():
         (-1.0, None, None), (0.0, None, None), (1.0, None, None)]
 
 
+def test_eval_where_coefficients_overflow_warns_nothing(monkeypatch):
+    # at q = 0.3 some of B_30's double coefficients are inf, and inf times
+    # an underflowed Gaussian is NaN: written as null, with no warning
+    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+    proc = run_cli("eval", "--family", "mac", "--n", "30", "--q", "0.3",
+                   "--grid", "-1:1:3", "--format", "json")
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr.decode()
+    rows = json.loads(proc.stdout.decode(),
+                      parse_constant=reject_constant)["rows"]
+    assert [row["x"] for row in rows] == [-1.0, 0.0, 1.0]
+    assert None in [row["re"] for row in rows]
+
+
 def test_quadrature_out_of_points_is_a_failing_row_not_a_traceback():
     proc = run_cli("verify", "--suite", "degeneracy", "--q", "0.99",
                    "--nmax", "15")

@@ -118,18 +118,6 @@ def test_term_budget_is_the_unsigned_twisted_gram(q):
 
 
 @pytest.mark.parametrize("q", QS)
-def test_an_gram(q):
-    ctx = QContext(q=q)
-    for weight in (qg.cosine_weight(0.3),
-                   random_weight(np.random.default_rng(7))):
-        family = [qg.build_An(ctx, weight, n) for n in range(NMAX + 1)]
-        ref = [[qg.mixed_weighted_inner(ctx, f.weight, f.chain, g.weight,
-                                        g.chain).real for g in family]
-               for f in family]
-        assert max_gap(qg.an_gram(ctx, weight, NMAX).matrix, ref) <= DOUBLE_GAP
-
-
-@pytest.mark.parametrize("q", QS)
 def test_gamma_family_gram(q):
     ctx = QContext(q=q)
     weights = qg.orthonormal_weight_family(ctx, 3)

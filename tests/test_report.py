@@ -58,7 +58,6 @@ BUILDERS = {
     "circle_gram_dg": qg.circle_gram_dg,
     "circle_gram_mac": qg.circle_gram_mac,
     "parseval_bridge": qg.parseval_bridge,
-    "an_gram": lambda ctx, nmax: qg.an_gram(ctx, qg.cosine_weight(0.3), nmax),
     "gamma_family_gram": lambda ctx, nmax: qg.gamma_family_gram(ctx, 2, nmax),
 }
 

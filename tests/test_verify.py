@@ -307,15 +307,29 @@ def test_degeneracy_integrates_distinct_pairs_and_a_norm(monkeypatch):
              if row[0] == "quadrature"]
     assert len(pairs) == len(set(pairs)) == 6
     assert any(n == m for n, m in pairs)
-    # the random weights are drawn after the twelve pair draws, as before
-    monkeypatch.undo()
-    rng = np.random.default_rng(12345)
-    for _ in range(12):
-        rng.integers(0, 9)
-    expected = max(weights.an_gram(QContext(q=0.5), weights.random_weight(rng),
-                                   6).max_abs_deviation for _ in range(3))
-    notes = qg.run_suite("degeneracy", QContext(q=0.5)).notes
-    assert notes["random_weight_dev"] == expected
+
+
+@pytest.mark.parametrize("q", [0.9, 0.95, 0.97, 0.99])
+def test_degeneracy_passes_in_double_near_q_one(q):
+    # every row integrates the weight; nothing re-checks the dg Gram,
+    # whose double roundoff fails from q 0.9
+    result = qg.run_suite("degeneracy", QContext(q=q))
+    assert result.passed, result.failures
+    assert result.max_deviation == result.notes["quadrature_dev"] < 1e-9
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.99])
+def test_degeneracy_fails_a_misnormalised_weighted_family(q, monkeypatch):
+    # A_n scaled by 1 + 1e-6 moves each norm by 2e-6 and leaves the
+    # distinct pairs near 0: exactly the norm rows fail
+    alpha_w = weights.alpha_w
+    monkeypatch.setattr(weights, "alpha_w",
+                        lambda w, ctx: alpha_w(w, ctx) * (1 + 1e-6))
+    result = qg.run_suite("degeneracy", QContext(q=q))
+    assert not result.passed
+    assert result.failures and all(row[0] == "quadrature" and row[1] == row[2]
+                                   for row in result.failures)
+    assert result.max_deviation == pytest.approx(2e-6, rel=1e-3)
 
 
 def test_sumrule_gap_is_taken_below_double_resolution():

@@ -62,32 +62,33 @@ def test_alpha_w_against_quadrature():
     assert analytic == pytest.approx(1.0 / math.sqrt(norm_sq), rel=1e-10)
 
 
-def test_weighted_gram_identity_cosine():
-    report = qg.an_gram(CTX, qg.cosine_weight(0.3), 8)
-    assert report.max_abs_deviation <= 1e-9
+def quadrature_entry(f, g):
+    """integral conj(wf f) wg g dx by the real-line rule."""
+    def integrand(x):
+        return (np.conj(f.weight.evaluate(x) * qg.evaluate(f.chain, x))
+                * g.weight.evaluate(x) * qg.evaluate(g.chain, x))
+    return integrate_real_line(integrand, CTX, tol=1e-12)
 
 
 def test_weighted_gram_identity_random_weights():
+    # the weight cancels from the closed-form weighted Gram, so only a
+    # quadrature of |w|^2 A_n* A_m can see it
     rng = np.random.default_rng(12345)
     for _ in range(3):
         w = random_weight(rng)
-        report = qg.an_gram(CTX, w, 6)
-        assert report.max_abs_deviation <= 1e-9
+        family = [qg.build_An(CTX, w, n) for n in range(5)]
+        for n in range(5):
+            for m in range(n, 5):
+                value = quadrature_entry(family[n], family[m])
+                assert abs(value - (n == m)) <= 1e-10, (w.modes, n, m, value)
 
 
 def test_weighted_inner_against_quadrature():
     w = qg.cosine_weight(0.3)
     a2 = qg.build_An(CTX, w, 2)
     a4 = qg.build_An(CTX, w, 4)
-
-    def entry(f, g):
-        def integrand(x):
-            return (np.conj(f.weight.evaluate(x) * qg.evaluate(f.chain, x))
-                    * g.weight.evaluate(x) * qg.evaluate(g.chain, x))
-        return integrate_real_line(integrand, CTX, tol=1e-12)
-
-    assert entry(a2, a2).real == pytest.approx(1.0, abs=1e-10)
-    assert abs(entry(a2, a4)) <= 1e-10
+    assert quadrature_entry(a2, a2).real == pytest.approx(1.0, abs=1e-10)
+    assert abs(quadrature_entry(a2, a4)) <= 1e-10
 
 
 def test_ladder_passes_through_weight():
