@@ -5,13 +5,13 @@ pairing).
 Same integer-center Gaussians as the first oscillator, but rapidly
 growing coefficients and an indefinite normalization (B_n, B_n) = (-1)^n:
 the double Gram takes each entry as one exact integer sum over the binary
-value q = M/2^e, the signed q-binomial polynomial of B_n evaluated at the
-points q^k by Horner and weighed by the coefficients of B_m, and a Gram at
-set digits contracts the rows of mac_table, summed exactly and rounded
-once per entry (chain.gram_contract), at the digits given or, in the
-mac-gram suite past EXACT_NMAX, those chain.gram_budget reads off its term
-mass. MAC describes the family to the code written once over both
-(chain.Family).
+value q = M/2^e: B_n's signed q-binomial polynomial summed term by term
+at the points q^k, common power factored out, symmetric terms j and n - j
+through one product, weighed by B_m's coefficients. A Gram at set digits
+contracts the rows of mac_table, summed exactly and rounded once per
+entry (chain.gram_contract), at the digits given or, in the mac-gram
+suite past EXACT_NMAX, those chain.gram_budget reads off its term mass.
+MAC describes the family to the code written once over both (chain.Family).
 """
 
 from __future__ import annotations
@@ -138,12 +138,12 @@ def twisted_gram_magnitudes(q: float, nmax: int) -> tuple:
 # digits; past it the suite runs the budgeted mpmath Gram and reports the
 # digits the budget chose. Per mac-gram call, median over 8 q in
 # [0.21, 0.9] (best of 3 calls each; Python 3.11.7, pure-Python mpmath, a
-# 2-vCPU VM), the two routes cost the same near nmax 16; the bound stays
-# 18 because the exact sums give a deviation of exactly 0.
+# 2-vCPU VM), the two routes cost the same near nmax 21; the bound stays
+# 18 all the same, as raising it would change mac-gram's output past 18.
 #
-#     nmax      8     12     15     16     17     18     20     22
-#     exact   0.5    1.7    4.4    5.9    7.9   10.7   19.0   30.3  ms
-#     budget  1.5    3.0    4.8    5.6    6.5    7.7   11.1   15.1  ms
+#     nmax      8     12     15     16     17     18     20     21     22
+#     exact   0.4    1.0    2.5    3.3    4.2    5.7    9.9   13.5   17.1  ms
+#     budget  1.6    3.5    5.3    6.0    8.0    8.4   11.8   13.6   15.4  ms
 EXACT_NMAX = 18
 
 
@@ -161,40 +161,53 @@ def _binary_twisted_gram(q: float, nmax: int) -> np.ndarray:
     X_nm = sum_k b_mk P_n(q^k), where P_n(z) = sum_j b_nj z^j and
     b_nj = (-1)^j [n j]_q q^{j(j+1)/2 - n j}; P_n is evaluated term by
     term, never through the q-binomial theorem the entry tests. In
-    integers, with T[n][j] = [n j]_q D^{j(n-j)} and mu_n = n(n-1)/2:
-    c_nj = (-1)^j T[n][j] M^{(n-j)(n-j-1)/2} D^{j(j-1)/2} = b_nj M^{mu_n},
-    H_n(k) = sum_j c_nj M^{jk} D^{k(n-j)} = P_n(q^k) M^{mu_n} D^{nk} by a
-    homogeneous Horner pass, and Z_nm = sum_{k<=m} c_mk H_n(k) D^{n(m-k)}
-    = X_nm M^{mu_n + mu_m} D^{nm}, symmetric and summed once per pair.
-    q^{floor(r)} and (q, q)_n join the integer numerator and denominator,
-    and one correctly rounded int / int gives the double
-    Fraction.__float__ would.
+    integers, with t(x) = x(x-1)/2 and T[n][j] = [n j]_q D^{j(n-j)}: c_nj =
+    (-1)^j T[n][j] M^{t(n-j)} D^{t(j)} = b_nj M^{t(n)}, H_n(k) = sum_j c_nj
+    M^{jk} D^{k(n-j)} = P_n(q^k) M^{t(n)} D^{nk} and Z_nm = sum_{k<=m} c_mk
+    H_n(k) D^{n(m-k)} = X_nm M^{t(n) + t(m)} D^{nm}, symmetric and summed
+    once per pair. Every term of H_n(k) carries (M D)^w, w = t(k) + k(n-k),
+    the least power of M and of D over j as t >= 0 and t(0) = t(1) = 0:
+    H_n(k) = (M D)^w sum_j (-1)^j T[n][j] M^{t(n-k-j)} D^{t(j-k)}, one
+    product T[n][j] M^t and a shift per term, one for both j and n - j as
+    T[n][j] = T[n][n-j], (M D)^w multiplied back into a nonzero sum only
+    and c_mk formed only where H_n(k) != 0. The exact sums are regrouped,
+    never rounded, so every entry keeps its bits: q^{floor(r)} and
+    (q, q)_n join the integer numerator and denominator, and one correctly
+    rounded int / int gives the double Fraction.__float__ would.
     """
     M, D = q.as_integer_ratio()
     e = D.bit_length() - 1
     size = nmax + 1
+    power = [1]  # M^i up to M^{t(-nmax)}
+    for _ in range(nmax * size // 2):
+        power.append(power[-1] * M)
     T = [[1]]  # T[n][k] = M^k T[n-1][k] + D^{n-k} T[n-1][k-1]
+    scaled = [1]  # (q, q)_n D^{n(n+1)/2}
     for n in range(1, size):
         prev = T[-1] + [0]
         T.append([M ** k * prev[k] + (prev[k - 1] << e * (n - k) if k else 0)
                   for k in range(n + 1)])
-    c = [[(-1) ** j * t * M ** ((n - j) * (n - j - 1) // 2)
-          << e * (j * (j - 1) // 2) for j, t in enumerate(row)]
-         for n, row in enumerate(T)]
+        scaled.append(scaled[-1] * ((1 << e * n) - power[n]))
     sums = [[0] * size for _ in range(size)]
-    for n, row in enumerate(c):
-        H = []  # H_n(k) for k <= n, the highest coefficient first
+    for n, row in enumerate(T):
+        H = []  # (k, (-1)^k D^{t(k)} H_n(k)) where H_n(k) != 0
         for k in range(n + 1):
-            step, h = M ** k, row[n]
-            for i in range(1, n + 1):
-                h = h * step + (row[n - i] << e * k * i)
-            H.append(h)
+            h = 0
+            for j in range(n // 2 + 1):
+                x, y = n - k - j, j - k
+                a, b = x * (x - 1) // 2, y * (y - 1) // 2
+                pair = power[a] << e * b
+                if 2 * j < n:  # the term n - j: exponents swapped, sign (-1)^n
+                    other = power[b] << e * a
+                    pair = pair - other if n % 2 else pair + other
+                h = h - row[j] * pair if j % 2 else h + row[j] * pair
+            if h:
+                w = k * (k - 1) // 2 + k * (n - k)
+                H.append((k, (-1) ** k * h * power[w] << e * k * (n - 1)))
         for m in range(n + 1):
             sums[n][m] = sums[m][n] = sum(
-                c[m][k] * H[k] << e * n * (m - k) for k in range(m + 1))
-    scaled = [1]  # (q, q)_n D^{n(n+1)/2}
-    for i in range(1, size):
-        scaled.append(scaled[-1] * ((1 << e * i) - M ** i))
+                T[m][k] * power[(m - k) * (m - k - 1) // 2] * h
+                << e * n * (m - k) for k, h in H if k <= m)
     poch = [p / (1 << e * n * (n + 1) // 2) for n, p in enumerate(scaled)]
     lnq = math.log(q)
 
@@ -204,7 +217,7 @@ def _binary_twisted_gram(q: float, nmax: int) -> np.ndarray:
             return 0.0
         twice_mu = n * (n - 1) + m * (m - 1)
         whole, rest = divmod(twice_mu, 4)
-        denominator = M ** (twice_mu // 2 - whole) << e * (n * m + whole)
+        denominator = power[twice_mu // 2 - whole] << e * (n * m + whole)
         return (total / denominator * math.exp(lnq * (rest / 4))
                 / math.sqrt(poch[n] * poch[m]))
     return np.array([[entry(n, m) for m in range(size)] for n in range(size)])

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .context import QContext
-from .chain import (commutator_residuals, evaluate, gram_budget,
-                    ladder_residuals)
+from .chain import (alpha, commutator_residuals, evaluate, gram_budget,
+                    integer_chain, ladder_residuals, scale)
 from . import circle as circle_mod
 from . import dg as dg_mod
 from . import macfarlane as mac_mod
@@ -246,12 +246,14 @@ def suite_degeneracy(ctx: QContext, nmax: int = 8,
     weight = weights_mod.cosine_weight(0.3)
     pairs = _quadrature_pairs(np.random.default_rng(seed), nmax, quad_pairs)
     double = ctx.with_digits(None)  # the rule integrates in double
-    family = [weights_mod.build_An(double, weight, n) for n in range(nmax + 1)]
+    factor = weights_mod.alpha_w(weight, double) / alpha(double)
+    rows = dg_mod.phi_table(double, max(map(max, pairs), default=0))
+    A = {n: scale(integer_chain(double, rows[n]), factor)
+         for n in {n for pair in pairs for n in pair}}
     quadrature, errors = [], []
     for n, m in pairs:
         try:
-            value = _weighted_quadrature_entry(double, weight, family[n].chain,
-                                               family[m].chain)
+            value = _weighted_quadrature_entry(double, weight, A[n], A[m])
         except RuntimeError as exc:  # the rule ran out of points
             value = math.nan
             errors.append([n, m, str(exc)])

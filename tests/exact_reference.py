@@ -10,10 +10,13 @@ In double ``exact`` and ``rounded`` leave a value as it is, so a reference
 written over them computes in double exactly as before. ``random_chain``
 draws the random complex chains the kernels are checked on, and
 ``sum_rule_bound`` bounds the gap between two summation orders of the
-daughter sum rule.
+daughter sum rule. ``rational_twisted_gram`` is the double twisted
+Gram summed in Fractions, the reference of the exact integer sums in
+macfarlane.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -21,6 +24,7 @@ import numpy as np
 
 from qgauss.chain import GaussianChain, alpha
 from qgauss.dg import phi_table
+from qgauss.qnum import qbinomial_triangle, qpochhammer
 from qgauss.verify import random_table
 
 
@@ -137,3 +141,26 @@ def sqrt_rounded(x: Fraction) -> float:
             y = down
         else:
             return y
+
+
+def rational_twisted_gram(q: float, nmax: int) -> list:
+    """The double twisted Gram by exact rationals: the signed tables
+    (-1)^j [n j]_q q^{-n j} against q^{s(s+1)/2}, times q^{floor(e)},
+    rounded once by Fraction.__float__. No entry depends on nmax."""
+    x = Fraction(q)
+    size = nmax + 1
+    tables = [[(-1) ** j * b * x ** (-n * j) for j, b in enumerate(row)]
+              for n, row in enumerate(qbinomial_triangle(x, nmax))]
+    kernel = [[x ** ((j + k) * (j + k + 1) // 2) for k in range(size)]
+              for j in range(size)]
+    AK = [[sum(a * kernel[j][k] for j, a in enumerate(row))
+           for k in range(size)] for row in tables]
+    sums = [[sum(map(operator.mul, ak, row)) for row in tables] for ak in AK]
+    poch = [float(qpochhammer(x, n)) for n in range(size)]
+    lnq = math.log(q)
+
+    def entry(n, m):
+        whole, rest = divmod(n * (n - 1) + m * (m - 1), 4)
+        return (float(sums[n][m] * x ** whole) * math.exp(lnq * (rest / 4))
+                / math.sqrt(poch[n] * poch[m]))
+    return [[entry(n, m) for m in range(size)] for n in range(size)]

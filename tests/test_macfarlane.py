@@ -2,18 +2,16 @@
 and the indefinite Gram with its precision budget."""
 
 import math
-import operator
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_reference import rational_twisted_gram
 
 import qgauss as qg
 from qgauss import QContext
 from qgauss.chain import (gram_budget, gram_contract, lattice_kernel,
                           overlap_scale)
 from qgauss.macfarlane import _binary_twisted_gram, twisted_gram_magnitudes
-from qgauss.qnum import qbinomial_triangle, qpochhammer
 
 CTX = QContext(q=0.5)
 
@@ -94,29 +92,6 @@ class TestIndefiniteGram:
         assert report.max_abs_deviation <= 1e-20
 
 
-def rational_twisted_gram(q: float, nmax: int) -> list:
-    """The double twisted Gram by exact rationals: the signed tables
-    (-1)^j [n j]_q q^{-n j} against q^{s(s+1)/2}, times q^{floor(e)},
-    rounded once by Fraction.__float__. No entry depends on nmax."""
-    x = Fraction(q)
-    size = nmax + 1
-    tables = [[(-1) ** j * b * x ** (-n * j) for j, b in enumerate(row)]
-              for n, row in enumerate(qbinomial_triangle(x, nmax))]
-    kernel = [[x ** ((j + k) * (j + k + 1) // 2) for k in range(size)]
-              for j in range(size)]
-    AK = [[sum(a * kernel[j][k] for j, a in enumerate(row))
-           for k in range(size)] for row in tables]
-    sums = [[sum(map(operator.mul, ak, row)) for row in tables] for ak in AK]
-    poch = [float(qpochhammer(x, n)) for n in range(size)]
-    lnq = math.log(q)
-
-    def entry(n, m):
-        whole, rest = divmod(n * (n - 1) + m * (m - 1), 4)
-        return (float(sums[n][m] * x ** whole) * math.exp(lnq * (rest / 4))
-                / math.sqrt(poch[n] * poch[m]))
-    return [[entry(n, m) for m in range(size)] for n in range(size)]
-
-
 @pytest.mark.parametrize("ctx", [
     *(QContext(q=float(q))
       for q in np.random.default_rng(5).uniform(0.05, 0.95, 3)),
@@ -190,6 +165,20 @@ def test_mac_harmonic_limit_rows():
                                float(QContext(c=1.3).q)], ids=repr)
 def test_horner_gram_equals_the_rational_sum(q):
     nmax = 18
+    ref = rational_twisted_gram(q, nmax)
+    for size in range(1, nmax + 2):
+        assert _binary_twisted_gram(q, size - 1).tolist() == [
+            row[:size] for row in ref[:size]]
+
+
+# full-mantissa q, whose M and 2^e are as wide as a double allows, and a
+# q taken from c: the factored integer sums round to the rational Gram's
+# doubles, entry for entry, at every size
+@pytest.mark.parametrize("q", [
+    *map(float, np.random.default_rng(29).uniform(0.01, 0.99, 20)),
+    float(QContext(c=0.45).q)], ids=repr)
+def test_factored_gram_equals_the_rational_sum_to_nmax_12(q):
+    nmax = 12
     ref = rational_twisted_gram(q, nmax)
     for size in range(1, nmax + 2):
         assert _binary_twisted_gram(q, size - 1).tolist() == [

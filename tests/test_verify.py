@@ -309,6 +309,27 @@ def test_degeneracy_integrates_distinct_pairs_and_a_norm(monkeypatch):
     assert any(n == m for n, m in pairs)
 
 
+@pytest.mark.parametrize("seed", [12345, 7])
+@pytest.mark.parametrize("q", [0.3, 0.61, 0.95])
+def test_degeneracy_integrates_the_chains_of_build_an_bit_for_bit(
+        q, seed, monkeypatch):
+    # the suite builds only the drawn degrees, from one phi table and one
+    # alpha_w / alpha; each quadrature value is the one weights.build_An's
+    # chains give
+    ctx, weight = QContext(q=q), weights.cosine_weight(0.3)
+    entry, values = verify._weighted_quadrature_entry, []
+
+    def recorded(*args):
+        values.append(entry(*args))
+        return values[-1]
+    monkeypatch.setattr(verify, "_weighted_quadrature_entry", recorded)
+    assert qg.run_suite("degeneracy", ctx, seed=seed).passed
+    family = [weights.build_An(ctx, weight, n).chain for n in range(9)]
+    ref = [entry(ctx, weight, family[n], family[m]) for n, m in
+           verify._quadrature_pairs(np.random.default_rng(seed), 8, 6)]
+    assert np.array(values).tobytes() == np.array(ref).tobytes()
+
+
 @pytest.mark.parametrize("q", [0.9, 0.95, 0.97, 0.99])
 def test_degeneracy_passes_in_double_near_q_one(q):
     # every row integrates the weight; nothing re-checks the dg Gram,
