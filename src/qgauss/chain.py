@@ -632,10 +632,10 @@ def gram_contract(A, K, B) -> np.ndarray:
         lead = A[0][0] if A and len(A[0]) else probe
         lib = getattr(lead, "context", probe.context)
         size, width = len(K), len(K[0])
-        L, el = _fixed(_dense(A, size, object))
-        M, em = _fixed(_dense(K, width, object))
+        L, el = _fixed(dense_rows(A, size, object))
+        M, em = _fixed(dense_rows(K, width, object))
         R, er = (L, el) if B is A and width == size else \
-            _fixed(_dense(B, width, object))
+            _fixed(dense_rows(B, width, object))
         LM = _paired(lambda i, j: L[i] @ M[j], len(L), len(M))
         parts = _paired(lambda i, j: LM[i] @ R[j].T, len(LM), len(R))
         exp = el + em + er
@@ -645,7 +645,7 @@ def gram_contract(A, K, B) -> np.ndarray:
         raise TypeError("gram_contract takes a kernel of floats, complexes "
                         f"or mpmath numbers, not {type(probe).__name__}")
     K = np.asarray(K)
-    A, B = _dense(A, K.shape[0]), _dense(B, K.shape[-1])
+    A, B = dense_rows(A, K.shape[0]), dense_rows(B, K.shape[-1])
     return A @ K @ B.T
 
 
@@ -664,7 +664,7 @@ def _paired(product, left: int, right: int) -> np.ndarray:
     return np.stack([re, im])
 
 
-def _dense(rows, width: int, dtype=None) -> np.ndarray:
+def dense_rows(rows, width: int, dtype=None) -> np.ndarray:
     """Ragged rows cut or zero-filled to width columns, as zip pairs them
     with rows of that length: of dtype, or the rows' common type."""
     rows = [np.asarray(r, dtype)[:width] for r in rows]

@@ -2,7 +2,7 @@
 coefficients, a truncated third Jacobi theta function with an explicit
 tail bound, the Poisson-summation identity behind it, and the two circle
 orthogonality relations (the classical one and the degree-indexed one the
-second oscillator produces).
+second oscillator produces) with the row-by-row Parseval bridge.
 
 Both circle Grams apply the N-node equispaced rule exactly in coefficient
 space (_circle_gram): one contraction A K A^T of the rows C^n_k args[n]^k
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import GUARD_DIGITS, QContext
-from .qnum import qbinomial_triangle, qpochhammer
-from .chain import gram_budget, gram_contract, overlap_scale
-from .dg import dg_norm, gram_phi
+from .qnum import pochhammer_prefix, qbinomial_triangle
+from .chain import dense_rows, gram_budget, gram_contract
+from .dg import dg_norm, phi_table
 from .macfarlane import twisted_gram_magnitudes
 from .report import GramReport
 
@@ -135,18 +135,24 @@ def _aliased_theta_kernel(work: QContext, size: int, points: int,
             for j in range(size)]
 
 
+def _circle_rows(q, nmax: int, args: list) -> list:
+    """The coefficient rows of H_n(args[n] z), n = 0..nmax: C^n_k args[n]^k
+    from qbinomial_triangle, in the type of q."""
+    try:
+        return [[c * args[n] ** k for k, c in enumerate(row)]
+                for n, row in enumerate(qbinomial_triangle(q, nmax))]
+    except OverflowError:
+        raise ValueError(f"the circle rows leave the double range at nmax "
+                         f"{nmax}; set --digits") from None
+
+
 def _circle_gram(work: QContext, nmax: int, points: int, args: list,
                  sign: int, truncation: int) -> np.ndarray:
     """The points-node rule on H_n(args[n] z^sign) H_m(args[m] z) theta_3,
     z = e^{i2pi theta} and theta_3 cut at |m| <= truncation, exactly in
-    coefficient space: A K A^T with A[n][k] = C^n_k args[n]^k and K the
-    aliased theta kernel, rounded at A's precision, work's."""
-    try:
-        A = [[c * args[n] ** k for k, c in enumerate(row)]
-             for n, row in enumerate(qbinomial_triangle(work.q, nmax))]
-    except OverflowError:
-        raise ValueError(f"the circle rows leave the double range at nmax "
-                         f"{nmax}; set --digits") from None
+    coefficient space: A K A^T with A the _circle_rows and K the aliased
+    theta kernel, rounded at A's precision, work's."""
+    A = _circle_rows(work.q, nmax, args)
     K = _aliased_theta_kernel(work, nmax + 1, points, truncation, sign)
     return gram_contract(A, K, A)
 
@@ -174,8 +180,8 @@ def circle_gram_dg(ctx: QContext, nmax: int, quad_points: int = 512) -> GramRepo
     q = ctx.q
     matrix = _circle_gram(ctx, nmax, quad_points, [-(q ** -0.5)] * (nmax + 1),
                           -1, _gram_truncation(float(q), nmax))
-    target = np.diag([_power(q, -n) * qpochhammer(q, n)
-                      for n in range(nmax + 1)])
+    target = np.diag([_power(q, -n) * poch
+                      for n, poch in enumerate(pochhammer_prefix(q, nmax))])
     return GramReport(labels=list(range(nmax + 1)), matrix=matrix, target=target,
                       precision_digits=ctx.digits,
                       notes={"family": "circle-dg", "points": quad_points})
@@ -212,8 +218,8 @@ def circle_gram_mac(ctx: QContext, nmax: int, quad_points: int = 512,
     matrix = _circle_gram(work, nmax, quad_points, args,
                           -1 if conjugate_first else 1,
                           _gram_truncation(q, nmax))
-    target = np.diag([wq ** (-n * (n - 1) // 2) * qpochhammer(wq, n) * (-1) ** n
-                      for n in range(nmax + 1)])
+    target = np.diag([wq ** (-n * (n - 1) // 2) * poch * (-1) ** n
+                      for n, poch in enumerate(pochhammer_prefix(wq, nmax))])
     notes = {"family": "circle-mac", "points": quad_points,
              "conjugate_first": conjugate_first, "working_digits": digits,
              "log10_condition": round(log_condition, 2), "floor": floor}
@@ -221,23 +227,19 @@ def circle_gram_mac(ctx: QContext, nmax: int, quad_points: int = 512,
                       precision_digits=digits, notes=notes)
 
 
-def parseval_bridge(ctx: QContext, nmax: int, quad_points: int = 512) -> GramReport:
-    """Two routes to the same Gram: the analytic real-line overlaps of
-    phi_n, and the circle integrals carried back across the Fourier /
-    Poisson bookkeeping.
-
-    The transform of Phi_n is sqrt(pi/c^2) e^{-(pi/c)^2 theta^2} times the
-    circle polynomial H_n(-q^{-1/2} e^{i2pi theta}); folding the line onto
-    [0, 1] wraps the Gaussian into sqrt(c^2/2pi) theta_3, so
-    int Phi_n Phi_m dx = sqrt(pi/2c^2) * (circle Gram entry). Dividing by
-    the norms gives the phi Gram, which the report compares entrywise.
-    """
-    circle = circle_gram_dg(ctx, nmax, quad_points)
-    norms = np.array([dg_norm(ctx, n) for n in range(nmax + 1)])
-    matrix = circle.matrix * overlap_scale(ctx) / np.multiply.outer(norms, norms)
-    return GramReport(labels=list(range(nmax + 1)), matrix=matrix,
-                      target=gram_phi(ctx, nmax).matrix,
+def parseval_bridge(ctx: QContext, nmax: int) -> GramReport:
+    """The Fourier / Poisson bookkeeping of the classical relation, row by
+    row: the transform of Phi_n is sqrt(pi/c^2) e^{-(pi/c)^2 theta^2}
+    H_n(-q^{-1/2} e^{i2pi theta}), and folding the line onto [0, 1] wraps
+    the Gaussian into sqrt(c^2/2pi) theta_3, so the circle row
+    C^n_k (-q^{-1/2})^k over ||Phi_n|| is phi_n's row. The matrix holds the
+    circle rows, the target phi_table's, both zero past column n, so
+    max_abs_deviation is the largest coefficient gap; no rule enters it."""
+    q, size = ctx.q, nmax + 1
+    norms = [dg_norm(ctx, n) for n in range(size)]
+    rows = [[c / norm for c in row] for norm, row in
+            zip(norms, _circle_rows(q, nmax, [-(q ** -0.5)] * size))]
+    return GramReport(labels=list(range(size)), matrix=dense_rows(rows, size),
+                      target=dense_rows(phi_table(ctx, nmax), size),
                       precision_digits=ctx.digits,
-                      notes={"family": "parseval-bridge",
-                             "points": quad_points})
-
+                      notes={"family": "parseval-bridge"})

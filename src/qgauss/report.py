@@ -10,7 +10,8 @@ import numpy as np
 
 @dataclass
 class GramReport:
-    """A computed Gram matrix next to its analytic target.
+    """A computed matrix next to its analytic target: a Gram or, for
+    circle.parseval_bridge, the coefficient rows of phi_0..phi_nmax.
 
     matrix and target are 2-D arrays of real entries: float64 in double,
     object arrays of the context's mpf at set digits (real parts; every
@@ -33,7 +34,7 @@ class GramReport:
 
     def deviations(self, relative: bool = False) -> np.ndarray:
         """|matrix - target| entry by entry; relative divides entry (i, j)
-        by sqrt(|T_ii| |T_jj|), the natural size of an entry when the
+        by sqrt(|T_ii|) sqrt(|T_jj|), the natural size of an entry when the
         diagonal grows or decays, wherever that scale is nonzero. An entry
         or target past the double range gives an inf or NaN deviation, and
         no warning: the judge fails it."""
@@ -73,18 +74,14 @@ class GramReport:
 
 
 def _relative_to(target: np.ndarray, dev: np.ndarray) -> np.ndarray:
-    """dev over sqrt(|T_ii| |T_jj|) where that is nonzero: in double one
-    root per pair i <= j as x ** 0.5 takes it (libm's pow; numpy's ** 0.5
-    is sqrt), at set digits the product of the n diagonal roots."""
-    diag = abs(np.diagonal(target))
+    """dev over sqrt(|T_ii|) sqrt(|T_jj|) where that is nonzero: one root
+    per diagonal entry, x ** 0.5 in the entry's own type (libm's pow in
+    double), and their outer product, which stays finite for every finite
+    diagonal."""
+    roots = np.array([x ** 0.5 for x in abs(np.diagonal(target)).tolist()],
+                     target.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        if diag.dtype == object:
-            roots = np.array([x ** 0.5 for x in diag], object)
-            scale = np.multiply.outer(roots, roots)
-        else:
-            i, j = np.triu_indices(diag.size)
-            scale = np.empty(dev.shape)
-            scale[i, j] = scale[j, i] = np.float_power(diag[i] * diag[j], 0.5)
+        scale = np.multiply.outer(roots, roots)
         return np.divide(dev, scale, out=dev.copy(), where=scale > 0)
 
 

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 import qgauss as qg
 from qgauss import QContext
 from qgauss import circle
-from qgauss.chain import gram_budget
+from qgauss.chain import gram_budget, lattice_kernel
 from qgauss.circle import (
     MAC_TOL,
+    _aliased_theta_kernel,
     _gram_truncation,
     circle_mac_magnitudes,
     theta_truncation,
 )
+from qgauss.context import GUARD_DIGITS
+from qgauss.dg import phi_table
 from qgauss.qnum import horner, qbinomial_row
 
 
@@ -327,6 +330,79 @@ def test_parseval_bridge():
     rep = qg.parseval_bridge(QContext(q=0.5, digits=30), 6)
     assert rep.precision_digits == 30
     assert rep.max_abs_deviation <= 1e-30
+
+
+def test_parseval_bridge_compares_rows_not_grams(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bridge builds no Gram")
+
+    for owner, name in ((circle, "circle_gram_dg"), (circle, "gram_contract"),
+                        (qg.chain, "gram_contract"), (qg.dg, "gram_phi"),
+                        (qg, "gram_phi")):
+        monkeypatch.setattr(owner, name, refuse)
+    with pytest.raises(TypeError):
+        qg.parseval_bridge(QContext(q=0.5), 6, 512)
+    # rows carry no Gram's roundoff: compared as Grams, both cells read
+    # D's roundoff twice, 1.3e-7 and 1.6e-20
+    assert qg.parseval_bridge(QContext(q=0.9), 12).max_abs_deviation <= 1e-9
+    rep = qg.parseval_bridge(QContext(q=0.99, digits=30), 12)
+    assert rep.max_abs_deviation <= 1e-25
+    assert "points" not in rep.notes
+
+
+@pytest.mark.parametrize("digits", [None, 30])
+@pytest.mark.parametrize("q", [0.3, 0.9])
+def test_parseval_bridge_target_is_phi_table(q, digits):
+    ctx = QContext(q=q, digits=digits)
+    rep = qg.parseval_bridge(ctx, 8)
+    rows = phi_table(ctx, 8)
+    for n, (row, target) in enumerate(zip(rows, rep.target)):
+        assert target[:n + 1].tolist() == row
+        assert not target[n + 1:].any() and not rep.matrix[n, n + 1:].any()
+        if digits is None:
+            assert [x.hex() for x in target[:n + 1]] == [x.hex() for x in row]
+
+
+KERNEL_CASES = [(q, nmax, points, kind)
+                for q in (0.05, 0.3, 0.7, 0.9, 0.99)
+                for nmax in (4, 8, 12, 16) for points in (64, 128, 512)
+                for kind in ("standard", "parity_twisted")
+                # the rule aliases no harmonic: a single term per residue
+                if points > _gram_truncation(q, nmax)
+                + (nmax if kind == "standard" else 2 * nmax)]
+
+
+@pytest.mark.parametrize("digits", [None, 25])
+def test_the_unaliased_theta_kernel_is_the_lattice_kernel(digits):
+    # the Toeplitz kernel (sign -1) is the standard lattice kernel, the
+    # Hankel one (sign +1) the parity-twisted one, wherever each residue
+    # mod points holds one harmonic: bit for bit in double, and exactly at
+    # set digits, where the theta kernel carries the guard digits
+    for q, nmax, points, kind in KERNEL_CASES:
+        ctx = QContext(q=q, digits=digits)
+        sign = -1 if kind == "standard" else 1
+        theta = _aliased_theta_kernel(ctx, nmax + 1, points,
+                                      _gram_truncation(q, nmax), sign)
+        fine = ctx if digits is None else ctx.with_digits(digits + GUARD_DIGITS)
+        lattice = lattice_kernel(fine, nmax + 1, kind)
+        if digits is None:
+            assert [[x.hex() for x in row] for row in theta] == \
+                [[x.hex() for x in row] for row in lattice], (q, nmax, points)
+        else:
+            assert theta == lattice, (q, nmax, points, kind)
+    assert len(KERNEL_CASES) == 108
+
+
+def test_an_aliased_theta_kernel_differs_from_the_lattice_kernel():
+    # at q 0.9 the truncation reaches |m| = 33, so 64 nodes fold
+    # harmonic 64 - s onto s = j + k in {31, 32}: three entries at nmax 16
+    ctx, nmax, points = QContext(q=0.9), 16, 64
+    theta = _aliased_theta_kernel(ctx, nmax + 1, points,
+                                  _gram_truncation(0.9, nmax), 1)
+    lattice = lattice_kernel(ctx, nmax + 1, "parity_twisted")
+    differ = [(j, k) for j in range(nmax + 1) for k in range(nmax + 1)
+              if theta[j][k] != lattice[j][k]]
+    assert sorted({j + k for j, k in differ}) == [31, 32] and len(differ) == 3
 
 
 def test_gram_matches_direct_periodic_quadrature():

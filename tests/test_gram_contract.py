@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import qgauss as qg
 from qgauss import QContext
 from qgauss.chain import gram_budget, gram_contract, lattice_kernel
+from qgauss.dg import phi_table
 from qgauss.macfarlane import twisted_gram_magnitudes
 from qgauss.weights import random_weight, weight_mode_kernel
 
@@ -74,7 +75,10 @@ def test_dg_gram_and_parseval_target(q):
     ctx = QContext(q=q)
     ref = pairwise([qg.build_phi(ctx, n) for n in range(NMAX + 1)])
     assert max_gap(qg.gram_phi(ctx, NMAX).matrix, ref) <= DOUBLE_GAP
-    assert max_gap(qg.parseval_bridge(ctx, NMAX).target, ref) <= DOUBLE_GAP
+    # the bridge's target is the rows the Gram contracts, not the Gram
+    target = qg.parseval_bridge(ctx, NMAX).target
+    assert [row[:n + 1].tolist() for n, row in enumerate(target)] == \
+        phi_table(ctx, NMAX)
 
 
 def test_dg_gram_keeps_the_context_mpf_at_set_digits():

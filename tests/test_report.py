@@ -67,8 +67,7 @@ BUILDERS = {
 def test_to_dict_walks_the_deviations_once(monkeypatch, build, digits):
     rep = BUILDERS[build](qg.QContext(q=0.43, digits=digits), 6)
     # both measures as first defined, entry by entry; the relative scale
-    # sqrt(|T_ii| |T_jj|) is one root of the product in double and the
-    # product of the two diagonal roots at set digits (object targets)
+    # sqrt(|T_ii| |T_jj|) is the product of the two diagonal roots
     M, T = rep.matrix.tolist(), rep.target.tolist()
     size = len(M)
     absolute = [[abs(M[i][j] - T[i][j]) for j in range(size)]
@@ -78,8 +77,7 @@ def test_to_dict_walks_the_deviations_once(monkeypatch, build, digits):
         relative.append([])
         for j in range(size):
             ti, tj = abs(T[i][i]), abs(T[j][j])
-            scl = ti ** 0.5 * tj ** 0.5 if rep.target.dtype == object \
-                else (ti * tj) ** 0.5
+            scl = ti ** 0.5 * tj ** 0.5
             dev = absolute[i][j]
             relative[-1].append(dev / scl if scl > 0 else dev)
     assert rep.deviations().tolist() == absolute
@@ -104,6 +102,17 @@ def test_to_dict_walks_the_deviations_once(monkeypatch, build, digits):
     assert data["max_relative_deviation"] == float(max(map(max, relative)))
     assert data["matrix"] == [[float(v) for v in row] for row in M]
     assert data["target"] == [[float(v) for v in row] for row in T]
+
+
+def test_a_relative_deviation_past_the_squared_range_still_shows():
+    # at q = 0.01 circle-dg's diagonal target reaches 9.9e159 at n = 80:
+    # the product T_ii T_jj overflows a double, the product of the roots
+    # does not, so a doubled entry reads as a relative deviation of 1
+    rep = qg.circle_gram_dg(qg.QContext(q=0.01), 80)
+    assert abs(rep.target[80, 80]) > 1e154
+    rep.matrix[80, 80] *= 2
+    assert rep.deviations(True)[80, 80] == pytest.approx(1.0, rel=1e-12)
+    assert rep.max_relative_deviation() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_non_finite_values_are_written_as_null():
