@@ -42,16 +42,22 @@ print(f"largest relative deviation, n <= 5: "
 print()
 
 # Second circle relation: the parity-twisted analogue. Its integrand
-# oscillates with huge amplitude, so its sums cancel; the budget reads the
-# condition off the term mass and picks the working digits, and the notes
-# set the predicted floor next to the deviation reached.
+# oscillates with huge amplitude, so its sums cancel. In double, with no
+# harmonic aliased by the rule, it is the twisted line Gram's exact integer
+# numerator: each entry rounds once and the deviation is exactly 0.
 mac = qg.circle_gram_mac(ctx, nmax=5, quad_points=512)
 print("twisted circle Gram diagonal (target q^{-n(n-1)/2} (q,q)_n (-1)^n):")
 for n in range(6):
     print(f"  n = {n}: {float(mac.matrix[n][n]):+.6f}  "
           f"(target {float(mac.target[n][n]):+.6f})")
+print(f"exact route: working digits {mac.notes['working_digits']}, "
+      f"largest relative deviation {mac.max_relative_deviation():.3e}")
+# At set digits the rule runs in coefficient space; the budget reads the
+# condition off the term mass and picks the working digits, and the notes
+# set the predicted floor next to the deviation reached.
 log_condition, digits, floor = gram_budget(
     *circle_mac_magnitudes(0.5, 5), MAC_TOL)
+mac = qg.circle_gram_mac(ctx.with_digits(digits), nmax=5, quad_points=512)
 print(f"condition of the sums at n <= 5: 1e{log_condition:.1f}")
 print(f"working digits chosen: {digits} (report: "
       f"{mac.notes['working_digits']}), predicted floor {floor:.1e}")

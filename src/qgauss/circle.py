@@ -10,7 +10,8 @@ against the theta kernel aliased as the rule is, Toeplitz for the
 classical relation, whose first factor is conjugated, and Hankel for the
 degree-indexed one. The classical Gram runs at the context's digits, in
 double when none are set; the degree-indexed one at the working precision
-that chain.gram_budget reads off its term mass.
+that chain.gram_budget reads off its term mass or, in double where the
+rule aliases nothing, as the twisted line Gram's exact integer sums.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .context import GUARD_DIGITS, QContext
 from .qnum import pochhammer_prefix, qbinomial_triangle
 from .chain import dense_rows, gram_budget, gram_contract
 from .dg import dg_norm, phi_table
-from .macfarlane import twisted_gram_magnitudes
+from .macfarlane import (EXACT_NMAX, twisted_gram_magnitudes,
+                         twisted_gram_sums)
 from .report import GramReport
 
 
@@ -200,26 +202,48 @@ def circle_gram_mac(ctx: QContext, nmax: int, quad_points: int = 512,
     variant is not diagonal, and the report keeps the stated target so
     the difference is visible rather than hidden.
 
-    The quad_points-node rule runs in coefficient space (_circle_gram, the
-    Hankel kernel q^{(j+k)^2/2}, Toeplitz with conjugate_first). It
-    cancels by the condition chain.gram_budget reads off
-    circle_mac_magnitudes, so a context without digits runs at the digits
-    that budget picks for MAC_TOL; all inputs carry those digits. The notes
-    give the log10 condition and the predicted relative deviation floor.
+    In double, up to macfarlane.EXACT_NMAX and without conjugate_first,
+    where no residue mod quad_points holds two theta terms (quad_points >
+    T + 2 nmax) and the target fits a double, the rule's Hankel kernel is
+    q^{(j+k)^2/2}. The rows C^n_j (-q^{-(n-1/2)})^j then give the exponent
+    [j(j+1)/2 - n j] + [k(k+1)/2 - m k] + j k: G_nm is the twisted Gram's
+    X_nm = Z_nm / (M^{t(n)+t(m)} D^{nm}) (macfarlane.twisted_gram_sums,
+    q-binomials from its integer q-Pascal triangle) and the target is
+    (-1)^n scaled[n] / (M^{t(n)} D^n), each rounded once, so the diagonal
+    and the target round one rational. Otherwise _circle_gram contracts
+    qbinomial_triangle's rows against the aliased kernel (Toeplitz with
+    conjugate_first) at the context's digits or, unset, those
+    chain.gram_budget reads off circle_mac_magnitudes for MAC_TOL. The
+    notes give the log10 condition, the working digits and the predicted
+    relative deviation floor, null and 0 on the exact route.
     """
     _check_points(quad_points)
     q = float(ctx.q)
-    log_condition, digits, floor = gram_budget(
-        *circle_mac_magnitudes(q, nmax, quad_points, conjugate_first),
-        MAC_TOL, ctx.digits)
-    work = ctx.with_digits(digits)
-    wq = work.q
-    args = [-(wq ** (0.5 - n)) for n in range(nmax + 1)]
-    matrix = _circle_gram(work, nmax, quad_points, args,
-                          -1 if conjugate_first else 1,
-                          _gram_truncation(q, nmax))
-    target = np.diag([wq ** (-n * (n - 1) // 2) * poch * (-1) ** n
-                      for n, poch in enumerate(pochhammer_prefix(wq, nmax))])
+    truncation = _gram_truncation(q, nmax)
+    rows, kernel, scale = circle_mac_magnitudes(q, nmax, quad_points,
+                                                conjugate_first)
+    log_condition, digits, floor = gram_budget(rows, kernel, scale, MAC_TOL,
+                                               ctx.digits)
+    # rows[n][0] is -log10 sqrt|target[n]|, the circle scale of row n
+    if (ctx.digits is None and not conjugate_first and nmax <= EXACT_NMAX
+            and quad_points > truncation + 2 * nmax
+            and all(abs(row[0]) < 154 for row in rows)):
+        e, power, scaled, sums = twisted_gram_sums(q, nmax)
+        t = [n * (n - 1) // 2 for n in range(nmax + 1)]
+        matrix = np.array([[z / (power[t[n]] * power[t[m]] << e * n * m)
+                            if z else 0.0 for m, z in enumerate(row)]
+                           for n, row in enumerate(sums)])
+        target = np.diag([(-1) ** n * p / (power[t[n]] << e * n)
+                          for n, p in enumerate(scaled)])
+        digits, floor = None, 0.0
+    else:
+        work = ctx.with_digits(digits)
+        wq = work.q
+        args = [-(wq ** (0.5 - n)) for n in range(nmax + 1)]
+        matrix = _circle_gram(work, nmax, quad_points, args,
+                              -1 if conjugate_first else 1, truncation)
+        target = np.diag([wq ** (-n * (n - 1) // 2) * poch * (-1) ** n
+                          for n, poch in enumerate(pochhammer_prefix(wq, nmax))])
     notes = {"family": "circle-mac", "points": quad_points,
              "conjugate_first": conjugate_first, "working_digits": digits,
              "log10_condition": round(log_condition, 2), "floor": floor}

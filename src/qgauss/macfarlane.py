@@ -135,25 +135,27 @@ def twisted_gram_magnitudes(q: float, nmax: int) -> tuple:
 
 
 # Largest nmax the mac-gram suite runs in exact double sums at unset
-# digits; past it the suite runs the budgeted mpmath Gram and reports the
-# digits the budget chose. Per mac-gram call, median over 8 q in
-# [0.21, 0.9] (best of 3 calls each; Python 3.11.7, pure-Python mpmath, a
-# 2-vCPU VM), the two routes cost the same near nmax 21; the bound stays
-# 18 all the same, as raising it would change mac-gram's output past 18.
+# digits, and circle-mac where its rule aliases nothing; past it both run
+# the budgeted mpmath Gram and report the digits the budget chose. Per
+# call, median over 8 q in [0.21, 0.9] (best of 3 calls each, of 5 for
+# circle-mac; Python 3.11.7, pure-Python mpmath, a 2-vCPU VM), mac-gram's
+# routes cost the same near nmax 21 and circle-mac's near 19 (7.5 against
+# 7.1 ms); the bound stays 18, as raising it would change their output.
 #
-#     nmax      8     12     15     16     17     18     20     21     22
-#     exact   0.4    1.0    2.5    3.3    4.2    5.7    9.9   13.5   17.1  ms
-#     budget  1.6    3.5    5.3    6.0    8.0    8.4   11.8   13.6   15.4  ms
+#     nmax                    8   12   15   16   17   18   20    21    22
+#     mac-gram exact        0.4  1.0  2.5  3.3  4.2  5.7  9.9  13.5  17.1  ms
+#     mac-gram budget       1.6  3.5  5.3  6.0  8.0  8.4 11.8  13.6  15.4  ms
+#     circle-mac exact 128  0.3  1.0  2.3  3.1  4.2  5.6  9.8  12.7  16.5  ms
+#     circle-mac budget 128 1.2  2.3  3.7  4.3  5.1  6.0  8.4   9.8  11.6  ms
+#     circle-mac exact 512  0.3  1.0  2.3  3.1  4.3  5.7  9.7  12.7  16.4  ms
+#     circle-mac budget 512 1.2  2.3  3.7  4.3  5.1  6.0  8.3   9.7  11.5  ms
 EXACT_NMAX = 18
 
 
-def _binary_twisted_gram(q: float, nmax: int) -> np.ndarray:
-    """The double twisted Gram, each entry one exact integer sum over the
-    binary value q = M/D, D = 2^e, rounded once.
-
-    Where the identity holds, an off-diagonal sum is an exact zero and a
-    diagonal entry fl(P) / sqrt(fl(P)^2), P = (q, q)_n, is +-1 exactly, as
-    sqrt(fl(x^2)) = |x| in binary round-to-nearest: there is no floor.
+def twisted_gram_sums(q: float, nmax: int) -> tuple:
+    """The twisted Gram's exact integer sums over the binary value
+    q = M/D, D = 2^e: (e, power, scaled, Z), power[i] = M^i up to
+    i = nmax(nmax+1)/2, scaled[n] = (q, q)_n D^{n(n+1)/2} and Z below.
 
     The kernel exponent s(s+1)/2 - n j - m k, s = j + k, splits as
     [j(j+1)/2 - n j] + [k(k+1)/2 - m k] + j k, so the entry before q^r,
@@ -161,19 +163,18 @@ def _binary_twisted_gram(q: float, nmax: int) -> np.ndarray:
     X_nm = sum_k b_mk P_n(q^k), where P_n(z) = sum_j b_nj z^j and
     b_nj = (-1)^j [n j]_q q^{j(j+1)/2 - n j}; P_n is evaluated term by
     term, never through the q-binomial theorem the entry tests. In
-    integers, with t(x) = x(x-1)/2 and T[n][j] = [n j]_q D^{j(n-j)}: c_nj =
-    (-1)^j T[n][j] M^{t(n-j)} D^{t(j)} = b_nj M^{t(n)}, H_n(k) = sum_j c_nj
-    M^{jk} D^{k(n-j)} = P_n(q^k) M^{t(n)} D^{nk} and Z_nm = sum_{k<=m} c_mk
-    H_n(k) D^{n(m-k)} = X_nm M^{t(n) + t(m)} D^{nm}, symmetric and summed
-    once per pair. Every term of H_n(k) carries (M D)^w, w = t(k) + k(n-k),
-    the least power of M and of D over j as t >= 0 and t(0) = t(1) = 0:
+    integers, with t(x) = x(x-1)/2 and T[n][j] = [n j]_q D^{j(n-j)} from
+    the integer q-Pascal triangle: c_nj = (-1)^j T[n][j] M^{t(n-j)} D^{t(j)}
+    = b_nj M^{t(n)}, H_n(k) = sum_j c_nj M^{jk} D^{k(n-j)} =
+    P_n(q^k) M^{t(n)} D^{nk} and Z_nm = sum_{k<=m} c_mk H_n(k) D^{n(m-k)}
+    = X_nm M^{t(n) + t(m)} D^{nm}, symmetric and summed once per pair.
+    Every term of H_n(k) carries (M D)^w, w = t(k) + k(n-k), the least
+    power of M and of D over j as t >= 0 and t(0) = t(1) = 0:
     H_n(k) = (M D)^w sum_j (-1)^j T[n][j] M^{t(n-k-j)} D^{t(j-k)}, one
     product T[n][j] M^t and a shift per term, one for both j and n - j as
     T[n][j] = T[n][n-j], (M D)^w multiplied back into a nonzero sum only
-    and c_mk formed only where H_n(k) != 0. The exact sums are regrouped,
-    never rounded, so every entry keeps its bits: q^{floor(r)} and
-    (q, q)_n join the integer numerator and denominator, and one correctly
-    rounded int / int gives the double Fraction.__float__ would.
+    and c_mk formed only where H_n(k) != 0. Where the identity holds, an
+    off-diagonal Z_nm is an exact zero.
     """
     M, D = q.as_integer_ratio()
     e = D.bit_length() - 1
@@ -208,6 +209,18 @@ def _binary_twisted_gram(q: float, nmax: int) -> np.ndarray:
             sums[n][m] = sums[m][n] = sum(
                 T[m][k] * power[(m - k) * (m - k - 1) // 2] * h
                 << e * n * (m - k) for k, h in H if k <= m)
+    return e, power, scaled, sums
+
+
+def _binary_twisted_gram(q: float, nmax: int) -> np.ndarray:
+    """The double twisted Gram, each entry one exact integer sum
+    (twisted_gram_sums) rounded once: q^{floor(r)} and (q, q)_n join the
+    integer numerator and denominator, and one correctly rounded int / int
+    gives the double Fraction.__float__ would. An off-diagonal sum is an
+    exact zero and a diagonal entry fl(P) / sqrt(fl(P)^2), P = (q, q)_n, is
+    +-1 exactly, as sqrt(fl(x^2)) = |x| in binary round-to-nearest."""
+    e, power, scaled, sums = twisted_gram_sums(q, nmax)
+    size = nmax + 1
     poch = [p / (1 << e * n * (n + 1) // 2) for n, p in enumerate(scaled)]
     lnq = math.log(q)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import qgauss as qg
 from qgauss import QContext
-from qgauss import circle
+from qgauss import circle, macfarlane
 from qgauss.chain import gram_budget, lattice_kernel
 from qgauss.circle import (
     MAC_TOL,
@@ -174,7 +174,10 @@ class TestCircleGramMac:
             assert float(rep.target[n][n]) == pytest.approx(expected, rel=1e-12)
 
     def test_precision_is_raised_automatically(self):
-        rep = qg.circle_gram_mac(QContext(q=0.5), 5)
+        # in double this case takes the exact route; at the budget's own
+        # digits it runs the budgeted one
+        digits = budget(0.5, 5)[1]
+        rep = qg.circle_gram_mac(QContext(q=0.5, digits=digits), 5)
         assert rep.precision_digits == budget(0.5, 5)[1]
         assert rep.notes["log10_condition"] > 2
         worst = max(abs(float(rep.matrix[n][m]) - float(rep.target[n][m]))
@@ -200,10 +203,13 @@ class TestCircleGramMac:
             return gram_budget(*args)
 
         monkeypatch.setattr(circle, "gram_budget", counted)
-        rep = qg.circle_gram_mac(QContext(q=0.6), 6)
+        exact = qg.circle_gram_mac(QContext(q=0.6), 6)
         assert calls == [(MAC_TOL, None)]
-        monkeypatch.undo()
         log_condition, digits, floor = budget(0.6, 6)
+        rep = qg.circle_gram_mac(QContext(q=0.6, digits=digits), 6)
+        assert calls == [(MAC_TOL, None), (MAC_TOL, digits)]
+        monkeypatch.undo()
+        assert exact.notes["log10_condition"] == round(log_condition, 2)
         assert rep.notes["working_digits"] == digits
         assert rep.notes["log10_condition"] == round(log_condition, 2)
         assert rep.notes["floor"] == floor
@@ -266,6 +272,77 @@ def budget(q, nmax, points=512, digits=None):
     return gram_budget(*circle_mac_magnitudes(q, nmax, points), MAC_TOL, digits)
 
 
+# full-mantissa q from 0.01 to 0.99, q = 1/2, a q with a short mantissa
+# (2^-6) and the golden one: the exact route of each at nmax 0-18
+EXACT_QS = [*map(float, np.random.default_rng(32).uniform(0.01, 0.99, 33)),
+            0.5, 2.0 ** -6, 0.6180339887498949]
+
+
+@pytest.mark.parametrize("points", [128, 512])
+def test_the_unaliased_double_gram_is_its_target_bit_for_bit(points,
+                                                             monkeypatch):
+    # off the diagonal the integer sums are exact zeros; on it the entry and
+    # the target round one rational, so the suite reads no deviation at all
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(qg.circle_gram_mac(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(circle, "circle_gram_mac", recorded)
+    for q in EXACT_QS:
+        for nmax in range(macfarlane.EXACT_NMAX + 1):
+            result = qg.run_suite("circle-mac", QContext(q=q), nmax=nmax,
+                                  points=points)
+            rep, case = reports[-1], (q, nmax)
+            assert result.passed and result.max_deviation == 0, case
+            assert rep.notes["working_digits"] is None, case
+            assert rep.notes["floor"] == 0.0 and rep.precision_digits is None
+            off = [rep.matrix[n][m] for n in range(nmax + 1)
+                   for m in range(nmax + 1) if m != n]
+            assert off == [0.0] * len(off), case
+            assert [rep.matrix[n][n].hex() for n in range(nmax + 1)] == \
+                [rep.target[n][n].hex() for n in range(nmax + 1)], case
+    assert len(reports) == len(EXACT_QS) * (macfarlane.EXACT_NMAX + 1)
+
+
+@pytest.mark.parametrize("points", [128, 512])
+def test_the_exact_route_agrees_with_the_budgeted_one(points):
+    # the budgeted route at its own digits, entry by entry, within a few
+    # units of the last place of each diagonal scale
+    for q in EXACT_QS[::4]:
+        for nmax in range(2, macfarlane.EXACT_NMAX + 1, 2):
+            exact = qg.circle_gram_mac(QContext(q=q), nmax, points)
+            digits = budget(q, nmax, points)[1]
+            rep = qg.circle_gram_mac(QContext(q=q, digits=digits), nmax,
+                                     points)
+            assert exact.notes["working_digits"] is None
+            assert rep.notes["working_digits"] == digits
+            assert_relative_gap(rep, exact.matrix, 4e-16)
+
+
+@pytest.mark.parametrize("q, nmax, points, kwargs", [
+    (0.5, 5, 512, {"conjugate_first": True}),
+    (0.99, 5, 64, {}),  # the truncation reaches |m| = 88: the rule aliases
+    (0.5, 5, 512, {"digits": 20}),
+    (0.5, macfarlane.EXACT_NMAX + 1, 512, {}),
+    (0.005, 18, 128, {}),  # the diagonal passes 1e308
+])
+def test_the_budgeted_route_takes_the_other_cases(q, nmax, points, kwargs):
+    conjugate_first = kwargs.get("conjugate_first", False)
+    digits = kwargs.get("digits")
+    rep = qg.circle_gram_mac(QContext(q=q, digits=digits), nmax, points,
+                             conjugate_first)
+    chosen = gram_budget(*circle_mac_magnitudes(q, nmax, points,
+                                                conjugate_first),
+                         MAC_TOL, digits)[1]
+    assert rep.notes["working_digits"] == rep.precision_digits == chosen
+    assert rep.notes["floor"] != 0.0
+    if not conjugate_first:
+        assert qg.run_suite("circle-mac", QContext(q=q, digits=digits),
+                            nmax=nmax, points=points).max_deviation > 0
+
+
 def test_amplification_monotone_in_degree():
     # the condition is the factor by which roundoff is amplified
     assert budget(0.5, 8)[0] > budget(0.5, 4)[0] > 0
@@ -277,10 +354,12 @@ def test_amplification_monotone_in_degree():
 def test_budget_digits_are_pinned(q, nmax, digits):
     # digits are what the retired amplification budget picked; the
     # term-mass budget needs fewer, and the report runs at its choice
+    # in double these take the exact route, so the budgeted one runs at
+    # the budget's own digits
     chosen = budget(q, nmax)[1]
     assert chosen < digits
-    assert qg.circle_gram_mac(QContext(q=q), nmax).notes["working_digits"] \
-        == chosen
+    assert qg.circle_gram_mac(QContext(q=q, digits=chosen),
+                              nmax).notes["working_digits"] == chosen
 
 
 @pytest.mark.parametrize("q, nmax, digits", [

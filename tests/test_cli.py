@@ -18,6 +18,8 @@ import pytest
 from qgauss import (QContext, circle_gram_dg, circle_gram_mac, cli, evaluate,
                     gamma_family_gram, gram_phi, indefinite_gram,
                     orthonormal_weight_family)
+from qgauss.chain import gram_budget
+from qgauss.circle import MAC_TOL, circle_mac_magnitudes
 from qgauss.dg import limit_grid, limit_ratio_curve
 from qgauss.verify import FAMILIES
 
@@ -46,14 +48,20 @@ def reject_constant(name):
 
 def test_circle_amplification_past_double_range_is_strict_json():
     # the node-sum amplification at q = 0.05, nmax = 16 exceeds 1e308; the
-    # term-mass condition that replaced it stays finite
-    proc = run_cli("circle", "--family", "mac", "--q", "0.05", "--nmax", "16",
-                   "--format", "json")
-    assert proc.returncode == 0, proc.stderr.decode()
-    data = json.loads(proc.stdout.decode(), parse_constant=reject_constant)
-    notes = data["report"]["notes"]
-    assert 70 < notes["log10_condition"] < 90
-    assert 0 < notes["floor"] <= 1e-20
+    # term-mass condition that replaced it stays finite. In double the
+    # exact route has no floor; at the budget's digits the budgeted one does
+    digits = gram_budget(*circle_mac_magnitudes(0.05, 16), MAC_TOL)[1]
+    for extra, exact in (((), True), (("--digits", str(digits)), False)):
+        proc = run_cli("circle", "--family", "mac", "--q", "0.05", "--nmax",
+                       "16", *extra, "--format", "json")
+        assert proc.returncode == 0, proc.stderr.decode()
+        data = json.loads(proc.stdout.decode(), parse_constant=reject_constant)
+        notes = data["report"]["notes"]
+        assert 70 < notes["log10_condition"] < 90
+        if exact:
+            assert notes["floor"] == 0.0 and notes["working_digits"] is None
+        else:
+            assert 0 < notes["floor"] <= 1e-20
 
 
 def test_circle_past_the_double_range_writes_null():

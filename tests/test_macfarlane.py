@@ -163,7 +163,7 @@ def test_mac_harmonic_limit_rows():
 # the Fraction reference stays under about 2 s per q up to nmax 18
 @pytest.mark.parametrize("q", [0.02, 0.5, 0.75, 0.98, 2.0 ** -30,
                                float(QContext(c=1.3).q)], ids=repr)
-def test_horner_gram_equals_the_rational_sum(q):
+def test_factored_gram_equals_the_rational_sum(q):
     nmax = 18
     ref = rational_twisted_gram(q, nmax)
     for size in range(1, nmax + 2):

@@ -95,12 +95,10 @@ def test_precision_lives_in_the_context_module():
 
 def test_a_double_run_loads_no_mpmath():
     """import qgauss and every suite in double at its default size leave
-    mpmath unloaded; circle-mac is left out, its budget always sets
-    digits."""
+    mpmath unloaded."""
     code = ("import sys, qgauss\n"
             "for name in qgauss.SUITES:\n"
-            "    if name != 'circle-mac':\n"
-            "        qgauss.run_suite(name, qgauss.QContext(q=0.43))\n"
+            "    qgauss.run_suite(name, qgauss.QContext(q=0.43))\n"
             "print(sorted(m for m in sys.modules if m.startswith('mpmath')))\n")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
