@@ -272,10 +272,11 @@ def budget(q, nmax, points=512, digits=None):
     return gram_budget(*circle_mac_magnitudes(q, nmax, points), MAC_TOL, digits)
 
 
-# full-mantissa q from 0.01 to 0.99, q = 1/2, a q with a short mantissa
-# (2^-6) and the golden one: the exact route of each at nmax 0-18
-EXACT_QS = [*map(float, np.random.default_rng(32).uniform(0.01, 0.99, 33)),
-            0.5, 2.0 ** -6, 0.6180339887498949]
+# full-mantissa q from 0.01 to 0.99 and both ends, q = 1/2, a q with a
+# short mantissa (2^-6) and the golden one: the exact route of each at
+# nmax 0-18
+EXACT_QS = [*map(float, np.random.default_rng(32).uniform(0.01, 0.99, 31)),
+            0.01, 0.99, 0.5, 2.0 ** -6, 0.6180339887498949]
 
 
 @pytest.mark.parametrize("points", [128, 512])
